@@ -51,9 +51,7 @@ from .predict import (
     RandomStream,
     RunErrors,
     evaluate_run,
-    predict_next,
     prediction_outcomes,
-    random_baseline_next,
     report_to_json_dict,
     resolve_fallback,
     run_experiment,

@@ -8,7 +8,6 @@ the final exit code reflects the most severe failure seen.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -17,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .coding import dump_coding_sidecar, dump_symbols_csv, encode_series, make_scheme
+from .coding import CodingScheme, dump_coding_sidecar, dump_symbols_csv, encode_series, make_scheme
 from .errors import IngestError, ProcrecError, SequenceTooShort, SeriesTooShort
 from .ingest import (
     ColumnSchema,
@@ -27,15 +26,9 @@ from .ingest import (
     compute_stats,
     load_price_csv,
     phase_space_pairs,
-    split_halves,
     write_phase_space_csv,
 )
-from .markov import (
-    build_conditional_tables,
-    census_blocks,
-    dump_tables_json,
-    write_census_csv,
-)
+from .markov import census_blocks, dump_tables_json, write_census_csv
 from .predict import (
     BASELINES,
     METRICS,
@@ -185,7 +178,11 @@ def _coded_sequence(args: argparse.Namespace, label: str, path: Path):
 def cmd_census(args: argparse.Namespace) -> int:
     label, path = args.input
     seq, scheme, stats = _coded_sequence(args, label, path)
-    census = census_blocks(seq, args.kmax)
+    try:
+        census = census_blocks(seq, args.kmax)
+    except ValueError as exc:  # order outside 1 .. the packable maximum
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     write_census_csv(census, out / f"{label}_census.csv")
@@ -209,19 +206,12 @@ def _predict_one(config: ExperimentConfig, args: argparse.Namespace, label: str,
     plot_lines += [f"{k},{e!r},{er!r}" for k, e, er in plot_rows(report)]
     (out / f"{label}_plot.csv").write_text("\n".join(plot_lines) + "\n", encoding="utf-8")
 
-    if args.dump_symbols or args.dump_tables:
-        h1, _ = split_halves(returns)
-        stats = compute_stats(returns if config.stats_on == "full" else h1)
-        scheme = make_scheme(config.scheme, stats)
-        seq = encode_series(returns, stats, scheme)
-        if args.dump_symbols:
-            dump_symbols_csv(seq, out / f"{label}_symbols.csv")
-            dump_coding_sidecar(scheme, stats, out / f"{label}_coding.json")
-        if args.dump_tables:
-            train = dataclasses.replace(seq, symbols=seq.symbols[: len(h1)])
-            dump_tables_json(
-                build_conditional_tables(train, config.k_max), out / f"{label}_tables.json"
-            )
+    if args.dump_symbols:
+        coding = CodingScheme(report.scheme, report.alphabet, report.cut_points)
+        dump_symbols_csv(report.sequence, out / f"{label}_symbols.csv")
+        dump_coding_sidecar(coding, report.stats, out / f"{label}_coding.json")
+    if args.dump_tables:
+        dump_tables_json(report.tables, out / f"{label}_tables.json")
     return report
 
 
@@ -238,7 +228,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     inputs = tuple(args.input)
     config = ExperimentConfig(
-        inputs=inputs,
         scheme=args.scheme,
         k_min=args.kmin,
         k_max=args.kmax,
@@ -248,7 +237,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
         baseline=args.baseline,
         mode=args.mode,
         stats_on=args.stats_on,
-        out_dir=args.out,
     )
     try:
         config.validate_params()

@@ -2,17 +2,18 @@
 
 Context convention: a context block is ordered most-recent-first, so the
 context of position t at order k is (seq[t-1], seq[t-2], ..., seq[t-k]).
-Dropping the oldest symbol of a block is then a simple prefix slice, which is
-what the back-off predictor relies on.
+Tables store a context as an integer code whose most significant digit is the
+most recent symbol: dropping the oldest symbol drops the least significant
+digit, and the back-off predictor extends codes one older digit at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,40 +57,104 @@ class ContextRow:
         return int(self.counts.sum())
 
 
-def _make_row(counts: np.ndarray) -> ContextRow:
-    total = counts.sum()
-    probs = counts / total
-    return ContextRow(counts=counts, probs=probs, cum=np.cumsum(probs))
-
-
 @dataclass(frozen=True, eq=False)
 class ConditionalTable:
-    """Order-k conditional next-symbol distributions keyed by context block."""
+    """Order-k conditional next-symbol distributions, one row per seen context.
+
+    ``codes`` holds the contexts as sorted base-|alphabet| integers of symbol
+    indices, the most recent symbol as the most significant digit, so code
+    order is the lexicographic order of the context tuples. Row i of
+    ``counts``/``probs``/``cum`` (shape (m, |alphabet|)) belongs to
+    ``codes[i]`` and is row ``offset + i`` of the table set's stacked arrays.
+    """
 
     order: int
     alphabet: tuple[int, ...]
-    rows: Mapping[tuple[int, ...], ContextRow]
+    codes: np.ndarray
+    offset: int
+    counts: np.ndarray
+    probs: np.ndarray
+    cum: np.ndarray
+
+    def contexts(self) -> np.ndarray:
+        """(m, order) context symbols of every row, most recent first."""
+        a = len(self.alphabet)
+        weights = a ** np.arange(self.order - 1, -1, -1, dtype=np.int64)
+        return np.asarray(self.alphabet, dtype=np.int64)[self.codes[:, None] // weights % a]
+
+    @property
+    def rows(self) -> Mapping[tuple[int, ...], ContextRow]:
+        """Read-only {context tuple: ContextRow} view over the arrays."""
+        return _RowView(self)
+
+
+class _RowView(Mapping):
+    def __init__(self, table: ConditionalTable):
+        self._table = table
+        self._index = {s: i for i, s in enumerate(table.alphabet)}
+
+    def __len__(self) -> int:
+        return len(self._table.codes)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return map(tuple, self._table.contexts().tolist())
+
+    def __getitem__(self, context: tuple[int, ...]) -> ContextRow:
+        t = self._table
+        if len(context) != t.order:
+            raise KeyError(context)
+        code = 0
+        for s in context:
+            code = code * len(t.alphabet) + self._index[s]  # KeyError for a foreign symbol
+        i = int(np.searchsorted(t.codes, code))
+        if i == len(t.codes) or t.codes[i] != code:
+            raise KeyError(context)
+        return ContextRow(counts=t.counts[i], probs=t.probs[i], cum=t.cum[i])
 
 
 @dataclass(frozen=True, eq=False)
 class ConditionalTableSet:
-    """Tables for orders 1..k_max plus the order-0 marginal fallback."""
+    """Tables for orders 1..k_max plus the order-0 marginal fallback.
+
+    ``counts``/``probs``/``cum`` stack every row of the set: row 0 is the
+    marginal, then each order's rows in turn. The per-order tables and the
+    marginal are views into them, so one row id addresses any distribution.
+    """
 
     alphabet: tuple[int, ...]
     k_max: int
     tables: Mapping[int, ConditionalTable]
-    marginal: ContextRow
     n_train: int
+    counts: np.ndarray
+    probs: np.ndarray
+    cum: np.ndarray
 
-    def lookup(self, context: Sequence[int]) -> tuple[ContextRow, int]:
-        """Longest-suffix match: the row of the largest order j with the j most
-        recent context symbols present, else the marginal at order 0."""
-        ctx = tuple(context)
-        for j in range(min(len(ctx), self.k_max), 0, -1):
-            row = self.tables[j].rows.get(ctx[:j])
-            if row is not None:
-                return row, j
-        return self.marginal, 0
+    @property
+    def marginal(self) -> ContextRow:
+        return ContextRow(counts=self.counts[0], probs=self.probs[0], cum=self.cum[0])
+
+    def back_off(self, idx: np.ndarray, start: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Longest-suffix match for every position t = start .. len(idx)-1.
+
+        ``idx`` holds alphabet indices. Position t answers with the largest
+        order j <= k whose context (idx[t-1], ..., idx[t-j]) has a row, else
+        with the marginal at order 0. Returns (orders, row ids into the stacked
+        arrays). Each order extends the codes by one older, less significant
+        digit and tests membership by binary search.
+        """
+        a = len(self.alphabet)
+        end = len(idx)
+        codes = np.zeros(end - start, dtype=np.int64)
+        orders = np.zeros(end - start, dtype=np.int64)
+        row_ids = np.zeros(end - start, dtype=np.int64)
+        for j in range(1, k + 1):
+            codes = codes * a + idx[start - j : end - j]
+            table = self.tables[j]
+            pos = np.searchsorted(table.codes, codes)
+            hit = table.codes[np.minimum(pos, len(table.codes) - 1)] == codes
+            orders[hit] = j
+            row_ids[hit] = table.offset + pos[hit]
+        return orders, row_ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,12 +166,13 @@ class TransitionMatrix:
     imputed: tuple[bool, ...]
 
 
-def _symbol_indices(seq: SymbolSequence, alphabet: tuple[int, ...]) -> np.ndarray:
+def symbol_indices(symbols: np.ndarray, alphabet: tuple[int, ...]) -> np.ndarray:
+    """Position of every symbol in a strictly increasing alphabet."""
     if any(a >= b for a, b in zip(alphabet, alphabet[1:])):
         raise ValueError(f"alphabet must be strictly increasing, got {alphabet}")
     alpha = np.asarray(alphabet, dtype=np.int64)
-    idx = np.searchsorted(alpha, seq.symbols)
-    if np.any(idx >= len(alpha)) or np.any(alpha[np.minimum(idx, len(alpha) - 1)] != seq.symbols):
+    idx = np.searchsorted(alpha, symbols)
+    if np.any(idx >= len(alpha)) or np.any(alpha[np.minimum(idx, len(alpha) - 1)] != symbols):
         raise ValueError("sequence contains symbols outside the alphabet")
     return idx
 
@@ -127,7 +193,7 @@ def census_blocks(seq: SymbolSequence, k_max: int) -> list[BlockCensus]:
     alphabet = tuple(seq.alphabet)
     a = len(alphabet)
     _check_packable(a, k_max)
-    idx = _symbol_indices(seq, alphabet)
+    idx = symbol_indices(seq.symbols, alphabet)
     out = []
     for k in range(1, k_max + 1):
         windows = n - k + 1
@@ -172,68 +238,63 @@ def build_conditional_tables(
         )
     a = len(alpha)
     _check_packable(a, k_max)
-    idx = _symbol_indices(train, alpha)
-    alpha_arr = np.asarray(alpha, dtype=np.int64)
+    idx = symbol_indices(train.symbols, alpha)
 
-    tables: dict[int, ConditionalTable] = {}
+    # row 0 of the stacked arrays is the marginal, then each order's rows
+    blocks = [np.bincount(idx, minlength=a)[None, :]]
+    codes_by_order = []
+    ctx = np.zeros(n, dtype=np.int64)  # order-0 context code of t = 0 .. n-1
     for k in range(1, k_max + 1):
-        # context code: digit j-1 (weight a^(j-1)) is the j-th most recent symbol
-        ctx_codes = np.zeros(n - k, dtype=np.int64)
-        for j in range(1, k + 1):
-            ctx_codes += idx[k - j : n - j] * (a ** (j - 1))
-        combined = ctx_codes * a + idx[k:]
-        uniq, counts = np.unique(combined, return_counts=True)
+        # order-k code of t = k .. n-1: append symbol t-k as the least significant digit
+        ctx = ctx[1:] * a + idx[: n - k]
+        uniq, counts = np.unique(ctx * a + idx[k:], return_counts=True)
+        ctx_codes, next_idx = np.divmod(uniq, a)
+        first = np.ones(len(uniq), dtype=bool)
+        first[1:] = ctx_codes[1:] != ctx_codes[:-1]
+        block = np.zeros((int(first.sum()), a), dtype=np.int64)
+        block[np.cumsum(first) - 1, next_idx] = counts
+        codes_by_order.append(ctx_codes[first])
+        blocks.append(block)
 
-        count_vectors: dict[int, np.ndarray] = {}
-        for code, c in zip(uniq.tolist(), counts.tolist()):
-            ctx_code, next_i = divmod(code, a)
-            vec = count_vectors.get(ctx_code)
-            if vec is None:
-                vec = np.zeros(a, dtype=np.int64)
-                count_vectors[ctx_code] = vec
-            vec[next_i] = c
-
-        rows: dict[tuple[int, ...], ContextRow] = {}
-        for ctx_code, vec in count_vectors.items():
-            digits = []
-            rem = ctx_code
-            for _ in range(k):
-                rem, d = divmod(rem, a)
-                digits.append(int(alpha_arr[d]))
-            rows[tuple(digits)] = _make_row(vec)
-        tables[k] = ConditionalTable(order=k, alphabet=alpha, rows=rows)
-
-    marginal_counts = np.bincount(idx, minlength=a).astype(np.int64)
+    all_counts = np.concatenate(blocks).astype(np.int64, copy=False)
+    probs = all_counts / all_counts.sum(axis=1, keepdims=True)
+    cum = np.cumsum(probs, axis=1)
+    tables: dict[int, ConditionalTable] = {}
+    offset = 1
+    for k, codes in enumerate(codes_by_order, start=1):
+        rows = slice(offset, offset + len(codes))
+        tables[k] = ConditionalTable(
+            order=k,
+            alphabet=alpha,
+            codes=codes,
+            offset=offset,
+            counts=all_counts[rows],
+            probs=probs[rows],
+            cum=cum[rows],
+        )
+        offset += len(codes)
     return ConditionalTableSet(
         alphabet=alpha,
         k_max=k_max,
         tables=tables,
-        marginal=_make_row(marginal_counts),
         n_train=n,
+        counts=all_counts,
+        probs=probs,
+        cum=cum,
     )
 
 
 def transition_matrix(tables: ConditionalTableSet) -> TransitionMatrix:
     """Dense row-stochastic order-1 matrix, marginal-imputed for unseen states."""
-    order1 = tables.tables[1]
+    order1 = tables.tables[1]  # order-1 codes are alphabet indices
     a = len(tables.alphabet)
-    matrix = np.empty((a, a), dtype=np.float64)
-    imputed = []
-    for i, sym in enumerate(tables.alphabet):
-        row = order1.rows.get((sym,))
-        if row is None:
-            matrix[i] = tables.marginal.probs
-            imputed.append(True)
-        else:
-            matrix[i] = row.probs
-            imputed.append(False)
+    matrix = np.tile(tables.marginal.probs, (a, 1))
+    matrix[order1.codes] = order1.probs
+    imputed = np.ones(a, dtype=bool)
+    imputed[order1.codes] = False
     return TransitionMatrix(
-        alphabet=tables.alphabet, matrix=matrix, imputed=tuple(imputed)
+        alphabet=tables.alphabet, matrix=matrix, imputed=tuple(imputed.tolist())
     )
-
-
-def _context_key(context: tuple[int, ...]) -> str:
-    return ",".join(str(s) for s in context)
 
 
 def dump_tables_json(tables: ConditionalTableSet, path: str | Path) -> None:
@@ -250,14 +311,13 @@ def dump_tables_json(tables: ConditionalTableSet, path: str | Path) -> None:
             {
                 "k": k,
                 "rows": {
-                    _context_key(ctx): {
-                        "counts": row.counts.tolist(),
-                        "probs": row.probs.tolist(),
-                    }
-                    for ctx, row in sorted(tables.tables[k].rows.items())
+                    ",".join(map(str, ctx)): {"counts": counts, "probs": probs}
+                    for ctx, counts, probs in zip(
+                        table.contexts().tolist(), table.counts.tolist(), table.probs.tolist()
+                    )
                 },
             }
-            for k in sorted(tables.tables)
+            for k, table in sorted(tables.tables.items())
         ],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

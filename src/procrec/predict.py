@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .coding import CodingScheme, SymbolSequence, encode_series, make_scheme
+from .coding import SymbolSequence, encode_series, make_scheme
 from .errors import SplitTooSmall
 from .ingest import ReturnSeries, SeriesStats, compute_stats, split_halves
-from .markov import ConditionalTableSet, ContextRow, build_conditional_tables
+from .markov import ConditionalTableSet, build_conditional_tables, symbol_indices
 
 __all__ = [
     "RandomStream",
@@ -34,8 +32,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "FallbackResolution",
-    "predict_next",
-    "random_baseline_next",
     "resolve_fallback",
     "evaluate_run",
     "prediction_outcomes",
@@ -88,12 +84,6 @@ class RandomStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def _as_generator(rng: RandomStream | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, RandomStream):
-        return rng.generator()
-    return rng
-
-
 @dataclass(frozen=True)
 class PredictionOutcome:
     """Audit record for one predicted position."""
@@ -117,38 +107,6 @@ class RunErrors:
     n_predictions: int
 
 
-def _sample_index(cum: np.ndarray, u: float) -> int:
-    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
-
-
-def predict_next(
-    tables: ConditionalTableSet,
-    context: Sequence[int],
-    rng: RandomStream | np.random.Generator,
-) -> tuple[int, int]:
-    """Sample the next symbol for one context. Returns (symbol, order used).
-
-    Accepts a stateful numpy Generator for sequential draws, or a RandomStream
-    whose first draw is used (handy for one-shot deterministic calls).
-    """
-    row, order = tables.lookup(context)
-    gen = _as_generator(rng)
-    idx = _sample_index(row.cum, float(gen.random()))
-    return int(tables.alphabet[idx]), order
-
-
-def random_baseline_next(
-    alphabet: CodingScheme | Sequence[int],
-    rng: RandomStream | np.random.Generator,
-) -> int:
-    """Uniform draw over the alphabet, the comparison floor for predictions."""
-    symbols = alphabet.symbols if isinstance(alphabet, CodingScheme) else tuple(alphabet)
-    if not symbols:
-        raise ValueError("alphabet must be nonempty")
-    gen = _as_generator(rng)
-    return int(symbols[int(gen.integers(0, len(symbols)))])
-
-
 @dataclass(frozen=True, eq=False)
 class FallbackResolution:
     """Per-position back-off outcome over a test half, reusable across runs.
@@ -161,7 +119,7 @@ class FallbackResolution:
     order: int
     orders: np.ndarray  # fallback order used per test position
     row_ids: np.ndarray  # per test position, index into cum_rows/prob_rows
-    cum_rows: np.ndarray  # (n_rows, |alphabet|)
+    cum_rows: np.ndarray  # the table set's stacked rows, (n_rows, |alphabet|)
     prob_rows: np.ndarray
     actual_idx: np.ndarray  # alphabet index of the realized symbol
 
@@ -191,37 +149,16 @@ def resolve_fallback(
     if n < k:
         raise ValueError(f"first test context would precede the series (n={n}, k={k})")
 
-    alpha = tables.alphabet
-    sym_to_idx = {s: i for i, s in enumerate(alpha)}
-    symbols = seq.symbols.tolist()
-
-    orders = np.empty(n_test, dtype=np.int64)
-    row_ids = np.empty(n_test, dtype=np.int64)
-    actual_idx = np.empty(n_test, dtype=np.int64)
-    row_index: dict[int, int] = {}
-    rows: list[ContextRow] = []
-    for i, t in enumerate(range(n, total)):
-        ctx = tuple(reversed(symbols[t - k : t]))
-        row, order = tables.lookup(ctx)
-        rid = row_index.get(id(row))
-        if rid is None:
-            rid = len(rows)
-            row_index[id(row)] = rid
-            rows.append(row)
-        orders[i] = order
-        row_ids[i] = rid
-        actual_idx[i] = sym_to_idx[symbols[t]]
-
-    cum_rows = np.stack([r.cum for r in rows])
-    prob_rows = np.stack([r.probs for r in rows])
+    idx = symbol_indices(seq.symbols, tables.alphabet)
+    orders, row_ids = tables.back_off(idx, n, k)
     return FallbackResolution(
         split=n,
         order=k,
         orders=orders,
         row_ids=row_ids,
-        cum_rows=cum_rows,
-        prob_rows=prob_rows,
-        actual_idx=actual_idx,
+        cum_rows=tables.cum,
+        prob_rows=tables.probs,
+        actual_idx=idx[n:],
     )
 
 
@@ -230,7 +167,7 @@ def _model_indices(
 ) -> np.ndarray:
     a = res.cum_rows.shape[1]
     if mode == "argmax":
-        return np.argmax(res.prob_rows, axis=1)[res.row_ids]
+        return np.argmax(res.prob_rows[res.row_ids], axis=1)
     u = gen.random(res.n_test)
     cum = res.cum_rows[res.row_ids]
     return np.minimum((cum <= u[:, None]).sum(axis=1), a - 1)
@@ -330,7 +267,6 @@ def prediction_outcomes(
 class ExperimentConfig:
     """Everything the experiment depends on besides the data itself."""
 
-    inputs: tuple[tuple[str, Path], ...] = ()
     scheme: str = "five"
     k_min: int = 1
     k_max: int = 8
@@ -340,7 +276,6 @@ class ExperimentConfig:
     baseline: str = "uniform"
     mode: str = "sample"
     stats_on: str = "full"
-    out_dir: Path | None = None
 
     def validate_params(self) -> None:
         if self.runs < 1:
@@ -358,16 +293,14 @@ class ExperimentConfig:
         if self.stats_on not in ("full", "train"):
             raise ValueError("stats_on must be 'full' or 'train'")
 
-    def validate(self) -> None:
-        self.validate_params()
-        for label, p in self.inputs:
-            if not Path(p).exists():
-                raise FileNotFoundError(f"{label}: {p} does not exist")
-
 
 @dataclass(eq=False)
 class ExperimentReport:
-    """Across-run averages of e_k and eRand_k plus the audit trail."""
+    """Across-run averages of e_k and eRand_k plus the audit trail.
+
+    ``sequence`` and ``tables`` are the coded series and the training-half
+    tables the run used, kept for the symbol and table dumps.
+    """
 
     instrument: str
     scheme: str
@@ -390,6 +323,8 @@ class ExperimentReport:
     rand_std: tuple[float, ...]
     fallback_histogram: dict[int, dict[int, int]]
     per_run: dict[int, tuple[RunErrors, ...]]
+    sequence: SymbolSequence
+    tables: ConditionalTableSet
 
 
 def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> ExperimentReport:
@@ -460,6 +395,8 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
         rand_std=tuple(r_std),
         fallback_histogram={k: resolutions[k].order_histogram() for k in k_values},
         per_run={k: tuple(v) for k, v in per_run.items()},
+        sequence=seq,
+        tables=tables,
     )
 
 

@@ -39,6 +39,48 @@ def brute_force_tables(symbols, k_max, alphabet):
     return tables, marginal
 
 
+def brute_force_back_off(symbols, n, k, k_max, alphabet):
+    """Scalar longest-suffix back-off over tables of the training half.
+
+    Tables come from brute_force_tables(symbols[:n], k_max). For every test
+    position t = n .. len(symbols)-1 the context (symbols[t-1], ...,
+    symbols[t-k]) is looked up at order k, then k-1, ... down to 1, and the
+    first order with a row answers; with none the marginal answers at order
+    0. Returns one (order, counts) pair per test position.
+    """
+    symbols = list(symbols)
+    tables, marginal = brute_force_tables(symbols[:n], k_max, alphabet)
+    out = []
+    for t in range(n, len(symbols)):
+        ctx = tuple(reversed(symbols[t - k : t]))
+        for j in range(k, 0, -1):
+            row = tables[j].get(ctx[:j])
+            if row is not None:
+                out.append((j, row[0]))
+                break
+        else:
+            out.append((0, marginal))
+    return out
+
+
+def sequential_cum(counts):
+    """Probabilities counts/total summed left to right, one float add a step."""
+    total = sum(counts)
+    cum, acc = [], 0.0
+    for c in counts:
+        acc += c / total
+        cum.append(acc)
+    return cum
+
+
+def sample_index(cum, u):
+    """Index of the first cumulative probability above u, the last if none."""
+    for i, c in enumerate(cum):
+        if c > u:
+            return i
+    return len(cum) - 1
+
+
 def brute_force_distinct_blocks(symbols, k):
     symbols = list(symbols)
     return len({tuple(symbols[i : i + k]) for i in range(len(symbols) - k + 1)})

@@ -91,9 +91,13 @@ def test_census_writes_expected_rows(tmp_path, small_csv, capsys):
 
 
 def test_census_kmax_too_large(tmp_path, small_csv, capsys):
-    code = main(["census", "--input", str(small_csv), "--kmax", "1000", "--out", str(tmp_path)])
-    assert code == 2
-    assert "error" in capsys.readouterr().err
+    # 0 is below order 1, 40 too large to pack, 1000 longer than the series
+    for kmax in ("0", "40", "1000"):
+        code = main(["census", "--input", str(small_csv), "--kmax", kmax, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
 def test_census_dump_symbols(tmp_path, small_csv):

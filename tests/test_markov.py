@@ -12,11 +12,18 @@ from procrec import (
     SymbolSequence,
     build_conditional_tables,
     census_blocks,
+    resolve_fallback,
     transition_matrix,
 )
 from procrec.markov import dump_tables_json, write_census_csv
 
-from oracles import ALPHABET3, ALPHABET5, brute_force_distinct_blocks, brute_force_tables
+from oracles import (
+    ALPHABET3,
+    ALPHABET5,
+    brute_force_back_off,
+    brute_force_distinct_blocks,
+    brute_force_tables,
+)
 
 
 def mk_seq(symbols, alphabet) -> SymbolSequence:
@@ -201,14 +208,18 @@ def test_order_too_large_to_pack():
 
 
 def test_lookup_longest_suffix():
-    tables = build_conditional_tables(mk_seq([0, 0, 1, 0, 0, 1, 0], ALPHABET3), 2)
-    row, order = tables.lookup((0, 0))
-    assert order == 2
-    row, order = tables.lookup((1, 1))  # (1,1) never occurs, (1,) does
-    assert order == 1
-    row, order = tables.lookup((-1, -1))  # -1 never occurs at all
-    assert order == 0
-    assert row is tables.marginal
+    train = [0, 0, 1, 0, 0, 1, 0]
+    # test contexts, most recent first: (0, 1), (0, 0), (1, 0), (1, 1), (-1, 1), (-1, -1)
+    seq = mk_seq(train + [0, 1, 1, -1, -1, 0], ALPHABET3)
+    n = len(train)
+    tables = build_conditional_tables(mk_seq(train, ALPHABET3), 2)
+    res = resolve_fallback(tables, seq, n, 2)
+    # (1, 1) never occurs in train but (1,) does; -1 never occurs at all
+    assert res.orders.tolist() == [2, 2, 2, 1, 0, 0]
+    expected = brute_force_back_off(seq.symbols.tolist(), n, 2, 2, ALPHABET3)
+    assert res.orders.tolist() == [order for order, _ in expected]
+    for i in (4, 5):
+        np.testing.assert_array_equal(res.cum_rows[res.row_ids[i]], tables.marginal.cum)
 
 
 # --- transition matrix ------------------------------------------------------

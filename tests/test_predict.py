@@ -11,39 +11,28 @@ from procrec import (
     SymbolSequence,
     build_conditional_tables,
     evaluate_run,
-    predict_next,
     prediction_outcomes,
-    random_baseline_next,
     resolve_fallback,
     run_experiment,
 )
-from procrec.markov import ConditionalTable, ConditionalTableSet, ContextRow
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from procrec.predict import ExperimentConfig, RandomStream, report_to_json_dict
 
 from conftest import mk_returns
-from oracles import ALPHABET3, ALPHABET5
+from oracles import ALPHABET3, ALPHABET5, brute_force_back_off, sample_index, sequential_cum
 
 
 def mk_seq(symbols, alphabet) -> SymbolSequence:
     return SymbolSequence("t", "custom", np.asarray(symbols, dtype=np.int64), tuple(alphabet))
 
 
-def mk_row(counts):
-    counts = np.asarray(counts, dtype=np.int64)
-    probs = counts / counts.sum()
-    return ContextRow(counts=counts, probs=probs, cum=np.cumsum(probs))
-
-
-def single_row_tables(alphabet, context, counts):
-    row = mk_row(counts)
-    table = ConditionalTable(order=len(context), alphabet=tuple(alphabet), rows={tuple(context): row})
-    return ConditionalTableSet(
-        alphabet=tuple(alphabet),
-        k_max=len(context),
-        tables={len(context): table},
-        marginal=mk_row([1] * len(alphabet)),
-        n_train=int(sum(counts)) + len(context),
-    )
+def split_tables(symbols, alphabet, n, k_max):
+    """(sequence, tables of its first n symbols) for a split at n."""
+    seq = mk_seq(symbols, alphabet)
+    train = dataclasses.replace(seq, symbols=seq.symbols[:n])
+    return seq, build_conditional_tables(train, k_max)
 
 
 # --- RandomStream ------------------------------------------------------------
@@ -87,52 +76,68 @@ def test_stream_rejects_bad_seeds_and_tags():
         RandomStream(3).substream(-2)
 
 
-# --- predict_next / random_baseline_next -------------------------------------
+# --- next-symbol prediction and the baseline draws -------------------------
 
 
 def test_predict_next_deterministic_row():
-    tables = single_row_tables(ALPHABET3, (0, 1), [0, 0, 9])
+    # in 1, 0, 1, 1, 0, 1, ... every order-2 context has one successor
+    seq, tables = split_tables([1, 0, 1] * 40, ALPHABET3, 60, 2)
     for seed in (0, 1, 99):
-        symbol, order = predict_next(tables, (0, 1), RandomStream(seed))
-        assert symbol == 1 and order == 2
+        outcomes = prediction_outcomes(tables, seq, 60, 2, RandomStream(seed))
+        assert all(out.fallback_order == 2 for out in outcomes)
+        assert all(out.predicted == out.actual for out in outcomes)
+        assert {out.predicted for out in outcomes if out.context == (0, 1)} == {1}
 
 
 def test_predict_next_falls_back_one_order():
     # (1, 1) never occurs in train, its suffix (1,) does
-    train = mk_seq([0, 0, 1, 0, 0, 1, 0, 0], ALPHABET3)
-    tables = build_conditional_tables(train, 2)
-    symbol, order = predict_next(tables, (1, 1), RandomStream(5))
-    assert order == 1
-    assert symbol == 0  # every 1 in train is followed by 0
+    train = [0, 0, 1, 0, 0, 1, 0, 0]
+    seq, tables = split_tables(train + [1, 1, 0], ALPHABET3, len(train), 2)
+    last = prediction_outcomes(tables, seq, len(train), 2, RandomStream(5))[-1]
+    assert last.context == (1, 1)
+    assert last.fallback_order == 1
+    assert last.predicted == 0  # every 1 in train is followed by 0
 
 
 def test_predict_next_marginal_fallback():
-    train = mk_seq([-1, 0, 1, -1, 0, 1], ALPHABET5)  # symbol 2 absent from train
-    tables = build_conditional_tables(train, 2)
-    _, order = predict_next(tables, (2, 2), RandomStream(5))
-    assert order == 0
+    train = [-1, 0, 1, -1, 0, 1]  # symbol 2 absent from train
+    seq, tables = split_tables(train + [2, 2, 0], ALPHABET5, len(train), 2)
+    res = resolve_fallback(tables, seq, len(train), 2)
+    assert res.orders.tolist()[-2:] == [0, 0]  # contexts (2, 1) and (2, 2)
+    np.testing.assert_array_equal(res.cum_rows[res.row_ids[-1]], tables.marginal.cum)
 
 
 def test_predict_next_sampling_frequencies():
-    tables = single_row_tables((0, 1, 2), (0,), [2, 3, 5])
-    gen = RandomStream(314).substream("lln").generator()
-    draws = np.array([predict_next(tables, (0,), gen)[0] for _ in range(100_000)])
+    # in train, context (0,) is followed by 0 twice, 1 three times, 2 five times
+    train = [0, 0, 0] + [1, 0] * 3 + [2, 0] * 5
+    seq, tables = split_tables(train + [0] * 100_000, (0, 1, 2), len(train), 1)
+    assert tables.tables[1].rows[(0,)].counts.tolist() == [2, 3, 5]
+    stream = RandomStream(314).substream("lln")
+    draws = np.array([out.predicted for out in prediction_outcomes(tables, seq, len(train), 1, stream)])
     for symbol, want in ((0, 0.2), (1, 0.3), (2, 0.5)):
         assert abs(np.mean(draws == symbol) - want) < 0.01
 
 
 def test_baseline_uniform_frequencies():
-    gen = RandomStream(2718).substream("base").generator()
-    draws = np.array([random_baseline_next(ALPHABET5, gen) for _ in range(100_000)])
+    # the uniform baseline evaluate_run scores, against a constant 0 test half
+    seq, tables = split_tables([0] * 100_100, ALPHABET5, 100, 1)
+    stream = RandomStream(2718).substream("base")
+    result = evaluate_run(tables, seq, 100, 1, "signed", stream)
+    draws = stream.substream("baseline").generator().integers(0, 5, size=100_000)
+    drawn = np.asarray(ALPHABET5)[draws]
+    assert result.e_rand == float(drawn.mean())
     for symbol in ALPHABET5:
-        assert abs(np.mean(draws == symbol) - 0.2) < 0.01
+        assert abs(np.mean(drawn == symbol) - 0.2) < 0.01
 
 
 def test_baseline_single_symbol_and_determinism():
-    assert random_baseline_next((4,), RandomStream(1)) == 4
-    a = [random_baseline_next(ALPHABET3, RandomStream(9).substream(i)) for i in range(20)]
-    b = [random_baseline_next(ALPHABET3, RandomStream(9).substream(i)) for i in range(20)]
+    seq, tables = split_tables([4] * 20, (4,), 10, 1)
+    assert evaluate_run(tables, seq, 10, 1, "abs", RandomStream(1)).e_rand == 0.0
+    seq, tables = split_tables([-1, 0, 1, 1, 0] * 8, ALPHABET3, 20, 1)
+    a = [evaluate_run(tables, seq, 20, 1, "abs", RandomStream(9).substream(i)).e_rand for i in range(20)]
+    b = [evaluate_run(tables, seq, 20, 1, "abs", RandomStream(9).substream(i)).e_rand for i in range(20)]
     assert a == b
+    assert len(set(a)) > 1
 
 
 # --- evaluate_run -------------------------------------------------------------
@@ -238,20 +243,38 @@ def test_contexts_span_the_split_boundary():
 
 def test_vectorized_path_matches_sequential_predict_next():
     # one uniform per position, in order: the batched experiment path must
-    # reproduce scalar predict_next calls draw for draw
+    # reproduce a scalar back-off and draw, position by position
     rng = np.random.default_rng(3)
     symbols = [int(ALPHABET5[i]) for i in rng.integers(0, 5, 400)]
-    seq = mk_seq(symbols, ALPHABET5)
-    n = 200
-    train = dataclasses.replace(seq, symbols=seq.symbols[:n])
-    tables = build_conditional_tables(train, 3)
+    seq, tables = split_tables(symbols, ALPHABET5, 200, 3)
     stream = RandomStream(5).substream(1, 3)
-    outcomes = prediction_outcomes(tables, seq, n, 3, stream)
+    outcomes = prediction_outcomes(tables, seq, 200, 3, stream)
     gen = stream.substream("model").generator()
-    for out in outcomes:
-        symbol, order = predict_next(tables, out.context, gen)
+    expected = brute_force_back_off(symbols, 200, 3, 3, ALPHABET5)
+    for out, (order, counts) in zip(outcomes, expected, strict=True):
+        symbol = ALPHABET5[sample_index(sequential_cum(counts), float(gen.random()))]
         assert symbol == out.predicted
         assert order == out.fallback_order
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_resolve_fallback_matches_scalar_back_off(data):
+    alphabet = data.draw(st.sampled_from((ALPHABET3, ALPHABET5)))
+    symbols = data.draw(st.lists(st.sampled_from(alphabet), min_size=6, max_size=300))
+    k = data.draw(st.integers(1, min(5, len(symbols) - 2)))
+    n = data.draw(st.integers(k + 1, len(symbols) - 1))
+    k_max = data.draw(st.integers(k, min(5, n - 1)))
+    seq, tables = split_tables(symbols, alphabet, n, k_max)
+    res = resolve_fallback(tables, seq, n, k)
+    expected = brute_force_back_off(symbols, n, k, k_max, alphabet)
+    assert res.orders.tolist() == [order for order, _ in expected]
+    for i, (_, counts) in enumerate(expected):
+        assert res.cum_rows[res.row_ids[i]].tolist() == sequential_cum(counts)
+        assert res.prob_rows[res.row_ids[i]].tolist() == [c / sum(counts) for c in counts]
+    # seen contexts are prefix-closed, so the order at k is the longest match capped at k
+    longest = resolve_fallback(tables, seq, n, k_max).orders
+    np.testing.assert_array_equal(res.orders, np.minimum(longest, k))
 
 
 def test_fallback_orders_replay_against_tables():
@@ -336,19 +359,15 @@ def test_run_experiment_stats_on_train():
 
 def test_run_experiment_config_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig(runs=0).validate()
+        ExperimentConfig(runs=0).validate_params()
     with pytest.raises(ValueError):
-        ExperimentConfig(k_min=0).validate()
+        ExperimentConfig(k_min=0).validate_params()
     with pytest.raises(ValueError):
-        ExperimentConfig(k_min=5, k_max=4).validate()
+        ExperimentConfig(k_min=5, k_max=4).validate_params()
     with pytest.raises(ValueError):
-        ExperimentConfig(k_max=13).validate()
+        ExperimentConfig(k_max=13).validate_params()
     with pytest.raises(ValueError):
-        ExperimentConfig(scheme="seven").validate()
-    from pathlib import Path
-
-    with pytest.raises(FileNotFoundError):
-        ExperimentConfig(inputs=(("x", Path("/nope.csv")),)).validate()
+        ExperimentConfig(scheme="seven").validate_params()
 
 
 def test_order2_model_beats_order1_on_synthetic_chain():
