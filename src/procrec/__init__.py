@@ -24,7 +24,6 @@ from .errors import (
 )
 from .ingest import (
     ColumnSchema,
-    PricePoint,
     PriceSeries,
     ReturnSeries,
     SeriesStats,

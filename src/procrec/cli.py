@@ -26,6 +26,7 @@ from .ingest import (
     compute_stats,
     load_price_csv,
     phase_space_pairs,
+    utc_datetime,
     write_phase_space_csv,
 )
 from .markov import census_blocks, dump_tables_json, write_census_csv
@@ -59,6 +60,17 @@ def _parse_input(value: str) -> tuple[str, Path]:
         path = Path(value)
         label = path.stem
     return label, path
+
+
+def _label_problem(inputs: list[tuple[str, Path]]) -> str | None:
+    """Why the labels would write outside --out or onto each other's files, if they would."""
+    labels = [label for label, _ in inputs]
+    for label in labels:
+        if label in ("", ".", "..") or Path(label).name != label:
+            return f"label {label!r} is not a plain file name"
+        if labels.count(label) > 1:
+            return f"label {label!r} is given to more than one input"
+    return None
 
 
 def _uint64(value: str) -> int:
@@ -134,8 +146,8 @@ def _load(args: argparse.Namespace, label: str, path: Path) -> PriceSeries:
 
 def _write_returns_csv(prices: PriceSeries, returns: ReturnSeries, path: Path) -> None:
     lines = ["timestamp,log_return"]
-    for point, value in zip(prices.points[1:], returns.values):
-        lines.append(f"{point.timestamp.isoformat()},{value!r}")
+    for us, value in zip(prices.timestamps[1:].tolist(), returns.values):
+        lines.append(f"{utc_datetime(us).isoformat()},{value!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -240,6 +252,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     )
     try:
         config.validate_params()
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -275,6 +289,10 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _label_problem([args.input] if args.command != "predict" else args.input)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.command == "returns":
             return cmd_returns(args)

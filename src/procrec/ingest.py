@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable
 
@@ -28,7 +29,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "ColumnSchema",
-    "PricePoint",
     "PriceSeries",
     "ReturnSeries",
     "SeriesStats",
@@ -38,6 +38,7 @@ __all__ = [
     "split_halves",
     "phase_space_pairs",
     "write_phase_space_csv",
+    "utc_datetime",
 ]
 
 
@@ -49,44 +50,35 @@ class ColumnSchema:
     price: str = "price"
 
 
-@dataclass(frozen=True)
-class PricePoint:
-    timestamp: datetime
-    price: float
-
-    def __post_init__(self):
-        if not (self.price > 0 and np.isfinite(self.price)):
-            raise ValueError(f"price must be positive and finite, got {self.price}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """Ordered hourly price observations for one instrument.
+    """Ordered hourly price observations for one instrument, as two columns.
 
-    Timestamps are strictly increasing; at least two points are required so
-    that a return can be formed.
+    ``timestamps``: int64 microseconds since the Unix epoch (UTC), strictly
+    increasing. ``prices``: float64, positive and finite. At least two points.
     """
 
     instrument: str
-    points: tuple[PricePoint, ...]
+    timestamps: np.ndarray
+    prices: np.ndarray
 
     def __post_init__(self):
-        if len(self.points) < 2:
-            raise SeriesTooShort(
-                f"{self.instrument}: need at least 2 price points, got {len(self.points)}"
-            )
-        for a, b in zip(self.points, self.points[1:]):
-            if a.timestamp >= b.timestamp:
-                raise ValueError(
-                    f"{self.instrument}: timestamps not strictly increasing at {b.timestamp}"
-                )
+        object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.int64))
+        object.__setattr__(self, "prices", np.asarray(self.prices, dtype=np.float64))
+        ts, prices = self.timestamps, self.prices
+        if ts.ndim != 1 or ts.shape != prices.shape:
+            raise ValueError(f"{self.instrument}: timestamps and prices must be 1-D, of equal length")
+        if len(ts) < 2:
+            raise SeriesTooShort(f"{self.instrument}: need at least 2 price points, got {len(ts)}")
+        if not np.all((prices > 0) & (prices < np.inf)):
+            raise ValueError(f"{self.instrument}: prices must be positive and finite")
+        steps = ts[1:] <= ts[:-1]
+        if steps.any():
+            at = utc_datetime(ts[1 + np.argmax(steps)])
+            raise ValueError(f"{self.instrument}: timestamps not strictly increasing at {at}")
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def prices(self) -> np.ndarray:
-        return np.array([p.price for p in self.points], dtype=np.float64)
+        return len(self.timestamps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,20 +115,30 @@ class SeriesStats:
             raise ValueError("std must be nonnegative")
 
 
-def _parse_timestamp(raw: str) -> datetime:
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def utc_datetime(us: int) -> datetime:
+    """The aware UTC datetime of a ``PriceSeries`` timestamp."""
+    return _EPOCH + timedelta(microseconds=int(us))
+
+
+def _parse_timestamp(raw: str) -> int:
+    """Microseconds since the Unix epoch of an ISO-8601 or epoch-seconds stamp."""
     text = raw.strip()
     try:
         epoch = float(text)
     except ValueError:
-        pass
+        if text.endswith(("Z", "z")):
+            text = text[:-1] + "+00:00"
+        ts = datetime.fromisoformat(text)
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=timezone.utc)
+        ts = ts.astimezone(timezone.utc)  # OverflowError outside years 1..9999 UTC
     else:
-        return datetime.fromtimestamp(epoch, tz=timezone.utc)
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    ts = datetime.fromisoformat(text)
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+        ts = datetime.fromtimestamp(epoch, tz=timezone.utc)
+    return (ts - _EPOCH) // _MICROSECOND
 
 
 def load_price_csv(
@@ -149,82 +151,77 @@ def load_price_csv(
     """Load one instrument's price series from a CSV file.
 
     Rows are sorted by timestamp before validation, so out-of-order input is
-    accepted. In strict mode (default) the first malformed, non-positive or
-    duplicate-timestamp row aborts the load with its line number. With
-    ``lenient=True`` offending rows are skipped with a logged warning;
-    duplicate timestamps keep the first occurrence in file order.
+    accepted. In strict mode (default) the first malformed or non-positive
+    row in file order, then the first duplicate timestamp in time order,
+    aborts the load with its line number. With ``lenient=True`` offending
+    rows are skipped with a logged warning; duplicate timestamps keep the
+    first occurrence in file order. A byte that is not UTF-8 makes its field
+    unparseable; text the ``csv`` module rejects aborts in either mode.
     """
     path = Path(path)
     schema = schema or ColumnSchema()
     name = instrument if instrument is not None else path.stem
 
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    stamps, prices, lines = array("q"), array("d"), array("q")
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(1, "empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        try:
-            ts_col = header.index(schema.timestamp)
-            price_col = header.index(schema.price)
-        except ValueError:
-            raise MalformedRow(
-                1,
-                f"header {header!r} does not contain columns "
-                f"{schema.timestamp!r} and {schema.price!r}",
-            ) from None
-        n_cols = max(ts_col, price_col) + 1
+            header = next(reader, None)
+            if header is None:
+                raise MalformedRow(1, "empty file, expected a header row")
+            header = [h.strip() for h in header]
+            if schema.timestamp not in header or schema.price not in header:
+                raise MalformedRow(
+                    1, f"header {header!r} does not contain columns {schema.timestamp!r} and {schema.price!r}"
+                )
+            ts_col, price_col = header.index(schema.timestamp), header.index(schema.price)
+            n_cols = max(ts_col, price_col) + 1
 
-        rows: list[tuple[datetime, float, int]] = []
-        for row in reader:
-            line = reader.line_num
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                if len(row) < n_cols:
-                    raise ValueError("too few fields")
-                ts = _parse_timestamp(row[ts_col])
-                price = float(row[price_col].strip())
-            except (ValueError, OverflowError, OSError) as exc:
-                if lenient:
-                    logger.warning("%s line %d skipped: %s", path, line, exc)
+            for row in reader:
+                line = reader.line_num
+                if not row or all(not c.strip() for c in row):
                     continue
-                raise MalformedRow(line, f"unparseable row {row!r}") from None
-            if not (price > 0 and np.isfinite(price)):
-                if lenient:
-                    logger.warning("%s line %d skipped: non-positive price %r", path, line, price)
-                    continue
-                raise NonPositivePrice(line, f"price {price!r} is not positive")
-            rows.append((ts, price, line))
+                try:
+                    if len(row) < n_cols:
+                        raise ValueError("too few fields")
+                    us = _parse_timestamp(row[ts_col])
+                    price = float(row[price_col])
+                except (ValueError, OverflowError, OSError) as exc:
+                    if lenient:
+                        logger.warning("%s line %d skipped: %s", path, line, exc)
+                        continue
+                    raise MalformedRow(line, f"unparseable row {row!r}") from None
+                if not 0 < price < np.inf:  # np.inf is a Python float
+                    if lenient:
+                        logger.warning("%s line %d skipped: non-positive price %r", path, line, price)
+                        continue
+                    raise NonPositivePrice(line, f"price {price!r} is not positive")
+                stamps.append(us)
+                prices.append(price)
+                lines.append(line)
+        except csv.Error as exc:
+            raise MalformedRow(reader.line_num, f"unreadable CSV: {exc}") from None
 
-    rows.sort(key=lambda r: (r[0], r[2]))
-    points: list[PricePoint] = []
-    last_ts: datetime | None = None
-    for ts, price, line in rows:
-        if last_ts is not None and ts == last_ts:
-            if lenient:
-                logger.warning("%s line %d skipped: duplicate timestamp %s", path, line, ts)
-                continue
-            raise DuplicateTimestamp(line, f"timestamp {ts.isoformat()} repeats")
-        points.append(PricePoint(ts, price))
-        last_ts = ts
-
-    if len(points) < 2:
-        raise SeriesTooShort(f"{path}: only {len(points)} usable rows, need at least 2")
-    return PriceSeries(instrument=name, points=tuple(points))
+    ts, line_nos = np.frombuffer(stamps, dtype=np.int64), np.frombuffer(lines, dtype=np.int64)
+    order = np.lexsort((line_nos, ts))
+    ts, values, line_nos = ts[order], np.frombuffer(prices, dtype=np.float64)[order], line_nos[order]
+    dup = np.flatnonzero(ts[1:] == ts[:-1]) + 1
+    if len(dup) and not lenient:
+        stamp = utc_datetime(ts[dup[0]]).isoformat()
+        raise DuplicateTimestamp(int(line_nos[dup[0]]), f"timestamp {stamp} repeats")
+    for line, us in zip(line_nos[dup].tolist(), ts[dup].tolist()):
+        logger.warning("%s line %d skipped: duplicate timestamp %s", path, line, utc_datetime(us))
+    if len(dup):
+        ts, values = np.delete(ts, dup), np.delete(values, dup)
+    return PriceSeries(instrument=name, timestamps=ts, prices=values)
 
 
 def compute_log_returns(prices: PriceSeries) -> ReturnSeries:
     """Natural-log price ratios: values[i] = ln(price[i+1]) - ln(price[i])."""
-    p = prices.prices
-    if len(p) < 2:
-        raise SeriesTooShort(f"{prices.instrument}: need at least 2 prices")
-    values = np.diff(np.log(p))
     return ReturnSeries(
         instrument=prices.instrument,
-        values=values,
-        span=(prices.points[0].timestamp, prices.points[-1].timestamp),
+        values=np.diff(np.log(prices.prices)),
+        span=(utc_datetime(prices.timestamps[0]), utc_datetime(prices.timestamps[-1])),
     )
 
 

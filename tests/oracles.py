@@ -7,7 +7,11 @@ iteration) and shares no code with the package.
 
 from __future__ import annotations
 
+import calendar
+import csv
+import math
 from collections import Counter
+from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +83,74 @@ def sample_index(cum, u):
         if c > u:
             return i
     return len(cum) - 1
+
+
+def _reference_instant(raw):
+    text = raw.strip()
+    try:
+        epoch = float(text)
+    except ValueError:
+        epoch = None
+    if epoch is not None:
+        return datetime.fromtimestamp(epoch, tz=timezone.utc)
+    if text[-1:] in ("Z", "z"):
+        text = text[:-1] + "+00:00"
+    ts = datetime.fromisoformat(text)
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return ts.astimezone(timezone.utc)
+
+
+def reference_load_price_csv(path, ts_name="timestamp", price_name="price", lenient=False):
+    """Row-at-a-time price loader: one (datetime, price, line) tuple per row,
+    a sort on (datetime, line), a walk that drops repeated datetimes.
+
+    Shares only the ``csv`` tokenizer and the file decoding with the package.
+    Returns ``("ok", microseconds, prices, skipped_lines)`` with the skipped
+    lines in warning order, or ``(error_name, line_no)`` with line_no None
+    for a series that is too short.
+    """
+    rows, skipped = [], []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader, [])]
+            if ts_name not in header or price_name not in header:
+                return ("MalformedRow", 1)
+            ts_col, price_col = header.index(ts_name), header.index(price_name)
+            for row in reader:
+                line = reader.line_num
+                if all(cell.strip() == "" for cell in row):
+                    continue
+                try:
+                    ts = _reference_instant(row[ts_col])
+                    price = float(row[price_col])
+                except (IndexError, ValueError, OverflowError, OSError):
+                    if lenient:
+                        skipped.append(line)
+                        continue
+                    return ("MalformedRow", line)
+                if not (price > 0 and math.isfinite(price)):
+                    if lenient:
+                        skipped.append(line)
+                        continue
+                    return ("NonPositivePrice", line)
+                rows.append((ts, price, line))
+        except csv.Error:
+            return ("MalformedRow", reader.line_num)
+    rows.sort(key=lambda r: (r[0], r[2]))
+    kept = []
+    for ts, price, line in rows:
+        if kept and kept[-1][0] == ts:
+            if not lenient:
+                return ("DuplicateTimestamp", line)
+            skipped.append(line)
+            continue
+        kept.append((ts, price))
+    if len(kept) < 2:
+        return ("SeriesTooShort", None)
+    micros = [calendar.timegm(ts.utctimetuple()) * 10**6 + ts.microsecond for ts, _ in kept]
+    return ("ok", micros, [price for _, price in kept], skipped)
 
 
 def brute_force_distinct_blocks(symbols, k):

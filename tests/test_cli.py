@@ -253,3 +253,70 @@ def test_predict_invalid_k_range(tmp_path, small_csv, capsys):
     )
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+# --- exit-code contract ------------------------------------------------------------
+
+SUBCOMMAND_ARGS = {
+    "returns": [],
+    "census": ["--kmax", "2"],
+    "predict": ["--runs", "1", "--kmax", "2"],
+}
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+@pytest.mark.parametrize("defect", ["undecodable", "oversized_field"])
+def test_unreadable_csv_exits_2_with_line_number(tmp_path, small_csv, capsys, command, defect):
+    lines = small_csv.read_bytes().splitlines()
+    ts = lines[5].split(b",")[0]
+    lines[5] = ts + (b",1\xff02" if defect == "undecodable" else b"," + b"9" * 200_000)
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    for lenient in ([], ["--lenient"]) if defect == "oversized_field" else ([],):
+        argv = [command, "--input", str(path), "--out", str(tmp_path / "o"), *lenient]
+        assert main(argv + SUBCOMMAND_ARGS[command]) == 2
+        assert "line 6" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_predict_jobs_below_one_exits_2(tmp_path, small_csv, capsys, jobs):
+    out = tmp_path / "out"
+    code = main(["predict", "--input", str(small_csv), "--out", str(out), "--jobs", jobs,
+                 *SUBCOMMAND_ARGS["predict"]])
+    assert code == 2
+    _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_predict_duplicate_labels_exit_2(tmp_path, small_csv, capsys):
+    other = tmp_path / "b" / "demo.csv"
+    other.parent.mkdir()
+    other.write_bytes(small_csv.read_bytes())
+    out = tmp_path / "out"
+    for inputs in ([str(small_csv), str(other)], [f"X={small_csv}", f"X={other}"]):
+        argv = ["predict", "--out", str(out), *SUBCOMMAND_ARGS["predict"]]
+        for item in inputs:
+            argv += ["--input", item]
+        assert main(argv) == 2
+        _one_error_line(capsys)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+@pytest.mark.parametrize("label", ["../../evil", "a/b", "..", "ABSOLUTE"])
+def test_label_outside_out_dir_exits_2(tmp_path, small_csv, capsys, command, label):
+    # every escape the label could make stays under tmp_path, where it is seen
+    out = tmp_path / "deep" / "er" / "out"
+    if label == "ABSOLUTE":
+        label = str(tmp_path / "abs")
+    argv = [command, "--input", f"{label}={small_csv}", "--out", str(out), *SUBCOMMAND_ARGS[command]]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    _one_error_line(capsys)
+    assert sorted(tmp_path.rglob("*")) == before

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import logging
 import math
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +14,9 @@ from hypothesis import strategies as st
 from procrec import (
     ColumnSchema,
     DuplicateTimestamp,
+    IngestError,
     MalformedRow,
     NonPositivePrice,
-    PricePoint,
     PriceSeries,
     SeriesTooShort,
     compute_log_returns,
@@ -25,6 +28,7 @@ from procrec import (
 from procrec.ingest import write_phase_space_csv
 
 from conftest import mk_returns
+from oracles import reference_load_price_csv
 
 BASE = datetime(2022, 5, 20, tzinfo=timezone.utc)
 
@@ -38,11 +42,12 @@ def write_csv(path, rows, header="timestamp,price"):
     return path
 
 
+HOUR_US = 3600 * 10**6
+BASE_US = int(BASE.timestamp()) * 10**6
+
+
 def mk_prices(values, instrument="t") -> PriceSeries:
-    points = tuple(
-        PricePoint(BASE + timedelta(hours=i), float(v)) for i, v in enumerate(values)
-    )
-    return PriceSeries(instrument, points)
+    return PriceSeries(instrument, BASE_US + HOUR_US * np.arange(len(values)), values)
 
 
 # --- load_price_csv -------------------------------------------------------
@@ -53,8 +58,9 @@ def test_load_basic(tmp_path):
     series = load_price_csv(path)
     assert series.instrument == "btc"
     assert len(series) == 5
-    assert series.points[0].price == 100.0
-    assert series.points[0].timestamp == BASE
+    assert series.prices[0] == 100.0
+    assert series.timestamps[0] == BASE_US
+    assert series.timestamps.dtype == np.int64 and series.prices.dtype == np.float64
 
 
 def test_load_instrument_override(tmp_path):
@@ -67,7 +73,8 @@ def test_load_sorts_out_of_order(tmp_path):
     shuffled = [ordered[3], ordered[0], ordered[5], ordered[1], ordered[4], ordered[2]]
     a = load_price_csv(write_csv(tmp_path / "a.csv", ordered))
     b = load_price_csv(write_csv(tmp_path / "b.csv", shuffled))
-    assert a.points == b.points
+    np.testing.assert_array_equal(a.timestamps, b.timestamps)
+    np.testing.assert_array_equal(a.prices, b.prices)
 
 
 def test_load_custom_columns(tmp_path):
@@ -77,15 +84,14 @@ def test_load_custom_columns(tmp_path):
         header="junk,time,close",
     )
     series = load_price_csv(path, ColumnSchema(timestamp="time", price="close"))
-    assert [p.price for p in series.points] == [10.0, 11.0, 12.0]
+    assert series.prices.tolist() == [10.0, 11.0, 12.0]
 
 
 def test_load_epoch_seconds_and_zulu(tmp_path):
     epoch = int(BASE.timestamp())
     rows = [f"{epoch},100", f"{(BASE + timedelta(hours=1)).strftime('%Y-%m-%dT%H:%M:%S')}Z,101"]
     series = load_price_csv(write_csv(tmp_path / "e.csv", rows))
-    assert series.points[0].timestamp == BASE
-    assert series.points[1].timestamp == BASE + timedelta(hours=1)
+    assert series.timestamps.tolist() == [BASE_US, BASE_US + HOUR_US]
 
 
 def test_load_zero_price_rejected(tmp_path):
@@ -119,7 +125,7 @@ def test_load_duplicate_timestamp_strict(tmp_path):
 def test_load_duplicate_timestamp_lenient_keeps_first(tmp_path):
     rows = [f"{hourly(0)},100", f"{hourly(1)},101", f"{hourly(1)},102"]
     series = load_price_csv(write_csv(tmp_path / "d.csv", rows), lenient=True)
-    assert [p.price for p in series.points] == [100.0, 101.0]
+    assert series.prices.tolist() == [100.0, 101.0]
 
 
 def test_load_missing_file(tmp_path):
@@ -137,6 +143,105 @@ def test_load_missing_column(tmp_path):
 def test_load_too_few_rows(tmp_path):
     with pytest.raises(SeriesTooShort):
         load_price_csv(write_csv(tmp_path / "s.csv", [f"{hourly(0)},100"]))
+
+
+OFFSETS = [timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-3))]
+
+
+@st.composite
+def timestamp_fields(draw):
+    """A few instants, so repeats are common, written in every accepted form."""
+    instant = BASE + timedelta(
+        hours=draw(st.integers(0, 6)), microseconds=draw(st.sampled_from([0, 250_000, 123_456]))
+    )
+    form = draw(st.integers(0, 9))
+    if form == 0:
+        return draw(st.sampled_from(
+            ["not-a-date", "", " ", "nan", "inf", "1e20", "-1e300", "0001-01-01T00:00:00+05:00",
+             "9999-12-31T23:00:00-05:00", "2022-13-01T00:00:00"]
+        ))
+    if form == 1:
+        return instant.replace(tzinfo=None).isoformat() + draw(st.sampled_from(["Z", "z"]))
+    if form == 2:
+        return instant.replace(tzinfo=None).isoformat()
+    if form == 3:
+        return repr(instant.timestamp())
+    if form == 4:
+        return str(int(instant.timestamp()))
+    return instant.astimezone(draw(st.sampled_from(OFFSETS))).isoformat()
+
+
+@st.composite
+def csv_rows(draw):
+    """Mostly well-formed rows, with zero, negative, NaN, inf and unparseable prices and junk lines."""
+    kind = draw(st.integers(0, 19))
+    if kind == 0:
+        return draw(st.sampled_from(["", "   ", ",", "garbage", "only-one-field,", '"2022-05-20T00:00:00",1']))
+    if kind == 1:
+        price = draw(st.sampled_from(["0", "0.0", "-1.5", "nan", "-nan", "inf", "-inf", "1e309", "abc", ""]))
+    else:
+        price = repr(draw(st.floats(min_value=1e-3, max_value=1e6)))
+    extra = ",extra" if kind == 2 else ""
+    return f"{draw(timestamp_fields())},{price}{extra}"
+
+
+def _load_outcome(path, lenient):
+    """load_price_csv's result in the oracle's form, with the warned lines."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("procrec.ingest")
+    logger.addHandler(handler)
+    try:
+        series = load_price_csv(path, lenient=lenient)
+    except IngestError as exc:
+        return (type(exc).__name__, exc.line_no)
+    except SeriesTooShort:
+        return ("SeriesTooShort", None)
+    finally:
+        logger.removeHandler(handler)
+    assert series.timestamps.dtype == np.int64 and series.prices.dtype == np.float64
+    return ("ok", series.timestamps.tolist(), series.prices.tolist(), [r.args[1] for r in records])
+
+
+@given(rows=st.lists(csv_rows(), max_size=25), lenient=st.booleans())
+@settings(deadline=None, max_examples=300)
+def test_loader_matches_scalar_reference(rows, lenient):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_csv(Path(tmp) / "p.csv", rows)
+        assert _load_outcome(path, lenient) == reference_load_price_csv(path, lenient=lenient)
+
+
+@given(
+    header=st.sampled_from([b"", b"timestamp,price\n", b"price,timestamp\r\n"]),
+    rows=st.lists(csv_rows(), max_size=6),
+    body=st.binary(max_size=200),
+    lenient=st.booleans(),
+)
+@settings(deadline=None, max_examples=300)
+def test_loader_random_bytes_outcomes(header, rows, body, lenient):
+    # a PriceSeries, an IngestError or SeriesTooShort: never another exception
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "b.csv"
+        path.write_bytes(header + "".join(r + "\n" for r in rows).encode() + body)
+        assert _load_outcome(path, lenient) == reference_load_price_csv(path, lenient=lenient)
+
+
+def test_load_undecodable_bytes_and_oversized_field(tmp_path):
+    rows = [f"{hourly(0)},100", f"{hourly(1)},1\xff01", f"{hourly(2)},102", f"{hourly(3)},103"]
+    path = tmp_path / "u.csv"
+    path.write_bytes(("\n".join(["timestamp,price"] + rows) + "\n").encode("latin-1"))
+    with pytest.raises(MalformedRow) as exc:
+        load_price_csv(path)
+    assert exc.value.line_no == 3
+    assert len(load_price_csv(path, lenient=True)) == 3
+
+    rows[1] = f"{hourly(1)},{'9' * 200_000}"
+    path = write_csv(tmp_path / "f.csv", rows)
+    for lenient in (False, True):
+        with pytest.raises(MalformedRow) as exc:
+            load_price_csv(path, lenient=lenient)
+        assert exc.value.line_no == 3
 
 
 def test_market_scale_row_count(market_scale_csv):
@@ -169,7 +274,7 @@ def test_returns_length_and_span():
     prices = mk_prices(range(100, 110))
     returns = compute_log_returns(prices)
     assert len(returns) == len(prices) - 1
-    assert returns.span == (prices.points[0].timestamp, prices.points[-1].timestamp)
+    assert returns.span == (BASE, BASE + timedelta(hours=9))
 
 
 def test_price_series_too_short():
@@ -177,9 +282,20 @@ def test_price_series_too_short():
         mk_prices([100])
 
 
+def test_price_series_rejects_bad_columns():
+    ts = BASE_US + HOUR_US * np.arange(3)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PriceSeries("t", ts[[0, 2, 1]], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PriceSeries("t", ts[[0, 1, 1]], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="equal length"):
+        PriceSeries("t", ts, [1.0, 2.0])
+
+
 def test_price_point_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        PricePoint(BASE, 0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mk_prices([100.0, bad, 101.0])
 
 
 @given(
