@@ -144,11 +144,21 @@ def _load(args: argparse.Namespace, label: str, path: Path) -> PriceSeries:
     return load_price_csv(path, schema, instrument=label, lenient=args.lenient)
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write through ``<path>.tmp`` and ``os.replace``, so a failed write leaves any old file whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_returns_csv(prices: PriceSeries, returns: ReturnSeries, path: Path) -> None:
     lines = ["timestamp,log_return"]
-    for us, value in zip(prices.timestamps[1:].tolist(), returns.values):
+    for us, value in zip(prices.timestamps[1:].tolist(), returns.values.tolist()):
         lines.append(f"{utc_datetime(us).isoformat()},{value!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_returns(args: argparse.Namespace) -> int:
@@ -159,7 +169,8 @@ def cmd_returns(args: argparse.Namespace) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     _write_returns_csv(prices, returns, out / f"{label}_returns.csv")
-    (out / f"{label}_stats.json").write_text(
+    _write_text(
+        out / f"{label}_stats.json",
         json.dumps(
             {
                 "instrument": label,
@@ -172,7 +183,6 @@ def cmd_returns(args: argparse.Namespace) -> int:
             indent=2,
         )
         + "\n",
-        encoding="utf-8",
     )
     write_phase_space_csv(phase_space_pairs(returns), out / f"{label}_phase_space.csv")
     print(f"{label}: {len(prices)} prices -> {len(returns)} returns (mean {stats.mean:.6g}, std {stats.std:.6g})")
@@ -211,12 +221,10 @@ def _predict_one(config: ExperimentConfig, args: argparse.Namespace, label: str,
     returns = compute_log_returns(prices)
     report = run_experiment(config, returns)
     out = args.out
-    (out / f"{label}_report.json").write_text(
-        json.dumps(report_to_json_dict(report), indent=2) + "\n", encoding="utf-8"
-    )
+    _write_text(out / f"{label}_report.json", json.dumps(report_to_json_dict(report), indent=2) + "\n")
     plot_lines = ["k,e_k,eRand_k"]
     plot_lines += [f"{k},{e!r},{er!r}" for k, e, er in plot_rows(report)]
-    (out / f"{label}_plot.csv").write_text("\n".join(plot_lines) + "\n", encoding="utf-8")
+    _write_text(out / f"{label}_plot.csv", "\n".join(plot_lines) + "\n")
 
     if args.dump_symbols:
         coding = CodingScheme(report.scheme, report.alphabet, report.cut_points)

@@ -4,6 +4,10 @@ Input CSV contract: a header row, one row per observation, with a timestamp
 column (ISO-8601 or epoch seconds, assumed UTC when naive) and a positive
 price column. Column names are configurable; defaults are ``timestamp`` and
 ``price``. Rows are canonicalized by sorting on timestamp.
+
+Whole epoch seconds are read exactly by ``int`` without ``datetime``, which
+keeps the per-row cost of a long epoch-stamped file low; fractional epochs
+and ISO-8601 stamps go through ``datetime``.
 """
 
 from __future__ import annotations
@@ -124,8 +128,26 @@ def utc_datetime(us: int) -> datetime:
     return _EPOCH + timedelta(microseconds=int(us))
 
 
+# the whole epoch seconds datetime.fromtimestamp(s, tz=timezone.utc) accepts:
+# 0001-01-01T00:00:00 through 9999-12-31T23:59:59 UTC
+_EPOCH_SECONDS_MIN, _EPOCH_SECONDS_MAX = -62_135_596_800, 253_402_300_799
+
+
 def _parse_timestamp(raw: str) -> int:
-    """Microseconds since the Unix epoch of an ISO-8601 or epoch-seconds stamp."""
+    """Microseconds since the Unix epoch of an ISO-8601 or epoch-seconds stamp.
+
+    Whole epoch seconds in ``datetime``'s range are converted exactly by
+    integer arithmetic. Fractional or out-of-range epochs and ISO stamps go
+    through ``datetime``, which rounds half-even to the microsecond and
+    raises outside years 1..9999 UTC.
+    """
+    try:
+        seconds = int(raw)  # accepts what float() accepts of integer strings
+    except ValueError:
+        pass
+    else:
+        if _EPOCH_SECONDS_MIN <= seconds <= _EPOCH_SECONDS_MAX:
+            return seconds * 1_000_000
     text = raw.strip()
     try:
         epoch = float(text)
@@ -177,28 +199,29 @@ def load_price_csv(
             ts_col, price_col = header.index(schema.timestamp), header.index(schema.price)
             n_cols = max(ts_col, price_col) + 1
 
+            add_stamp, add_price, add_line = stamps.append, prices.append, lines.append
+            inf = float("inf")
             for row in reader:
-                line = reader.line_num
-                if not row or all(not c.strip() for c in row):
-                    continue
                 try:
-                    if len(row) < n_cols:
-                        raise ValueError("too few fields")
                     us = _parse_timestamp(row[ts_col])
                     price = float(row[price_col])
-                except (ValueError, OverflowError, OSError) as exc:
-                    if lenient:
-                        logger.warning("%s line %d skipped: %s", path, line, exc)
+                except (IndexError, ValueError, OverflowError, OSError) as exc:
+                    if all(not c.strip() for c in row):  # a blank row never parses
                         continue
-                    raise MalformedRow(line, f"unparseable row {row!r}") from None
-                if not 0 < price < np.inf:  # np.inf is a Python float
+                    if lenient:
+                        reason = "too few fields" if len(row) < n_cols else exc
+                        logger.warning("%s line %d skipped: %s", path, reader.line_num, reason)
+                        continue
+                    raise MalformedRow(reader.line_num, f"unparseable row {row!r}") from None
+                line = reader.line_num
+                if not 0 < price < inf:
                     if lenient:
                         logger.warning("%s line %d skipped: non-positive price %r", path, line, price)
                         continue
                     raise NonPositivePrice(line, f"price {price!r} is not positive")
-                stamps.append(us)
-                prices.append(price)
-                lines.append(line)
+                add_stamp(us)
+                add_price(price)
+                add_line(line)
         except csv.Error as exc:
             raise MalformedRow(reader.line_num, f"unreadable CSV: {exc}") from None
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,8 @@ def test_returns_writes_all_outputs(tmp_path, small_csv, capsys):
     returns_lines = (out / "demo_returns.csv").read_text().strip().splitlines()
     assert returns_lines[0] == "timestamp,log_return"
     assert len(returns_lines) == 1 + 400
+    values = [line.split(",")[1] for line in returns_lines[1:]]
+    assert values == [repr(float(v)) for v in values]  # plain numbers, not np.float64(...)
     stats = json.loads((out / "demo_stats.json").read_text())
     assert stats["count"] == 400
     phase_lines = (out / "demo_phase_space.csv").read_text().strip().splitlines()
@@ -232,6 +236,32 @@ def test_predict_dump_flags(tmp_path, small_csv):
     tables = json.loads((out / "demo_tables.json").read_text())
     assert tables["k_max"] == 2
     assert tables["n_train"] == 200
+
+
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_failed_write_keeps_old_report(tmp_path, small_csv, monkeypatch, capsys, failing):
+    out = tmp_path / "out"
+    argv = ["predict", "--input", str(small_csv), "--out", str(out), "--runs", "1", "--kmax", "2"]
+    assert main(argv + ["--seed", "1"]) == 0
+    old = (out / "demo_report.json").read_bytes()
+
+    def half_write(path, text, *args, **kwargs):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def no_replace(src, dst):
+        raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+    if failing == "write":
+        monkeypatch.setattr(Path, "write_text", half_write)
+    else:
+        monkeypatch.setattr(os, "replace", no_replace)
+    capsys.readouterr()
+    assert main(argv + ["--seed", "2"]) == 1
+    assert _one_error_line(capsys).startswith("error: demo: ")
+    assert (out / "demo_report.json").read_bytes() == old
+    assert not list(out.glob("*.tmp"))
 
 
 def test_predict_degenerate_series_exits_1(tmp_path, capsys):

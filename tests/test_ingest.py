@@ -94,6 +94,19 @@ def test_load_epoch_seconds_and_zulu(tmp_path):
     assert series.timestamps.tolist() == [BASE_US, BASE_US + HOUR_US]
 
 
+def test_load_epoch_seconds_range_ends(tmp_path):
+    first, last = -62135596800, 253402300799  # 0001-01-01T00:00:00Z, 9999-12-31T23:59:59Z
+    series = load_price_csv(write_csv(tmp_path / "ends.csv", [f"{first},1", f"{last},2"]))
+    assert series.timestamps.tolist() == [first * 10**6, last * 10**6]
+    for past in (first - 1, last + 1):
+        rows = [f"{first},1", f"{past},2", f"{last},3"]
+        path = write_csv(tmp_path / f"past{past}.csv", rows)
+        with pytest.raises(MalformedRow) as exc:
+            load_price_csv(path)
+        assert exc.value.line_no == 3
+        assert load_price_csv(path, lenient=True).prices.tolist() == [1.0, 3.0]
+
+
 def test_load_zero_price_rejected(tmp_path):
     rows = [f"{hourly(0)},100", f"{hourly(1)},0", f"{hourly(2)},101"]
     with pytest.raises(NonPositivePrice) as exc:
@@ -158,7 +171,11 @@ def timestamp_fields(draw):
     if form == 0:
         return draw(st.sampled_from(
             ["not-a-date", "", " ", "nan", "inf", "1e20", "-1e300", "0001-01-01T00:00:00+05:00",
-             "9999-12-31T23:00:00-05:00", "2022-13-01T00:00:00"]
+             "9999-12-31T23:00:00-05:00", "2022-13-01T00:00:00",
+             # whole epoch seconds at and past datetime's range, and the integer spellings int() takes
+             "-62135596800", "-62135596801", "253402300799", "253402300800", "+1653004800",
+             " 1653004800 ", "1_653_004_800", "\u0661\u0666\u0665\u0663\u0660\u0660\u0664\u0668\u0660\u0660",
+             "9" * 5000, "-0"]
         ))
     if form == 1:
         return instant.replace(tzinfo=None).isoformat() + draw(st.sampled_from(["Z", "z"]))
