@@ -28,6 +28,7 @@ from .ingest import (
     phase_space_pairs,
     utc_datetime,
     write_phase_space_csv,
+    write_text_atomic,
 )
 from .markov import census_blocks, dump_tables_json, write_census_csv
 from .predict import (
@@ -85,9 +86,12 @@ def _uint64(value: str) -> int:
 
 def _default_seed() -> int:
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if env is None:
+        return 0
+    try:
         return _uint64(env)
-    return 0
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"${SEED_ENV_VAR}: {exc}") from None
 
 
 def _add_io_args(p: argparse.ArgumentParser, repeatable: bool) -> None:
@@ -144,21 +148,11 @@ def _load(args: argparse.Namespace, label: str, path: Path) -> PriceSeries:
     return load_price_csv(path, schema, instrument=label, lenient=args.lenient)
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write through ``<path>.tmp`` and ``os.replace``, so a failed write leaves any old file whole."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _write_returns_csv(prices: PriceSeries, returns: ReturnSeries, path: Path) -> None:
     lines = ["timestamp,log_return"]
     for us, value in zip(prices.timestamps[1:].tolist(), returns.values.tolist()):
         lines.append(f"{utc_datetime(us).isoformat()},{value!r}")
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def cmd_returns(args: argparse.Namespace) -> int:
@@ -169,7 +163,7 @@ def cmd_returns(args: argparse.Namespace) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     _write_returns_csv(prices, returns, out / f"{label}_returns.csv")
-    _write_text(
+    write_text_atomic(
         out / f"{label}_stats.json",
         json.dumps(
             {
@@ -221,10 +215,10 @@ def _predict_one(config: ExperimentConfig, args: argparse.Namespace, label: str,
     returns = compute_log_returns(prices)
     report = run_experiment(config, returns)
     out = args.out
-    _write_text(out / f"{label}_report.json", json.dumps(report_to_json_dict(report), indent=2) + "\n")
+    write_text_atomic(out / f"{label}_report.json", json.dumps(report_to_json_dict(report), indent=2) + "\n")
     plot_lines = ["k,e_k,eRand_k"]
     plot_lines += [f"{k},{e!r},{er!r}" for k, e, er in plot_rows(report)]
-    _write_text(out / f"{label}_plot.csv", "\n".join(plot_lines) + "\n")
+    write_text_atomic(out / f"{label}_plot.csv", "\n".join(plot_lines) + "\n")
 
     if args.dump_symbols:
         coding = CodingScheme(report.scheme, report.alphabet, report.cut_points)
@@ -245,20 +239,19 @@ def _print_report(report) -> None:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     inputs = tuple(args.input)
-    config = ExperimentConfig(
-        scheme=args.scheme,
-        k_min=args.kmin,
-        k_max=args.kmax,
-        runs=args.runs,
-        master_seed=seed,
-        metric=args.metric,
-        baseline=args.baseline,
-        mode=args.mode,
-        stats_on=args.stats_on,
-    )
     try:
+        config = ExperimentConfig(
+            scheme=args.scheme,
+            k_min=args.kmin,
+            k_max=args.kmax,
+            runs=args.runs,
+            master_seed=args.seed if args.seed is not None else _default_seed(),
+            metric=args.metric,
+            baseline=args.baseline,
+            mode=args.mode,
+            stats_on=args.stats_on,
+        )
         config.validate_params()
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
@@ -283,7 +276,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     status = EXIT_OK
     for label, report, exc in results:
         if exc is not None:
-            print(f"error: {label}: {exc}", file=sys.stderr)
+            message = str(exc)
+            if not message.startswith(f"{label}: "):  # messages about a series already name it
+                message = f"{label}: {message}"
+            print(f"error: {message}", file=sys.stderr)
             if isinstance(exc, (IngestError, FileNotFoundError, SeriesTooShort, SequenceTooShort)):
                 status = EXIT_USAGE
             elif status == EXIT_OK:

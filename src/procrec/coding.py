@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateStd
-from .ingest import ReturnSeries, SeriesStats
+from .ingest import ReturnSeries, SeriesStats, write_text_atomic
 
 __all__ = [
     "CodingScheme",
@@ -144,9 +144,9 @@ def dump_coding_sidecar(
         "symbols": list(scheme.symbols),
         "cut_points": list(scheme.cut_points),
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
 def dump_symbols_csv(seq: SymbolSequence, path: str | Path) -> None:
     lines = ["symbol"] + [str(int(s)) for s in seq.symbols]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")

@@ -13,7 +13,9 @@ and ISO-8601 stamps go through ``datetime``.
 from __future__ import annotations
 
 import csv
+import io
 import logging
+import os
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -43,6 +45,7 @@ __all__ = [
     "phase_space_pairs",
     "write_phase_space_csv",
     "utc_datetime",
+    "write_text_atomic",
 ]
 
 
@@ -117,6 +120,21 @@ class SeriesStats:
     def __post_init__(self):
         if self.std < 0:
             raise ValueError("std must be nonnegative")
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 through ``<path>.tmp`` and ``os.replace``.
+
+    A failed write or rename leaves any old file at ``path`` whole and
+    removes the temp file. Newlines are written as given, on every platform.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -285,8 +303,8 @@ def phase_space_pairs(returns: ReturnSeries) -> list[tuple[float, float]]:
 
 
 def write_phase_space_csv(pairs: Iterable[tuple[float, float]], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r_t", "r_t_plus_1"])
-        for a, b in pairs:
-            writer.writerow([repr(a), repr(b)])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["r_t", "r_t_plus_1"])
+    writer.writerows([repr(a), repr(b)] for a, b in pairs)
+    write_text_atomic(path, buf.getvalue())

@@ -10,7 +10,7 @@ digit, and the back-off predictor extends codes one older digit at a time.
 from __future__ import annotations
 
 import csv
-import json
+import io
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +19,7 @@ import numpy as np
 
 from .coding import CodingScheme, SymbolSequence
 from .errors import SequenceTooShort
+from .ingest import write_text_atomic
 
 __all__ = [
     "BlockCensus",
@@ -297,35 +298,65 @@ def transition_matrix(tables: ConditionalTableSet) -> TransitionMatrix:
     )
 
 
+def _distribution_template(a: int, indent: int) -> str:
+    """The "counts" and "probs" members of one row, as json.dumps(indent=2) lays them out.
+
+    ``indent`` is the members' indent in spaces; the template takes ``a``
+    ints, then ``a`` floats.
+    """
+    pad = " " * indent
+    sep = ",\n" + pad + "  "
+    return (
+        f'{pad}"counts": [\n{pad}  ' + sep.join(["%d"] * a) + f"\n{pad}],\n"
+        f'{pad}"probs": [\n{pad}  ' + sep.join(["%r"] * a) + f"\n{pad}]"
+    )
+
+
 def dump_tables_json(tables: ConditionalTableSet, path: str | Path) -> None:
-    """Serialize the table set: rows keyed by 'a1,a2,...,ak', most recent first."""
-    payload = {
-        "alphabet": list(tables.alphabet),
-        "k_max": tables.k_max,
-        "n_train": tables.n_train,
-        "marginal": {
-            "counts": tables.marginal.counts.tolist(),
-            "probs": tables.marginal.probs.tolist(),
-        },
-        "tables": [
-            {
-                "k": k,
-                "rows": {
-                    ",".join(map(str, ctx)): {"counts": counts, "probs": probs}
-                    for ctx, counts, probs in zip(
-                        table.contexts().tolist(), table.counts.tolist(), table.probs.tolist()
-                    )
-                },
-            }
-            for k, table in sorted(tables.tables.items())
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    """Write the table set as JSON, formatted directly from its arrays.
+
+    The file is a contract; its bytes are what
+    ``json.dumps(payload, indent=2) + "\\n"`` gives for this payload::
+
+        {"alphabet": [...], "k_max": K, "n_train": N,
+         "marginal": {"counts": [...], "probs": [...]},
+         "tables": [{"k": 1, "rows": {"a1": {"counts": [...], "probs": [...]}, ...}},
+                    ..., {"k": K, "rows": {"a1,...,aK": ...}}]}
+
+    Indent 2, keys in this order, one table per order k = 1..K. A row key
+    lists the context's symbols ``a1,...,ak`` with the most recent first, and
+    rows follow in the lexicographic order of the context tuples. ``counts``
+    are ints and ``probs`` floats written as ``repr``, one entry per alphabet
+    symbol. The file goes through a temp file and ``os.replace``.
+    """
+    a = len(tables.alphabet)
+    members = _distribution_template(a, 10)
+    blocks = []
+    for k, table in sorted(tables.tables.items()):
+        # the key's k symbols, then the row's a counts and a probabilities
+        row = '        "' + ",".join(["%d"] * k) + '": {\n' + members + "\n        }"
+        rows = ",\n".join(
+            [
+                row % (*ctx, *counts, *probs)
+                for ctx, counts, probs in zip(
+                    table.contexts().tolist(), table.counts.tolist(), table.probs.tolist()
+                )
+            ]
+        )
+        blocks.append('    {\n      "k": %d,\n      "rows": {\n%s\n      }\n    }' % (k, rows))
+    marginal = (*tables.counts[0].tolist(), *tables.probs[0].tolist())
+    text = (
+        '{\n  "alphabet": [\n    %s\n  ],\n' % ",\n    ".join(map(str, tables.alphabet))
+        + '  "k_max": %d,\n  "n_train": %d,\n' % (tables.k_max, tables.n_train)
+        + '  "marginal": {\n%s\n  },\n' % (_distribution_template(a, 4) % marginal)
+        + '  "tables": [\n%s\n  ]\n}\n' % ",\n".join(blocks)
+    )
+    write_text_atomic(path, text)
 
 
 def write_census_csv(census: Iterable[BlockCensus], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "distinct", "max_possible", "total_windows"])
-        for c in census:
-            writer.writerow([c.order, c.distinct_count, c.max_possible, c.total_windows])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["k", "distinct", "max_possible", "total_windows"])
+    writer.writerows([c.order, c.distinct_count, c.max_possible, c.total_windows] for c in census)
+    write_text_atomic(path, buf.getvalue())

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import calendar
 import csv
+import json
 import math
 from collections import Counter
 from datetime import datetime, timezone
@@ -151,6 +152,37 @@ def reference_load_price_csv(path, ts_name="timestamp", price_name="price", leni
         return ("SeriesTooShort", None)
     micros = [calendar.timegm(ts.utctimetuple()) * 10**6 + ts.microsecond for ts, _ in kept]
     return ("ok", micros, [price for _, price in kept], skipped)
+
+
+def reference_tables_json(tables):
+    """The ``_tables.json`` text of a table set: a nested payload of dicts and
+    lists, built from the set's arrays, through ``json.dumps(indent=2)``.
+
+    Shares only the table set's attributes with the package's fixed-layout
+    writer, ``procrec.markov.dump_tables_json``.
+    """
+    payload = {
+        "alphabet": list(tables.alphabet),
+        "k_max": tables.k_max,
+        "n_train": tables.n_train,
+        "marginal": {
+            "counts": tables.marginal.counts.tolist(),
+            "probs": tables.marginal.probs.tolist(),
+        },
+        "tables": [
+            {
+                "k": k,
+                "rows": {
+                    ",".join(map(str, ctx)): {"counts": counts, "probs": probs}
+                    for ctx, counts, probs in zip(
+                        table.contexts().tolist(), table.counts.tolist(), table.probs.tolist()
+                    )
+                },
+            }
+            for k, table in sorted(tables.tables.items())
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def brute_force_distinct_blocks(symbols, k):

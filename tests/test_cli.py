@@ -238,14 +238,19 @@ def test_predict_dump_flags(tmp_path, small_csv):
     assert tables["n_train"] == 200
 
 
-@pytest.mark.parametrize("failing", ["write", "replace"])
+@pytest.mark.parametrize("failing", ["write", "replace", "tables"])
 def test_failed_write_keeps_old_report(tmp_path, small_csv, monkeypatch, capsys, failing):
+    # "tables": the report and plot writes succeed, the --dump-tables write fails
     out = tmp_path / "out"
-    argv = ["predict", "--input", str(small_csv), "--out", str(out), "--runs", "1", "--kmax", "2"]
+    argv = ["predict", "--input", str(small_csv), "--out", str(out), "--runs", "1", "--kmax", "2",
+            "--dump-tables"]
     assert main(argv + ["--seed", "1"]) == 0
-    old = (out / "demo_report.json").read_bytes()
+    old = {name: (out / name).read_bytes() for name in ("demo_report.json", "demo_tables.json")}
+    write_text = Path.write_text
 
     def half_write(path, text, *args, **kwargs):
+        if failing == "tables" and not path.name.startswith("demo_tables.json"):
+            return write_text(path, text, *args, **kwargs)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text[: len(text) // 2])
         raise OSError(errno.ENOSPC, "No space left on device")
@@ -253,15 +258,43 @@ def test_failed_write_keeps_old_report(tmp_path, small_csv, monkeypatch, capsys,
     def no_replace(src, dst):
         raise OSError(errno.EXDEV, "Invalid cross-device link")
 
-    if failing == "write":
-        monkeypatch.setattr(Path, "write_text", half_write)
-    else:
+    if failing == "replace":
         monkeypatch.setattr(os, "replace", no_replace)
+    else:
+        monkeypatch.setattr(Path, "write_text", half_write)
     capsys.readouterr()
     assert main(argv + ["--seed", "2"]) == 1
     assert _one_error_line(capsys).startswith("error: demo: ")
-    assert (out / "demo_report.json").read_bytes() == old
+    kept = ["demo_tables.json"] if failing == "tables" else sorted(old)
+    for name in kept:
+        assert (out / name).read_bytes() == old[name], name
+    if failing == "tables":
+        assert (out / "demo_report.json").read_bytes() != old["demo_report.json"]  # seed 2 was written
     assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("env_seed", ["abc", "-5", "99999999999999999999999"])
+def test_predict_bad_env_seed_exits_2(tmp_path, small_csv, monkeypatch, capsys, env_seed):
+    out = tmp_path / "out"
+    monkeypatch.setenv("PROCREC_SEED", env_seed)
+    code = main(["predict", "--input", str(small_csv), "--out", str(out), *SUBCOMMAND_ARGS["predict"]])
+    assert code == 2
+    assert "PROCREC_SEED" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_predict_error_names_label_once(tmp_path, capsys):
+    header_only = tmp_path / "h.csv"
+    header_only.write_text("timestamp,price\n")
+    empty = tmp_path / "e.csv"
+    empty.write_text("")
+    for path, want in (
+        (header_only, "error: h: need at least 2 price points, got 0\n"),
+        (empty, "error: e: line 1: empty file, expected a header row\n"),
+    ):
+        code = main(["predict", "--input", str(path), "--out", str(tmp_path / "o"), *SUBCOMMAND_ARGS["predict"]])
+        assert code == 2
+        assert _one_error_line(capsys) == want
 
 
 def test_predict_degenerate_series_exits_1(tmp_path, capsys):

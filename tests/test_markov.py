@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from procrec import (
@@ -23,6 +25,7 @@ from oracles import (
     brute_force_back_off,
     brute_force_distinct_blocks,
     brute_force_tables,
+    reference_tables_json,
 )
 
 
@@ -274,6 +277,31 @@ def test_dump_tables_json(tmp_path):
     assert payload["marginal"]["counts"] == marginal
 
 
+@st.composite
+def table_sets(draw):
+    """Table sets over 3 or 5 symbols, k_max 1..8, from short sequences.
+
+    The symbols come from a drawn subset of the alphabet, so a one-symbol
+    subset gives single-row orders whose probabilities are 1.0 and 0.0.
+    """
+    alphabet = draw(st.sampled_from([ALPHABET3, ALPHABET5]))
+    k_max = draw(st.integers(1, 8))
+    pool = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=len(alphabet), unique=True))
+    symbols = draw(st.lists(st.sampled_from(sorted(pool)), min_size=k_max + 1, max_size=k_max + 120))
+    return build_conditional_tables(mk_seq(symbols, alphabet), k_max)
+
+
+@given(table_sets())
+@example(build_conditional_tables(mk_seq([1, 1, 1, 1], ALPHABET5), 3))  # one row per order, probs 0.0 and 1.0
+@settings(deadline=None, max_examples=300)
+def test_dump_tables_json_matches_reference(tables):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tables.json"
+        dump_tables_json(tables, path)
+        assert path.read_bytes() == reference_tables_json(tables).encode("utf-8")
+        assert [p.name for p in Path(tmp).iterdir()] == ["tables.json"]
+
+
 def test_write_census_csv(tmp_path):
     census = census_blocks(mk_seq([0, 1, 0, 1, 0], ALPHABET3), 2)
     out = tmp_path / "census.csv"
@@ -282,3 +310,4 @@ def test_write_census_csv(tmp_path):
     assert lines[0] == "k,distinct,max_possible,total_windows"
     assert lines[1] == "1,2,3,5"
     assert lines[2] == "2,2,9,4"
+    assert out.read_bytes().startswith(b"k,distinct,max_possible,total_windows\r\n1,2,3,5\r\n")
