@@ -38,19 +38,15 @@ from .markov import (
     ConditionalTable,
     ConditionalTableSet,
     ContextRow,
-    TransitionMatrix,
     build_conditional_tables,
     census_blocks,
-    transition_matrix,
 )
 from .predict import (
     ExperimentConfig,
     ExperimentReport,
-    PredictionOutcome,
     RandomStream,
     RunErrors,
     evaluate_run,
-    prediction_outcomes,
     report_to_json_dict,
     resolve_fallback,
     run_experiment,

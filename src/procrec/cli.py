@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .coding import CodingScheme, dump_coding_sidecar, dump_symbols_csv, encode_series, make_scheme
+from .coding import dump_coding_sidecar, dump_symbols_csv, encode_series, make_scheme
 from .errors import IngestError, ProcrecError, SequenceTooShort, SeriesTooShort
 from .ingest import (
     ColumnSchema,
@@ -37,7 +37,6 @@ from .predict import (
     MODES,
     SCHEMES,
     ExperimentConfig,
-    plot_rows,
     report_to_json_dict,
     run_experiment,
 )
@@ -47,6 +46,13 @@ EXIT_EXPERIMENT = 1
 EXIT_USAGE = 2
 
 SEED_ENV_VAR = "PROCREC_SEED"
+
+
+class PathError(Exception):
+    """An --input that cannot be opened as a file, or an --out that cannot be created."""
+
+
+USAGE_ERRORS = (PathError, IngestError, SeriesTooShort, SequenceTooShort)
 
 
 def _parse_input(value: str) -> tuple[str, Path]:
@@ -145,7 +151,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args: argparse.Namespace, label: str, path: Path) -> PriceSeries:
     schema = ColumnSchema(timestamp=args.timestamp_col, price=args.price_col)
-    return load_price_csv(path, schema, instrument=label, lenient=args.lenient)
+    try:
+        return load_price_csv(path, schema, instrument=label, lenient=args.lenient)
+    except OSError as exc:  # missing, a directory, unreadable: the loader's only OS errors
+        raise PathError(exc) from None
+
+
+def _make_out_dir(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # --out is a file, or lies under one
+        raise PathError(f"--out: {exc}") from None
 
 
 def _write_returns_csv(prices: PriceSeries, returns: ReturnSeries, path: Path) -> None:
@@ -161,7 +177,7 @@ def cmd_returns(args: argparse.Namespace) -> int:
     returns = compute_log_returns(prices)
     stats = compute_stats(returns)
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     _write_returns_csv(prices, returns, out / f"{label}_returns.csv")
     write_text_atomic(
         out / f"{label}_stats.json",
@@ -183,24 +199,20 @@ def cmd_returns(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _coded_sequence(args: argparse.Namespace, label: str, path: Path):
+def cmd_census(args: argparse.Namespace) -> int:
+    label, path = args.input
     prices = _load(args, label, path)
     returns = compute_log_returns(prices)
     stats = compute_stats(returns)
     scheme = make_scheme(args.scheme, stats)
-    return encode_series(returns, stats, scheme), scheme, stats
-
-
-def cmd_census(args: argparse.Namespace) -> int:
-    label, path = args.input
-    seq, scheme, stats = _coded_sequence(args, label, path)
+    seq = encode_series(returns, stats, scheme)
     try:
         census = census_blocks(seq, args.kmax)
     except ValueError as exc:  # order outside 1 .. the packable maximum
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     write_census_csv(census, out / f"{label}_census.csv")
     if args.dump_symbols:
         dump_symbols_csv(seq, out / f"{label}_symbols.csv")
@@ -217,21 +229,20 @@ def _predict_one(config: ExperimentConfig, args: argparse.Namespace, label: str,
     out = args.out
     write_text_atomic(out / f"{label}_report.json", json.dumps(report_to_json_dict(report), indent=2) + "\n")
     plot_lines = ["k,e_k,eRand_k"]
-    plot_lines += [f"{k},{e!r},{er!r}" for k, e, er in plot_rows(report)]
+    plot_lines += [f"{k},{e!r},{er!r}" for k, e, er in zip(report.k_values, report.e_mean, report.rand_mean)]
     write_text_atomic(out / f"{label}_plot.csv", "\n".join(plot_lines) + "\n")
 
     if args.dump_symbols:
-        coding = CodingScheme(report.scheme, report.alphabet, report.cut_points)
         dump_symbols_csv(report.sequence, out / f"{label}_symbols.csv")
-        dump_coding_sidecar(coding, report.stats, out / f"{label}_coding.json")
+        dump_coding_sidecar(report.coding, report.stats, out / f"{label}_coding.json")
     if args.dump_tables:
         dump_tables_json(report.tables, out / f"{label}_tables.json")
     return report
 
 
 def _print_report(report) -> None:
-    print(f"instrument={report.instrument} scheme={report.scheme} runs={report.runs} "
-          f"seed={report.master_seed} metric={report.metric}")
+    print(f"instrument={report.instrument} scheme={report.config.scheme} runs={report.config.runs} "
+          f"seed={report.config.master_seed} metric={report.config.metric}")
     print("  k    e_k               eRand_k")
     for i, k in enumerate(report.k_values):
         print(f"  {k:<4d} {report.e_mean[i]:.4f} +/- {report.e_std[i]:.4f}  "
@@ -258,7 +269,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    args.out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(args.out)
 
     def task(item):
         label, path = item
@@ -280,7 +291,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             if not message.startswith(f"{label}: "):  # messages about a series already name it
                 message = f"{label}: {message}"
             print(f"error: {message}", file=sys.stderr)
-            if isinstance(exc, (IngestError, FileNotFoundError, SeriesTooShort, SequenceTooShort)):
+            if isinstance(exc, USAGE_ERRORS):
                 status = EXIT_USAGE
             elif status == EXIT_OK:
                 status = EXIT_EXPERIMENT
@@ -303,10 +314,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "census":
             return cmd_census(args)
         return cmd_predict(args)
-    except (FileNotFoundError, IngestError, SeriesTooShort, SequenceTooShort) as exc:
+    except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ProcrecError as exc:
+    except (ProcrecError, OSError) as exc:  # OSError: a failed output write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXPERIMENT
 

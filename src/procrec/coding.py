@@ -17,7 +17,6 @@ exactly one symbol, including values exactly on a threshold.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,11 +58,8 @@ class CodingScheme:
         if any(a >= b for a, b in zip(self.symbols, self.symbols[1:])):
             raise ValueError("symbols must be strictly increasing")
 
-    def classify(self, v: float) -> int:
-        """Symbol for one centered value; band index = number of cuts below v."""
-        return self.symbols[bisect_left(self.cut_points, v)]
-
     def classify_array(self, v: np.ndarray) -> np.ndarray:
+        """Symbols of centered values; a value's band index is the number of cuts below it."""
         idx = np.searchsorted(np.asarray(self.cut_points), v, side="left")
         return np.asarray(self.symbols, dtype=np.int64)[idx]
 

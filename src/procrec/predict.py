@@ -20,21 +20,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coding import SymbolSequence, encode_series, make_scheme
+from .coding import CodingScheme, SymbolSequence, encode_series, make_scheme
 from .errors import SplitTooSmall
 from .ingest import ReturnSeries, SeriesStats, compute_stats, split_halves
 from .markov import ConditionalTableSet, build_conditional_tables, symbol_indices
 
 __all__ = [
     "RandomStream",
-    "PredictionOutcome",
     "RunErrors",
     "ExperimentConfig",
     "ExperimentReport",
     "FallbackResolution",
     "resolve_fallback",
     "evaluate_run",
-    "prediction_outcomes",
     "run_experiment",
     "report_to_json_dict",
 ]
@@ -70,8 +68,6 @@ class RandomStream:
     seed: int
     path: tuple[int, ...] = ()
 
-    algorithm = "pcg64-seedsequence"
-
     def __post_init__(self):
         if self.seed < 0 or self.seed >= 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
@@ -82,18 +78,6 @@ class RandomStream:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.PCG64(seq))
-
-
-@dataclass(frozen=True)
-class PredictionOutcome:
-    """Audit record for one predicted position."""
-
-    position: int
-    context: tuple[int, ...]
-    fallback_order: int
-    predicted: int
-    actual: int
-    error: int  # predicted - actual
 
 
 @dataclass(frozen=True)
@@ -115,7 +99,6 @@ class FallbackResolution:
     sequence, never on the random stream, so one resolution serves every run.
     """
 
-    split: int
     order: int
     orders: np.ndarray  # fallback order used per test position
     row_ids: np.ndarray  # per test position, index into cum_rows/prob_rows
@@ -152,7 +135,6 @@ def resolve_fallback(
     idx = symbol_indices(seq.symbols, tables.alphabet)
     orders, row_ids = tables.back_off(idx, n, k)
     return FallbackResolution(
-        split=n,
         order=k,
         orders=orders,
         row_ids=row_ids,
@@ -188,23 +170,20 @@ def _baseline_indices(
 
 def evaluate_run(
     tables: ConditionalTableSet,
-    seq: SymbolSequence,
-    n: int,
-    k: int,
+    resolution: FallbackResolution,
     metric: str,
     rng: RandomStream,
     *,
     baseline: str = "uniform",
     mode: str = "sample",
-    resolution: FallbackResolution | None = None,
 ) -> RunErrors:
-    """One pass over the test half: model error e and baseline error e_rand.
+    """Score one run over the test half that ``resolution`` resolved in ``tables``.
 
-    With metric "abs" both are mean |predicted - actual| over symbol values;
-    with "signed" the mean of (predicted - actual). Model draws and baseline
-    draws come from independent substreams of ``rng``, so the two never
-    perturb each other. Passing a precomputed ``resolution`` skips the
-    back-off search and changes nothing else.
+    Returns the model error e and the baseline error e_rand at the
+    resolution's order. With metric "abs" both are mean |predicted - actual|
+    over symbol values; with "signed" the mean of (predicted - actual). Model
+    draws and baseline draws come from independent substreams of ``rng``, so
+    the two never perturb each other.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
@@ -212,55 +191,21 @@ def evaluate_run(
         raise ValueError(f"baseline must be one of {BASELINES}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    res = resolution if resolution is not None else resolve_fallback(tables, seq, n, k)
-    if res.split != n or res.order != k:
-        raise ValueError("resolution does not match the requested split/order")
 
     alpha_arr = np.asarray(tables.alphabet, dtype=np.int64)
-    pred_idx = _model_indices(res, rng.substream("model").generator(), mode)
+    pred_idx = _model_indices(resolution, rng.substream("model").generator(), mode)
     base_idx = _baseline_indices(
-        tables, res.n_test, rng.substream("baseline").generator(), baseline
+        tables, resolution.n_test, rng.substream("baseline").generator(), baseline
     )
-    pred_err = alpha_arr[pred_idx] - alpha_arr[res.actual_idx]
-    base_err = alpha_arr[base_idx] - alpha_arr[res.actual_idx]
+    pred_err = alpha_arr[pred_idx] - alpha_arr[resolution.actual_idx]
+    base_err = alpha_arr[base_idx] - alpha_arr[resolution.actual_idx]
     if metric == "abs":
-        e = float(np.abs(pred_err).mean())
-        e_rand = float(np.abs(base_err).mean())
-    else:
-        e = float(pred_err.mean())
-        e_rand = float(base_err.mean())
-    return RunErrors(order=k, e=e, e_rand=e_rand, metric=metric, n_predictions=res.n_test)
-
-
-def prediction_outcomes(
-    tables: ConditionalTableSet,
-    seq: SymbolSequence,
-    n: int,
-    k: int,
-    rng: RandomStream,
-    *,
-    mode: str = "sample",
-) -> list[PredictionOutcome]:
-    """Per-position audit of one model pass, same draws as evaluate_run."""
-    res = resolve_fallback(tables, seq, n, k)
-    pred_idx = _model_indices(res, rng.substream("model").generator(), mode)
-    alpha_arr = np.asarray(tables.alphabet, dtype=np.int64)
-    symbols = seq.symbols.tolist()
-    out = []
-    for i, t in enumerate(range(n, len(seq))):
-        predicted = int(alpha_arr[pred_idx[i]])
-        actual = int(symbols[t])
-        out.append(
-            PredictionOutcome(
-                position=t,
-                context=tuple(reversed(symbols[t - k : t])),
-                fallback_order=int(res.orders[i]),
-                predicted=predicted,
-                actual=actual,
-                error=predicted - actual,
-            )
-        )
-    return out
+        np.abs(pred_err, out=pred_err)
+        np.abs(base_err, out=base_err)
+    e, e_rand = float(pred_err.mean()), float(base_err.mean())
+    return RunErrors(
+        order=resolution.order, e=e, e_rand=e_rand, metric=metric, n_predictions=resolution.n_test
+    )
 
 
 @dataclass(frozen=True)
@@ -303,20 +248,13 @@ class ExperimentReport:
     """
 
     instrument: str
-    scheme: str
-    master_seed: int
-    runs: int
+    config: ExperimentConfig
+    coding: CodingScheme
     k_values: tuple[int, ...]
-    metric: str
-    baseline: str
-    mode: str
-    stats_on: str
     n_returns: int
     n_train: int
     n_test: int
     stats: SeriesStats
-    cut_points: tuple[float, ...]
-    alphabet: tuple[int, ...]
     e_mean: tuple[float, ...]
     e_std: tuple[float, ...]
     rand_mean: tuple[float, ...]
@@ -353,14 +291,11 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
             per_run[k].append(
                 evaluate_run(
                     tables,
-                    seq,
-                    n,
-                    k,
+                    resolutions[k],
                     config.metric,
                     stream.substream(j, k),
                     baseline=config.baseline,
                     mode=config.mode,
-                    resolution=resolutions[k],
                 )
             )
 
@@ -375,20 +310,13 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
 
     return ExperimentReport(
         instrument=returns.instrument,
-        scheme=config.scheme,
-        master_seed=config.master_seed,
-        runs=config.runs,
+        config=config,
+        coding=scheme,
         k_values=k_values,
-        metric=config.metric,
-        baseline=config.baseline,
-        mode=config.mode,
-        stats_on=config.stats_on,
         n_returns=len(returns),
         n_train=n,
         n_test=len(h2),
         stats=stats,
-        cut_points=scheme.cut_points,
-        alphabet=scheme.symbols,
         e_mean=tuple(e_mean),
         e_std=tuple(e_std),
         rand_mean=tuple(r_mean),
@@ -405,17 +333,17 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "instrument": report.instrument,
-        "master_seed": report.master_seed,
+        "master_seed": report.config.master_seed,
         "config": {
-            "scheme": report.scheme,
-            "k_min": report.k_values[0],
-            "k_max": report.k_values[-1],
-            "runs": report.runs,
-            "metric": report.metric,
-            "baseline": report.baseline,
-            "mode": report.mode,
-            "stats_on": report.stats_on,
-            "master_seed": report.master_seed,
+            "scheme": report.config.scheme,
+            "k_min": report.config.k_min,
+            "k_max": report.config.k_max,
+            "runs": report.config.runs,
+            "metric": report.config.metric,
+            "baseline": report.config.baseline,
+            "mode": report.config.mode,
+            "stats_on": report.config.stats_on,
+            "master_seed": report.config.master_seed,
         },
         "series": {
             "n_returns": report.n_returns,
@@ -423,12 +351,12 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
             "n_test": report.n_test,
         },
         "coding": {
-            "scheme": report.scheme,
+            "scheme": report.coding.name,
             "mean": report.stats.mean,
             "std": report.stats.std,
             "count": report.stats.count,
-            "symbols": list(report.alphabet),
-            "cut_points": list(report.cut_points),
+            "symbols": list(report.coding.symbols),
+            "cut_points": list(report.coding.cut_points),
         },
         "results": [
             {
@@ -446,10 +374,3 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
         },
     }
 
-
-def plot_rows(report: ExperimentReport) -> list[tuple[int, float, float]]:
-    """The (k, e_k, eRand_k) rows behind the error curves."""
-    return [
-        (k, report.e_mean[i], report.rand_mean[i])
-        for i, k in enumerate(report.k_values)
-    ]

@@ -86,6 +86,41 @@ def sample_index(cum, u):
     return len(cum) - 1
 
 
+def scalar_evaluate_run(symbols, n, k, k_max, alphabet, metric, model_gen, baseline_gen, *, baseline, mode):
+    """(e, e_rand) of one run, scored one test position at a time.
+
+    Each test position t = n .. len(symbols)-1 answers with its row from
+    brute_force_back_off. In "sample" mode the model predicts the symbol at
+    sample_index(sequential_cum(row), u), u being the position's entry of
+    model_gen.random(n_test); in "argmax" mode the row's first largest count,
+    drawing nothing. The "uniform" baseline predicts the symbol at index
+    baseline_gen.integers(0, |alphabet|, n_test); the "marginal" baseline
+    samples the training half's symbol counts with baseline_gen.random(n_test).
+    "abs" averages |predicted - actual| and "signed" predicted - actual.
+    """
+    symbols = list(symbols)
+    rows = [counts for _, counts in brute_force_back_off(symbols, n, k, k_max, alphabet)]
+    n_test = len(rows)
+    if mode == "sample":
+        draws = model_gen.random(n_test).tolist()
+        predicted = [alphabet[sample_index(sequential_cum(c), u)] for c, u in zip(rows, draws)]
+    else:
+        predicted = [alphabet[c.index(max(c))] for c in rows]
+    if baseline == "uniform":
+        guessed = [alphabet[i] for i in baseline_gen.integers(0, len(alphabet), n_test).tolist()]
+    else:
+        marginal = sequential_cum([symbols[:n].count(s) for s in alphabet])
+        guessed = [alphabet[sample_index(marginal, u)] for u in baseline_gen.random(n_test).tolist()]
+
+    def mean_error(guesses):
+        errors = [g - a for g, a in zip(guesses, symbols[n:], strict=True)]
+        if metric == "abs":
+            errors = [abs(x) for x in errors]
+        return sum(errors) / n_test
+
+    return mean_error(predicted), mean_error(guessed)
+
+
 def _reference_instant(raw):
     text = raw.strip()
     try:

@@ -134,8 +134,8 @@ def test_criterion_3_coding_property():
             st = SeriesStats(mean=0.0, std=s, count=10)
             m5 = five_band_matches(v, s)
             m3 = three_band_matches(v, s)
-            assert len(m5) == 1 and m5[0] == make_five_symbol_scheme(st).classify(v)
-            assert len(m3) == 1 and m3[0] == make_three_symbol_scheme(st).classify(v)
+            assert len(m5) == 1 and m5[0] == make_five_symbol_scheme(st).classify_array(v)
+            assert len(m3) == 1 and m3[0] == make_three_symbol_scheme(st).classify_array(v)
 
         for i in range(100):
             returns = mk_returns(rng.standard_t(4, 120) * 0.01)
@@ -169,7 +169,7 @@ def test_criterion_4_synthetic_recovery():
         res = {k: resolve_fallback(tables, seq, n, k) for k in (1, 2)}
         runs = {
             k: [
-                evaluate_run(tables, seq, n, k, "abs", stream.substream(j, k), resolution=res[k])
+                evaluate_run(tables, res[k], "abs", stream.substream(j, k))
                 for j in range(1, 51)
             ]
             for k in (1, 2)
@@ -244,8 +244,8 @@ def test_criterion_7_train_test_hygiene(monkeypatch):
         captured = []
         real_build = predict_mod.build_conditional_tables
 
-        def spy(train, k_max, alphabet=None):
-            tables = real_build(train, k_max, alphabet)
+        def spy(train, k_max):
+            tables = real_build(train, k_max)
             captured.append((train.symbols.copy(), tables))
             return tables
 

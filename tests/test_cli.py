@@ -383,3 +383,41 @@ def test_label_outside_out_dir_exits_2(tmp_path, small_csv, capsys, command, lab
     assert main(argv) == 2
     _one_error_line(capsys)
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def _tree(root: Path) -> dict[str, bytes | None]:
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+@pytest.mark.parametrize("defect", ["out_is_file", "out_under_file", "input_is_dir"])
+def test_unusable_path_exits_2(tmp_path, small_csv, capsys, command, defect):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep\n")
+    source, out = str(small_csv), tmp_path / "out"
+    if defect == "out_is_file":
+        out = blocker
+    elif defect == "out_under_file":
+        out = blocker / "out"
+    else:
+        (tmp_path / "dir.csv").mkdir()
+        source = str(tmp_path / "dir.csv")
+    before = _tree(tmp_path)
+    assert main([command, "--input", source, "--out", str(out), *SUBCOMMAND_ARGS[command]]) == 2
+    _one_error_line(capsys)
+    after = _tree(tmp_path)
+    if defect == "input_is_dir" and command == "predict":  # --out is made before any input is read
+        assert after.pop("out") is None
+    assert after == before
+
+
+@pytest.mark.parametrize("command", ["census", "returns"])
+def test_failed_write_exits_1(tmp_path, small_csv, monkeypatch, capsys, command):
+    def no_space(path, text, *args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", no_space)
+    out = tmp_path / "out"
+    assert main([command, "--input", str(small_csv), "--out", str(out), *SUBCOMMAND_ARGS[command]]) == 1
+    assert "No space left on device" in _one_error_line(capsys)
+    assert not list(out.iterdir())

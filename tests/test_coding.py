@@ -34,24 +34,24 @@ def test_five_scheme_shape():
 
 def test_five_scheme_band_boundaries():
     scheme = make_five_symbol_scheme(STATS)
-    assert scheme.classify(0.0) == 0
-    assert scheme.classify(S) == 1  # upper bound of band 1 is inclusive
-    assert scheme.classify(np.nextafter(S, np.inf)) == 2
-    assert scheme.classify(S / 3) == 0
-    assert scheme.classify(-S / 3) == -1
-    assert scheme.classify(-S) == -2
-    assert scheme.classify(2 * S) == 2
-    assert scheme.classify(-2 * S) == -2
+    assert scheme.classify_array(0.0) == 0
+    assert scheme.classify_array(S) == 1  # upper bound of band 1 is inclusive
+    assert scheme.classify_array(np.nextafter(S, np.inf)) == 2
+    assert scheme.classify_array(S / 3) == 0
+    assert scheme.classify_array(-S / 3) == -1
+    assert scheme.classify_array(-S) == -2
+    assert scheme.classify_array(2 * S) == 2
+    assert scheme.classify_array(-2 * S) == -2
 
 
 def test_three_scheme_band_boundaries():
     scheme = make_three_symbol_scheme(STATS)
     assert scheme.symbols == (-1, 0, 1)
-    assert scheme.classify(0.0) == 0
-    assert scheme.classify(1.5 * S) == 1
-    assert scheme.classify(-1.5 * S) == -1
-    assert scheme.classify(S) == 0
-    assert scheme.classify(-S) == -1
+    assert scheme.classify_array(0.0) == 0
+    assert scheme.classify_array(1.5 * S) == 1
+    assert scheme.classify_array(-1.5 * S) == -1
+    assert scheme.classify_array(S) == 0
+    assert scheme.classify_array(-S) == -1
 
 
 def test_make_scheme_by_name():
@@ -118,8 +118,8 @@ def test_totality_exactly_one_band(s, v):
     three = make_three_symbol_scheme(stats)
     m5 = five_band_matches(v, s)
     m3 = three_band_matches(v, s)
-    assert len(m5) == 1 and m5[0] == five.classify(v)
-    assert len(m3) == 1 and m3[0] == three.classify(v)
+    assert len(m5) == 1 and m5[0] == five.classify_array(v)
+    assert len(m3) == 1 and m3[0] == three.classify_array(v)
 
 
 @given(
@@ -131,7 +131,7 @@ def test_totality_exactly_one_band(s, v):
 def test_monotonicity(s, v1, v2):
     scheme = make_five_symbol_scheme(SeriesStats(mean=0.0, std=s, count=10))
     lo, hi = min(v1, v2), max(v1, v2)
-    assert scheme.classify(lo) <= scheme.classify(hi)
+    assert scheme.classify_array(lo) <= scheme.classify_array(hi)
 
 
 @given(

@@ -15,7 +15,6 @@ from procrec import (
     build_conditional_tables,
     census_blocks,
     resolve_fallback,
-    transition_matrix,
 )
 from procrec.markov import dump_tables_json, write_census_csv
 
@@ -190,12 +189,6 @@ def test_tables_too_short():
         build_conditional_tables(mk_seq([0, 1, 0], ALPHABET3), 3)
 
 
-def test_tables_rejects_foreign_symbols():
-    seq = mk_seq([-1, 0, 1, 0], ALPHABET3)
-    with pytest.raises(ValueError):
-        build_conditional_tables(seq, 1, alphabet=(0, 1, 2))
-
-
 def test_unsorted_alphabet_rejected():
     seq = mk_seq([0, 1, 0, 1], (1, 0))
     with pytest.raises(ValueError, match="increasing"):
@@ -223,36 +216,6 @@ def test_lookup_longest_suffix():
     assert res.orders.tolist() == [order for order, _ in expected]
     for i in (4, 5):
         np.testing.assert_array_equal(res.cum_rows[res.row_ids[i]], tables.marginal.cum)
-
-
-# --- transition matrix ------------------------------------------------------
-
-
-def test_transition_matrix_constant_train():
-    tables = build_conditional_tables(mk_seq([0, 0, 0, 0], ALPHABET5), 1)
-    tm = transition_matrix(tables)
-    i = tm.alphabet.index(0)
-    assert tm.matrix[i, i] == 1.0
-    assert tm.imputed[i] is False
-    # unseen states get the marginal (all mass on symbol 0) and are flagged
-    for j, sym in enumerate(tm.alphabet):
-        if sym != 0:
-            assert tm.imputed[j] is True
-            np.testing.assert_array_equal(tm.matrix[j], tables.marginal.probs)
-    np.testing.assert_allclose(tm.matrix.sum(axis=1), 1.0, atol=1e-9)
-
-
-def test_transition_matrix_matches_bruteforce():
-    rng = np.random.default_rng(23)
-    symbols = random_symbols(rng, 200, ALPHABET5)
-    tables = build_conditional_tables(mk_seq(symbols, ALPHABET5), 1)
-    tm = transition_matrix(tables)
-    expected, _ = brute_force_tables(symbols, 1, ALPHABET5)
-    for i, sym in enumerate(ALPHABET5):
-        if (sym,) in expected[1]:
-            _, probs = expected[1][(sym,)]
-            for j in range(5):
-                assert abs(tm.matrix[i, j] - float(probs[j])) <= 1e-12
 
 
 # --- dumps -------------------------------------------------------------------

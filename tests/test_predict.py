@@ -11,7 +11,6 @@ from procrec import (
     SymbolSequence,
     build_conditional_tables,
     evaluate_run,
-    prediction_outcomes,
     resolve_fallback,
     run_experiment,
 )
@@ -21,7 +20,14 @@ from hypothesis import strategies as st
 from procrec.predict import ExperimentConfig, RandomStream, report_to_json_dict
 
 from conftest import mk_returns
-from oracles import ALPHABET3, ALPHABET5, brute_force_back_off, sample_index, sequential_cum
+from oracles import (
+    ALPHABET3,
+    ALPHABET5,
+    brute_force_back_off,
+    sample_index,
+    scalar_evaluate_run,
+    sequential_cum,
+)
 
 
 def mk_seq(symbols, alphabet) -> SymbolSequence:
@@ -82,21 +88,24 @@ def test_stream_rejects_bad_seeds_and_tags():
 def test_predict_next_deterministic_row():
     # in 1, 0, 1, 1, 0, 1, ... every order-2 context has one successor
     seq, tables = split_tables([1, 0, 1] * 40, ALPHABET3, 60, 2)
+    res = resolve_fallback(tables, seq, 60, 2)
+    assert res.orders.tolist() == [2] * 60
     for seed in (0, 1, 99):
-        outcomes = prediction_outcomes(tables, seq, 60, 2, RandomStream(seed))
-        assert all(out.fallback_order == 2 for out in outcomes)
-        assert all(out.predicted == out.actual for out in outcomes)
-        assert {out.predicted for out in outcomes if out.context == (0, 1)} == {1}
+        # every draw is the realized symbol
+        assert evaluate_run(tables, res, "abs", RandomStream(seed)).e == 0.0
+    assert tables.tables[2].rows[(0, 1)].probs.tolist() == [0.0, 0.0, 1.0]
 
 
 def test_predict_next_falls_back_one_order():
     # (1, 1) never occurs in train, its suffix (1,) does
     train = [0, 0, 1, 0, 0, 1, 0, 0]
     seq, tables = split_tables(train + [1, 1, 0], ALPHABET3, len(train), 2)
-    last = prediction_outcomes(tables, seq, len(train), 2, RandomStream(5))[-1]
-    assert last.context == (1, 1)
-    assert last.fallback_order == 1
-    assert last.predicted == 0  # every 1 in train is followed by 0
+    res = resolve_fallback(tables, seq, len(train), 2)
+    assert seq.symbols[-3:-1].tolist() == [1, 1]  # the last position's context
+    assert res.orders[-1] == 1
+    gen = RandomStream(5).substream("model").generator()
+    predicted = predict_mod._model_indices(res, gen, "sample")
+    assert ALPHABET3[predicted[-1]] == 0  # every 1 in train is followed by 0
 
 
 def test_predict_next_marginal_fallback():
@@ -113,7 +122,8 @@ def test_predict_next_sampling_frequencies():
     seq, tables = split_tables(train + [0] * 100_000, (0, 1, 2), len(train), 1)
     assert tables.tables[1].rows[(0,)].counts.tolist() == [2, 3, 5]
     stream = RandomStream(314).substream("lln")
-    draws = np.array([out.predicted for out in prediction_outcomes(tables, seq, len(train), 1, stream)])
+    res = resolve_fallback(tables, seq, len(train), 1)
+    draws = predict_mod._model_indices(res, stream.substream("model").generator(), "sample")
     for symbol, want in ((0, 0.2), (1, 0.3), (2, 0.5)):
         assert abs(np.mean(draws == symbol) - want) < 0.01
 
@@ -122,7 +132,7 @@ def test_baseline_uniform_frequencies():
     # the uniform baseline evaluate_run scores, against a constant 0 test half
     seq, tables = split_tables([0] * 100_100, ALPHABET5, 100, 1)
     stream = RandomStream(2718).substream("base")
-    result = evaluate_run(tables, seq, 100, 1, "signed", stream)
+    result = evaluate_run(tables, resolve_fallback(tables, seq, 100, 1), "signed", stream)
     draws = stream.substream("baseline").generator().integers(0, 5, size=100_000)
     drawn = np.asarray(ALPHABET5)[draws]
     assert result.e_rand == float(drawn.mean())
@@ -132,10 +142,12 @@ def test_baseline_uniform_frequencies():
 
 def test_baseline_single_symbol_and_determinism():
     seq, tables = split_tables([4] * 20, (4,), 10, 1)
-    assert evaluate_run(tables, seq, 10, 1, "abs", RandomStream(1)).e_rand == 0.0
+    res = resolve_fallback(tables, seq, 10, 1)
+    assert evaluate_run(tables, res, "abs", RandomStream(1)).e_rand == 0.0
     seq, tables = split_tables([-1, 0, 1, 1, 0] * 8, ALPHABET3, 20, 1)
-    a = [evaluate_run(tables, seq, 20, 1, "abs", RandomStream(9).substream(i)).e_rand for i in range(20)]
-    b = [evaluate_run(tables, seq, 20, 1, "abs", RandomStream(9).substream(i)).e_rand for i in range(20)]
+    res = resolve_fallback(tables, seq, 20, 1)
+    a = [evaluate_run(tables, res, "abs", RandomStream(9).substream(i)).e_rand for i in range(20)]
+    b = [evaluate_run(tables, res, "abs", RandomStream(9).substream(i)).e_rand for i in range(20)]
     assert a == b
     assert len(set(a)) > 1
 
@@ -148,7 +160,8 @@ def test_evaluate_constant_sequence():
     n = 2000
     train = dataclasses.replace(seq, symbols=seq.symbols[:n])
     tables = build_conditional_tables(train, 3)
-    result = evaluate_run(tables, seq, n, 3, "abs", RandomStream(0).substream(1, 3))
+    res = resolve_fallback(tables, seq, n, 3)
+    result = evaluate_run(tables, res, "abs", RandomStream(0).substream(1, 3))
     assert result.e == 0.0  # the only rows are certain about 0
     # uniform baseline against a constant 0: E|u| = (2+1+0+1+2)/5 = 1.2
     assert result.e_rand == pytest.approx(1.2, abs=0.1)
@@ -161,7 +174,8 @@ def test_evaluate_alternating_sequence():
     train = dataclasses.replace(seq, symbols=seq.symbols[:n])
     tables = build_conditional_tables(train, 3)
     for k in (1, 2, 3):
-        result = evaluate_run(tables, seq, n, k, "abs", RandomStream(3).substream(1, k))
+        res = resolve_fallback(tables, seq, n, k)
+        result = evaluate_run(tables, res, "abs", RandomStream(3).substream(1, k))
         assert result.e == 0.0
 
 
@@ -170,7 +184,8 @@ def test_evaluate_signed_metric():
     n = 500
     train = dataclasses.replace(seq, symbols=seq.symbols[:n])
     tables = build_conditional_tables(train, 1)
-    result = evaluate_run(tables, seq, n, 1, "signed", RandomStream(4).substream(1, 1))
+    res = resolve_fallback(tables, seq, n, 1)
+    result = evaluate_run(tables, res, "signed", RandomStream(4).substream(1, 1))
     assert result.e == 0.0
     assert abs(result.e_rand) < 0.3  # uniform draws vs 0: signed mean near zero
     assert result.metric == "signed"
@@ -181,9 +196,8 @@ def test_evaluate_marginal_baseline_constant():
     n = 200
     train = dataclasses.replace(seq, symbols=seq.symbols[:n])
     tables = build_conditional_tables(train, 1)
-    result = evaluate_run(
-        tables, seq, n, 1, "abs", RandomStream(4).substream(1, 1), baseline="marginal"
-    )
+    res = resolve_fallback(tables, seq, n, 1)
+    result = evaluate_run(tables, res, "abs", RandomStream(4).substream(1, 1), baseline="marginal")
     assert result.e_rand == 0.0  # the marginal has all its mass on 0
 
 
@@ -194,51 +208,30 @@ def test_evaluate_argmax_mode_deterministic():
     n = 400
     train = dataclasses.replace(seq, symbols=seq.symbols[:n])
     tables = build_conditional_tables(train, 2)
-    a = evaluate_run(tables, seq, n, 2, "abs", RandomStream(1).substream(1, 2), mode="argmax")
-    b = evaluate_run(tables, seq, n, 2, "abs", RandomStream(999).substream(7, 2), mode="argmax")
+    res = resolve_fallback(tables, seq, n, 2)
+    a = evaluate_run(tables, res, "abs", RandomStream(1).substream(1, 2), mode="argmax")
+    b = evaluate_run(tables, res, "abs", RandomStream(999).substream(7, 2), mode="argmax")
     assert a.e == b.e  # model side ignores the stream entirely under argmax
-
-
-def test_evaluate_resolution_hoisting_changes_nothing():
-    rng = np.random.default_rng(13)
-    symbols = [int(ALPHABET5[i]) for i in rng.integers(0, 5, 600)]
-    seq = mk_seq(symbols, ALPHABET5)
-    n = 300
-    train = dataclasses.replace(seq, symbols=seq.symbols[:n])
-    tables = build_conditional_tables(train, 4)
-    res = resolve_fallback(tables, seq, n, 4)
-    stream = RandomStream(55).substream(1, 4)
-    with_res = evaluate_run(tables, seq, n, 4, "abs", stream, resolution=res)
-    without = evaluate_run(tables, seq, n, 4, "abs", stream)
-    assert with_res == without
 
 
 def test_evaluate_split_too_small():
     seq = mk_seq([0, 1, 0, 1], ALPHABET3)
     tables = build_conditional_tables(dataclasses.replace(seq, symbols=seq.symbols[:4]), 1)
     with pytest.raises(SplitTooSmall):
-        evaluate_run(tables, seq, 4, 1, "abs", RandomStream(0))
-
-
-def test_evaluate_rejects_mismatched_resolution():
-    seq = mk_seq([0, 1] * 50, ALPHABET3)
-    n = 50
-    train = dataclasses.replace(seq, symbols=seq.symbols[:n])
-    tables = build_conditional_tables(train, 2)
-    res = resolve_fallback(tables, seq, n, 2)
-    with pytest.raises(ValueError):
-        evaluate_run(tables, seq, n, 1, "abs", RandomStream(0), resolution=res)
+        resolve_fallback(tables, seq, 4, 1)
 
 
 def test_contexts_span_the_split_boundary():
-    seq = mk_seq([1, 0, 1, 0, 1, 0], ALPHABET3)
-    n = 4
-    train = dataclasses.replace(seq, symbols=seq.symbols[:n])
-    tables = build_conditional_tables(train, 3)
-    outcomes = prediction_outcomes(tables, seq, n, 3, RandomStream(8))
-    # first test position reaches two symbols back into the training half
-    assert outcomes[0].position == 4
-    assert outcomes[0].context == (0, 1, 0)
+    symbols = [1, 0, 1, 0, 1, 0]
+    seq, tables = split_tables(symbols, ALPHABET3, 4, 3)
+    res = resolve_fallback(tables, seq, 4, 3)
+    # the first test position, t = 4, has context (0, 1, 0): it reaches two
+    # symbols back into the training half, where only (0, 1) was seen
+    assert res.n_test == 2
+    expected = brute_force_back_off(symbols, 4, 3, 3, ALPHABET3)
+    assert res.orders.tolist() == [order for order, _ in expected]
+    assert res.orders[0] == 2
+    np.testing.assert_array_equal(res.cum_rows[res.row_ids[0]], tables.tables[2].rows[(0, 1)].cum)
 
 
 def test_vectorized_path_matches_sequential_predict_next():
@@ -248,13 +241,14 @@ def test_vectorized_path_matches_sequential_predict_next():
     symbols = [int(ALPHABET5[i]) for i in rng.integers(0, 5, 400)]
     seq, tables = split_tables(symbols, ALPHABET5, 200, 3)
     stream = RandomStream(5).substream(1, 3)
-    outcomes = prediction_outcomes(tables, seq, 200, 3, stream)
+    res = resolve_fallback(tables, seq, 200, 3)
+    predicted = predict_mod._model_indices(res, stream.substream("model").generator(), "sample")
     gen = stream.substream("model").generator()
     expected = brute_force_back_off(symbols, 200, 3, 3, ALPHABET5)
-    for out, (order, counts) in zip(outcomes, expected, strict=True):
-        symbol = ALPHABET5[sample_index(sequential_cum(counts), float(gen.random()))]
-        assert symbol == out.predicted
-        assert order == out.fallback_order
+    for i, (order, counts) in enumerate(expected):
+        assert sample_index(sequential_cum(counts), float(gen.random())) == predicted[i]
+        assert order == res.orders[i]
+    assert len(expected) == len(predicted) == res.n_test == 200
 
 
 @given(st.data())
@@ -277,6 +271,31 @@ def test_resolve_fallback_matches_scalar_back_off(data):
     np.testing.assert_array_equal(res.orders, np.minimum(longest, k))
 
 
+@given(st.data())
+@settings(deadline=None, max_examples=150)
+def test_evaluate_run_matches_scalar_scorer(data):
+    alphabet = data.draw(st.sampled_from((ALPHABET3, ALPHABET5)))
+    symbols = data.draw(st.lists(st.sampled_from(alphabet), min_size=6, max_size=300))
+    k = data.draw(st.integers(1, min(5, len(symbols) - 2)))
+    n = data.draw(st.integers(k + 1, len(symbols) - 1))
+    k_max = data.draw(st.integers(k, min(5, n - 1)))
+    metric = data.draw(st.sampled_from(predict_mod.METRICS))
+    baseline = data.draw(st.sampled_from(predict_mod.BASELINES))
+    mode = data.draw(st.sampled_from(predict_mod.MODES))
+    run = data.draw(st.integers(1, 50))
+    stream = RandomStream(data.draw(st.integers(0, 2**64 - 1))).substream(run, k)
+    seq, tables = split_tables(symbols, alphabet, n, k_max)
+    res = resolve_fallback(tables, seq, n, k)
+    got = evaluate_run(tables, res, metric, stream, baseline=baseline, mode=mode)
+    want = scalar_evaluate_run(
+        symbols, n, k, k_max, alphabet, metric,
+        stream.substream("model").generator(), stream.substream("baseline").generator(),
+        baseline=baseline, mode=mode,
+    )
+    assert (got.e, got.e_rand) == want
+    assert got.order == k and got.n_predictions == len(symbols) - n
+
+
 def test_fallback_orders_replay_against_tables():
     rng = np.random.default_rng(77)
     symbols = [int(ALPHABET5[i]) for i in rng.integers(0, 5, 500)]
@@ -284,15 +303,16 @@ def test_fallback_orders_replay_against_tables():
     n = 250
     train = dataclasses.replace(seq, symbols=seq.symbols[:n])
     tables = build_conditional_tables(train, 5)
-    outcomes = prediction_outcomes(tables, seq, n, 5, RandomStream(21))
-    for out in outcomes:
-        largest = 0
+    res = resolve_fallback(tables, seq, n, 5)
+    for i, t in enumerate(range(n, len(symbols))):
+        context = tuple(reversed(symbols[t - 5 : t]))
+        largest, row = 0, tables.marginal
         for j in range(5, 0, -1):
-            if out.context[:j] in tables.tables[j].rows:
-                largest = j
+            if context[:j] in tables.tables[j].rows:
+                largest, row = j, tables.tables[j].rows[context[:j]]
                 break
-        assert out.fallback_order == largest
-        assert out.error == out.predicted - out.actual
+        assert res.orders[i] == largest
+        np.testing.assert_array_equal(res.cum_rows[res.row_ids[i]], row.cum)
 
 
 # --- run_experiment -----------------------------------------------------------
@@ -380,12 +400,9 @@ def test_order2_model_beats_order1_on_synthetic_chain():
     train = dataclasses.replace(seq, symbols=seq.symbols[:n])
     tables = build_conditional_tables(train, 2)
     stream = RandomStream(99).substream("chain")
-    e1 = np.mean(
-        [evaluate_run(tables, seq, n, 1, "abs", stream.substream(j, 1)).e for j in range(10)]
-    )
-    e2 = np.mean(
-        [evaluate_run(tables, seq, n, 2, "abs", stream.substream(j, 2)).e for j in range(10)]
-    )
+    res1, res2 = resolve_fallback(tables, seq, n, 1), resolve_fallback(tables, seq, n, 2)
+    e1 = np.mean([evaluate_run(tables, res1, "abs", stream.substream(j, 1)).e for j in range(10)])
+    e2 = np.mean([evaluate_run(tables, res2, "abs", stream.substream(j, 2)).e for j in range(10)])
     assert e2 < e1 - 0.3  # order-1 conditionals of this chain are exactly uniform
 
 
@@ -396,9 +413,9 @@ def test_table_build_sees_only_the_training_half(monkeypatch):
     captured = {}
     real_build = predict_mod.build_conditional_tables
 
-    def spy(train, k_max, alphabet=None):
+    def spy(train, k_max):
         captured["symbols"] = train.symbols.copy()
-        captured["tables"] = real_build(train, k_max, alphabet)
+        captured["tables"] = real_build(train, k_max)
         return captured["tables"]
 
     monkeypatch.setattr(predict_mod, "build_conditional_tables", spy)
@@ -420,8 +437,8 @@ def test_tables_unaffected_by_test_half_content(monkeypatch):
     captured = []
     real_build = predict_mod.build_conditional_tables
 
-    def spy(train, k_max, alphabet=None):
-        tables = real_build(train, k_max, alphabet)
+    def spy(train, k_max):
+        tables = real_build(train, k_max)
         captured.append(tables)
         return tables
 
