@@ -227,6 +227,7 @@ def _predict_one(config: ExperimentConfig, args: argparse.Namespace, label: str,
     returns = compute_log_returns(prices)
     report = run_experiment(config, returns)
     out = args.out
+    _make_out_dir(out)  # only now, so a predict that fails on every input leaves no --out behind
     write_text_atomic(out / f"{label}_report.json", json.dumps(report_to_json_dict(report), indent=2) + "\n")
     plot_lines = ["k,e_k,eRand_k"]
     plot_lines += [f"{k},{e!r},{er!r}" for k, e, er in zip(report.k_values, report.e_mean, report.rand_mean)]
@@ -269,7 +270,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _make_out_dir(args.out)
 
     def task(item):
         label, path = item
@@ -284,13 +284,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     else:
         results = [task(item) for item in inputs]
 
-    status = EXIT_OK
+    status, printed = EXIT_OK, set()
     for label, report, exc in results:
         if exc is not None:
             message = str(exc)
-            if not message.startswith(f"{label}: "):  # messages about a series already name it
+            if not message.startswith((f"{label}: ", "--out: ")):  # these already name what failed
                 message = f"{label}: {message}"
-            print(f"error: {message}", file=sys.stderr)
+            if message not in printed:  # an --out that cannot be made fails every input alike
+                print(f"error: {message}", file=sys.stderr)
+                printed.add(message)
             if isinstance(exc, USAGE_ERRORS):
                 status = EXIT_USAGE
             elif status == EXIT_OK:

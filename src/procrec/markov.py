@@ -132,29 +132,6 @@ class ConditionalTableSet:
     def marginal(self) -> ContextRow:
         return ContextRow(counts=self.counts[0], probs=self.probs[0], cum=self.cum[0])
 
-    def back_off(self, idx: np.ndarray, start: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Longest-suffix match for every position t = start .. len(idx)-1.
-
-        ``idx`` holds alphabet indices. Position t answers with the largest
-        order j <= k whose context (idx[t-1], ..., idx[t-j]) has a row, else
-        with the marginal at order 0. Returns (orders, row ids into the stacked
-        arrays). Each order extends the codes by one older, less significant
-        digit and tests membership by binary search.
-        """
-        a = len(self.alphabet)
-        end = len(idx)
-        codes = np.zeros(end - start, dtype=np.int64)
-        orders = np.zeros(end - start, dtype=np.int64)
-        row_ids = np.zeros(end - start, dtype=np.int64)
-        for j in range(1, k + 1):
-            codes = codes * a + idx[start - j : end - j]
-            table = self.tables[j]
-            pos = np.searchsorted(table.codes, codes)
-            hit = table.codes[np.minimum(pos, len(table.codes) - 1)] == codes
-            orders[hit] = j
-            row_ids[hit] = table.offset + pos[hit]
-        return orders, row_ids
-
 
 def symbol_indices(symbols: np.ndarray, alphabet: tuple[int, ...]) -> np.ndarray:
     """Position of every symbol in a strictly increasing alphabet."""

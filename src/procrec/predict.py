@@ -7,6 +7,11 @@ time (dropping the oldest) until a seen context supplies a row; if nothing
 matches down to order 1 the training marginal is used (fallback order 0), so
 every prediction is well defined.
 
+A context seen at order j in training is also seen at every shorter order, so
+each test position t has one longest match L_t and order k answers at
+min(L_t, k). One ``resolve_fallback`` at the largest order keeps L_t and every
+order's row ids, and ``FallbackResolution.truncate(k)`` derives order k.
+
 All randomness flows from a RandomStream: a seeded PCG64 stream addressed by
 a derivation path, so runs, orders and purposes get independent,
 platform-stable substreams and the whole experiment is reproducible from
@@ -17,13 +22,14 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .coding import CodingScheme, SymbolSequence, encode_series, make_scheme
 from .errors import SplitTooSmall
 from .ingest import ReturnSeries, SeriesStats, compute_stats, split_halves
-from .markov import ConditionalTableSet, build_conditional_tables, symbol_indices
+from .markov import ConditionalTableSet, _context_codes, build_conditional_tables, symbol_indices
 
 __all__ = [
     "RandomStream",
@@ -100,8 +106,8 @@ class FallbackResolution:
     """
 
     order: int
-    orders: np.ndarray  # fallback order used per test position
-    row_ids: np.ndarray  # per test position, index into cum_rows/prob_rows
+    orders: np.ndarray  # int8, fallback order used per test position: min(L_t, order)
+    row_ids_by_order: np.ndarray  # int32 (order + 1, n_test); row j: the row ids at order j
     cum_rows: np.ndarray  # the table set's stacked rows, (n_rows, |alphabet|)
     prob_rows: np.ndarray
     actual_idx: np.ndarray  # alphabet index of the realized symbol
@@ -109,6 +115,24 @@ class FallbackResolution:
     @property
     def n_test(self) -> int:
         return len(self.orders)
+
+    @property
+    def row_ids(self) -> np.ndarray:
+        """Per test position, the index into cum_rows/prob_rows of its row."""
+        return self.row_ids_by_order[self.order]
+
+    @cached_property
+    def cum_columns(self) -> np.ndarray:
+        """(|alphabet| - 1, n_test) cum of every position's row, last column dropped."""
+        return np.take(self.cum_rows[:, :-1].T, self.row_ids, axis=1)
+
+    def truncate(self, k: int) -> "FallbackResolution":
+        """The resolution at order k <= order, derived without another search."""
+        if not 1 <= k <= self.order:
+            raise ValueError(f"order {k} outside resolved range 1..{self.order}")
+        return replace(
+            self, order=k, orders=np.minimum(self.orders, k), row_ids_by_order=self.row_ids_by_order[: k + 1]
+        )
 
     def order_histogram(self) -> dict[int, int]:
         counts = np.bincount(self.orders, minlength=self.order + 1)
@@ -122,6 +146,7 @@ def resolve_fallback(
 
     Contexts are the k symbols immediately preceding t and may reach back
     across the split boundary into the training half for the first positions.
+    Each order j <= k is searched once; ``truncate`` serves the lower orders.
     """
     total = len(seq)
     n_test = total - n
@@ -133,11 +158,20 @@ def resolve_fallback(
         raise ValueError(f"first test context would precede the series (n={n}, k={k})")
 
     idx = symbol_indices(seq.symbols, tables.alphabet)
-    orders, row_ids = tables.back_off(idx, n, k)
+    longest = np.zeros(n_test, dtype=np.int8)
+    row_ids = np.zeros((k + 1, n_test), dtype=np.int32)  # row 0: the marginal
+    # the contexts of t = n .. total-1 lie in idx[n - k : total - 1]
+    for j, codes in enumerate(_context_codes(idx[n - k : -1], len(tables.alphabet), k), start=1):
+        codes = codes[k - j :]
+        table = tables.tables[j]
+        pos = np.searchsorted(table.codes, codes)
+        hit = table.codes[np.minimum(pos, len(table.codes) - 1)] == codes
+        longest[hit] = j
+        row_ids[j] = np.where(hit, table.offset + pos, row_ids[j - 1])
     return FallbackResolution(
         order=k,
-        orders=orders,
-        row_ids=row_ids,
+        orders=longest,
+        row_ids_by_order=row_ids,
         cum_rows=tables.cum,
         prob_rows=tables.probs,
         actual_idx=idx[n:],
@@ -147,12 +181,14 @@ def resolve_fallback(
 def _model_indices(
     res: FallbackResolution, gen: np.random.Generator, mode: str
 ) -> np.ndarray:
-    a = res.cum_rows.shape[1]
     if mode == "argmax":
         return np.argmax(res.prob_rows[res.row_ids], axis=1)
     u = gen.random(res.n_test)
-    cum = res.cum_rows[res.row_ids]
-    return np.minimum((cum <= u[:, None]).sum(axis=1), a - 1)
+    # the first index whose cum exceeds u, the last when none does
+    picked = np.zeros(res.n_test, dtype=np.intp)
+    for column in res.cum_columns:
+        picked += column <= u
+    return picked
 
 
 def _baseline_indices(
@@ -283,26 +319,23 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
 
     stream = RandomStream(config.master_seed).substream(returns.instrument)
     k_values = tuple(range(config.k_min, config.k_max + 1))
-    resolutions = {k: resolve_fallback(tables, seq, n, k) for k in k_values}
+    longest = resolve_fallback(tables, seq, n, config.k_max)
 
-    per_run: dict[int, list[RunErrors]] = {k: [] for k in k_values}
-    for j in range(1, config.runs + 1):
-        for k in k_values:
-            per_run[k].append(
-                evaluate_run(
-                    tables,
-                    resolutions[k],
-                    config.metric,
-                    stream.substream(j, k),
-                    baseline=config.baseline,
-                    mode=config.mode,
-                )
-            )
-
+    per_run: dict[int, tuple[RunErrors, ...]] = {}
+    fallback_histogram: dict[int, dict[int, int]] = {}
     e_mean, e_std, r_mean, r_std = [], [], [], []
     for k in k_values:
-        es = np.array([r.e for r in per_run[k]])
-        rs = np.array([r.e_rand for r in per_run[k]])
+        # one order at a time, so only that order's gathered rows are held
+        resolution = longest.truncate(k)
+        fallback_histogram[k] = resolution.order_histogram()
+        runs = per_run[k] = tuple(
+            evaluate_run(
+                tables, resolution, config.metric, stream.substream(j, k), baseline=config.baseline, mode=config.mode
+            )
+            for j in range(1, config.runs + 1)
+        )
+        es = np.array([r.e for r in runs])
+        rs = np.array([r.e_rand for r in runs])
         e_mean.append(float(es.mean()))
         e_std.append(float(es.std()))
         r_mean.append(float(rs.mean()))
@@ -321,8 +354,8 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
         e_std=tuple(e_std),
         rand_mean=tuple(r_mean),
         rand_std=tuple(r_std),
-        fallback_histogram={k: resolutions[k].order_histogram() for k in k_values},
-        per_run={k: tuple(v) for k, v in per_run.items()},
+        fallback_histogram=fallback_histogram,
+        per_run=per_run,
         sequence=seq,
         tables=tables,
     )

@@ -405,10 +405,19 @@ def test_unusable_path_exits_2(tmp_path, small_csv, capsys, command, defect):
     before = _tree(tmp_path)
     assert main([command, "--input", source, "--out", str(out), *SUBCOMMAND_ARGS[command]]) == 2
     _one_error_line(capsys)
-    after = _tree(tmp_path)
-    if defect == "input_is_dir" and command == "predict":  # --out is made before any input is read
-        assert after.pop("out") is None
-    assert after == before
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_predict_unmakeable_out_one_error_line(tmp_path, small_csv, capsys, jobs):
+    # every instrument fails on the same --out; the command says so once
+    blocker = tmp_path / "file"
+    blocker.write_text("keep\n")
+    argv = ["predict", "--input", f"a={small_csv}", "--input", f"b={small_csv}", "--out", str(blocker / "out")]
+    before = _tree(tmp_path)
+    assert main([*argv, "--jobs", jobs, *SUBCOMMAND_ARGS["predict"]]) == 2
+    assert "--out: " in _one_error_line(capsys)
+    assert _tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("command", ["census", "returns"])

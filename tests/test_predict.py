@@ -272,6 +272,94 @@ def test_resolve_fallback_matches_scalar_back_off(data):
 
 
 @given(st.data())
+@settings(deadline=None, max_examples=100)
+def test_truncate_matches_direct_resolution(data):
+    alphabet = data.draw(st.sampled_from((ALPHABET3, ALPHABET5)))
+    symbols = data.draw(st.lists(st.sampled_from(alphabet), min_size=3, max_size=300))
+    n = data.draw(st.integers(2, len(symbols) - 1))
+    k_max = data.draw(st.integers(1, min(5, n - 1)))
+    seq, tables = split_tables(symbols, alphabet, n, k_max)
+    full = resolve_fallback(tables, seq, n, k_max)
+    assert full.orders.dtype == np.int8 and full.row_ids_by_order.dtype == np.int32
+    assert full.row_ids_by_order.shape == (k_max + 1, len(symbols) - n)
+    for k in range(1, k_max + 1):
+        derived, direct = full.truncate(k), resolve_fallback(tables, seq, n, k)
+        assert derived.order == direct.order == k
+        np.testing.assert_array_equal(derived.orders, direct.orders)
+        np.testing.assert_array_equal(derived.row_ids, direct.row_ids)
+        np.testing.assert_array_equal(derived.row_ids_by_order, direct.row_ids_by_order)
+        np.testing.assert_array_equal(derived.cum_columns, direct.cum_rows[direct.row_ids, :-1].T)
+        expected = brute_force_back_off(symbols, n, k, k_max, alphabet)
+        assert derived.orders.tolist() == [order for order, _ in expected]
+        for i, (_, counts) in enumerate(expected):
+            assert derived.cum_rows[derived.row_ids[i]].tolist() == sequential_cum(counts)
+    with pytest.raises(ValueError):
+        full.truncate(k_max + 1)
+    with pytest.raises(ValueError):
+        full.truncate(0)
+
+
+class _FixedDraws:
+    """Stands in for a generator whose next uniforms are known."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u
+
+
+def _sampled(cum_rows, row_ids, u):
+    """_model_indices over hand-made rows and uniforms, next to sample_index on each."""
+    n_test = len(row_ids)
+    res = predict_mod.FallbackResolution(
+        order=1,
+        orders=np.ones(n_test, dtype=np.int8),
+        row_ids_by_order=np.array([np.zeros(n_test), row_ids], dtype=np.int32),
+        cum_rows=cum_rows,
+        prob_rows=cum_rows,
+        actual_idx=np.zeros(n_test, dtype=np.intp),
+    )
+    got = predict_mod._model_indices(res, _FixedDraws(u), "sample").tolist()
+    return got, [sample_index(cum_rows[r].tolist(), x) for r, x in zip(row_ids, u)]
+
+
+def test_model_indices_sampling_edges():
+    short = np.nextafter(1.0, 0.0)
+    cum_rows = np.array([
+        [0.0, 0.5, 0.5, 1.0, 1.0],  # counts 0, 2, 0, 2, 0: zero-count columns repeat cum
+        [0.2, 0.4, 0.6, 0.8, 0.9],  # a last entry below 1.0
+    ])
+    row_ids = [0, 0, 0, 0, 0, 1, 1, 1, 1]
+    u = [0.0, 0.25, 0.5, np.nextafter(0.5, 0.0), short, 0.2, 0.8, 0.9, 0.95]
+    got, want = _sampled(cum_rows, row_ids, u)
+    assert got == want == [1, 1, 3, 1, 3, 1, 4, 4, 4]
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=150)
+def test_model_indices_matches_sample_index(data):
+    a = data.draw(st.sampled_from((len(ALPHABET3), len(ALPHABET5))))
+    counts = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=a, max_size=a).filter(any), min_size=1, max_size=6
+    )))
+    # the package's own cum, which may end a rounding step below 1.0
+    cum_rows = np.cumsum(counts / counts.sum(axis=1, keepdims=True), axis=1)
+    row_ids = data.draw(st.lists(st.integers(0, len(cum_rows) - 1), min_size=1, max_size=40))
+    u = [
+        data.draw(st.one_of(
+            st.sampled_from(cum_rows[r].tolist()),  # u equal to a cum entry
+            st.just(float(np.nextafter(cum_rows[r, -1], 1.0))),  # above the last entry when it is short
+            st.floats(0.0, 1.0, exclude_max=True),
+        ))
+        for r in row_ids
+    ]
+    got, want = _sampled(cum_rows, row_ids, u)
+    assert got == want
+
+
+@given(st.data())
 @settings(deadline=None, max_examples=150)
 def test_evaluate_run_matches_scalar_scorer(data):
     alphabet = data.draw(st.sampled_from((ALPHABET3, ALPHABET5)))
@@ -283,17 +371,22 @@ def test_evaluate_run_matches_scalar_scorer(data):
     baseline = data.draw(st.sampled_from(predict_mod.BASELINES))
     mode = data.draw(st.sampled_from(predict_mod.MODES))
     run = data.draw(st.integers(1, 50))
-    stream = RandomStream(data.draw(st.integers(0, 2**64 - 1))).substream(run, k)
+    root = RandomStream(data.draw(st.integers(0, 2**64 - 1)))
     seq, tables = split_tables(symbols, alphabet, n, k_max)
-    res = resolve_fallback(tables, seq, n, k)
-    got = evaluate_run(tables, res, metric, stream, baseline=baseline, mode=mode)
-    want = scalar_evaluate_run(
-        symbols, n, k, k_max, alphabet, metric,
-        stream.substream("model").generator(), stream.substream("baseline").generator(),
-        baseline=baseline, mode=mode,
-    )
-    assert (got.e, got.e_rand) == want
-    assert got.order == k and got.n_predictions == len(symbols) - n
+    full = resolve_fallback(tables, seq, n, k_max)
+    # the resolution at k itself, then every order derived from the one at k_max,
+    # each scored for two runs so the second reuses the gathered rows
+    for res in (resolve_fallback(tables, seq, n, k), *(full.truncate(j) for j in range(1, k_max + 1))):
+        for j in (run, run + 1):
+            stream = root.substream(j, res.order)
+            got = evaluate_run(tables, res, metric, stream, baseline=baseline, mode=mode)
+            want = scalar_evaluate_run(
+                symbols, n, res.order, k_max, alphabet, metric,
+                stream.substream("model").generator(), stream.substream("baseline").generator(),
+                baseline=baseline, mode=mode,
+            )
+            assert (got.e, got.e_rand) == want
+            assert got.order == res.order and got.n_predictions == len(symbols) - n
 
 
 def test_fallback_orders_replay_against_tables():
