@@ -7,9 +7,7 @@ from .coding import (
     CodingScheme,
     SymbolSequence,
     encode_series,
-    make_five_symbol_scheme,
     make_scheme,
-    make_three_symbol_scheme,
 )
 from .errors import (
     DegenerateStd,

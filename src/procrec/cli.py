@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .coding import dump_coding_sidecar, dump_symbols_csv, encode_series, make_scheme
+from .coding import SCHEMES, dump_coding_sidecar, dump_symbols_csv, encode_series, make_scheme
 from .errors import IngestError, ProcrecError, SequenceTooShort, SeriesTooShort
 from .ingest import (
     ColumnSchema,
@@ -35,7 +35,6 @@ from .predict import (
     BASELINES,
     METRICS,
     MODES,
-    SCHEMES,
     ExperimentConfig,
     report_to_json_dict,
     run_experiment,

@@ -12,6 +12,11 @@ three-symbol, {-1,0,1}:
 
 Band edges are upper-inclusive / lower-exclusive, so every real value maps to
 exactly one symbol, including values exactly on a threshold.
+
+``SCHEME_TABLE`` holds both codes as (symbols, std divisors): cut point i is
+s / divisor[i], so (-1, -3, 3, 1) gives (-s, -s/3, s/3, s) exactly, IEEE
+division being sign-symmetric. A coded series holds band indices, and its
+alphabet, built here, decides the symbol value each index stands for.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ from .ingest import ReturnSeries, SeriesStats, write_text_atomic
 __all__ = [
     "CodingScheme",
     "SymbolSequence",
-    "make_five_symbol_scheme",
-    "make_three_symbol_scheme",
     "make_scheme",
     "encode_series",
     "dump_coding_sidecar",
@@ -58,74 +61,59 @@ class CodingScheme:
         if any(a >= b for a, b in zip(self.symbols, self.symbols[1:])):
             raise ValueError("symbols must be strictly increasing")
 
-    def classify_array(self, v: np.ndarray) -> np.ndarray:
-        """Symbols of centered values; a value's band index is the number of cuts below it."""
-        idx = np.searchsorted(np.asarray(self.cut_points), v, side="left")
-        return np.asarray(self.symbols, dtype=np.int64)[idx]
+    def band_indices(self, v: np.ndarray) -> np.ndarray:
+        """Band index of each centered value: the number of cuts below it."""
+        return np.searchsorted(np.asarray(self.cut_points), v, side="left")
 
 
 @dataclass(frozen=True, eq=False)
 class SymbolSequence:
-    """A coded series: integer symbols drawn from one scheme's alphabet."""
+    """A coded series: int64 positions in a strictly increasing alphabet of symbols."""
 
-    instrument: str
-    scheme: str
-    symbols: np.ndarray
+    indices: np.ndarray
     alphabet: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", np.asarray(self.symbols, dtype=np.int64))
-        extra = set(np.unique(self.symbols).tolist()) - set(self.alphabet)
-        if extra:
-            raise ValueError(f"symbols {sorted(extra)} not in alphabet {self.alphabet}")
+        if any(a >= b for a, b in zip(self.alphabet, self.alphabet[1:])):
+            raise ValueError(f"alphabet must be strictly increasing, got {self.alphabet}")
+        idx = np.asarray(self.indices, dtype=np.int64)
+        object.__setattr__(self, "indices", idx)
+        if len(idx) and (idx.min() < 0 or idx.max() >= len(self.alphabet)):
+            raise ValueError(f"indices outside the alphabet's positions 0..{len(self.alphabet) - 1}")
+
+    @property
+    def symbols(self) -> np.ndarray:
+        """The symbol values, ``alphabet[indices]``."""
+        return np.asarray(self.alphabet, dtype=np.int64)[self.indices]
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.indices)
 
 
-def make_five_symbol_scheme(stats: SeriesStats) -> CodingScheme:
-    if stats.std <= 0:
-        raise DegenerateStd("five-symbol scheme needs std > 0")
-    s = stats.std
-    return CodingScheme(
-        name="five",
-        symbols=(-2, -1, 0, 1, 2),
-        cut_points=(-s, -s / 3, s / 3, s),
-    )
-
-
-def make_three_symbol_scheme(stats: SeriesStats) -> CodingScheme:
-    if stats.std <= 0:
-        raise DegenerateStd("three-symbol scheme needs std > 0")
-    s = stats.std
-    return CodingScheme(
-        name="three",
-        symbols=(-1, 0, 1),
-        cut_points=(-s, s),
-    )
+# name -> (symbols, std divisors of the cut points)
+SCHEME_TABLE = {
+    "five": ((-2, -1, 0, 1, 2), (-1, -3, 3, 1)),
+    "three": ((-1, 0, 1), (-1, 1)),
+}
+SCHEMES = tuple(SCHEME_TABLE)
 
 
 def make_scheme(name: str, stats: SeriesStats) -> CodingScheme:
-    if name == "five":
-        return make_five_symbol_scheme(stats)
-    if name == "three":
-        return make_three_symbol_scheme(stats)
-    raise ValueError(f"unknown scheme {name!r}")
+    if name not in SCHEME_TABLE:
+        raise ValueError(f"unknown scheme {name!r}")
+    if stats.std <= 0:
+        raise DegenerateStd(f"{name}-symbol scheme needs std > 0")
+    symbols, divisors = SCHEME_TABLE[name]
+    return CodingScheme(name=name, symbols=symbols, cut_points=tuple(stats.std / d for d in divisors))
 
 
 def encode_series(
     returns: ReturnSeries, stats: SeriesStats, scheme: CodingScheme
 ) -> SymbolSequence:
-    """Apply the scheme element-wise to centered returns r - mean."""
+    """Band index of every centered return r - mean, over the scheme's symbols."""
     if stats.std <= 0:
         raise DegenerateStd("cannot encode with zero standard deviation")
-    centered = returns.values - stats.mean
-    return SymbolSequence(
-        instrument=returns.instrument,
-        scheme=scheme.name,
-        symbols=scheme.classify_array(centered),
-        alphabet=scheme.symbols,
-    )
+    return SymbolSequence(indices=scheme.band_indices(returns.values - stats.mean), alphabet=scheme.symbols)
 
 
 def dump_coding_sidecar(

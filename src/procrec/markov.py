@@ -133,17 +133,6 @@ class ConditionalTableSet:
         return ContextRow(counts=self.counts[0], probs=self.probs[0], cum=self.cum[0])
 
 
-def symbol_indices(symbols: np.ndarray, alphabet: tuple[int, ...]) -> np.ndarray:
-    """Position of every symbol in a strictly increasing alphabet."""
-    if any(a >= b for a, b in zip(alphabet, alphabet[1:])):
-        raise ValueError(f"alphabet must be strictly increasing, got {alphabet}")
-    alpha = np.asarray(alphabet, dtype=np.int64)
-    idx = np.searchsorted(alpha, symbols)
-    if np.any(idx >= len(alpha)) or np.any(alpha[np.minimum(idx, len(alpha) - 1)] != symbols):
-        raise ValueError("sequence contains symbols outside the alphabet")
-    return idx
-
-
 def _check_packable(alphabet_size: int, k_max: int) -> None:
     # blocks are packed into int64 codes; fails loudly instead of wrapping
     if alphabet_size ** (k_max + 1) > 2**62:
@@ -172,10 +161,8 @@ def census_blocks(seq: SymbolSequence, k_max: int) -> list[BlockCensus]:
         raise ValueError("k_max must be >= 1")
     if n < k_max:
         raise SequenceTooShort(f"sequence of length {n} has no block of size {k_max}")
-    alphabet = tuple(seq.alphabet)
-    a = len(alphabet)
+    a = len(seq.alphabet)
     _check_packable(a, k_max)
-    idx = symbol_indices(seq.symbols, alphabet)
     return [
         BlockCensus(
             order=k,
@@ -183,7 +170,7 @@ def census_blocks(seq: SymbolSequence, k_max: int) -> list[BlockCensus]:
             max_possible=a**k,
             total_windows=len(codes),
         )
-        for k, codes in enumerate(_context_codes(idx, a, k_max), start=1)
+        for k, codes in enumerate(_context_codes(seq.indices, a, k_max), start=1)
     ]
 
 
@@ -205,7 +192,7 @@ def build_conditional_tables(train: SymbolSequence, k_max: int) -> ConditionalTa
         )
     a = len(alpha)
     _check_packable(a, k_max)
-    idx = symbol_indices(train.symbols, alpha)
+    idx = train.indices
 
     # row 0 of the stacked arrays is the marginal, then each order's rows
     blocks = [np.bincount(idx, minlength=a)[None, :]]

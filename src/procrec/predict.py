@@ -26,10 +26,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .coding import CodingScheme, SymbolSequence, encode_series, make_scheme
+from .coding import SCHEMES, CodingScheme, SymbolSequence, encode_series, make_scheme
 from .errors import SplitTooSmall
 from .ingest import ReturnSeries, SeriesStats, compute_stats, split_halves
-from .markov import ConditionalTableSet, _context_codes, build_conditional_tables, symbol_indices
+from .markov import ConditionalTableSet, _context_codes, build_conditional_tables
 
 __all__ = [
     "RandomStream",
@@ -43,7 +43,6 @@ __all__ = [
     "report_to_json_dict",
 ]
 
-SCHEMES = ("five", "three")
 METRICS = ("abs", "signed")
 BASELINES = ("uniform", "marginal")
 MODES = ("sample", "argmax")
@@ -156,8 +155,10 @@ def resolve_fallback(
         raise ValueError(f"order {k} outside built range 1..{tables.k_max}")
     if n < k:
         raise ValueError(f"first test context would precede the series (n={n}, k={k})")
+    if tuple(seq.alphabet) != tables.alphabet:  # indices of another alphabet would be misread
+        raise ValueError(f"sequence alphabet {seq.alphabet} is not the tables' {tables.alphabet}")
 
-    idx = symbol_indices(seq.symbols, tables.alphabet)
+    idx = seq.indices
     longest = np.zeros(n_test, dtype=np.int8)
     row_ids = np.zeros((k + 1, n_test), dtype=np.int32)  # row 0: the marginal
     # the contexts of t = n .. total-1 lie in idx[n - k : total - 1]
@@ -314,7 +315,7 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
     stats = compute_stats(returns if config.stats_on == "full" else h1)
     scheme = make_scheme(config.scheme, stats)
     seq = encode_series(returns, stats, scheme)
-    train = replace(seq, symbols=seq.symbols[:n])
+    train = replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, config.k_max)
 
     stream = RandomStream(config.master_seed).substream(returns.instrument)

@@ -5,7 +5,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from procrec import ReturnSeries
+from procrec import ReturnSeries, SymbolSequence
 
 import synth
 
@@ -17,6 +17,12 @@ SPAN = (
 
 def mk_returns(values, instrument="test") -> ReturnSeries:
     return ReturnSeries(instrument=instrument, values=np.asarray(values, dtype=float), span=SPAN)
+
+
+def mk_seq(symbols, alphabet) -> SymbolSequence:
+    """The sequence of the given symbol values, coded as positions in ``alphabet``."""
+    alphabet = tuple(alphabet)
+    return SymbolSequence([alphabet.index(s) for s in symbols], alphabet)
 
 
 @pytest.fixture

@@ -21,7 +21,6 @@ import numpy as np
 import procrec.predict as predict_mod
 from procrec import (
     SeriesStats,
-    SymbolSequence,
     build_conditional_tables,
     census_blocks,
     compute_log_returns,
@@ -29,15 +28,14 @@ from procrec import (
     encode_series,
     evaluate_run,
     load_price_csv,
-    make_five_symbol_scheme,
-    make_three_symbol_scheme,
+    make_scheme,
     resolve_fallback,
     run_experiment,
 )
 from procrec.cli import main
 from procrec.predict import ExperimentConfig, RandomStream
 
-from conftest import mk_returns
+from conftest import mk_returns, mk_seq
 from oracles import (
     ALPHABET3,
     ALPHABET5,
@@ -60,10 +58,6 @@ def criterion(num: int, title: str):
         print(f"\nACCEPTANCE {num} {title}: FAIL")
         raise
     print(f"\nACCEPTANCE {num} {title}: PASS")
-
-
-def mk_seq(symbols, alphabet) -> SymbolSequence:
-    return SymbolSequence("t", "custom", np.asarray(symbols, dtype=np.int64), tuple(alphabet))
 
 
 def random_corpus(n_sequences: int, seed: int):
@@ -101,9 +95,9 @@ def test_criterion_2_row_stochasticity_and_conservation(market_scale_csv):
 
         returns = compute_log_returns(load_price_csv(market_scale_csv))
         stats = compute_stats(returns)
-        seq = encode_series(returns, stats, make_five_symbol_scheme(stats))
+        seq = encode_series(returns, stats, make_scheme("five", stats))
         n = len(returns) // 2
-        train = dataclasses.replace(seq, symbols=seq.symbols[:n])
+        train = dataclasses.replace(seq, indices=seq.indices[:n])
         table_sets.append((n, build_conditional_tables(train, 8)))
 
         for n_train, tables in table_sets:
@@ -134,14 +128,15 @@ def test_criterion_3_coding_property():
             st = SeriesStats(mean=0.0, std=s, count=10)
             m5 = five_band_matches(v, s)
             m3 = three_band_matches(v, s)
-            assert len(m5) == 1 and m5[0] == make_five_symbol_scheme(st).classify_array(v)
-            assert len(m3) == 1 and m3[0] == make_three_symbol_scheme(st).classify_array(v)
+            five, three = make_scheme("five", st), make_scheme("three", st)
+            assert len(m5) == 1 and m5[0] == five.symbols[five.band_indices(v)]
+            assert len(m3) == 1 and m3[0] == three.symbols[three.band_indices(v)]
 
         for i in range(100):
             returns = mk_returns(rng.standard_t(4, 120) * 0.01)
             stats = compute_stats(returns)
-            five = encode_series(returns, stats, make_five_symbol_scheme(stats))
-            three = encode_series(returns, stats, make_three_symbol_scheme(stats))
+            five = encode_series(returns, stats, make_scheme("five", stats))
+            three = encode_series(returns, stats, make_scheme("three", stats))
             expected = [coarsen_five_to_three(sym) for sym in five.symbols.tolist()]
             assert three.symbols.tolist() == expected
 
@@ -163,7 +158,7 @@ def test_criterion_4_synthetic_recovery():
 
         # split protocol: past half predicts the future half
         n = len(symbols) // 2
-        train = dataclasses.replace(seq, symbols=seq.symbols[:n])
+        train = dataclasses.replace(seq, indices=seq.indices[:n])
         tables = build_conditional_tables(train, 2)
         stream = RandomStream(20240002).substream("chain")
         res = {k: resolve_fallback(tables, seq, n, k) for k in (1, 2)}
@@ -208,7 +203,7 @@ def test_criterion_5_model_beats_random(market_scale_csv):
         # census saturation sets in around k=4: near-complete block coverage
         # below it, a collapsing fraction of the 5^k ceiling above it
         stats = compute_stats(returns)
-        seq = encode_series(returns, stats, make_five_symbol_scheme(stats))
+        seq = encode_series(returns, stats, make_scheme("five", stats))
         ratios = {
             c.order: c.distinct_count / c.max_possible for c in census_blocks(seq, 8)
         }
@@ -259,7 +254,7 @@ def test_criterion_7_train_test_hygiene(monkeypatch):
         n = len(returns) // 2
         h1 = mk_returns(returns.values[:n], instrument="hyg")
         stats = compute_stats(h1)
-        seq = encode_series(returns, stats, make_five_symbol_scheme(stats))
+        seq = encode_series(returns, stats, make_scheme("five", stats))
         symbols_seen, tables_clean = captured[0]
         assert len(symbols_seen) == n
         np.testing.assert_array_equal(symbols_seen, seq.symbols[:n])

@@ -11,11 +11,10 @@ from procrec import (
     CodingScheme,
     DegenerateStd,
     SeriesStats,
+    SymbolSequence,
     compute_stats,
     encode_series,
-    make_five_symbol_scheme,
     make_scheme,
-    make_three_symbol_scheme,
 )
 from procrec.coding import dump_coding_sidecar, dump_symbols_csv
 
@@ -26,49 +25,63 @@ STATS = SeriesStats(mean=0.001, std=0.02, count=100)
 S = STATS.std
 
 
-def test_five_scheme_shape():
-    scheme = make_five_symbol_scheme(STATS)
-    assert scheme.symbols == (-2, -1, 0, 1, 2)
-    assert scheme.cut_points == (-S, -S / 3, S / 3, S)
+def symbol_of(scheme, v):
+    return scheme.symbols[scheme.band_indices(v)]
+
+
+# 1e-323 is the smallest std whose s/3 does not underflow to zero
+@given(s=st.floats(min_value=1e-323, max_value=1e300))
+@example(s=1e-323)
+@example(s=2.2250738585072014e-308)  # the smallest normal
+@example(s=S)
+@example(s=1e300)
+@settings(deadline=None)
+def test_scheme_table_cuts_are_exact(s):
+    five = make_scheme("five", SeriesStats(mean=0.001, std=s, count=100))
+    three = make_scheme("three", SeriesStats(mean=0.001, std=s, count=100))
+    assert (five.name, five.symbols) == ("five", (-2, -1, 0, 1, 2))
+    assert (three.name, three.symbols) == ("three", (-1, 0, 1))
+    assert [c.hex() for c in five.cut_points] == [c.hex() for c in (-s, -s / 3, s / 3, s)]
+    assert [c.hex() for c in three.cut_points] == [c.hex() for c in (-s, s)]
 
 
 def test_five_scheme_band_boundaries():
-    scheme = make_five_symbol_scheme(STATS)
-    assert scheme.classify_array(0.0) == 0
-    assert scheme.classify_array(S) == 1  # upper bound of band 1 is inclusive
-    assert scheme.classify_array(np.nextafter(S, np.inf)) == 2
-    assert scheme.classify_array(S / 3) == 0
-    assert scheme.classify_array(-S / 3) == -1
-    assert scheme.classify_array(-S) == -2
-    assert scheme.classify_array(2 * S) == 2
-    assert scheme.classify_array(-2 * S) == -2
+    scheme = make_scheme("five", STATS)
+    assert symbol_of(scheme, 0.0) == 0
+    assert symbol_of(scheme, S) == 1  # upper bound of band 1 is inclusive
+    assert symbol_of(scheme, np.nextafter(S, np.inf)) == 2
+    assert symbol_of(scheme, S / 3) == 0
+    assert symbol_of(scheme, -S / 3) == -1
+    assert symbol_of(scheme, -S) == -2
+    assert symbol_of(scheme, 2 * S) == 2
+    assert symbol_of(scheme, -2 * S) == -2
 
 
 def test_three_scheme_band_boundaries():
-    scheme = make_three_symbol_scheme(STATS)
+    scheme = make_scheme("three", STATS)
     assert scheme.symbols == (-1, 0, 1)
-    assert scheme.classify_array(0.0) == 0
-    assert scheme.classify_array(1.5 * S) == 1
-    assert scheme.classify_array(-1.5 * S) == -1
-    assert scheme.classify_array(S) == 0
-    assert scheme.classify_array(-S) == -1
+    assert symbol_of(scheme, 0.0) == 0
+    assert symbol_of(scheme, 1.5 * S) == 1
+    assert symbol_of(scheme, -1.5 * S) == -1
+    assert symbol_of(scheme, S) == 0
+    assert symbol_of(scheme, -S) == -1
 
 
 def test_make_scheme_by_name():
     assert make_scheme("five", STATS).name == "five"
     assert make_scheme("three", STATS).name == "three"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown scheme 'seven'$"):
         make_scheme("seven", STATS)
 
 
 def test_degenerate_std_rejected():
     flat = SeriesStats(mean=0.0, std=0.0, count=10)
+    with pytest.raises(DegenerateStd, match="^five-symbol scheme needs std > 0$"):
+        make_scheme("five", flat)
+    with pytest.raises(DegenerateStd, match="^three-symbol scheme needs std > 0$"):
+        make_scheme("three", flat)
     with pytest.raises(DegenerateStd):
-        make_five_symbol_scheme(flat)
-    with pytest.raises(DegenerateStd):
-        make_three_symbol_scheme(flat)
-    with pytest.raises(DegenerateStd):
-        encode_series(mk_returns([0.0] * 5), flat, make_five_symbol_scheme(STATS))
+        encode_series(mk_returns([0.0] * 5), flat, make_scheme("five", STATS))
 
 
 def test_scheme_validation():
@@ -80,15 +93,16 @@ def test_scheme_validation():
 
 def test_encode_constant_at_mean():
     returns = mk_returns([STATS.mean] * 7)
-    seq = encode_series(returns, STATS, make_five_symbol_scheme(STATS))
+    seq = encode_series(returns, STATS, make_scheme("five", STATS))
     assert seq.symbols.tolist() == [0] * 7
-    assert seq.scheme == "five"
+    assert seq.indices.tolist() == [2] * 7
+    assert seq.alphabet == (-2, -1, 0, 1, 2)
     assert len(seq) == 7
 
 
 def test_encode_band_construction():
     returns = mk_returns([STATS.mean + 2 * S, STATS.mean, STATS.mean - 2 * S])
-    seq = encode_series(returns, STATS, make_five_symbol_scheme(STATS))
+    seq = encode_series(returns, STATS, make_scheme("five", STATS))
     assert seq.symbols.tolist() == [2, 0, -2]
 
 
@@ -97,7 +111,7 @@ def test_encode_matches_bruteforce_bands():
     values = rng.normal(0.0, 0.01, 100)
     returns = mk_returns(values)
     stats = compute_stats(returns)
-    seq = encode_series(returns, stats, make_five_symbol_scheme(stats))
+    seq = encode_series(returns, stats, make_scheme("five", stats))
     for r, sym in zip(values, seq.symbols.tolist()):
         matches = five_band_matches(r - stats.mean, stats.std)
         assert matches == [sym]
@@ -114,12 +128,12 @@ def test_encode_matches_bruteforce_bands():
 @settings(deadline=None, max_examples=300)
 def test_totality_exactly_one_band(s, v):
     stats = SeriesStats(mean=0.0, std=s, count=10)
-    five = make_five_symbol_scheme(stats)
-    three = make_three_symbol_scheme(stats)
+    five = make_scheme("five", stats)
+    three = make_scheme("three", stats)
     m5 = five_band_matches(v, s)
     m3 = three_band_matches(v, s)
-    assert len(m5) == 1 and m5[0] == five.classify_array(v)
-    assert len(m3) == 1 and m3[0] == three.classify_array(v)
+    assert len(m5) == 1 and m5[0] == symbol_of(five, v)
+    assert len(m3) == 1 and m3[0] == symbol_of(three, v)
 
 
 @given(
@@ -129,9 +143,9 @@ def test_totality_exactly_one_band(s, v):
 )
 @settings(deadline=None)
 def test_monotonicity(s, v1, v2):
-    scheme = make_five_symbol_scheme(SeriesStats(mean=0.0, std=s, count=10))
+    scheme = make_scheme("five", SeriesStats(mean=0.0, std=s, count=10))
     lo, hi = min(v1, v2), max(v1, v2)
-    assert scheme.classify_array(lo) <= scheme.classify_array(hi)
+    assert scheme.band_indices(lo) <= scheme.band_indices(hi)
 
 
 @given(
@@ -149,13 +163,13 @@ def test_affine_invariance(values, scale, shift):
 
     # keep away from band edges, where a half-ulp of stats noise could flip a symbol
     for series, stats in ((base, base_stats), (moved, moved_stats)):
-        cuts = np.array(make_five_symbol_scheme(stats).cut_points)
+        cuts = np.array(make_scheme("five", stats).cut_points)
         centered = series.values - stats.mean
         gap = np.abs(centered[:, None] - cuts[None, :]).min()
         assume(gap > 1e-7 * stats.std)
 
-    seq_base = encode_series(base, base_stats, make_five_symbol_scheme(base_stats))
-    seq_moved = encode_series(moved, moved_stats, make_five_symbol_scheme(moved_stats))
+    seq_base = encode_series(base, base_stats, make_scheme("five", base_stats))
+    seq_moved = encode_series(moved, moved_stats, make_scheme("five", moved_stats))
     assert seq_base.symbols.tolist() == seq_moved.symbols.tolist()
 
 
@@ -164,8 +178,8 @@ def test_three_is_coarsening_of_five():
     for _ in range(25):
         returns = mk_returns(rng.standard_t(4, 150) * 0.01)
         stats = compute_stats(returns)
-        five = encode_series(returns, stats, make_five_symbol_scheme(stats))
-        three = encode_series(returns, stats, make_three_symbol_scheme(stats))
+        five = encode_series(returns, stats, make_scheme("five", stats))
+        three = encode_series(returns, stats, make_scheme("three", stats))
         expected = [coarsen_five_to_three(s) for s in five.symbols.tolist()]
         assert three.symbols.tolist() == expected
 
@@ -174,20 +188,25 @@ def test_large_event_counts_match_across_schemes():
     rng = np.random.default_rng(11)
     returns = mk_returns(rng.standard_t(3, 500) * 0.02)
     stats = compute_stats(returns)
-    five = encode_series(returns, stats, make_five_symbol_scheme(stats))
-    three = encode_series(returns, stats, make_three_symbol_scheme(stats))
+    five = encode_series(returns, stats, make_scheme("five", stats))
+    three = encode_series(returns, stats, make_scheme("three", stats))
     assert np.sum(np.abs(five.symbols) == 2) == np.sum(np.abs(three.symbols) == 1)
 
 
 def test_symbol_sequence_rejects_foreign_symbols():
-    from procrec import SymbolSequence
-
-    with pytest.raises(ValueError):
-        SymbolSequence("t", "five", np.array([0, 3]), (-2, -1, 0, 1, 2))
+    five = (-2, -1, 0, 1, 2)
+    for bad in ([0, -1], [0, len(five)]):
+        with pytest.raises(ValueError, match="outside"):
+            SymbolSequence(np.array(bad), five)
+    assert len(SymbolSequence(np.array([], dtype=np.int64), five)) == 0
+    seq = SymbolSequence(np.array([4, 0, 2, 3]), five)
+    assert seq.indices.dtype == np.int64
+    np.testing.assert_array_equal(seq.symbols, np.asarray(five)[seq.indices])
+    assert seq.symbols.tolist() == [2, -2, 0, 1]
 
 
 def test_sidecar_dump(tmp_path):
-    scheme = make_five_symbol_scheme(STATS)
+    scheme = make_scheme("five", STATS)
     out = tmp_path / "coding.json"
     dump_coding_sidecar(scheme, STATS, out)
     payload = json.loads(out.read_text())
@@ -200,7 +219,7 @@ def test_sidecar_dump(tmp_path):
 
 def test_symbols_csv_dump(tmp_path):
     returns = mk_returns([STATS.mean + 2 * S, STATS.mean, STATS.mean - 2 * S])
-    seq = encode_series(returns, STATS, make_five_symbol_scheme(STATS))
+    seq = encode_series(returns, STATS, make_scheme("five", STATS))
     out = tmp_path / "symbols.csv"
     dump_symbols_csv(seq, out)
     assert out.read_text().splitlines() == ["symbol", "2", "0", "-2"]

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from procrec import (
     SequenceTooShort,
-    SymbolSequence,
     build_conditional_tables,
     census_blocks,
     resolve_fallback,
 )
 from procrec.markov import dump_tables_json, write_census_csv
 
+from conftest import mk_seq
 from oracles import (
     ALPHABET3,
     ALPHABET5,
@@ -26,10 +26,6 @@ from oracles import (
     brute_force_tables,
     reference_tables_json,
 )
-
-
-def mk_seq(symbols, alphabet) -> SymbolSequence:
-    return SymbolSequence("t", "custom", np.asarray(symbols, dtype=np.int64), tuple(alphabet))
 
 
 def random_symbols(rng, length, alphabet):
@@ -190,9 +186,9 @@ def test_tables_too_short():
 
 
 def test_unsorted_alphabet_rejected():
-    seq = mk_seq([0, 1, 0, 1], (1, 0))
-    with pytest.raises(ValueError, match="increasing"):
-        build_conditional_tables(seq, 1)
+    for alphabet in ((1, 0), (0, 0, 1)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            mk_seq([0, 1, 0, 1], alphabet)
 
 
 def test_order_too_large_to_pack():

@@ -8,7 +8,6 @@ import pytest
 import procrec.predict as predict_mod
 from procrec import (
     SplitTooSmall,
-    SymbolSequence,
     build_conditional_tables,
     evaluate_run,
     resolve_fallback,
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 
 from procrec.predict import ExperimentConfig, RandomStream, report_to_json_dict
 
-from conftest import mk_returns
+from conftest import mk_returns, mk_seq
 from oracles import (
     ALPHABET3,
     ALPHABET5,
@@ -30,14 +29,10 @@ from oracles import (
 )
 
 
-def mk_seq(symbols, alphabet) -> SymbolSequence:
-    return SymbolSequence("t", "custom", np.asarray(symbols, dtype=np.int64), tuple(alphabet))
-
-
 def split_tables(symbols, alphabet, n, k_max):
     """(sequence, tables of its first n symbols) for a split at n."""
     seq = mk_seq(symbols, alphabet)
-    train = dataclasses.replace(seq, symbols=seq.symbols[:n])
+    train = dataclasses.replace(seq, indices=seq.indices[:n])
     return seq, build_conditional_tables(train, k_max)
 
 
@@ -158,7 +153,7 @@ def test_baseline_single_symbol_and_determinism():
 def test_evaluate_constant_sequence():
     seq = mk_seq([0] * 4000, ALPHABET5)
     n = 2000
-    train = dataclasses.replace(seq, symbols=seq.symbols[:n])
+    train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 3)
     res = resolve_fallback(tables, seq, n, 3)
     result = evaluate_run(tables, res, "abs", RandomStream(0).substream(1, 3))
@@ -171,7 +166,7 @@ def test_evaluate_constant_sequence():
 def test_evaluate_alternating_sequence():
     seq = mk_seq([1, -1] * 300, ALPHABET3)
     n = 300
-    train = dataclasses.replace(seq, symbols=seq.symbols[:n])
+    train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 3)
     for k in (1, 2, 3):
         res = resolve_fallback(tables, seq, n, k)
@@ -182,7 +177,7 @@ def test_evaluate_alternating_sequence():
 def test_evaluate_signed_metric():
     seq = mk_seq([0] * 1000, ALPHABET5)
     n = 500
-    train = dataclasses.replace(seq, symbols=seq.symbols[:n])
+    train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 1)
     res = resolve_fallback(tables, seq, n, 1)
     result = evaluate_run(tables, res, "signed", RandomStream(4).substream(1, 1))
@@ -194,7 +189,7 @@ def test_evaluate_signed_metric():
 def test_evaluate_marginal_baseline_constant():
     seq = mk_seq([0] * 400, ALPHABET5)
     n = 200
-    train = dataclasses.replace(seq, symbols=seq.symbols[:n])
+    train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 1)
     res = resolve_fallback(tables, seq, n, 1)
     result = evaluate_run(tables, res, "abs", RandomStream(4).substream(1, 1), baseline="marginal")
@@ -206,7 +201,7 @@ def test_evaluate_argmax_mode_deterministic():
     symbols = [int(ALPHABET3[i]) for i in rng.integers(0, 3, 800)]
     seq = mk_seq(symbols, ALPHABET3)
     n = 400
-    train = dataclasses.replace(seq, symbols=seq.symbols[:n])
+    train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 2)
     res = resolve_fallback(tables, seq, n, 2)
     a = evaluate_run(tables, res, "abs", RandomStream(1).substream(1, 2), mode="argmax")
@@ -216,9 +211,16 @@ def test_evaluate_argmax_mode_deterministic():
 
 def test_evaluate_split_too_small():
     seq = mk_seq([0, 1, 0, 1], ALPHABET3)
-    tables = build_conditional_tables(dataclasses.replace(seq, symbols=seq.symbols[:4]), 1)
+    tables = build_conditional_tables(dataclasses.replace(seq, indices=seq.indices[:4]), 1)
     with pytest.raises(SplitTooSmall):
         resolve_fallback(tables, seq, 4, 1)
+
+
+def test_resolve_fallback_rejects_another_alphabet():
+    _, tables = split_tables([-1, 0, 1, 0, -1, 1], ALPHABET3, 4, 1)
+    # index 4 of the five-symbol sequence has no meaning over three symbols
+    with pytest.raises(ValueError, match="alphabet"):
+        resolve_fallback(tables, mk_seq([-2, 0, 2, 0, -2, 2], ALPHABET5), 4, 1)
 
 
 def test_contexts_span_the_split_boundary():
@@ -394,7 +396,7 @@ def test_fallback_orders_replay_against_tables():
     symbols = [int(ALPHABET5[i]) for i in rng.integers(0, 5, 500)]
     seq = mk_seq(symbols, ALPHABET5)
     n = 250
-    train = dataclasses.replace(seq, symbols=seq.symbols[:n])
+    train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 5)
     res = resolve_fallback(tables, seq, n, 5)
     for i, t in enumerate(range(n, len(symbols))):
@@ -490,7 +492,7 @@ def test_order2_model_beats_order1_on_synthetic_chain():
     symbols = generate_order2_symbols(chain, 20_000, seed=4)
     seq = mk_seq(symbols, ALPHABET3)
     n = 10_000
-    train = dataclasses.replace(seq, symbols=seq.symbols[:n])
+    train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 2)
     stream = RandomStream(99).substream("chain")
     res1, res2 = resolve_fallback(tables, seq, n, 1), resolve_fallback(tables, seq, n, 2)
@@ -516,10 +518,10 @@ def test_table_build_sees_only_the_training_half(monkeypatch):
     cfg = ExperimentConfig(runs=1, k_min=1, k_max=3, master_seed=1)
     run_experiment(cfg, returns)
 
-    from procrec import compute_stats, encode_series, make_five_symbol_scheme
+    from procrec import compute_stats, encode_series, make_scheme
 
     stats = compute_stats(returns)
-    seq = encode_series(returns, stats, make_five_symbol_scheme(stats))
+    seq = encode_series(returns, stats, make_scheme("five", stats))
     n = len(returns) // 2
     assert len(captured["symbols"]) == n
     np.testing.assert_array_equal(captured["symbols"], seq.symbols[:n])
