@@ -5,9 +5,14 @@ column (ISO-8601 or epoch seconds, assumed UTC when naive) and a positive
 price column. Column names are configurable; defaults are ``timestamp`` and
 ``price``. Rows are canonicalized by sorting on timestamp.
 
-Whole epoch seconds are read exactly by ``int`` without ``datetime``, which
-keeps the per-row cost of a long epoch-stamped file low; fractional epochs
-and ISO-8601 stamps go through ``datetime``.
+``load_price_csv`` reads a file in blocks of whole lines and converts each
+block one column at a time: one pass over the stamps (integer arithmetic on
+the bytes when they are all digit runs of one width, else ``int``), one
+``float`` pass over the prices, then the epoch range and the price checks
+as array masks. Only the lines the block pass flags go through the row
+parser, which reads ISO-8601 and fractional epoch stamps with ``datetime``;
+from the first quote, CR or NUL byte on, ``csv.reader`` reads the rest of
+the file. Either way a file loads to the same series, errors and warnings.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import os
 from array import array
 from dataclasses import dataclass
@@ -181,6 +187,169 @@ def _parse_timestamp(raw: str) -> int:
     return (ts - _EPOCH) // _MICROSECOND
 
 
+# bytes read per block of the columnar pass; each block is cut back to its last newline.
+# Small enough that one block's field strings are few: 1 MiB blocks left about 8 MB more
+# resident after a 1M-row load, and the peak of the run that followed rose with it.
+_BLOCK_BYTES = 1 << 16
+# bytes that hand the rest of a file to csv.reader: quoted fields may hold commas and line
+# ends, CR ends lines, and csv.reader treats NUL differently across Python versions
+_CSV_BYTES = (b'"', b"\r", b"\0")
+
+
+def _blocks(fh):
+    """``(offset, data)`` over a binary file in blocks of whole lines.
+
+    Each ``data`` is at least one ``_BLOCK_BYTES`` read, cut back to its last
+    newline; a final line without a newline is given one.
+    """
+    offset, parts = 0, []
+    while chunk := fh.read(_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            parts.append(chunk)
+            continue
+        parts.append(chunk[:cut])
+        data = b"".join(parts)
+        yield offset, data
+        offset += len(data)
+        parts = [chunk[cut:]]
+    tail = b"".join(parts)
+    if tail:
+        yield offset, tail + b"\n"
+
+
+def _csv_rows(lines, line0: int):
+    """``(row, line number)`` of ``csv.reader(lines)``, counting lines from ``line0 + 1``."""
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            yield row, line0 + reader.line_num
+    except csv.Error as exc:
+        raise MalformedRow(line0 + reader.line_num, f"unreadable CSV: {exc}") from None
+
+
+def _digit_runs(buf: np.ndarray, seps: np.ndarray, field_ids: np.ndarray) -> np.ndarray | None:
+    """The values of a block's fields ``field_ids`` when every one is a run of ASCII digits of
+    one common length up to 18, which ``int`` reads the same; else None.
+
+    ``buf`` holds the block's bytes and ``seps`` the offsets of its commas and newlines, so
+    field ``j`` ends at ``seps[j]``.
+    """
+    first = np.where(field_ids > 0, seps[field_ids - 1] + 1, 0)
+    width = seps[field_ids] - first
+    if not len(field_ids) or not 0 < width[0] <= 18 or (width != width[0]).any():
+        return None
+    digits = buf[first[:, None] + np.arange(width[0])] - ord("0")  # uint8: a byte below "0" wraps past 9
+    if (digits > 9).any():
+        return None
+    return digits @ 10 ** np.arange(width[0] - 1, -1, -1)
+
+
+class _PriceRows:
+    """The accepted rows of one price CSV, read a block or a row at a time."""
+
+    def __init__(self, path: Path, schema: ColumnSchema, lenient: bool):
+        self.path, self.schema, self.lenient = path, schema, lenient
+        self.width = 0  # fields in the header row; 0 until it is read
+        self.columnar = True  # until a block's int()/float() column conversion fails
+        self.limit = csv.field_size_limit()
+        self.stamps, self.prices, self.lines = array("q"), array("d"), array("q")  # accepted rows
+
+    def set_header(self, row: list[str] | None) -> None:
+        if row is None:
+            raise MalformedRow(1, "empty file, expected a header row")
+        header = [h.strip() for h in row]
+        ts, price = self.schema.timestamp, self.schema.price
+        if ts not in header or price not in header:
+            raise MalformedRow(1, f"header {header!r} does not contain columns {ts!r} and {price!r}")
+        self.ts_col, self.price_col = header.index(ts), header.index(price)
+        self.n_cols = max(self.ts_col, self.price_col) + 1
+        self.width = len(header)
+
+    def add_row(self, row: list[str], line: int) -> None:
+        """Check one row's fields and keep its stamp and price, skip it, or raise."""
+        try:
+            us = _parse_timestamp(row[self.ts_col])
+            price = float(row[self.price_col])
+        except (IndexError, ValueError, OverflowError, OSError) as exc:
+            if all(not c.strip() for c in row):  # a blank row never parses
+                return
+            if self.lenient:
+                reason = "too few fields" if len(row) < self.n_cols else exc
+                logger.warning("%s line %d skipped: %s", self.path, line, reason)
+                return
+            raise MalformedRow(line, f"unparseable row {row!r}") from None
+        if not 0 < price < math.inf:
+            if self.lenient:
+                logger.warning("%s line %d skipped: non-positive price %r", self.path, line, price)
+                return
+            raise NonPositivePrice(line, f"price {price!r} is not positive")
+        self.stamps.append(us)
+        self.prices.append(price)
+        self.lines.append(line)
+
+    def add_block(self, data: bytes, line0: int) -> int:
+        """Load ``data``, whole lines with no quote, CR or NUL, the first being line ``line0 + 1``;
+        return the number of lines.
+
+        The columns are converted in one pass each; flagged lines, in file
+        order, go through :meth:`add_row` (see :func:`load_price_csv`).
+        """
+        buf = np.frombuffer(data, dtype=np.uint8)
+        seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+        ends = np.flatnonzero(buf[seps] == ord("\n"))  # each line's last field, as an index into fields
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        fields = data.decode("utf-8", "surrogateescape").replace("\n", ",").split(",")
+        fields.pop()  # the empty text after the last newline
+        flagged = ends - starts + 1 != self.width
+        # a field's bytes bound its characters, which csv.field_size_limit() counts, from above
+        oversized = np.zeros(len(ends), dtype=bool)
+        oversized[np.searchsorted(ends, np.flatnonzero(np.diff(seps, prepend=-1) > self.limit + 1))] = True
+        flagged |= oversized
+        if self.columnar:
+            rows = np.flatnonzero(~flagged)
+            if len(rows) == len(ends):
+                ts_text, price_text = fields[self.ts_col :: self.width], fields[self.price_col :: self.width]
+            else:
+                texts = np.array(fields, dtype=object)
+                ts_text, price_text = texts[starts[rows] + self.ts_col], texts[starts[rows] + self.price_col]
+            try:
+                seconds = _digit_runs(buf, seps, starts[rows] + self.ts_col)
+                if seconds is None:
+                    seconds = np.fromiter(map(int, ts_text), dtype=np.int64, count=len(rows))
+                prices = np.fromiter(map(float, price_text), dtype=np.float64, count=len(rows))
+            except (ValueError, OverflowError):
+                self.columnar = False
+            else:
+                good = (seconds >= _EPOCH_SECONDS_MIN) & (seconds <= _EPOCH_SECONDS_MAX)
+                good &= (prices > 0) & (prices < np.inf)
+                self.stamps.frombytes((seconds[good] * 1_000_000).tobytes())
+                self.prices.frombytes(prices[good].tobytes())
+                self.lines.frombytes((line0 + 1 + rows[good]).tobytes())
+                flagged[rows[~good]] = True
+        if not self.columnar:
+            flagged[:] = True
+        rows = np.flatnonzero(flagged)
+        for i, first, last, over in zip(
+            rows.tolist(), starts[rows].tolist(), ends[rows].tolist(), oversized[rows].tolist()
+        ):
+            row, line = fields[first : last + 1], line0 + 1 + i
+            if over and max(map(len, row)) > self.limit:
+                raise MalformedRow(line, f"unreadable CSV: field larger than field limit ({self.limit})")
+            self.add_row(row, line)
+        return len(ends)
+
+    def add_csv(self, fh, offset: int, line0: int) -> None:
+        """Load the rest of ``fh`` from byte ``offset``, line ``line0 + 1``, through ``csv.reader``."""
+        fh.seek(offset)
+        with io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline="") as text:
+            rows = _csv_rows(text, line0)
+            if not self.width:
+                self.set_header(next(rows, (None, 0))[0])
+            for row, line in rows:
+                self.add_row(row, line)
+
+
 def load_price_csv(
     path: str | Path,
     schema: ColumnSchema | None = None,
@@ -197,55 +366,50 @@ def load_price_csv(
     rows are skipped with a logged warning; duplicate timestamps keep the
     first occurrence in file order. A byte that is not UTF-8 makes its field
     unparseable; text the ``csv`` module rejects aborts in either mode.
+
+    The header row is parsed by ``csv.reader``. The rest of the file is read
+    in blocks of ``_BLOCK_BYTES``, each cut back to its last newline. A block
+    has its separators found in one numpy scan, its text split into fields
+    once, and its timestamp and price columns converted by one ``int`` and
+    one ``float`` pass; a stamp column of ASCII digit runs, all of one width
+    up to 18, is read from the bytes by integer arithmetic instead, which
+    gives what ``int`` gives. A line goes through the row parser instead when
+    it is flagged:
+
+    - its field count differs from the header's (a blank line's does);
+    - a field has more bytes than ``csv.field_size_limit()`` allows characters;
+    - its stamp lies outside the whole epoch seconds ``datetime`` accepts;
+    - its price is not positive and finite.
+
+    When ``int`` or ``float`` rejects a value in a block, as it does an
+    ISO-8601 stamp, that block and all later ones go through the row parser
+    line by line. The block holding the first quote, CR or NUL byte, and
+    everything after it, goes through ``csv.reader``, which keeps quoted
+    fields and CR line ends exact. A final line without a newline is read as
+    if it had one.
     """
     path = Path(path)
-    schema = schema or ColumnSchema()
     name = instrument if instrument is not None else path.stem
+    table = _PriceRows(path, schema or ColumnSchema(), lenient)
+    with path.open("rb") as fh:
+        line0 = 0
+        for offset, data in _blocks(fh):
+            if any(b in data for b in _CSV_BYTES):
+                table.add_csv(fh, offset, line0)
+                break
+            if not table.width:
+                cut = data.index(b"\n") + 1
+                row, line0 = next(_csv_rows([data[:cut].decode("utf-8", "surrogateescape")], 0))
+                table.set_header(row)
+                data = data[cut:]
+            if data:
+                line0 += table.add_block(data, line0)
+    if not table.width:
+        table.set_header(None)
 
-    stamps, prices, lines = array("q"), array("d"), array("q")
-    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise MalformedRow(1, "empty file, expected a header row")
-            header = [h.strip() for h in header]
-            if schema.timestamp not in header or schema.price not in header:
-                raise MalformedRow(
-                    1, f"header {header!r} does not contain columns {schema.timestamp!r} and {schema.price!r}"
-                )
-            ts_col, price_col = header.index(schema.timestamp), header.index(schema.price)
-            n_cols = max(ts_col, price_col) + 1
-
-            add_stamp, add_price, add_line = stamps.append, prices.append, lines.append
-            inf = float("inf")
-            for row in reader:
-                try:
-                    us = _parse_timestamp(row[ts_col])
-                    price = float(row[price_col])
-                except (IndexError, ValueError, OverflowError, OSError) as exc:
-                    if all(not c.strip() for c in row):  # a blank row never parses
-                        continue
-                    if lenient:
-                        reason = "too few fields" if len(row) < n_cols else exc
-                        logger.warning("%s line %d skipped: %s", path, reader.line_num, reason)
-                        continue
-                    raise MalformedRow(reader.line_num, f"unparseable row {row!r}") from None
-                line = reader.line_num
-                if not 0 < price < inf:
-                    if lenient:
-                        logger.warning("%s line %d skipped: non-positive price %r", path, line, price)
-                        continue
-                    raise NonPositivePrice(line, f"price {price!r} is not positive")
-                add_stamp(us)
-                add_price(price)
-                add_line(line)
-        except csv.Error as exc:
-            raise MalformedRow(reader.line_num, f"unreadable CSV: {exc}") from None
-
-    ts, line_nos = np.frombuffer(stamps, dtype=np.int64), np.frombuffer(lines, dtype=np.int64)
+    ts, line_nos = np.frombuffer(table.stamps, dtype=np.int64), np.frombuffer(table.lines, dtype=np.int64)
     order = np.lexsort((line_nos, ts))
-    ts, values, line_nos = ts[order], np.frombuffer(prices, dtype=np.float64)[order], line_nos[order]
+    ts, values, line_nos = ts[order], np.frombuffer(table.prices, dtype=np.float64)[order], line_nos[order]
     dup = np.flatnonzero(ts[1:] == ts[:-1]) + 1
     if len(dup) and not lenient:
         stamp = utc_datetime(ts[dup[0]]).isoformat()

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import csv
 import logging
 import math
+import sys
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from procrec import (
     phase_space_pairs,
     split_halves,
 )
+from procrec import ingest
 from procrec.ingest import write_phase_space_csv
 
 from conftest import mk_returns
@@ -175,7 +179,7 @@ def timestamp_fields(draw):
              # whole epoch seconds at and past datetime's range, and the integer spellings int() takes
              "-62135596800", "-62135596801", "253402300799", "253402300800", "+1653004800",
              " 1653004800 ", "1_653_004_800", "\u0661\u0666\u0665\u0663\u0660\u0660\u0664\u0668\u0660\u0660",
-             "9" * 5000, "-0"]
+             "9" * 5000, "-0", "01653004800", "9" * 18, "1" + "0" * 18, str(2**64 + 1653004800)]
         ))
     if form == 1:
         return instant.replace(tzinfo=None).isoformat() + draw(st.sampled_from(["Z", "z"]))
@@ -188,18 +192,50 @@ def timestamp_fields(draw):
     return instant.astimezone(draw(st.sampled_from(OFFSETS))).isoformat()
 
 
+# one past csv.field_size_limit()'s default of 131,072 characters
+OVERSIZED = "9" * 131_073
+
+
 @st.composite
-def csv_rows(draw):
-    """Mostly well-formed rows, with zero, negative, NaN, inf and unparseable prices and junk lines."""
-    kind = draw(st.integers(0, 19))
+def csv_rows(draw, quoting=True):
+    """Mostly well-formed rows, with zero, negative, NaN, inf and unparseable prices, junk lines
+    and fields past the csv size limit; with ``quoting``, also quoted fields holding a comma or a
+    line end, and NUL bytes."""
+    kind = draw(st.integers(0, 23))
     if kind == 0:
-        return draw(st.sampled_from(["", "   ", ",", "garbage", "only-one-field,", '"2022-05-20T00:00:00",1']))
+        junk = ["", "   ", ",", "garbage", "only-one-field,"]
+        return draw(st.sampled_from(junk + ['"2022-05-20T00:00:00",1'] * quoting))
     if kind == 1:
         price = draw(st.sampled_from(["0", "0.0", "-1.5", "nan", "-nan", "inf", "-inf", "1e309", "abc", ""]))
+    elif kind == 3 and quoting:
+        price = draw(st.sampled_from(['"1,5"', '"2\n5"', '"3\r\n5"', '"4"', '"5"""', '6"', '"7', "8\x00", "\x00"]))
+    elif kind == 4:
+        price = draw(st.sampled_from([OVERSIZED, OVERSIZED[1:], "1" + "0" * 400]))
     else:
         price = repr(draw(st.floats(min_value=1e-3, max_value=1e6)))
+    stamp = draw(timestamp_fields())
+    if kind == 5:
+        stamps = [OVERSIZED, OVERSIZED[1:]]
+        if quoting:
+            stamps += [f'"{stamp}"', f'"{stamp},"', f'"{stamp}\n"', f"{stamp}\x00"]
+        stamp = draw(st.sampled_from(stamps))
     extra = ",extra" if kind == 2 else ""
-    return f"{draw(timestamp_fields())},{price}{extra}"
+    return f"{stamp},{price}{extra}"
+
+
+@st.composite
+def csv_text(draw, max_size):
+    """Rows from ``csv_rows``, the last one maybe without a line end. Half the files hold no quote,
+    CR or NUL; the others end their lines with LF, CRLF, lone CR or a mix of them."""
+    quoting = draw(st.booleans())
+    ends = st.just("\n")
+    if quoting:
+        ends = draw(st.sampled_from([ends, st.just("\r\n"), st.just("\r"), st.sampled_from(["\n", "\r\n", "\r"])]))
+    lines = draw(st.lists(st.tuples(csv_rows(quoting), ends), max_size=max_size))
+    text = "".join(row + end for row, end in lines)
+    if lines and draw(st.booleans()):
+        text = text[: -len(lines[-1][1])]
+    return text
 
 
 def _load_outcome(path, lenient):
@@ -221,27 +257,58 @@ def _load_outcome(path, lenient):
     return ("ok", series.timestamps.tolist(), series.prices.tolist(), [r.args[1] for r in records])
 
 
-@given(rows=st.lists(csv_rows(), max_size=25), lenient=st.booleans())
-@settings(deadline=None, max_examples=300)
-def test_loader_matches_scalar_reference(rows, lenient):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = write_csv(Path(tmp) / "p.csv", rows)
+def _check_against_reference(path, data, lenient, block_bytes=ingest._BLOCK_BYTES):
+    """Write ``data`` to ``path`` and load it with the package, at ``block_bytes`` per block, and
+    with the oracle."""
+    path.write_bytes(data)
+    with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
         assert _load_outcome(path, lenient) == reference_load_price_csv(path, lenient=lenient)
 
 
-@given(
-    header=st.sampled_from([b"", b"timestamp,price\n", b"price,timestamp\r\n"]),
-    rows=st.lists(csv_rows(), max_size=6),
-    body=st.binary(max_size=200),
-    lenient=st.booleans(),
-)
+@given(text=csv_text(max_size=25), lenient=st.booleans())
 @settings(deadline=None, max_examples=300)
-def test_loader_random_bytes_outcomes(header, rows, body, lenient):
+def test_loader_matches_scalar_reference(text, lenient):
+    with tempfile.TemporaryDirectory() as tmp:
+        _check_against_reference(Path(tmp) / "p.csv", ("timestamp,price\n" + text).encode(), lenient)
+
+
+# blocks of a few bytes put a block boundary at every place in a line, and make a long line span many reads
+tiny_blocks = st.integers(1, 8)
+
+
+@given(text=csv_text(max_size=25), lenient=st.booleans(), block_bytes=tiny_blocks)
+@settings(deadline=None, max_examples=300)
+def test_loader_matches_scalar_reference_tiny_blocks(text, lenient, block_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        _check_against_reference(Path(tmp) / "p.csv", ("timestamp,price\n" + text).encode(), lenient, block_bytes)
+
+
+# bytes the csv tokenizer or the UTF-8 decoder treat apart, and a 2-byte character
+special_bytes = st.lists(
+    st.sampled_from([b'"', b"\r", b"\n", b"\r\n", b"\x00", b",", b"1", b" ", b"\xc3\xa9", b"\xc3", b"\xff"]),
+    max_size=30,
+).map(b"".join)
+random_files = {
+    "header": st.sampled_from([b"", b"timestamp,price\n", b"price,timestamp\r\n", b'"timestamp",price\r']),
+    "text": csv_text(max_size=6),
+    "body": st.one_of(st.binary(max_size=200), special_bytes),
+    "lenient": st.booleans(),
+}
+
+
+@given(**random_files)
+@settings(deadline=None, max_examples=300)
+def test_loader_random_bytes_outcomes(header, text, body, lenient):
     # a PriceSeries, an IngestError or SeriesTooShort: never another exception
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "b.csv"
-        path.write_bytes(header + "".join(r + "\n" for r in rows).encode() + body)
-        assert _load_outcome(path, lenient) == reference_load_price_csv(path, lenient=lenient)
+        _check_against_reference(Path(tmp) / "b.csv", header + text.encode() + body, lenient)
+
+
+@given(**random_files, block_bytes=tiny_blocks)
+@settings(deadline=None, max_examples=300)
+def test_loader_random_bytes_outcomes_tiny_blocks(header, text, body, lenient, block_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        _check_against_reference(Path(tmp) / "b.csv", header + text.encode() + body, lenient, block_bytes)
 
 
 def test_load_undecodable_bytes_and_oversized_field(tmp_path):
@@ -259,6 +326,97 @@ def test_load_undecodable_bytes_and_oversized_field(tmp_path):
         with pytest.raises(MalformedRow) as exc:
             load_price_csv(path, lenient=lenient)
         assert exc.value.line_no == 3
+
+
+def _digit_strings(width):
+    return st.lists(st.text("0123456789", min_size=width, max_size=width), min_size=1, max_size=6)
+
+
+@given(
+    stamps=st.integers(0, 22).flatmap(_digit_strings)
+    | st.lists(
+        st.text("0123456789", max_size=12) | st.sampled_from([" 1", "+1", "1_0", "-1", "\u0661"]), min_size=1, max_size=6
+    )
+)
+def test_digit_runs_read_what_int_reads(stamps):
+    # the block pass reads a stamp column from its bytes only when int() would give the same values
+    data = "".join(f"{stamp},1\n" for stamp in stamps).encode()
+    buf = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    values = ingest._digit_runs(buf, seps, np.arange(0, len(seps), 2))
+    if all(s.isascii() and s.isdigit() for s in stamps) and len({len(s) for s in stamps}) == 1 and len(stamps[0]) <= 18:
+        assert values.dtype == np.int64 and values.tolist() == [int(s) for s in stamps]
+    else:
+        assert values is None
+
+
+def test_loader_block_boundaries(tmp_path):
+    # a read boundary between the two bytes of a character, inside a flagged line, and just
+    # before the first quote, from where csv.reader reads the rest of the file
+    rows = [
+        "timestamp,price,note", "1653004800,100,café", "1653008400,-5,x", "1653012000,102,y", "bad,103,z",
+        '1653015600,"104",q', "1653019200,0,w", "1653012000,105,repeat",
+    ]
+    data = ("\n".join(rows) + "\r\n").encode()
+    path = tmp_path / "edges.csv"
+    path.write_bytes(data)
+    boundaries = (data.index("é".encode()) + 1, data.index(b"-5"), data.index(b'"'))
+    expected = ("ok", [1653004800 * 10**6, 1653012000 * 10**6, 1653015600 * 10**6], [100.0, 102.0, 104.0], [3, 5, 7, 8])
+    assert reference_load_price_csv(path, lenient=True) == expected
+    for block_bytes in (*boundaries, *range(1, 9), len(data)):
+        with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
+            assert _load_outcome(path, lenient=True) == expected
+            assert _load_outcome(path, lenient=False) == reference_load_price_csv(path) == ("NonPositivePrice", 3)
+
+
+# --- behaviour that differs between Python versions -------------------------
+
+
+def test_csv_reader_nul_by_python_version():
+    # Python 3.10 rejects a NUL byte in csv.reader input; 3.11 and later read it as text
+    if sys.version_info >= (3, 11):
+        assert list(csv.reader(["1\x00,2\n"])) == [["1\x00", "2"]]
+    else:
+        with pytest.raises(csv.Error, match="NUL"):
+            list(csv.reader(["1\x00,2\n"]))
+
+
+def test_int_digit_limit_by_python_version():
+    # int() rejects strings of more than 4,300 digits from Python 3.10.7 on (3.11 included);
+    # float() reads them as inf on every version
+    if sys.version_info >= (3, 10, 7):
+        assert sys.get_int_max_str_digits() == 4300
+        assert int("9" * 4300) > 0
+        with pytest.raises(ValueError, match="4300"):
+            int("9" * 4301)
+    else:
+        assert int("9" * 4301) > 0
+    assert float("9" * 4301) == math.inf
+
+
+ABORTED, SKIPPED = ("MalformedRow", 4), ("ok", [4])  # the oracle's outcome, with the warned lines only
+VERSION_CASES = {
+    # Python 3.10's csv.reader aborts on the NUL; 3.11 reads it into an unparseable price
+    "nul": ("1653012000,10\x002", ABORTED, ABORTED if sys.version_info < (3, 11) else SKIPPED),
+    # a field past csv.field_size_limit() aborts in either mode
+    "oversized_stamp": (f"{OVERSIZED},102", ABORTED, ABORTED),
+    "oversized_price": (f"1653012000,{OVERSIZED}", ABORTED, ABORTED),
+    # int() rejects it from 3.10.7 on and takes it before; either way it is out of range
+    "over_int_digit_limit": (f"{'9' * 4301},102", ABORTED, SKIPPED),
+}
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+@pytest.mark.parametrize("case", VERSION_CASES)
+def test_version_dependent_rows_match_reference(tmp_path, case, lenient):
+    row, strict_outcome, lenient_outcome = VERSION_CASES[case]
+    rows = [f"{1653004800 + 3600 * i},{100 + i}" for i in range(5)]
+    rows[2] = row
+    path = write_csv(tmp_path / "v.csv", rows)
+    outcome = _load_outcome(path, lenient)
+    assert outcome == reference_load_price_csv(path, lenient=lenient)
+    summary = outcome[:1] + outcome[3:] if outcome[0] == "ok" else outcome
+    assert summary == (lenient_outcome if lenient else strict_outcome)
 
 
 def test_market_scale_row_count(market_scale_csv):
