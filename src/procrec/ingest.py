@@ -251,7 +251,6 @@ class _PriceRows:
     def __init__(self, path: Path, schema: ColumnSchema, lenient: bool):
         self.path, self.schema, self.lenient = path, schema, lenient
         self.width = 0  # fields in the header row; 0 until it is read
-        self.columnar = True  # until a block's int()/float() column conversion fails
         self.limit = csv.field_size_limit()
         self.stamps, self.prices, self.lines = array("q"), array("d"), array("q")  # accepted rows
 
@@ -306,29 +305,26 @@ class _PriceRows:
         oversized = np.zeros(len(ends), dtype=bool)
         oversized[np.searchsorted(ends, np.flatnonzero(np.diff(seps, prepend=-1) > self.limit + 1))] = True
         flagged |= oversized
-        if self.columnar:
-            rows = np.flatnonzero(~flagged)
-            if len(rows) == len(ends):
-                ts_text, price_text = fields[self.ts_col :: self.width], fields[self.price_col :: self.width]
-            else:
-                texts = np.array(fields, dtype=object)
-                ts_text, price_text = texts[starts[rows] + self.ts_col], texts[starts[rows] + self.price_col]
-            try:
-                seconds = _digit_runs(buf, seps, starts[rows] + self.ts_col)
-                if seconds is None:
-                    seconds = np.fromiter(map(int, ts_text), dtype=np.int64, count=len(rows))
-                prices = np.fromiter(map(float, price_text), dtype=np.float64, count=len(rows))
-            except (ValueError, OverflowError):
-                self.columnar = False
-            else:
-                good = (seconds >= _EPOCH_SECONDS_MIN) & (seconds <= _EPOCH_SECONDS_MAX)
-                good &= (prices > 0) & (prices < np.inf)
-                self.stamps.frombytes((seconds[good] * 1_000_000).tobytes())
-                self.prices.frombytes(prices[good].tobytes())
-                self.lines.frombytes((line0 + 1 + rows[good]).tobytes())
-                flagged[rows[~good]] = True
-        if not self.columnar:
-            flagged[:] = True
+        rows = np.flatnonzero(~flagged)
+        if len(rows) == len(ends):
+            ts_text, price_text = fields[self.ts_col :: self.width], fields[self.price_col :: self.width]
+        else:
+            texts = np.array(fields, dtype=object)
+            ts_text, price_text = texts[starts[rows] + self.ts_col], texts[starts[rows] + self.price_col]
+        try:
+            seconds = _digit_runs(buf, seps, starts[rows] + self.ts_col)
+            if seconds is None:
+                seconds = np.fromiter(map(int, ts_text), dtype=np.int64, count=len(rows))
+            prices = np.fromiter(map(float, price_text), dtype=np.float64, count=len(rows))
+        except (ValueError, OverflowError):
+            flagged[:] = True  # this block goes through the row parser; the next is tried again
+        else:
+            good = (seconds >= _EPOCH_SECONDS_MIN) & (seconds <= _EPOCH_SECONDS_MAX)
+            good &= (prices > 0) & (prices < np.inf)
+            self.stamps.frombytes((seconds[good] * 1_000_000).tobytes())
+            self.prices.frombytes(prices[good].tobytes())
+            self.lines.frombytes((line0 + 1 + rows[good]).tobytes())
+            flagged[rows[~good]] = True
         rows = np.flatnonzero(flagged)
         for i, first, last, over in zip(
             rows.tolist(), starts[rows].tolist(), ends[rows].tolist(), oversized[rows].tolist()
@@ -382,11 +378,11 @@ def load_price_csv(
     - its price is not positive and finite.
 
     When ``int`` or ``float`` rejects a value in a block, as it does an
-    ISO-8601 stamp, that block and all later ones go through the row parser
-    line by line. The block holding the first quote, CR or NUL byte, and
-    everything after it, goes through ``csv.reader``, which keeps quoted
-    fields and CR line ends exact. A final line without a newline is read as
-    if it had one.
+    ISO-8601 stamp, that block goes through the row parser line by line, and
+    the next block is converted by columns again. The block holding the first
+    quote, CR or NUL byte, and everything after it, goes through
+    ``csv.reader``, which keeps quoted fields and CR line ends exact. A final
+    line without a newline is read as if it had one.
     """
     path = Path(path)
     name = instrument if instrument is not None else path.stem

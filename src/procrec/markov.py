@@ -4,7 +4,7 @@ Context convention: a context block is ordered most-recent-first, so the
 context of position t at order k is (seq[t-1], seq[t-2], ..., seq[t-k]).
 Tables store a context as an integer code whose most significant digit is the
 most recent symbol: dropping the oldest symbol drops the least significant
-digit, and the back-off predictor extends codes one older digit at a time.
+digit, so a row's parent, its context less the oldest symbol, has code // |alphabet|.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ every prediction is well defined.
 
 A context seen at order j in training is also seen at every shorter order, so
 each test position t has one longest match L_t and order k answers at
-min(L_t, k). One ``resolve_fallback`` at the largest order keeps L_t and every
-order's row ids, and ``FallbackResolution.truncate(k)`` derives order k.
+min(L_t, k). ``resolve_fallback`` links each table row to its children, the
+rows one older symbol longer, and walks the links down from the marginal with
+gathers only, as in a suffix tree. It keeps the row of order L_t and each
+row's parent, so ``FallbackResolution.truncate(k)`` climbs to order k.
 
 All randomness flows from a RandomStream: a seeded PCG64 stream addressed by
 a derivation path, so runs, orders and purposes get independent,
@@ -29,7 +31,7 @@ import numpy as np
 from .coding import SCHEMES, CodingScheme, SymbolSequence, encode_series, make_scheme
 from .errors import SplitTooSmall
 from .ingest import ReturnSeries, SeriesStats, compute_stats, split_halves
-from .markov import ConditionalTableSet, _context_codes, build_conditional_tables
+from .markov import ConditionalTableSet, build_conditional_tables
 
 __all__ = [
     "RandomStream",
@@ -106,7 +108,8 @@ class FallbackResolution:
 
     order: int
     orders: np.ndarray  # int8, fallback order used per test position: min(L_t, order)
-    row_ids_by_order: np.ndarray  # int32 (order + 1, n_test); row j: the row ids at order j
+    row_ids: np.ndarray  # int32, per test position the index into cum_rows/prob_rows of its row
+    parents: np.ndarray  # int32, per stacked row the row of its context less the oldest symbol
     cum_rows: np.ndarray  # the table set's stacked rows, (n_rows, |alphabet|)
     prob_rows: np.ndarray
     actual_idx: np.ndarray  # alphabet index of the realized symbol
@@ -115,23 +118,19 @@ class FallbackResolution:
     def n_test(self) -> int:
         return len(self.orders)
 
-    @property
-    def row_ids(self) -> np.ndarray:
-        """Per test position, the index into cum_rows/prob_rows of its row."""
-        return self.row_ids_by_order[self.order]
-
     @cached_property
     def cum_columns(self) -> np.ndarray:
         """(|alphabet| - 1, n_test) cum of every position's row, last column dropped."""
         return np.take(self.cum_rows[:, :-1].T, self.row_ids, axis=1)
 
     def truncate(self, k: int) -> "FallbackResolution":
-        """The resolution at order k <= order, derived without another search."""
+        """The resolution at order k <= order, climbing one order per step."""
         if not 1 <= k <= self.order:
             raise ValueError(f"order {k} outside resolved range 1..{self.order}")
-        return replace(
-            self, order=k, orders=np.minimum(self.orders, k), row_ids_by_order=self.row_ids_by_order[: k + 1]
-        )
+        row_ids = self.row_ids
+        for j in range(self.order, k, -1):  # positions answered at order j or above climb to j - 1
+            row_ids = np.where(self.orders >= j, self.parents[row_ids], row_ids)
+        return replace(self, order=k, orders=np.minimum(self.orders, k), row_ids=row_ids)
 
     def order_histogram(self) -> dict[int, int]:
         counts = np.bincount(self.orders, minlength=self.order + 1)
@@ -145,7 +144,9 @@ def resolve_fallback(
 
     Contexts are the k symbols immediately preceding t and may reach back
     across the split boundary into the training half for the first positions.
-    Each order j <= k is searched once; ``truncate`` serves the lower orders.
+    Every position walks from the marginal to the child row that adds the next
+    older symbol, k times or until it misses, and keeps the last row it reached.
+    ``truncate`` serves the lower orders.
     """
     total = len(seq)
     n_test = total - n
@@ -158,21 +159,33 @@ def resolve_fallback(
     if tuple(seq.alphabet) != tables.alphabet:  # indices of another alphabet would be misread
         raise ValueError(f"sequence alphabet {seq.alphabet} is not the tables' {tables.alphabet}")
 
+    a, n_rows = len(tables.alphabet), len(tables.cum)
+    parents = np.zeros(n_rows, dtype=np.int32)  # row 0, the marginal, is every order-1 row's parent
+    # child[r * a + s]: the row of r's context extended by the older symbol s. Row n_rows and
+    # every missing child are n_rows, "no such context", so a walk that misses stays missed
+    child = np.full((n_rows + 1) * a, n_rows, dtype=np.int32)  # flat: 1-D gathers beat 2-D ones
+    for j, table in tables.tables.items():
+        rows = np.arange(table.offset, table.offset + len(table.codes), dtype=np.int32)
+        if j > 1:  # seen contexts are prefix-closed, so every parent code is in the table below
+            up = tables.tables[j - 1]
+            parents[rows] = up.offset + np.searchsorted(up.codes, table.codes // a)
+        child[parents[rows] * a + table.codes % a] = rows
+
     idx = seq.indices
+    cur = np.zeros(n_test, dtype=np.int32)
     longest = np.zeros(n_test, dtype=np.int8)
-    row_ids = np.zeros((k + 1, n_test), dtype=np.int32)  # row 0: the marginal
-    # the contexts of t = n .. total-1 lie in idx[n - k : total - 1]
-    for j, codes in enumerate(_context_codes(idx[n - k : -1], len(tables.alphabet), k), start=1):
-        codes = codes[k - j :]
-        table = tables.tables[j]
-        pos = np.searchsorted(table.codes, codes)
-        hit = table.codes[np.minimum(pos, len(table.codes) - 1)] == codes
-        longest[hit] = j
-        row_ids[j] = np.where(hit, table.offset + pos, row_ids[j - 1])
+    row_ids = np.zeros(n_test, dtype=np.int32)
+    for j in range(1, k + 1):
+        # symbol t-j of t = n .. total-1 extends each position's order-(j-1) context
+        cur = child[cur * a + idx[n - j : total - j]]
+        hit = cur != n_rows
+        longest += hit  # no hit follows a miss, so the hits count the order
+        np.copyto(row_ids, cur, where=hit)
     return FallbackResolution(
         order=k,
         orders=longest,
-        row_ids_by_order=row_ids,
+        row_ids=row_ids,
+        parents=parents,
         cum_rows=tables.cum,
         prob_rows=tables.probs,
         actual_idx=idx[n:],
@@ -180,16 +193,17 @@ def resolve_fallback(
 
 
 def _model_indices(
-    res: FallbackResolution, gen: np.random.Generator, mode: str
+    res: FallbackResolution, gen: np.random.Generator, mode: str, onto: np.ndarray
 ) -> np.ndarray:
+    """Add each position's model pick, an alphabet index, onto ``onto`` in place."""
     if mode == "argmax":
-        return np.argmax(res.prob_rows[res.row_ids], axis=1)
+        onto += np.argmax(res.prob_rows[res.row_ids], axis=1).astype(onto.dtype)
+        return onto
     u = gen.random(res.n_test)
     # the first index whose cum exceeds u, the last when none does
-    picked = np.zeros(res.n_test, dtype=np.intp)
     for column in res.cum_columns:
-        picked += column <= u
-    return picked
+        onto += (column <= u).view(np.uint8)
+    return onto
 
 
 def _baseline_indices(
@@ -229,20 +243,20 @@ def evaluate_run(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
 
-    alpha_arr = np.asarray(tables.alphabet, dtype=np.int64)
-    pred_idx = _model_indices(resolution, rng.substream("model").generator(), mode)
-    base_idx = _baseline_indices(
-        tables, resolution.n_test, rng.substream("baseline").generator(), baseline
-    )
-    pred_err = alpha_arr[pred_idx] - alpha_arr[resolution.actual_idx]
-    base_err = alpha_arr[base_idx] - alpha_arr[resolution.actual_idx]
+    a, n_test = len(tables.alphabet), resolution.n_test
+    alpha = np.asarray(tables.alphabet, dtype=np.int64)
+    errors = (alpha[None, :] - alpha[:, None]).ravel()  # predicted - actual at actual * a + predicted
     if metric == "abs":
-        np.abs(pred_err, out=pred_err)
-        np.abs(base_err, out=base_err)
-    e, e_rand = float(pred_err.mean()), float(base_err.mean())
-    return RunErrors(
-        order=resolution.order, e=e, e_rand=e_rand, metric=metric, n_predictions=resolution.n_test
-    )
+        errors = np.abs(errors)
+    # each position's (actual, predicted) pair as actual * a + predicted, in uint8 while a * a fits.
+    # Pair counts times pair errors sum to integers below 2**53, so each mean is the same float as
+    # the mean of the per-position errors; `@` would page in numpy's matmul code, 0.15 MB resident
+    actual = resolution.actual_idx.astype(np.uint8 if a * a <= 256 else np.int64) * a
+    pairs = _model_indices(resolution, rng.substream("model").generator(), mode, actual.copy())
+    e = int((np.bincount(pairs, minlength=a * a) * errors).sum()) / n_test
+    pairs = actual + _baseline_indices(tables, n_test, rng.substream("baseline").generator(), baseline)
+    e_rand = int((np.bincount(pairs, minlength=a * a) * errors).sum()) / n_test
+    return RunErrors(order=resolution.order, e=e, e_rand=e_rand, metric=metric, n_predictions=n_test)
 
 
 @dataclass(frozen=True)
@@ -320,21 +334,23 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
 
     stream = RandomStream(config.master_seed).substream(returns.instrument)
     k_values = tuple(range(config.k_min, config.k_max + 1))
-    longest = resolve_fallback(tables, seq, n, config.k_max)
+    resolution = resolve_fallback(tables, seq, n, config.k_max)
 
     per_run: dict[int, tuple[RunErrors, ...]] = {}
     fallback_histogram: dict[int, dict[int, int]] = {}
-    e_mean, e_std, r_mean, r_std = [], [], [], []
-    for k in k_values:
-        # one order at a time, so only that order's gathered rows are held
-        resolution = longest.truncate(k)
+    for k in reversed(k_values):
+        # one order at a time, one climb below the last, so only that order's gathered rows are held
+        resolution = resolution.truncate(k)
         fallback_histogram[k] = resolution.order_histogram()
-        runs = per_run[k] = tuple(
+        per_run[k] = tuple(
             evaluate_run(
                 tables, resolution, config.metric, stream.substream(j, k), baseline=config.baseline, mode=config.mode
             )
             for j in range(1, config.runs + 1)
         )
+    per_run, fallback_histogram = dict(sorted(per_run.items())), dict(sorted(fallback_histogram.items()))
+    e_mean, e_std, r_mean, r_std = [], [], [], []
+    for runs in per_run.values():
         es = np.array([r.e for r in runs])
         rs = np.array([r.e_rand for r in runs])
         e_mean.append(float(es.mean()))

@@ -369,6 +369,40 @@ def test_loader_block_boundaries(tmp_path):
             assert _load_outcome(path, lenient=False) == reference_load_price_csv(path) == ("NonPositivePrice", 3)
 
 
+def test_loader_resumes_columns_after_a_bad_value(tmp_path):
+    # a value int() or float() rejects sends only its own block through the row parser
+    rows = [f"{1600000000 + 3600 * i},{100 + i}.5" for i in range(60)]
+    rows[5], rows[40] = "garbage,1", f"{1600000000 + 3600 * 40},1.2.3"
+    path = write_csv(tmp_path / "bad.csv", rows)
+    bad_lines = (7, 42)  # line 1 is the header
+
+    with mock.patch.object(ingest, "_BLOCK_BYTES", 64), path.open("rb") as fh:
+        block_lines = [data.count(b"\n") for _, data in ingest._blocks(fh)]
+    ends = np.cumsum(block_lines)
+    assert len(block_lines) > 10 and ends[0] < bad_lines[0] and ends[-2] > bad_lines[1]
+    rerun = [
+        line
+        for first, last in zip(ends - block_lines + 1, ends)
+        if any(first <= b <= last for b in bad_lines)
+        for line in range(first, last + 1)
+    ]
+
+    seen = []
+    add_row = ingest._PriceRows.add_row
+
+    def counted(self, row, line):
+        seen.append(line)
+        add_row(self, row, line)
+
+    with mock.patch.object(ingest, "_BLOCK_BYTES", 64), mock.patch.object(ingest._PriceRows, "add_row", counted):
+        outcome = _load_outcome(path, lenient=True)
+        assert outcome == reference_load_price_csv(path, lenient=True)
+        assert outcome[3] == list(bad_lines) and len(outcome[1]) == 58
+        assert seen == rerun  # later blocks are converted by columns again
+        seen.clear()
+        assert _load_outcome(path, lenient=False) == reference_load_price_csv(path) == ("MalformedRow", 7)
+
+
 # --- behaviour that differs between Python versions -------------------------
 
 

@@ -36,6 +36,28 @@ def split_tables(symbols, alphabet, n, k_max):
     return seq, build_conditional_tables(train, k_max)
 
 
+def model_picks(res, gen, mode="sample"):
+    """The alphabet index the model picks at each test position."""
+    return predict_mod._model_indices(res, gen, mode, np.zeros(res.n_test, dtype=np.uint8))
+
+
+def draw_symbols(data, alphabet, min_size):
+    """Free symbols, or a repeated motif with a few changes, so that long contexts recur."""
+    if data.draw(st.booleans()):
+        return data.draw(st.lists(st.sampled_from(alphabet), min_size=min_size, max_size=300))
+    motif = data.draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=6))
+    size = data.draw(st.integers(min_size, 300))
+    symbols = (motif * size)[:size]
+    for i in data.draw(st.lists(st.integers(0, size - 1), max_size=8)):
+        symbols[i] = data.draw(st.sampled_from(alphabet))
+    return symbols
+
+
+def deepest(alphabet):
+    """The largest order the property tests build: three symbols go to the CLI's k_max of 12."""
+    return 12 if alphabet == ALPHABET3 else 5
+
+
 # --- RandomStream ------------------------------------------------------------
 
 
@@ -99,7 +121,7 @@ def test_predict_next_falls_back_one_order():
     assert seq.symbols[-3:-1].tolist() == [1, 1]  # the last position's context
     assert res.orders[-1] == 1
     gen = RandomStream(5).substream("model").generator()
-    predicted = predict_mod._model_indices(res, gen, "sample")
+    predicted = model_picks(res, gen)
     assert ALPHABET3[predicted[-1]] == 0  # every 1 in train is followed by 0
 
 
@@ -118,7 +140,7 @@ def test_predict_next_sampling_frequencies():
     assert tables.tables[1].rows[(0,)].counts.tolist() == [2, 3, 5]
     stream = RandomStream(314).substream("lln")
     res = resolve_fallback(tables, seq, len(train), 1)
-    draws = predict_mod._model_indices(res, stream.substream("model").generator(), "sample")
+    draws = model_picks(res, stream.substream("model").generator())
     for symbol, want in ((0, 0.2), (1, 0.3), (2, 0.5)):
         assert abs(np.mean(draws == symbol) - want) < 0.01
 
@@ -244,7 +266,7 @@ def test_vectorized_path_matches_sequential_predict_next():
     seq, tables = split_tables(symbols, ALPHABET5, 200, 3)
     stream = RandomStream(5).substream(1, 3)
     res = resolve_fallback(tables, seq, 200, 3)
-    predicted = predict_mod._model_indices(res, stream.substream("model").generator(), "sample")
+    predicted = model_picks(res, stream.substream("model").generator())
     gen = stream.substream("model").generator()
     expected = brute_force_back_off(symbols, 200, 3, 3, ALPHABET5)
     for i, (order, counts) in enumerate(expected):
@@ -254,15 +276,16 @@ def test_vectorized_path_matches_sequential_predict_next():
 
 
 @given(st.data())
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=80)
 def test_resolve_fallback_matches_scalar_back_off(data):
     alphabet = data.draw(st.sampled_from((ALPHABET3, ALPHABET5)))
-    symbols = data.draw(st.lists(st.sampled_from(alphabet), min_size=6, max_size=300))
-    k = data.draw(st.integers(1, min(5, len(symbols) - 2)))
+    symbols = draw_symbols(data, alphabet, 6)
+    k = data.draw(st.integers(1, min(deepest(alphabet), len(symbols) - 2)))
     n = data.draw(st.integers(k + 1, len(symbols) - 1))
-    k_max = data.draw(st.integers(k, min(5, n - 1)))
+    k_max = data.draw(st.integers(k, min(deepest(alphabet), n - 1)))
     seq, tables = split_tables(symbols, alphabet, n, k_max)
     res = resolve_fallback(tables, seq, n, k)
+    assert res.row_ids.shape == res.orders.shape == (len(symbols) - n,)
     expected = brute_force_back_off(symbols, n, k, k_max, alphabet)
     assert res.orders.tolist() == [order for order, _ in expected]
     for i, (_, counts) in enumerate(expected):
@@ -273,32 +296,65 @@ def test_resolve_fallback_matches_scalar_back_off(data):
     np.testing.assert_array_equal(res.orders, np.minimum(longest, k))
 
 
+def assert_same_resolution(got, want):
+    assert got.order == want.order
+    assert got.orders.dtype == np.int8 and got.row_ids.dtype == got.parents.dtype == np.int32
+    np.testing.assert_array_equal(got.orders, want.orders)
+    np.testing.assert_array_equal(got.row_ids, want.row_ids)
+    np.testing.assert_array_equal(got.cum_columns, want.cum_rows[want.row_ids, :-1].T)
+
+
 @given(st.data())
 @settings(deadline=None, max_examples=100)
 def test_truncate_matches_direct_resolution(data):
     alphabet = data.draw(st.sampled_from((ALPHABET3, ALPHABET5)))
-    symbols = data.draw(st.lists(st.sampled_from(alphabet), min_size=3, max_size=300))
+    symbols = draw_symbols(data, alphabet, 3)
     n = data.draw(st.integers(2, len(symbols) - 1))
-    k_max = data.draw(st.integers(1, min(5, n - 1)))
+    k_max = data.draw(st.integers(1, min(deepest(alphabet), n - 1)))
     seq, tables = split_tables(symbols, alphabet, n, k_max)
     full = resolve_fallback(tables, seq, n, k_max)
-    assert full.orders.dtype == np.int8 and full.row_ids_by_order.dtype == np.int32
-    assert full.row_ids_by_order.shape == (k_max + 1, len(symbols) - n)
-    for k in range(1, k_max + 1):
-        derived, direct = full.truncate(k), resolve_fallback(tables, seq, n, k)
-        assert derived.order == direct.order == k
-        np.testing.assert_array_equal(derived.orders, direct.orders)
-        np.testing.assert_array_equal(derived.row_ids, direct.row_ids)
-        np.testing.assert_array_equal(derived.row_ids_by_order, direct.row_ids_by_order)
-        np.testing.assert_array_equal(derived.cum_columns, direct.cum_rows[direct.row_ids, :-1].T)
+    assert full.row_ids.shape == (len(symbols) - n,)
+    assert full.parents.shape == (len(tables.cum),) and full.parents.dtype == np.int32
+    stepped = full
+    for k in range(k_max, 0, -1):
+        # many climbs at once, one climb from the order above, and a direct walk agree
+        stepped = stepped.truncate(k)
+        direct = resolve_fallback(tables, seq, n, k)
+        assert_same_resolution(full.truncate(k), direct)
+        assert_same_resolution(stepped, direct)
         expected = brute_force_back_off(symbols, n, k, k_max, alphabet)
-        assert derived.orders.tolist() == [order for order, _ in expected]
+        assert stepped.orders.tolist() == [order for order, _ in expected]
         for i, (_, counts) in enumerate(expected):
-            assert derived.cum_rows[derived.row_ids[i]].tolist() == sequential_cum(counts)
+            assert stepped.cum_rows[stepped.row_ids[i]].tolist() == sequential_cum(counts)
     with pytest.raises(ValueError):
         full.truncate(k_max + 1)
     with pytest.raises(ValueError):
         full.truncate(0)
+
+
+@pytest.mark.parametrize("k_max", [9, 10, 11, 12])
+def test_back_off_three_symbols_deep_orders(k_max):
+    # a motif of period 7 with scattered changes: test contexts match at every
+    # depth up to k_max, and many miss at one order only to extend a shorter seen
+    # context at the next, which must not count as a hit
+    rng = np.random.default_rng(k_max)
+    symbols = [int(ALPHABET3[i]) for i in rng.integers(0, 3, 7)] * 90
+    for i in rng.integers(0, len(symbols), 40):
+        symbols[i] = int(ALPHABET3[rng.integers(0, 3)])
+    n = 400
+    seq, tables = split_tables(symbols, ALPHABET3, n, k_max)
+    full = resolve_fallback(tables, seq, n, k_max)
+    assert set(full.orders.tolist()) >= {k_max, k_max - 1}
+    stepped = full
+    for k in range(k_max, 0, -1):
+        stepped = stepped.truncate(k)
+        direct = resolve_fallback(tables, seq, n, k)
+        assert_same_resolution(stepped, direct)
+        assert_same_resolution(full.truncate(k), direct)
+        expected = brute_force_back_off(symbols, n, k, k_max, ALPHABET3)
+        assert direct.orders.tolist() == [order for order, _ in expected]
+        for i, (_, counts) in enumerate(expected):
+            assert direct.cum_rows[direct.row_ids[i]].tolist() == sequential_cum(counts)
 
 
 class _FixedDraws:
@@ -318,12 +374,13 @@ def _sampled(cum_rows, row_ids, u):
     res = predict_mod.FallbackResolution(
         order=1,
         orders=np.ones(n_test, dtype=np.int8),
-        row_ids_by_order=np.array([np.zeros(n_test), row_ids], dtype=np.int32),
+        row_ids=np.array(row_ids, dtype=np.int32),
+        parents=np.zeros(len(cum_rows), dtype=np.int32),
         cum_rows=cum_rows,
         prob_rows=cum_rows,
         actual_idx=np.zeros(n_test, dtype=np.intp),
     )
-    got = predict_mod._model_indices(res, _FixedDraws(u), "sample").tolist()
+    got = model_picks(res, _FixedDraws(u)).tolist()
     return got, [sample_index(cum_rows[r].tolist(), x) for r, x in zip(row_ids, u)]
 
 
@@ -389,6 +446,68 @@ def test_evaluate_run_matches_scalar_scorer(data):
             )
             assert (got.e, got.e_rand) == want
             assert got.order == res.order and got.n_predictions == len(symbols) - n
+
+
+@pytest.fixture(scope="module")
+def long_split():
+    rng = np.random.default_rng(2024)
+    symbols = [int(ALPHABET5[i]) for i in np.minimum(rng.geometric(0.45, 420_000) - 1, 4)]
+    n = 210_000
+    seq, tables = split_tables(symbols, ALPHABET5, n, 4)
+    return seq, tables, n
+
+
+@pytest.mark.parametrize("mode", predict_mod.MODES)
+@pytest.mark.parametrize("baseline", predict_mod.BASELINES)
+@pytest.mark.parametrize("metric", predict_mod.METRICS)
+def test_evaluate_run_equals_per_position_mean(metric, baseline, mode, long_split):
+    # pair counts must give the very float that the mean of 200k+ per-position errors gives
+    seq, tables, n = long_split
+    res = resolve_fallback(tables, seq, n, 4)
+    stream = RandomStream(23).substream(1, 4)
+    got = evaluate_run(tables, res, metric, stream, baseline=baseline, mode=mode)
+
+    alpha = np.asarray(tables.alphabet, dtype=np.int64)
+    a = len(alpha)
+    if mode == "sample":
+        u = stream.substream("model").generator().random(res.n_test)
+        predicted = (res.cum_rows[res.row_ids, :-1] <= u[:, None]).sum(axis=1)
+    else:
+        predicted = np.argmax(res.prob_rows[res.row_ids], axis=1)
+    gen = stream.substream("baseline").generator()
+    if baseline == "uniform":
+        guessed = gen.integers(0, a, res.n_test)
+    else:
+        guessed = np.minimum(np.searchsorted(tables.marginal.cum, gen.random(res.n_test), side="right"), a - 1)
+    means = []
+    for picks in (predicted, guessed):
+        errors = alpha[picks] - alpha[res.actual_idx]
+        means.append(float((np.abs(errors) if metric == "abs" else errors).mean()))
+    assert res.n_test >= 200_000
+    assert (got.e, got.e_rand) == tuple(means)
+
+
+@pytest.mark.parametrize("size", [16, 17])
+def test_evaluate_run_wide_alphabet(size):
+    # 17 symbols code 289 (actual, predicted) pairs, past what one byte holds
+    alphabet = tuple(range(-(size // 2), size - size // 2))
+    rng = np.random.default_rng(size)
+    symbols = [alphabet[i] for i in rng.integers(0, size, 3000)]
+    symbols[-50:] = [alphabet[-1]] * 50  # the largest pair codes occur
+    n = 1500
+    seq, tables = split_tables(symbols, alphabet, n, 2)
+    res = resolve_fallback(tables, seq, n, 2)
+    for metric in predict_mod.METRICS:
+        for baseline in predict_mod.BASELINES:
+            for mode in predict_mod.MODES:
+                stream = RandomStream(5).substream(metric, baseline, mode)
+                got = evaluate_run(tables, res, metric, stream, baseline=baseline, mode=mode)
+                want = scalar_evaluate_run(
+                    symbols, n, 2, 2, alphabet, metric,
+                    stream.substream("model").generator(), stream.substream("baseline").generator(),
+                    baseline=baseline, mode=mode,
+                )
+                assert (got.e, got.e_rand) == want
 
 
 def test_fallback_orders_replay_against_tables():
