@@ -7,12 +7,13 @@ price column. Column names are configurable; defaults are ``timestamp`` and
 
 ``load_price_csv`` reads a file in blocks of whole lines and converts each
 block one column at a time: one pass over the stamps (integer arithmetic on
-the bytes when they are all digit runs of one width, else ``int``), one
-``float`` pass over the prices, then the epoch range and the price checks
-as array masks. Only the lines the block pass flags go through the row
-parser, which reads ISO-8601 and fractional epoch stamps with ``datetime``;
-from the first quote, CR or NUL byte on, ``csv.reader`` reads the rest of
-the file. Either way a file loads to the same series, errors and warnings.
+the bytes for digit runs of one width or strict ``YYYY-MM-DDTHH:MM:SS``
+stamps ending ``+00:00`` or ``Z``, else ``int``), one ``float`` pass over the
+prices, then the stamp and price checks as array masks. Only the lines the
+block pass flags go through the row parser, which reads other ISO-8601
+forms and fractional epoch stamps with ``datetime``; from the first quote,
+CR or NUL byte on, ``csv.reader`` reads the rest of the file. Either way a
+file loads to the same series, errors and warnings.
 """
 
 from __future__ import annotations
@@ -228,21 +229,53 @@ def _csv_rows(lines, line0: int):
         raise MalformedRow(line0 + reader.line_num, f"unreadable CSV: {exc}") from None
 
 
-def _digit_runs(buf: np.ndarray, seps: np.ndarray, field_ids: np.ndarray) -> np.ndarray | None:
-    """The values of a block's fields ``field_ids`` when every one is a run of ASCII digits of
-    one common length up to 18, which ``int`` reads the same; else None.
+# stamp forms the block pass reads from the bytes: "#" is a digit, every other byte itself
+_ISO_LAYOUTS = (b"####-##-##T##:##:##+00:00", b"####-##-##T##:##:##Z")
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # in a common year
 
-    ``buf`` holds the block's bytes and ``seps`` the offsets of its commas and newlines, so
-    field ``j`` ends at ``seps[j]``.
+
+def _fixed_fields(buf: np.ndarray, first: np.ndarray, width: np.ndarray, layout: bytes):
+    """The digits in ``layout``'s ``#`` slots of the fields starting at ``first``, one row per slot,
+    and which fields fit ``layout``: ``width`` as long, a digit in every slot and the layout's own
+    byte elsewhere."""
+    pattern = np.frombuffer(layout, dtype=np.uint8)
+    slot = pattern == ord("#")
+    # slot-major, as reductions over rows are faster than within them; clipped: a field narrower
+    # than the layout may run off the block, and it cannot fit anyway
+    cells = np.take(buf, np.arange(len(pattern))[:, None] + first, mode="clip")
+    digits = cells[slot] - ord("0")  # uint8: a byte below "0" wraps past 9
+    fits = (width == len(pattern)) & (digits <= 9).all(axis=0) & (cells[~slot] == pattern[~slot, None]).all(axis=0)
+    return digits, fits
+
+
+def _stamp_seconds(buf: np.ndarray, seps: np.ndarray, field_ids: np.ndarray):
+    """``(seconds, read)``: the epoch seconds of a block's stamp fields ``field_ids``, read from the
+    bytes, and which of them were read; None when none were.
+
+    ``buf`` holds the block's bytes and ``seps`` the offsets of its commas and newlines, so field
+    ``j`` ends at ``seps[j]``. A column of ASCII digit runs, all of one length up to 18, is read
+    whole, as ``int`` reads it. Otherwise each stamp ``YYYY-MM-DDTHH:MM:SS`` ending ``+00:00`` or
+    ``Z`` that names a second of years 1..9999 is read, as ``_parse_timestamp`` reads it.
     """
     first = np.where(field_ids > 0, seps[field_ids - 1] + 1, 0)
     width = seps[field_ids] - first
-    if not len(field_ids) or not 0 < width[0] <= 18 or (width != width[0]).any():
+    if len(width) and 0 < width[0] <= 18:
+        digits, read = _fixed_fields(buf, first, width, b"#" * int(width[0]))
+        if read.all():
+            return 10 ** np.arange(width[0] - 1, -1, -1) @ digits, read
+    digits, read = _fixed_fields(buf, first, width, _ISO_LAYOUTS[0])
+    read |= _fixed_fields(buf, first, width, _ISO_LAYOUTS[1])[1]  # a Z stamp's digits sit in the same slots
+    if not read.any():
         return None
-    digits = buf[first[:, None] + np.arange(width[0])] - ord("0")  # uint8: a byte below "0" wraps past 9
-    if (digits > 9).any():
-        return None
-    return digits @ 10 ** np.arange(width[0] - 1, -1, -1)
+    century, yy, month, day, hour, minute, second = (digits[0::2] * 10 + digits[1::2]).astype(np.int64)
+    year = 100 * century + yy
+    leap = (yy % 4 == 0) & ((yy != 0) | (century % 4 == 0))
+    read &= (year >= 1) & (month >= 1) & (month <= 12) & (hour <= 23) & (minute <= 59) & (second <= 59)
+    read &= (day >= 1) & (day <= np.take(_MONTH_DAYS, month, mode="clip") + (leap & (month == 2)))
+    # Hinnant's days_from_civil: years start in March, so a leap day is the last of its year
+    year -= month <= 2
+    days = 365 * year + year // 4 - year // 100 + year // 400 + (153 * ((month + 9) % 12) + 2) // 5 + day - 719469
+    return ((days * 24 + hour) * 60 + minute) * 60 + second, read
 
 
 class _PriceRows:
@@ -312,14 +345,15 @@ class _PriceRows:
             texts = np.array(fields, dtype=object)
             ts_text, price_text = texts[starts[rows] + self.ts_col], texts[starts[rows] + self.price_col]
         try:
-            seconds = _digit_runs(buf, seps, starts[rows] + self.ts_col)
-            if seconds is None:
-                seconds = np.fromiter(map(int, ts_text), dtype=np.int64, count=len(rows))
+            stamps = _stamp_seconds(buf, seps, starts[rows] + self.ts_col)
+            if stamps is None:
+                stamps = np.fromiter(map(int, ts_text), dtype=np.int64, count=len(rows)), True
             prices = np.fromiter(map(float, price_text), dtype=np.float64, count=len(rows))
         except (ValueError, OverflowError):
             flagged[:] = True  # this block goes through the row parser; the next is tried again
         else:
-            good = (seconds >= _EPOCH_SECONDS_MIN) & (seconds <= _EPOCH_SECONDS_MAX)
+            seconds, read = stamps
+            good = read & (seconds >= _EPOCH_SECONDS_MIN) & (seconds <= _EPOCH_SECONDS_MAX)
             good &= (prices > 0) & (prices < np.inf)
             self.stamps.frombytes((seconds[good] * 1_000_000).tobytes())
             self.prices.frombytes(prices[good].tobytes())
@@ -366,20 +400,25 @@ def load_price_csv(
     The header row is parsed by ``csv.reader``. The rest of the file is read
     in blocks of ``_BLOCK_BYTES``, each cut back to its last newline. A block
     has its separators found in one numpy scan, its text split into fields
-    once, and its timestamp and price columns converted by one ``int`` and
-    one ``float`` pass; a stamp column of ASCII digit runs, all of one width
-    up to 18, is read from the bytes by integer arithmetic instead, which
-    gives what ``int`` gives. A line goes through the row parser instead when
-    it is flagged:
+    once, and its timestamp and price columns converted one pass each. The
+    stamps are read from the bytes by integer arithmetic: a column of ASCII
+    digit runs, all of one width up to 18, as ``int`` reads it; else each
+    stamp ``YYYY-MM-DDTHH:MM:SS`` ending ``+00:00`` or ``Z``, as
+    ``datetime.fromisoformat`` reads it. A column with neither form gets one
+    ``int`` pass. A line goes through the row parser instead when it is
+    flagged:
 
     - its field count differs from the header's (a blank line's does);
     - a field has more bytes than ``csv.field_size_limit()`` allows characters;
     - its stamp lies outside the whole epoch seconds ``datetime`` accepts;
+    - its stamp is ISO-8601 of another form, such as another offset, a space
+      separator or fractional seconds, or names no real second of years
+      1..9999, such as February 29 of a common year, hour 24 or second 60;
     - its price is not positive and finite.
 
-    When ``int`` or ``float`` rejects a value in a block, as it does an
-    ISO-8601 stamp, that block goes through the row parser line by line, and
-    the next block is converted by columns again. The block holding the first
+    When ``int`` or ``float`` rejects a value in a block, that block goes
+    through the row parser line by line, and the next block is converted by
+    columns again. The block holding the first
     quote, CR or NUL byte, and everything after it, goes through
     ``csv.reader``, which keeps quoted fields and CR line ends exact. A final
     line without a newline is read as if it had one.

@@ -123,6 +123,11 @@ class FallbackResolution:
         """(|alphabet| - 1, n_test) cum of every position's row, last column dropped."""
         return np.take(self.cum_rows[:, :-1].T, self.row_ids, axis=1)
 
+    @cached_property
+    def argmax_picks(self) -> np.ndarray:
+        """(n_test,) alphabet index of every position's most probable symbol, the first on ties."""
+        return np.argmax(self.prob_rows, axis=1)[self.row_ids]
+
     def truncate(self, k: int) -> "FallbackResolution":
         """The resolution at order k <= order, climbing one order per step."""
         if not 1 <= k <= self.order:
@@ -197,7 +202,7 @@ def _model_indices(
 ) -> np.ndarray:
     """Add each position's model pick, an alphabet index, onto ``onto`` in place."""
     if mode == "argmax":
-        onto += np.argmax(res.prob_rows[res.row_ids], axis=1).astype(onto.dtype)
+        onto += res.argmax_picks.astype(onto.dtype)
         return onto
     u = gen.random(res.n_test)
     # the first index whose cum exceeds u, the last when none does

@@ -165,10 +165,19 @@ def test_load_too_few_rows(tmp_path):
 OFFSETS = [timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-3))]
 
 
+# hours before a day, month, year or leap-day end, and the ends of datetime's range
+EDGE_ANCHORS = [
+    datetime(*ymdh, tzinfo=timezone.utc)
+    for ymdh in [(1, 1, 1, 0), (1999, 12, 31, 21), (1900, 2, 28, 22), (2000, 2, 28, 21), (2023, 2, 28, 22),
+                 (2024, 2, 28, 21), (2022, 4, 30, 20), (2022, 5, 31, 22), (9999, 12, 31, 17)]
+]
+
+
 @st.composite
 def timestamp_fields(draw):
     """A few instants, so repeats are common, written in every accepted form."""
-    instant = BASE + timedelta(
+    anchor = draw(st.just(BASE) | st.sampled_from(EDGE_ANCHORS))
+    instant = anchor + timedelta(
         hours=draw(st.integers(0, 6)), microseconds=draw(st.sampled_from([0, 250_000, 123_456]))
     )
     form = draw(st.integers(0, 9))
@@ -176,6 +185,8 @@ def timestamp_fields(draw):
         return draw(st.sampled_from(
             ["not-a-date", "", " ", "nan", "inf", "1e20", "-1e300", "0001-01-01T00:00:00+05:00",
              "9999-12-31T23:00:00-05:00", "2022-13-01T00:00:00",
+             # the strict ISO layout with a day, hour or year that does not exist
+             "2023-02-29T00:00:00+00:00", "1900-02-29T12:00:00Z", "2022-05-20T24:00:00Z", "0000-12-31T00:00:00+00:00",
              # whole epoch seconds at and past datetime's range, and the integer spellings int() takes
              "-62135596800", "-62135596801", "253402300799", "253402300800", "+1653004800",
              " 1653004800 ", "1_653_004_800", "\u0661\u0666\u0665\u0663\u0660\u0660\u0664\u0668\u0660\u0660",
@@ -189,7 +200,10 @@ def timestamp_fields(draw):
         return repr(instant.timestamp())
     if form == 4:
         return str(int(instant.timestamp()))
-    return instant.astimezone(draw(st.sampled_from(OFFSETS))).isoformat()
+    try:
+        return instant.astimezone(draw(st.sampled_from(OFFSETS))).isoformat()
+    except OverflowError:  # the offset moves the range's end out of years 1..9999
+        return instant.isoformat()
 
 
 # one past csv.field_size_limit()'s default of 131,072 characters
@@ -328,6 +342,14 @@ def test_load_undecodable_bytes_and_oversized_field(tmp_path):
         assert exc.value.line_no == 3
 
 
+def _read_stamp_column(stamps):
+    """``_stamp_seconds`` of a block holding one ``stamp,1`` line per stamp."""
+    data = "".join(f"{stamp},1\n" for stamp in stamps).encode()
+    buf = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    return ingest._stamp_seconds(buf, seps, np.arange(0, len(seps), 2))
+
+
 def _digit_strings(width):
     return st.lists(st.text("0123456789", min_size=width, max_size=width), min_size=1, max_size=6)
 
@@ -340,14 +362,76 @@ def _digit_strings(width):
 )
 def test_digit_runs_read_what_int_reads(stamps):
     # the block pass reads a stamp column from its bytes only when int() would give the same values
-    data = "".join(f"{stamp},1\n" for stamp in stamps).encode()
-    buf = np.frombuffer(data, dtype=np.uint8)
-    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    values = ingest._digit_runs(buf, seps, np.arange(0, len(seps), 2))
+    out = _read_stamp_column(stamps)
     if all(s.isascii() and s.isdigit() for s in stamps) and len({len(s) for s in stamps}) == 1 and len(stamps[0]) <= 18:
-        assert values.dtype == np.int64 and values.tolist() == [int(s) for s in stamps]
+        values, read = out
+        assert values.dtype == np.int64 and values.tolist() == [int(s) for s in stamps] and read.all()
     else:
-        assert values is None
+        assert out is None
+
+
+# stamps in the strict layout at the ends of the calendar, which the block pass reads
+ISO_READ = ["0001-01-01T00:00:00", "9999-12-31T23:59:59", "2000-02-29T12:00:00", "2024-02-29T23:59:59"]
+# stamps it leaves to the row parser: days, hours and years that do not exist, and every other form
+ISO_FLAGGED = [
+    "1900-02-29T00:00:00+00:00", "2023-02-29T00:00:00Z", "2022-04-31T00:00:00+00:00", "2022-00-10T00:00:00Z",
+    "2022-13-10T00:00:00+00:00", "0000-01-01T00:00:00+00:00", "2022-05-20T24:00:00+00:00",
+    "2022-05-20T00:60:00Z", "2022-05-20T00:00:60+00:00", "2022-05-20 00:00:00+00:00", "2022-05-20t00:00:00Z",
+    "2022-05-20T00:00:00z", "2022-05-20T00:00:00+05:30", "2022-05-20T00:00:00-00:00",
+    "2022-05-20T00:00:00+00:00:00", "2022-05-20T00:00:00.000000+00:00", "2022-05-20T00:00:00",
+    " 2022-05-20T00:00:00Z", "2022-05-20T00:00:00Z ", "+2022-05-20T00:00:00Z", "22-05-20T00:00:00+00:00",
+]
+iso_stamps = st.builds(
+    lambda instant, suffix: instant.replace(microsecond=0).isoformat() + suffix,
+    st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)),
+    st.sampled_from(["+00:00", "Z"]),
+)
+
+
+@given(stamps=st.lists(iso_stamps | st.sampled_from(ISO_FLAGGED), min_size=1, max_size=8))
+def test_iso_layout_reads_what_parse_timestamp_reads(stamps):
+    # the block pass reads each strict-form stamp as the row parser would, and flags every other one
+    out = _read_stamp_column(stamps)
+    values, read = out if out is not None else (np.zeros(len(stamps), dtype=np.int64), np.zeros(len(stamps), bool))
+    assert read.tolist() == [s not in ISO_FLAGGED for s in stamps]
+    assert [int(v) * 10**6 for v in values[read]] == [ingest._parse_timestamp(s) for s, r in zip(stamps, read) if r]
+
+
+@pytest.mark.parametrize("suffix", ["+00:00", "Z"])
+def test_iso_layout_calendar_ends(suffix):
+    stamps = [s + suffix for s in ISO_READ]
+    values, read = _read_stamp_column(stamps)
+    assert read.all() and (values * 10**6).tolist() == [ingest._parse_timestamp(s) for s in stamps]
+    assert values[:2].tolist() == [ingest._EPOCH_SECONDS_MIN, ingest._EPOCH_SECONDS_MAX]
+
+
+@pytest.mark.parametrize("stamp", ISO_FLAGGED)
+def test_iso_layout_flags_other_forms(stamp):
+    values, read = _read_stamp_column([ISO_READ[0] + "Z", stamp, ISO_READ[1] + "+00:00"])
+    assert read.tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("odd", ["2022-05-20T12:30:00+05:30", "2023-02-29T00:00:00+00:00", "2022-05-21T05:00:00z"])
+def test_loader_flags_one_odd_iso_stamp(tmp_path, odd):
+    # in a block of strict ISO stamps, only the odd stamp's line goes through the row parser
+    stamps = [
+        (BASE + timedelta(hours=i)).strftime("%Y-%m-%dT%H:%M:%S") + ("Z" if i % 2 else "+00:00") for i in range(40)
+    ]
+    rows = [f"{stamp},{100 + i}" for i, stamp in enumerate(stamps)]
+    rows[20] = f"{odd},1.5"
+    path = write_csv(tmp_path / "iso.csv", rows)
+    seen = []
+    add_row = ingest._PriceRows.add_row
+
+    def counted(self, row, line):
+        seen.append(line)
+        add_row(self, row, line)
+
+    with mock.patch.object(ingest._PriceRows, "add_row", counted):
+        for lenient in (False, True):
+            seen.clear()
+            assert _load_outcome(path, lenient) == reference_load_price_csv(path, lenient=lenient)
+            assert seen == [22]  # line 1 is the header
 
 
 def test_loader_block_boundaries(tmp_path):
