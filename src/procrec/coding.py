@@ -132,5 +132,6 @@ def dump_coding_sidecar(
 
 
 def dump_symbols_csv(seq: SymbolSequence, path: str | Path) -> None:
-    lines = ["symbol"] + [str(int(s)) for s in seq.symbols]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    """One symbol per line under a ``symbol`` header, each alphabet symbol's text formatted once."""
+    names = np.array([str(s) for s in seq.alphabet], dtype=object)
+    write_text_atomic(path, "\n".join(["symbol", *names[seq.indices].tolist()]) + "\n")

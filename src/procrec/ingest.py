@@ -442,9 +442,13 @@ def load_price_csv(
     if not table.width:
         table.set_header(None)
 
-    ts, line_nos = np.frombuffer(table.stamps, dtype=np.int64), np.frombuffer(table.lines, dtype=np.int64)
+    ts, values = np.frombuffer(table.stamps, dtype=np.int64), np.frombuffer(table.prices, dtype=np.float64)
+    if (ts[1:] > ts[:-1]).all():  # the usual case: in order, no duplicates
+        # copies, so the series does not pin the loader's over-allocated buffers
+        return PriceSeries(instrument=name, timestamps=ts.copy(), prices=values.copy())
+    line_nos = np.frombuffer(table.lines, dtype=np.int64)
     order = np.lexsort((line_nos, ts))
-    ts, values, line_nos = ts[order], np.frombuffer(table.prices, dtype=np.float64)[order], line_nos[order]
+    ts, values, line_nos = ts[order], values[order], line_nos[order]
     dup = np.flatnonzero(ts[1:] == ts[:-1]) + 1
     if len(dup) and not lenient:
         stamp = utc_datetime(ts[dup[0]]).isoformat()

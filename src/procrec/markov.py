@@ -13,6 +13,7 @@ import csv
 import io
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,22 @@ class ConditionalTableSet:
     @property
     def marginal(self) -> ContextRow:
         return ContextRow(counts=self.counts[0], probs=self.probs[0], cum=self.cum[0])
+
+    @cached_property
+    def parents(self) -> np.ndarray:
+        """int32, per stacked row the row of its context less the oldest symbol.
+
+        Row 0, the marginal, is the parent of every order-1 row and of itself.
+        """
+        a = len(self.alphabet)
+        parents = np.zeros(len(self.counts), dtype=np.int32)
+        for j in range(2, self.k_max + 1):
+            # seen contexts are prefix-closed, so every parent code is in the table below
+            table, up = self.tables[j], self.tables[j - 1]
+            parents[table.offset : table.offset + len(table.codes)] = up.offset + np.searchsorted(
+                up.codes, table.codes // a
+            )
+        return parents
 
 
 def _check_packable(alphabet_size: int, k_max: int) -> None:
@@ -268,30 +285,47 @@ def dump_tables_json(tables: ConditionalTableSet, path: str | Path) -> None:
     rows follow in the lexicographic order of the context tuples. ``counts``
     are ints and ``probs`` floats written as ``repr``, one entry per alphabet
     symbol. The file goes through a temp file and ``os.replace``.
+
+    A row's body depends only on its counts (probs are counts / total), so
+    each distinct counts row is formatted once and shared by every row that
+    has it. A row's key is its parent's key plus its oldest symbol.
     """
     a = len(tables.alphabet)
-    members = _distribution_template(a, 10)
-    blocks = []
-    for k, table in sorted(tables.tables.items()):
-        # the key's k symbols, then the row's a counts and a probabilities
-        row = '        "' + ",".join(["%d"] * k) + '": {\n' + members + "\n        }"
-        rows = ",\n".join(
-            [
-                row % (*ctx, *counts, *probs)
-                for ctx, counts, probs in zip(
-                    table.contexts().tolist(), table.counts.tolist(), table.probs.tolist()
-                )
-            ]
-        )
-        blocks.append('    {\n      "k": %d,\n      "rows": {\n%s\n      }\n    }' % (k, rows))
+    # group equal counts rows: sort them, then mark each row that differs from the one before
+    order = np.lexsort(tables.counts.T)
+    ranked = tables.counts[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    first = order[new]
+    body = '": {\n' + _distribution_template(a, 10) + "\n        }"
+    texts = [body % (*c, *p) for c, p in zip(tables.counts[first].tolist(), tables.probs[first].tolist())]
+    bodies = np.array(texts, dtype=object)[group]  # row 0's goes unused: the marginal has its own indent
+
+    names = np.array([str(s) for s in tables.alphabet], dtype=object)
+    keys = np.empty(len(tables.counts), dtype=object)
     marginal = (*tables.counts[0].tolist(), *tables.probs[0].tolist())
-    text = (
-        '{\n  "alphabet": [\n    %s\n  ],\n' % ",\n    ".join(map(str, tables.alphabet))
-        + '  "k_max": %d,\n  "n_train": %d,\n' % (tables.k_max, tables.n_train)
-        + '  "marginal": {\n%s\n  },\n' % (_distribution_template(a, 4) % marginal)
-        + '  "tables": [\n%s\n  ]\n}\n' % ",\n".join(blocks)
-    )
-    write_text_atomic(path, text)
+    pieces = [
+        '{\n  "alphabet": [\n    %s\n  ],\n' % ",\n    ".join(names.tolist()),
+        '  "k_max": %d,\n  "n_train": %d,\n' % (tables.k_max, tables.n_train),
+        '  "marginal": {\n%s\n  },\n  "tables": [\n' % (_distribution_template(a, 4) % marginal),
+    ]
+    for k, table in sorted(tables.tables.items()):
+        ids = slice(table.offset, table.offset + len(table.codes))
+        oldest = names[table.codes % a]
+        keys[ids] = oldest if k == 1 else keys[tables.parents[ids]] + "," + oldest
+        # one (separator, key, body) triple per row, joined with the rest of the file
+        triples = np.empty((len(table.codes), 3), dtype=object)
+        triples[:, 0] = ',\n        "'
+        triples[0, 0] = '        "'
+        triples[:, 1] = keys[ids]
+        triples[:, 2] = bodies[ids]
+        pieces.append('%s    {\n      "k": %d,\n      "rows": {\n' % ("" if k == 1 else ",\n", k))
+        pieces += triples.ravel().tolist()
+        pieces.append("\n      }\n    }")
+    pieces.append("\n  ]\n}\n")
+    write_text_atomic(path, "".join(pieces))
 
 
 def write_census_csv(census: Iterable[BlockCensus], path: str | Path) -> None:

@@ -151,7 +151,8 @@ def resolve_fallback(
     across the split boundary into the training half for the first positions.
     Every position walks from the marginal to the child row that adds the next
     older symbol, k times or until it misses, and keeps the last row it reached.
-    ``truncate`` serves the lower orders.
+    The child links invert the table set's ``parents``, which the resolution
+    keeps for ``truncate`` to serve the lower orders.
     """
     total = len(seq)
     n_test = total - n
@@ -164,16 +165,12 @@ def resolve_fallback(
     if tuple(seq.alphabet) != tables.alphabet:  # indices of another alphabet would be misread
         raise ValueError(f"sequence alphabet {seq.alphabet} is not the tables' {tables.alphabet}")
 
-    a, n_rows = len(tables.alphabet), len(tables.cum)
-    parents = np.zeros(n_rows, dtype=np.int32)  # row 0, the marginal, is every order-1 row's parent
+    a, n_rows, parents = len(tables.alphabet), len(tables.cum), tables.parents
     # child[r * a + s]: the row of r's context extended by the older symbol s. Row n_rows and
     # every missing child are n_rows, "no such context", so a walk that misses stays missed
     child = np.full((n_rows + 1) * a, n_rows, dtype=np.int32)  # flat: 1-D gathers beat 2-D ones
-    for j, table in tables.tables.items():
+    for table in tables.tables.values():
         rows = np.arange(table.offset, table.offset + len(table.codes), dtype=np.int32)
-        if j > 1:  # seen contexts are prefix-closed, so every parent code is in the table below
-            up = tables.tables[j - 1]
-            parents[rows] = up.offset + np.searchsorted(up.codes, table.codes // a)
         child[parents[rows] * a + table.codes % a] = rows
 
     idx = seq.indices

@@ -19,7 +19,7 @@ from procrec import (
 from procrec.coding import dump_coding_sidecar, dump_symbols_csv
 
 from conftest import mk_returns
-from oracles import coarsen_five_to_three, five_band_matches, three_band_matches
+from oracles import ALPHABET3, ALPHABET5, coarsen_five_to_three, five_band_matches, three_band_matches
 
 STATS = SeriesStats(mean=0.001, std=0.02, count=100)
 S = STATS.std
@@ -223,3 +223,17 @@ def test_symbols_csv_dump(tmp_path):
     out = tmp_path / "symbols.csv"
     dump_symbols_csv(seq, out)
     assert out.read_text().splitlines() == ["symbol", "2", "0", "-2"]
+
+
+@given(
+    alphabet=st.sampled_from([ALPHABET3, ALPHABET5, (-40, 7, 1234)]),
+    picks=st.lists(st.integers(0, 4), min_size=1, max_size=200),
+)
+@example(alphabet=ALPHABET5, picks=[0])  # one symbol, negative
+@example(alphabet=ALPHABET3, picks=[2])
+@settings(deadline=None)
+def test_symbols_csv_matches_per_symbol_text(tmp_path_factory, alphabet, picks):
+    seq = SymbolSequence(np.array(picks) % len(alphabet), alphabet)
+    out = tmp_path_factory.mktemp("symbols") / "symbols.csv"
+    dump_symbols_csv(seq, out)
+    assert out.read_bytes() == ("\n".join(["symbol"] + [str(int(s)) for s in seq.symbols]) + "\n").encode()

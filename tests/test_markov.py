@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -13,11 +14,14 @@ from procrec import (
     SequenceTooShort,
     build_conditional_tables,
     census_blocks,
+    compute_stats,
+    encode_series,
+    make_scheme,
     resolve_fallback,
 )
 from procrec.markov import dump_tables_json, write_census_csv
 
-from conftest import mk_seq
+from conftest import mk_returns, mk_seq
 from oracles import (
     ALPHABET3,
     ALPHABET5,
@@ -26,6 +30,8 @@ from oracles import (
     brute_force_tables,
     reference_tables_json,
 )
+
+import synth
 
 
 def random_symbols(rng, length, alphabet):
@@ -238,20 +244,33 @@ def test_dump_tables_json(tmp_path):
 
 @st.composite
 def table_sets(draw):
-    """Table sets over 3 or 5 symbols, k_max 1..8, from short sequences.
+    """Table sets over 3 symbols with k_max 1..12 or 5 symbols with k_max 1..8.
 
     The symbols come from a drawn subset of the alphabet, so a one-symbol
     subset gives single-row orders whose probabilities are 1.0 and 0.0.
+    Sequences run to a few hundred symbols, so equal counts rows recur within
+    an order and across orders.
     """
     alphabet = draw(st.sampled_from([ALPHABET3, ALPHABET5]))
-    k_max = draw(st.integers(1, 8))
+    k_max = draw(st.integers(1, 12 if alphabet == ALPHABET3 else 8))
     pool = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=len(alphabet), unique=True))
-    symbols = draw(st.lists(st.sampled_from(sorted(pool)), min_size=k_max + 1, max_size=k_max + 120))
+    symbols = draw(st.lists(st.sampled_from(sorted(pool)), min_size=k_max + 1, max_size=k_max + 300))
     return build_conditional_tables(mk_seq(symbols, alphabet), k_max)
+
+
+def crypto_like_tables(n_returns, k_max):
+    """Five-symbol tables of the first half of a synthetic hourly crypto-like series."""
+    returns = mk_returns(np.diff(np.log(synth.crypto_like_prices(n_returns + 1, seed=7))))
+    stats = compute_stats(returns)
+    seq = encode_series(returns, stats, make_scheme("five", stats))
+    return build_conditional_tables(dataclasses.replace(seq, indices=seq.indices[: n_returns // 2]), k_max)
 
 
 @given(table_sets())
 @example(build_conditional_tables(mk_seq([1, 1, 1, 1], ALPHABET5), 3))  # one row per order, probs 0.0 and 1.0
+@example(build_conditional_tables(mk_seq([-1, 0, 0, -1, 1], ALPHABET3), 2))  # every counts row distinct
+@example(build_conditional_tables(mk_seq([1, 0, 1, -1, 1, 0, 0], ALPHABET3), 3))  # orders 1-3 share (0, 0, 1)
+@example(crypto_like_tables(4000, 8))
 @settings(deadline=None, max_examples=300)
 def test_dump_tables_json_matches_reference(tables):
     with tempfile.TemporaryDirectory() as tmp:
