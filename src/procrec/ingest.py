@@ -129,16 +129,23 @@ class SeriesStats:
             raise ValueError("std must be nonnegative")
 
 
+_WRITE_SLICE = 1 << 16  # characters handed to the file at a time
+
+
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8 through ``<path>.tmp`` and ``os.replace``.
 
     A failed write or rename leaves any old file at ``path`` whole and
     removes the temp file. Newlines are written as given, on every platform.
+    The text is encoded a slice at a time, so a large output is never held
+    a second time as one ``bytes`` object.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8", newline="")
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start : start + _WRITE_SLICE])
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -14,15 +14,22 @@ rows one older symbol longer, and walks the links down from the marginal with
 gathers only, as in a suffix tree. It keeps the row of order L_t and each
 row's parent, so ``FallbackResolution.truncate(k)`` climbs to order k.
 
-All randomness flows from a RandomStream: a seeded PCG64 stream addressed by
-a derivation path, so runs, orders and purposes get independent,
-platform-stable substreams and the whole experiment is reproducible from
-(data, config, master seed).
+All randomness flows from a RandomStream: a master seed and a derivation path
+of tags, which key a PCG64 generator exactly as numpy's
+``SeedSequence(seed, spawn_key=path)`` would. Runs, orders and purposes get
+independent, platform-stable substreams, and the whole experiment is
+reproducible from (data, config, master seed). ``RandomStream.generators``
+seeds a batch of substreams in one pass: it runs SeedSequence's hash as uint32
+column arithmetic over every key at once and hands each generator its seed
+words when it is built, so no SeedSequence object is made per run.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
+from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -62,14 +69,124 @@ def _tag_code(tag: int | str) -> int:
     return int(tag)
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on 32-bit words, its 4-word pool
+# and its multipliers as Python ints; numpy guarantees these streams stay stable across versions
+_M32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+_XSHIFT = 16
+
+
+def _words(value: int) -> tuple[int, ...]:
+    """The little-endian 32-bit words SeedSequence makes of a nonnegative int: (0,) for 0."""
+    words = [value & _M32]
+    while value > _M32:
+        value >>= 32
+        words.append(value & _M32)
+    return tuple(words)
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """(n, 4) uint64 ``generate_state(4, uint64)`` of n SeedSequences from their (n, L) uint32 entropy.
+
+    Each step of SeedSequence's ``mix_entropy`` and ``generate_state`` is one uint32 column
+    operation over all n rows. The hash constant each step uses depends only on the step, so
+    it is carried as a Python int.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> _XSHIFT)
+
+    n, length = entropy.shape
+    zeros = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zeros) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, length):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[:, i_src]))
+
+    hash_const = _INIT_B
+    state = np.empty((n, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i_dst in range(2 * _POOL_SIZE):
+        value = pool[i_dst % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const
+        state[:, i_dst] = value ^ (value >> _XSHIFT)
+    return state.astype("<u4").view("<u8").astype(np.uint64)  # word pairs, low word first
+
+
+def _seed_words(seed: int, paths: Iterable[tuple[int, ...]]) -> np.ndarray:
+    """(n, 4) uint64: ``SeedSequence(seed, spawn_key=path).generate_state(4, uint64)`` for each of n paths.
+
+    SeedSequence hashes the seed's words, padded to the pool size when a spawn key follows,
+    then the key's words. Keys with the same number of words form one group and are hashed
+    together, so tags or seeds that need two words only cost a second group. The words are
+    gathered into flat arrays, not held as one tuple per key.
+    """
+    run = _words(seed)
+    padded = run + (0,) * (_POOL_SIZE - len(run))
+    groups: dict[int, tuple[array, array]] = {}  # entropy length -> (key indices, their words)
+    for i, path in enumerate(paths):
+        if not path:
+            entropy = run
+        elif max(path) <= _M32:
+            entropy = padded + path
+        else:
+            entropy = padded + tuple(w for tag in path for w in _words(tag))
+        group = groups.get(len(entropy))
+        if group is None:
+            group = groups[len(entropy)] = (array("q"), array("Q"))
+        group[0].append(i)
+        group[1].extend(entropy)
+    seeds = np.empty((sum(len(keys) for keys, _ in groups.values()), 4), dtype=np.uint64)
+    for length, (keys, words) in groups.items():
+        seeds[np.asarray(keys)] = _pcg64_seeds(np.asarray(words).astype(np.uint32).reshape(-1, length))
+    return seeds
+
+
+@functools.cache
+def _preseeded() -> type:
+    """A seed sequence that hands PCG64 seed words computed beforehand.
+
+    PCG64 asks its seed sequence for ``generate_state(4, uint64)`` and seeds
+    itself from those words. The class is made on first use, so that
+    importing procrec does not import ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Preseeded(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Preseeded
+
+
 @dataclass(frozen=True)
 class RandomStream:
     """Seeded, addressable source of reproducible randomness.
 
-    The generator is PCG64 keyed by (seed, path) through numpy's SeedSequence,
-    which guarantees identical draws for identical keys on every platform.
-    Substreams extend the path, so (seed, run, order, purpose) streams are
-    mutually independent and do not depend on evaluation order.
+    A stream is a master seed and a path of tags. Its generator is PCG64
+    seeded as numpy's ``SeedSequence(seed, spawn_key=path)`` seeds it, which
+    numpy keeps identical on every platform and version. Substreams extend
+    the path, so (seed, run, order, purpose) streams are mutually independent
+    and do not depend on evaluation order.
     """
 
     seed: int
@@ -82,9 +199,15 @@ class RandomStream:
     def substream(self, *tags: int | str) -> "RandomStream":
         return RandomStream(self.seed, self.path + tuple(_tag_code(t) for t in tags))
 
-    def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        return np.random.Generator(np.random.PCG64(seq))
+    def generators(self, paths: Iterable[tuple[int | str, ...]]) -> Iterator[np.random.Generator]:
+        """The generator of ``substream(*path)`` for each path, in order.
+
+        Every seed is computed at once, up front; each generator is built only
+        when the iterator reaches it, so a long batch holds one at a time and
+        ``numpy.random`` is imported when the first one is built.
+        """
+        seeds = _seed_words(self.seed, (self.path + tuple(_tag_code(t) for t in path) for path in paths))
+        return (np.random.Generator(np.random.PCG64(_preseeded()(words))) for words in seeds)
 
 
 @dataclass(frozen=True)
@@ -124,6 +247,16 @@ class FallbackResolution:
         return np.take(self.cum_rows[:, :-1].T, self.row_ids, axis=1)
 
     @cached_property
+    def actual_pairs(self) -> np.ndarray:
+        """(n_test,) actual * |alphabet|: each position's (actual, predicted) pair code less the pick.
+
+        uint8 while |alphabet|² codes fit in it, int64 beyond. ``truncate`` hands it on, so
+        a chain of truncations computes it once.
+        """
+        a = self.cum_rows.shape[1]
+        return self.actual_idx.astype(np.uint8 if a * a <= 256 else np.int64) * a
+
+    @cached_property
     def argmax_picks(self) -> np.ndarray:
         """(n_test,) alphabet index of every position's most probable symbol, the first on ties."""
         return np.argmax(self.prob_rows, axis=1)[self.row_ids]
@@ -135,7 +268,9 @@ class FallbackResolution:
         row_ids = self.row_ids
         for j in range(self.order, k, -1):  # positions answered at order j or above climb to j - 1
             row_ids = np.where(self.orders >= j, self.parents[row_ids], row_ids)
-        return replace(self, order=k, orders=np.minimum(self.orders, k), row_ids=row_ids)
+        res = replace(self, order=k, orders=np.minimum(self.orders, k), row_ids=row_ids)
+        res.__dict__["actual_pairs"] = self.actual_pairs  # one test half at every order: computed once
+        return res
 
     def order_histogram(self) -> dict[int, int]:
         counts = np.bincount(self.orders, minlength=self.order + 1)
@@ -221,11 +356,23 @@ def _baseline_indices(
     return gen.integers(0, a, size=n_test)
 
 
+@functools.cache
+def _pair_errors(alphabet: tuple[int, ...], metric: str) -> np.ndarray:
+    """Error of every (actual, predicted) symbol pair at actual * |alphabet| + predicted."""
+    alpha = np.asarray(alphabet, dtype=np.int64)
+    errors = (alpha[None, :] - alpha[:, None]).ravel()  # predicted - actual
+    if metric == "abs":
+        errors = np.abs(errors)
+    errors.flags.writeable = False  # shared by every run over this alphabet
+    return errors
+
+
 def evaluate_run(
     tables: ConditionalTableSet,
     resolution: FallbackResolution,
     metric: str,
-    rng: RandomStream,
+    model_gen: np.random.Generator,
+    baseline_gen: np.random.Generator,
     *,
     baseline: str = "uniform",
     mode: str = "sample",
@@ -235,8 +382,8 @@ def evaluate_run(
     Returns the model error e and the baseline error e_rand at the
     resolution's order. With metric "abs" both are mean |predicted - actual|
     over symbol values; with "signed" the mean of (predicted - actual). Model
-    draws and baseline draws come from independent substreams of ``rng``, so
-    the two never perturb each other.
+    draws come from ``model_gen`` (none in "argmax" mode) and baseline draws
+    from ``baseline_gen``, so the two never perturb each other.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
@@ -246,17 +393,14 @@ def evaluate_run(
         raise ValueError(f"mode must be one of {MODES}")
 
     a, n_test = len(tables.alphabet), resolution.n_test
-    alpha = np.asarray(tables.alphabet, dtype=np.int64)
-    errors = (alpha[None, :] - alpha[:, None]).ravel()  # predicted - actual at actual * a + predicted
-    if metric == "abs":
-        errors = np.abs(errors)
-    # each position's (actual, predicted) pair as actual * a + predicted, in uint8 while a * a fits.
+    errors = _pair_errors(tables.alphabet, metric)
     # Pair counts times pair errors sum to integers below 2**53, so each mean is the same float as
     # the mean of the per-position errors; `@` would page in numpy's matmul code, 0.15 MB resident
-    actual = resolution.actual_idx.astype(np.uint8 if a * a <= 256 else np.int64) * a
-    pairs = _model_indices(resolution, rng.substream("model").generator(), mode, actual.copy())
+    actual = resolution.actual_pairs
+    pairs = _model_indices(resolution, model_gen, mode, actual.copy())
     e = int((np.bincount(pairs, minlength=a * a) * errors).sum()) / n_test
-    pairs = actual + _baseline_indices(tables, n_test, rng.substream("baseline").generator(), baseline)
+    pairs = _baseline_indices(tables, n_test, baseline_gen, baseline)
+    pairs += actual  # in place: the draws are int64 or intp already
     e_rand = int((np.bincount(pairs, minlength=a * a) * errors).sum()) / n_test
     return RunErrors(order=resolution.order, e=e, e_rand=e_rand, metric=metric, n_predictions=n_test)
 
@@ -321,9 +465,10 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> ExperimentReport:
     """Full protocol on one instrument: code, split, estimate, predict, average.
 
-    Tables are estimated on the first half only; every run j and order k gets
-    the substream (master seed, instrument, j, k), so reports are invariant to
-    run scheduling and to which other instruments are processed alongside.
+    Tables are estimated on the first half only; every run j and order k draws
+    from the substreams (master seed, instrument, j, k, "model" | "baseline"),
+    so reports are invariant to run scheduling and to which other instruments
+    are processed alongside.
     """
     config.validate_params()
     h1, h2 = split_halves(returns)
@@ -334,9 +479,13 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
     train = replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, config.k_max)
 
-    stream = RandomStream(config.master_seed).substream(returns.instrument)
     k_values = tuple(range(config.k_min, config.k_max + 1))
+    runs = range(1, config.runs + 1)
     resolution = resolve_fallback(tables, seq, n, config.k_max)
+    # the model and baseline substreams of every run, in the order they are scored
+    gens = RandomStream(config.master_seed).substream(returns.instrument).generators(
+        (j, k, purpose) for k in reversed(k_values) for j in runs for purpose in ("model", "baseline")
+    )
 
     per_run: dict[int, tuple[RunErrors, ...]] = {}
     fallback_histogram: dict[int, dict[int, int]] = {}
@@ -346,9 +495,9 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
         fallback_histogram[k] = resolution.order_histogram()
         per_run[k] = tuple(
             evaluate_run(
-                tables, resolution, config.metric, stream.substream(j, k), baseline=config.baseline, mode=config.mode
+                tables, resolution, config.metric, next(gens), next(gens), baseline=config.baseline, mode=config.mode
             )
-            for j in range(1, config.runs + 1)
+            for _ in runs
         )
     per_run, fallback_histogram = dict(sorted(per_run.items())), dict(sorted(fallback_histogram.items()))
     e_mean, e_std, r_mean, r_std = [], [], [], []

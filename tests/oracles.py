@@ -121,6 +121,16 @@ def scalar_evaluate_run(symbols, n, k, k_max, alphabet, metric, model_gen, basel
     return mean_error(predicted), mean_error(guessed)
 
 
+def reference_generator(stream):
+    """numpy's own SeedSequence -> PCG64 generator for a RandomStream's (seed, path)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=stream.seed, spawn_key=stream.path)))
+
+
+def reference_run_generators(stream):
+    """The (model, baseline) generators a run on ``stream`` draws from, seeded by numpy."""
+    return reference_generator(stream.substream("model")), reference_generator(stream.substream("baseline"))
+
+
 def _reference_instant(raw):
     text = raw.strip()
     try:

@@ -45,6 +45,7 @@ from oracles import (
     five_band_matches,
     generate_order2_symbols,
     make_order2_chain,
+    reference_run_generators,
     three_band_matches,
 )
 import synth
@@ -164,7 +165,7 @@ def test_criterion_4_synthetic_recovery():
         res = {k: resolve_fallback(tables, seq, n, k) for k in (1, 2)}
         runs = {
             k: [
-                evaluate_run(tables, res[k], "abs", stream.substream(j, k))
+                evaluate_run(tables, res[k], "abs", *reference_run_generators(stream.substream(j, k)))
                 for j in range(1, 51)
             ]
             for k in (1, 2)
@@ -216,22 +217,23 @@ def test_criterion_5_model_beats_random(market_scale_csv):
 
 
 def test_criterion_6_byte_identical_reports(tmp_path):
-    with criterion(6, "determinism under repeated and parallel execution"):
+    with criterion(6, "determinism under repeated, serial and parallel execution"):
         paths = [
             synth.write_price_csv(tmp_path / f"i{j}.csv", synth.crypto_like_prices(401, seed=60 + j))
             for j in range(2)
         ]
-        argv = ["predict", "--runs", "5", "--kmax", "4", "--seed", "99", "--jobs", "2"]
+        argv = ["predict", "--runs", "5", "--kmax", "4", "--seed", "99", "--dump-tables"]
         for p in paths:
             argv += ["--input", str(p)]
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(argv + ["--out", str(out_a)]) == 0
-        assert main(argv + ["--out", str(out_b)]) == 0
+        # two parallel runs, then a serial one: the per-order caches must not depend on threads
+        outs = {name: tmp_path / name for name in ("a", "b", "serial")}
+        for name, out in outs.items():
+            jobs = "1" if name == "serial" else "2"
+            assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
         for j in range(2):
-            ra = (out_a / f"i{j}_report.json").read_bytes()
-            rb = (out_b / f"i{j}_report.json").read_bytes()
-            assert ra == rb
-            assert (out_a / f"i{j}_plot.csv").read_bytes() == (out_b / f"i{j}_plot.csv").read_bytes()
+            for suffix in ("report.json", "plot.csv", "tables.json"):
+                a, b, serial = ((out / f"i{j}_{suffix}").read_bytes() for out in outs.values())
+                assert a == b == serial, f"i{j}_{suffix}"
 
 
 def test_criterion_7_train_test_hygiene(monkeypatch):

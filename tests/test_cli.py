@@ -246,14 +246,29 @@ def test_failed_write_keeps_old_report(tmp_path, small_csv, monkeypatch, capsys,
             "--dump-tables"]
     assert main(argv + ["--seed", "1"]) == 0
     old = {name: (out / name).read_bytes() for name in ("demo_report.json", "demo_tables.json")}
-    write_text = Path.write_text
+    real_open = Path.open
 
-    def half_write(path, text, *args, **kwargs):
-        if failing == "tables" and not path.name.startswith("demo_tables.json"):
-            return write_text(path, text, *args, **kwargs)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text[: len(text) // 2])
-        raise OSError(errno.ENOSPC, "No space left on device")
+    class FullDisk:
+        """An output file that takes half of the first text it is given, then finds the disk full."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def half_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if mode != "w" or (failing == "tables" and not path.name.startswith("demo_tables.json")):
+            return fh
+        return FullDisk(fh)
 
     def no_replace(src, dst):
         raise OSError(errno.EXDEV, "Invalid cross-device link")
@@ -261,7 +276,7 @@ def test_failed_write_keeps_old_report(tmp_path, small_csv, monkeypatch, capsys,
     if failing == "replace":
         monkeypatch.setattr(os, "replace", no_replace)
     else:
-        monkeypatch.setattr(Path, "write_text", half_write)
+        monkeypatch.setattr(Path, "open", half_open)
     capsys.readouterr()
     assert main(argv + ["--seed", "2"]) == 1
     assert _one_error_line(capsys).startswith("error: demo: ")
@@ -422,10 +437,14 @@ def test_predict_unmakeable_out_one_error_line(tmp_path, small_csv, capsys, jobs
 
 @pytest.mark.parametrize("command", ["census", "returns"])
 def test_failed_write_exits_1(tmp_path, small_csv, monkeypatch, capsys, command):
-    def no_space(path, text, *args, **kwargs):
-        raise OSError(errno.ENOSPC, "No space left on device")
+    real_open = Path.open
 
-    monkeypatch.setattr(Path, "write_text", no_space)
+    def no_space(path, mode="r", *args, **kwargs):
+        if mode == "w":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", no_space)
     out = tmp_path / "out"
     assert main([command, "--input", str(small_csv), "--out", str(out), *SUBCOMMAND_ARGS[command]]) == 1
     assert "No space left on device" in _one_error_line(capsys)

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import ast
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +80,14 @@ def test_exported_names_resolve(module):
         ]
     missing = [f"{source}.{name}" for source, name in exported if name not in _top_level_names(_tree(source))]
     assert not missing, f"{module}.py exports names that are not defined: {', '.join(missing)}"
+
+
+def test_cli_setup_leaves_numpy_random_unloaded():
+    # numpy.random takes milliseconds to import; it loads at the first draw, not at setup
+    code = (
+        "import sys, procrec.cli; procrec.cli.build_parser(); "
+        "print([m for m in sys.modules if m.startswith('numpy.random')])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import logging
 import math
 import sys
 import tempfile
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
@@ -696,3 +697,29 @@ def test_pairs_csv_roundtrip(tmp_path):
     assert lines[0] == "r_t,r_t_plus_1"
     parsed = [tuple(map(float, ln.split(","))) for ln in lines[1:]]
     assert parsed == pairs
+
+
+# --- write_text_atomic -----------------------------------------------------------
+
+
+def test_write_text_atomic_slices_keep_the_bytes(tmp_path):
+    # three slices; multi-byte characters end the first, open the second and fill the third
+    size = ingest._WRITE_SLICE
+    text = "a" * (size - 1) + "é😀\r\n" + "€" * size + "\n😀" + "b" * 5
+    path = tmp_path / "out.txt"
+    ingest.write_text_atomic(path, text)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_text_atomic_holds_no_encoded_copy(tmp_path):
+    size = 16 * 2**20
+    text = "x" * size
+    tracemalloc.start()
+    try:
+        ingest.write_text_atomic(tmp_path / "big.txt", text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.txt").stat().st_size == size
+    assert peak < size / 4, f"peak {peak / 2**20:.1f} MiB writing {size / 2**20:.0f} MiB"

@@ -13,7 +13,7 @@ from procrec import (
     resolve_fallback,
     run_experiment,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from procrec.predict import ExperimentConfig, RandomStream, report_to_json_dict
@@ -23,6 +23,8 @@ from oracles import (
     ALPHABET3,
     ALPHABET5,
     brute_force_back_off,
+    reference_generator,
+    reference_run_generators,
     sample_index,
     scalar_evaluate_run,
     sequential_cum,
@@ -61,33 +63,70 @@ def deepest(alphabet):
 # --- RandomStream ------------------------------------------------------------
 
 
+def first(stream, *tags):
+    """The package's own generator of ``stream.substream(*tags)``."""
+    return next(stream.generators([tags]))
+
+
 def test_stream_repeatable():
-    a = RandomStream(7).substream("x", 3).generator().random(5)
-    b = RandomStream(7).substream("x", 3).generator().random(5)
+    a = first(RandomStream(7), "x", 3).random(5)
+    b = first(RandomStream(7), "x", 3).random(5)
     np.testing.assert_array_equal(a, b)
 
 
 def test_stream_substreams_differ():
     root = RandomStream(7)
-    a = root.substream(1, 2).generator().random(4)
-    b = root.substream(2, 1).generator().random(4)
-    c = root.generator().random(4)
+    a = first(root, 1, 2).random(4)
+    b = first(root, 2, 1).random(4)
+    c = first(root).random(4)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_stream_cross_platform_pin():
     # frozen draws document the fixed-generator contract: same seed, same
-    # sequence, everywhere
-    g = RandomStream(12345).substream("model").generator()
-    np.testing.assert_allclose(
-        g.random(3),
-        [0.2579337492286621, 0.24496871883348414, 7.006638758488837e-05],
-        rtol=0,
-        atol=0,
-    )
-    g2 = RandomStream(12345).substream("model").generator()
-    assert g2.integers(0, 5, 6).tolist() == [2, 1, 4, 1, 4, 0]
+    # sequence, everywhere, from the package's seeding and from numpy's
+    stream = RandomStream(12345)
+    for make in (lambda: first(stream, "model"), lambda: reference_generator(stream.substream("model"))):
+        np.testing.assert_allclose(
+            make().random(3),
+            [0.2579337492286621, 0.24496871883348414, 7.006638758488837e-05],
+            rtol=0,
+            atol=0,
+        )
+        assert make().integers(0, 5, 6).tolist() == [2, 1, 4, 1, 4, 0]
+
+
+# a tag of one 32-bit word, of several words, or a string hashed to one word
+TAGS = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**100),
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
+    st.text(max_size=6),
+)
+
+
+@given(
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1])),
+    paths=st.lists(st.lists(TAGS, max_size=5).map(tuple), min_size=1, max_size=10),
+)
+@settings(deadline=None, max_examples=200)
+@example(seed=2**64 - 1, paths=[(), (1,), (2**32,), ("model", 7, 2**70), (0, 0, 0, 0, 0), ("x",)])
+@example(seed=0, paths=[()])
+def test_batch_seeding_matches_seed_sequence(seed, paths):
+    # one batch mixes path lengths and one- and several-word tags; every key's seed words,
+    # PCG64 state and increment, and first draws are numpy's own
+    root = RandomStream(seed)
+    keys = [root.substream(*path).path for path in paths]
+    want = [np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64) for key in keys]
+    got = predict_mod._seed_words(seed, keys)
+    assert got.dtype == np.uint64 and got.shape == (len(paths), 4)
+    np.testing.assert_array_equal(got, np.array(want))
+    for gen, path in zip(root.generators(paths), paths, strict=True):
+        ref = reference_generator(root.substream(*path))
+        assert gen.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_array_equal(gen.random(3), ref.random(3))
+        assert gen.integers(0, 5, 4).tolist() == ref.integers(0, 5, 4).tolist()
 
 
 def test_stream_rejects_bad_seeds_and_tags():
@@ -109,7 +148,7 @@ def test_predict_next_deterministic_row():
     assert res.orders.tolist() == [2] * 60
     for seed in (0, 1, 99):
         # every draw is the realized symbol
-        assert evaluate_run(tables, res, "abs", RandomStream(seed)).e == 0.0
+        assert evaluate_run(tables, res, "abs", *reference_run_generators(RandomStream(seed))).e == 0.0
     assert tables.tables[2].rows[(0, 1)].probs.tolist() == [0.0, 0.0, 1.0]
 
 
@@ -120,7 +159,7 @@ def test_predict_next_falls_back_one_order():
     res = resolve_fallback(tables, seq, len(train), 2)
     assert seq.symbols[-3:-1].tolist() == [1, 1]  # the last position's context
     assert res.orders[-1] == 1
-    gen = RandomStream(5).substream("model").generator()
+    gen = reference_generator(RandomStream(5).substream("model"))
     predicted = model_picks(res, gen)
     assert ALPHABET3[predicted[-1]] == 0  # every 1 in train is followed by 0
 
@@ -140,7 +179,7 @@ def test_predict_next_sampling_frequencies():
     assert tables.tables[1].rows[(0,)].counts.tolist() == [2, 3, 5]
     stream = RandomStream(314).substream("lln")
     res = resolve_fallback(tables, seq, len(train), 1)
-    draws = model_picks(res, stream.substream("model").generator())
+    draws = model_picks(res, reference_generator(stream.substream("model")))
     for symbol, want in ((0, 0.2), (1, 0.3), (2, 0.5)):
         assert abs(np.mean(draws == symbol) - want) < 0.01
 
@@ -149,8 +188,8 @@ def test_baseline_uniform_frequencies():
     # the uniform baseline evaluate_run scores, against a constant 0 test half
     seq, tables = split_tables([0] * 100_100, ALPHABET5, 100, 1)
     stream = RandomStream(2718).substream("base")
-    result = evaluate_run(tables, resolve_fallback(tables, seq, 100, 1), "signed", stream)
-    draws = stream.substream("baseline").generator().integers(0, 5, size=100_000)
+    result = evaluate_run(tables, resolve_fallback(tables, seq, 100, 1), "signed", *reference_run_generators(stream))
+    draws = reference_generator(stream.substream("baseline")).integers(0, 5, size=100_000)
     drawn = np.asarray(ALPHABET5)[draws]
     assert result.e_rand == float(drawn.mean())
     for symbol in ALPHABET5:
@@ -160,11 +199,13 @@ def test_baseline_uniform_frequencies():
 def test_baseline_single_symbol_and_determinism():
     seq, tables = split_tables([4] * 20, (4,), 10, 1)
     res = resolve_fallback(tables, seq, 10, 1)
-    assert evaluate_run(tables, res, "abs", RandomStream(1)).e_rand == 0.0
+    assert evaluate_run(tables, res, "abs", *reference_run_generators(RandomStream(1))).e_rand == 0.0
     seq, tables = split_tables([-1, 0, 1, 1, 0] * 8, ALPHABET3, 20, 1)
     res = resolve_fallback(tables, seq, 20, 1)
-    a = [evaluate_run(tables, res, "abs", RandomStream(9).substream(i)).e_rand for i in range(20)]
-    b = [evaluate_run(tables, res, "abs", RandomStream(9).substream(i)).e_rand for i in range(20)]
+    a = [evaluate_run(tables, res, "abs", *reference_run_generators(RandomStream(9).substream(i))).e_rand
+         for i in range(20)]
+    b = [evaluate_run(tables, res, "abs", *reference_run_generators(RandomStream(9).substream(i))).e_rand
+         for i in range(20)]
     assert a == b
     assert len(set(a)) > 1
 
@@ -178,7 +219,7 @@ def test_evaluate_constant_sequence():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 3)
     res = resolve_fallback(tables, seq, n, 3)
-    result = evaluate_run(tables, res, "abs", RandomStream(0).substream(1, 3))
+    result = evaluate_run(tables, res, "abs", *reference_run_generators(RandomStream(0).substream(1, 3)))
     assert result.e == 0.0  # the only rows are certain about 0
     # uniform baseline against a constant 0: E|u| = (2+1+0+1+2)/5 = 1.2
     assert result.e_rand == pytest.approx(1.2, abs=0.1)
@@ -192,7 +233,7 @@ def test_evaluate_alternating_sequence():
     tables = build_conditional_tables(train, 3)
     for k in (1, 2, 3):
         res = resolve_fallback(tables, seq, n, k)
-        result = evaluate_run(tables, res, "abs", RandomStream(3).substream(1, k))
+        result = evaluate_run(tables, res, "abs", *reference_run_generators(RandomStream(3).substream(1, k)))
         assert result.e == 0.0
 
 
@@ -202,7 +243,7 @@ def test_evaluate_signed_metric():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 1)
     res = resolve_fallback(tables, seq, n, 1)
-    result = evaluate_run(tables, res, "signed", RandomStream(4).substream(1, 1))
+    result = evaluate_run(tables, res, "signed", *reference_run_generators(RandomStream(4).substream(1, 1)))
     assert result.e == 0.0
     assert abs(result.e_rand) < 0.3  # uniform draws vs 0: signed mean near zero
     assert result.metric == "signed"
@@ -214,7 +255,8 @@ def test_evaluate_marginal_baseline_constant():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 1)
     res = resolve_fallback(tables, seq, n, 1)
-    result = evaluate_run(tables, res, "abs", RandomStream(4).substream(1, 1), baseline="marginal")
+    stream = RandomStream(4).substream(1, 1)
+    result = evaluate_run(tables, res, "abs", *reference_run_generators(stream), baseline="marginal")
     assert result.e_rand == 0.0  # the marginal has all its mass on 0
 
 
@@ -226,8 +268,8 @@ def test_evaluate_argmax_mode_deterministic():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 2)
     res = resolve_fallback(tables, seq, n, 2)
-    a = evaluate_run(tables, res, "abs", RandomStream(1).substream(1, 2), mode="argmax")
-    b = evaluate_run(tables, res, "abs", RandomStream(999).substream(7, 2), mode="argmax")
+    a = evaluate_run(tables, res, "abs", *reference_run_generators(RandomStream(1).substream(1, 2)), mode="argmax")
+    b = evaluate_run(tables, res, "abs", *reference_run_generators(RandomStream(999).substream(7, 2)), mode="argmax")
     assert a.e == b.e  # model side ignores the stream entirely under argmax
 
 
@@ -266,8 +308,8 @@ def test_vectorized_path_matches_sequential_predict_next():
     seq, tables = split_tables(symbols, ALPHABET5, 200, 3)
     stream = RandomStream(5).substream(1, 3)
     res = resolve_fallback(tables, seq, 200, 3)
-    predicted = model_picks(res, stream.substream("model").generator())
-    gen = stream.substream("model").generator()
+    predicted = model_picks(res, reference_generator(stream.substream("model")))
+    gen = reference_generator(stream.substream("model"))
     expected = brute_force_back_off(symbols, 200, 3, 3, ALPHABET5)
     for i, (order, counts) in enumerate(expected):
         assert sample_index(sequential_cum(counts), float(gen.random())) == predicted[i]
@@ -438,10 +480,10 @@ def test_evaluate_run_matches_scalar_scorer(data):
     for res in (resolve_fallback(tables, seq, n, k), *(full.truncate(j) for j in range(1, k_max + 1))):
         for j in (run, run + 1):
             stream = root.substream(j, res.order)
-            got = evaluate_run(tables, res, metric, stream, baseline=baseline, mode=mode)
+            got = evaluate_run(tables, res, metric, *reference_run_generators(stream), baseline=baseline, mode=mode)
             want = scalar_evaluate_run(
                 symbols, n, res.order, k_max, alphabet, metric,
-                stream.substream("model").generator(), stream.substream("baseline").generator(),
+                *reference_run_generators(stream),
                 baseline=baseline, mode=mode,
             )
             assert (got.e, got.e_rand) == want
@@ -465,16 +507,16 @@ def test_evaluate_run_equals_per_position_mean(metric, baseline, mode, long_spli
     seq, tables, n = long_split
     res = resolve_fallback(tables, seq, n, 4)
     stream = RandomStream(23).substream(1, 4)
-    got = evaluate_run(tables, res, metric, stream, baseline=baseline, mode=mode)
+    got = evaluate_run(tables, res, metric, *reference_run_generators(stream), baseline=baseline, mode=mode)
 
     alpha = np.asarray(tables.alphabet, dtype=np.int64)
     a = len(alpha)
     if mode == "sample":
-        u = stream.substream("model").generator().random(res.n_test)
+        u = reference_generator(stream.substream("model")).random(res.n_test)
         predicted = (res.cum_rows[res.row_ids, :-1] <= u[:, None]).sum(axis=1)
     else:
         predicted = np.argmax(res.prob_rows[res.row_ids], axis=1)
-    gen = stream.substream("baseline").generator()
+    gen = reference_generator(stream.substream("baseline"))
     if baseline == "uniform":
         guessed = gen.integers(0, a, res.n_test)
     else:
@@ -501,10 +543,10 @@ def test_evaluate_run_wide_alphabet(size):
         for baseline in predict_mod.BASELINES:
             for mode in predict_mod.MODES:
                 stream = RandomStream(5).substream(metric, baseline, mode)
-                got = evaluate_run(tables, res, metric, stream, baseline=baseline, mode=mode)
+                got = evaluate_run(tables, res, metric, *reference_run_generators(stream), baseline=baseline, mode=mode)
                 want = scalar_evaluate_run(
                     symbols, n, 2, 2, alphabet, metric,
-                    stream.substream("model").generator(), stream.substream("baseline").generator(),
+                    *reference_run_generators(stream),
                     baseline=baseline, mode=mode,
                 )
                 assert (got.e, got.e_rand) == want
@@ -569,6 +611,29 @@ def test_report_means_match_per_run():
         assert min(es) <= report.e_mean[i] <= max(es)
 
 
+@pytest.mark.parametrize("mode", predict_mod.MODES)
+@pytest.mark.parametrize("baseline", predict_mod.BASELINES)
+@pytest.mark.parametrize("metric", predict_mod.METRICS)
+def test_run_experiment_runs_match_reference_streams(metric, baseline, mode):
+    # every (run, order) scores the draws of numpy's own SeedSequence -> PCG64 substreams
+    cfg = ExperimentConfig(
+        runs=3, k_min=2, k_max=5, master_seed=2**63 + 5, metric=metric, baseline=baseline, mode=mode
+    )
+    report = run_experiment(cfg, small_returns())
+    full = resolve_fallback(report.tables, report.sequence, report.n_train, cfg.k_max)
+    stream = RandomStream(cfg.master_seed).substream("demo")
+    for k in report.k_values:
+        res = full.truncate(k)
+        want = tuple(
+            evaluate_run(
+                report.tables, res, metric, *reference_run_generators(stream.substream(j, k)),
+                baseline=baseline, mode=mode,
+            )
+            for j in range(1, cfg.runs + 1)
+        )
+        assert report.per_run[k] == want
+
+
 def test_run_experiment_instrument_decouples_streams():
     cfg = ExperimentConfig(runs=2, k_min=1, k_max=2, master_seed=5)
     r1 = small_returns(seed=19)
@@ -614,9 +679,12 @@ def test_order2_model_beats_order1_on_synthetic_chain():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 2)
     stream = RandomStream(99).substream("chain")
-    res1, res2 = resolve_fallback(tables, seq, n, 1), resolve_fallback(tables, seq, n, 2)
-    e1 = np.mean([evaluate_run(tables, res1, "abs", stream.substream(j, 1)).e for j in range(10)])
-    e2 = np.mean([evaluate_run(tables, res2, "abs", stream.substream(j, 2)).e for j in range(10)])
+
+    def mean_e(res):
+        runs = (reference_run_generators(stream.substream(j, res.order)) for j in range(10))
+        return np.mean([evaluate_run(tables, res, "abs", *gens).e for gens in runs])
+
+    e1, e2 = mean_e(resolve_fallback(tables, seq, n, 1)), mean_e(resolve_fallback(tables, seq, n, 2))
     assert e2 < e1 - 0.3  # order-1 conditionals of this chain are exactly uniform
 
 
