@@ -200,8 +200,7 @@ def cmd_returns(args: argparse.Namespace) -> int:
 
 def cmd_census(args: argparse.Namespace) -> int:
     label, path = args.input
-    prices = _load(args, label, path)
-    returns = compute_log_returns(prices)
+    returns = compute_log_returns(_load(args, label, path))  # the prices go once read: nothing later needs them
     stats = compute_stats(returns)
     scheme = make_scheme(args.scheme, stats)
     seq = encode_series(returns, stats, scheme)
@@ -222,9 +221,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def _predict_one(config: ExperimentConfig, args: argparse.Namespace, label: str, path: Path):
-    prices = _load(args, label, path)
-    returns = compute_log_returns(prices)
-    report = run_experiment(config, returns)
+    report = run_experiment(config, compute_log_returns(_load(args, label, path)))  # no name keeps the prices
     out = args.out
     _make_out_dir(out)  # only now, so a predict that fails on every input leaves no --out behind
     write_text_atomic(out / f"{label}_report.json", json.dumps(report_to_json_dict(report), indent=2) + "\n")

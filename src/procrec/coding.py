@@ -68,7 +68,7 @@ class CodingScheme:
 
 @dataclass(frozen=True, eq=False)
 class SymbolSequence:
-    """A coded series: int64 positions in a strictly increasing alphabet of symbols."""
+    """A coded series: uint8 positions (int64 past 256 symbols) in a strictly increasing alphabet."""
 
     indices: np.ndarray
     alphabet: tuple[int, ...]
@@ -76,10 +76,11 @@ class SymbolSequence:
     def __post_init__(self):
         if any(a >= b for a, b in zip(self.alphabet, self.alphabet[1:])):
             raise ValueError(f"alphabet must be strictly increasing, got {self.alphabet}")
-        idx = np.asarray(self.indices, dtype=np.int64)
-        object.__setattr__(self, "indices", idx)
+        idx = np.asarray(self.indices)
         if len(idx) and (idx.min() < 0 or idx.max() >= len(self.alphabet)):
             raise ValueError(f"indices outside the alphabet's positions 0..{len(self.alphabet) - 1}")
+        dtype = np.uint8 if len(self.alphabet) <= 256 else np.int64
+        object.__setattr__(self, "indices", idx.astype(dtype, copy=False))
 
     @property
     def symbols(self) -> np.ndarray:

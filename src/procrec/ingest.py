@@ -493,15 +493,14 @@ def split_halves(returns: ReturnSeries) -> tuple[ReturnSeries, ReturnSeries]:
 
     H1 gets the first floor(n/2) values; an odd leftover goes to H2 so the
     training half is never the larger one. Concatenating the halves
-    reproduces the input exactly.
+    reproduces the input exactly. Both halves are views of the input's
+    values, not copies: they add no memory, and they see any later write to
+    the input.
     """
     n = len(returns)
     if n < 4:
         raise SeriesTooShort(f"{returns.instrument}: need at least 4 returns to split, got {n}")
-    cut = n // 2
-    h1 = ReturnSeries(returns.instrument, returns.values[:cut].copy(), returns.span)
-    h2 = ReturnSeries(returns.instrument, returns.values[cut:].copy(), returns.span)
-    return h1, h2
+    return tuple(ReturnSeries(returns.instrument, v, returns.span) for v in np.split(returns.values, [n // 2]))
 
 
 def phase_space_pairs(returns: ReturnSeries) -> list[tuple[float, float]]:

@@ -44,13 +44,18 @@ class BlockCensus:
     total_windows: int
 
 
+def _normalized(counts: np.ndarray) -> np.ndarray:
+    """counts / total, row by row; any slice of rows gives the same bits as the whole."""
+    return counts / counts.sum(axis=-1, keepdims=True)
+
+
 @dataclass(frozen=True, eq=False)
 class ContextRow:
     """Next-symbol counts and probabilities for one context."""
 
     counts: np.ndarray  # int64, one slot per alphabet symbol
-    probs: np.ndarray  # counts / total
     cum: np.ndarray  # inclusive cumulative sum of probs, for sampling
+    probs = property(lambda self: _normalized(self.counts))
 
     @property
     def total(self) -> int:
@@ -64,7 +69,7 @@ class ConditionalTable:
     ``codes`` holds the contexts as sorted base-|alphabet| integers of symbol
     indices, the most recent symbol as the most significant digit, so code
     order is the lexicographic order of the context tuples. Row i of
-    ``counts``/``probs``/``cum`` (shape (m, |alphabet|)) belongs to
+    ``counts``/``cum``/``probs`` (shape (m, |alphabet|)) belongs to
     ``codes[i]`` and is row ``offset + i`` of the table set's stacked arrays.
     """
 
@@ -73,8 +78,8 @@ class ConditionalTable:
     codes: np.ndarray
     offset: int
     counts: np.ndarray
-    probs: np.ndarray
     cum: np.ndarray
+    probs = property(lambda self: _normalized(self.counts))
 
     def contexts(self) -> np.ndarray:
         """(m, order) context symbols of every row, most recent first."""
@@ -109,16 +114,18 @@ class _RowView(Mapping):
         i = int(np.searchsorted(t.codes, code))
         if i == len(t.codes) or t.codes[i] != code:
             raise KeyError(context)
-        return ContextRow(counts=t.counts[i], probs=t.probs[i], cum=t.cum[i])
+        return ContextRow(counts=t.counts[i], cum=t.cum[i])
 
 
 @dataclass(frozen=True, eq=False)
 class ConditionalTableSet:
     """Tables for orders 1..k_max plus the order-0 marginal fallback.
 
-    ``counts``/``probs``/``cum`` stack every row of the set: row 0 is the
-    marginal, then each order's rows in turn. The per-order tables and the
-    marginal are views into them, so one row id addresses any distribution.
+    ``counts``/``cum`` stack every row of the set: row 0 is the marginal,
+    then each order's rows in turn. The per-order tables and the marginal are
+    views into them, so one row id addresses any distribution. Sampling reads
+    ``cum``, argmax and the writer ``counts``; ``probs``, as large, is divided
+    on first read and kept, and the predict path never reads it.
     """
 
     alphabet: tuple[int, ...]
@@ -126,12 +133,12 @@ class ConditionalTableSet:
     tables: Mapping[int, ConditionalTable]
     n_train: int
     counts: np.ndarray
-    probs: np.ndarray
     cum: np.ndarray
+    probs = cached_property(lambda self: _normalized(self.counts))
 
     @property
     def marginal(self) -> ContextRow:
-        return ContextRow(counts=self.counts[0], probs=self.probs[0], cum=self.cum[0])
+        return ContextRow(counts=self.counts[0], cum=self.cum[0])
 
     @cached_property
     def parents(self) -> np.ndarray:
@@ -228,20 +235,15 @@ def build_conditional_tables(train: SymbolSequence, k_max: int) -> ConditionalTa
         blocks.append(block)
 
     all_counts = np.concatenate(blocks).astype(np.int64, copy=False)
-    probs = all_counts / all_counts.sum(axis=1, keepdims=True)
-    cum = np.cumsum(probs, axis=1)
+    blocks.clear()  # copied: freed before the division allocates, 3 MB off the build's peak at 1M returns
+    cum = all_counts / all_counts.sum(axis=1, keepdims=True)  # the probs, summed in place below
+    np.cumsum(cum, axis=1, out=cum)
     tables: dict[int, ConditionalTable] = {}
     offset = 1
     for k, codes in enumerate(codes_by_order, start=1):
         rows = slice(offset, offset + len(codes))
         tables[k] = ConditionalTable(
-            order=k,
-            alphabet=alpha,
-            codes=codes,
-            offset=offset,
-            counts=all_counts[rows],
-            probs=probs[rows],
-            cum=cum[rows],
+            order=k, alphabet=alpha, codes=codes, offset=offset, counts=all_counts[rows], cum=cum[rows]
         )
         offset += len(codes)
     return ConditionalTableSet(
@@ -250,7 +252,6 @@ def build_conditional_tables(train: SymbolSequence, k_max: int) -> ConditionalTa
         tables=tables,
         n_train=n,
         counts=all_counts,
-        probs=probs,
         cum=cum,
     )
 
@@ -300,12 +301,13 @@ def dump_tables_json(tables: ConditionalTableSet, path: str | Path) -> None:
     group[order] = np.cumsum(new) - 1
     first = order[new]
     body = '": {\n' + _distribution_template(a, 10) + "\n        }"
-    texts = [body % (*c, *p) for c, p in zip(tables.counts[first].tolist(), tables.probs[first].tolist())]
+    distinct = tables.counts[first]
+    texts = [body % (*c, *p) for c, p in zip(distinct.tolist(), _normalized(distinct).tolist())]
     bodies = np.array(texts, dtype=object)[group]  # row 0's goes unused: the marginal has its own indent
 
     names = np.array([str(s) for s in tables.alphabet], dtype=object)
     keys = np.empty(len(tables.counts), dtype=object)
-    marginal = (*tables.counts[0].tolist(), *tables.probs[0].tolist())
+    marginal = (*tables.counts[0].tolist(), *tables.marginal.probs.tolist())
     pieces = [
         '{\n  "alphabet": [\n    %s\n  ],\n' % ",\n    ".join(names.tolist()),
         '  "k_max": %d,\n  "n_train": %d,\n' % (tables.k_max, tables.n_train),

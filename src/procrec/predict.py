@@ -231,10 +231,10 @@ class FallbackResolution:
 
     order: int
     orders: np.ndarray  # int8, fallback order used per test position: min(L_t, order)
-    row_ids: np.ndarray  # int32, per test position the index into cum_rows/prob_rows of its row
+    row_ids: np.ndarray  # int32, per test position the index into cum_rows/count_rows of its row
     parents: np.ndarray  # int32, per stacked row the row of its context less the oldest symbol
     cum_rows: np.ndarray  # the table set's stacked rows, (n_rows, |alphabet|)
-    prob_rows: np.ndarray
+    count_rows: np.ndarray
     actual_idx: np.ndarray  # alphabet index of the realized symbol
 
     @property
@@ -244,7 +244,8 @@ class FallbackResolution:
     @cached_property
     def cum_columns(self) -> np.ndarray:
         """(|alphabet| - 1, n_test) cum of every position's row, last column dropped."""
-        return np.take(self.cum_rows[:, :-1].T, self.row_ids, axis=1)
+        out = self.__dict__.pop("_recycled", None)  # see truncate; "raise" would gather via a copy, "clip" does not
+        return np.take(self.cum_rows[:, :-1].T, self.row_ids, axis=1, out=out, mode="clip")
 
     @cached_property
     def actual_pairs(self) -> np.ndarray:
@@ -258,11 +259,16 @@ class FallbackResolution:
 
     @cached_property
     def argmax_picks(self) -> np.ndarray:
-        """(n_test,) alphabet index of every position's most probable symbol, the first on ties."""
-        return np.argmax(self.prob_rows, axis=1)[self.row_ids]
+        """(n_test,) alphabet index of every position's most probable symbol, the first on ties.
 
-    def truncate(self, k: int) -> "FallbackResolution":
-        """The resolution at order k <= order, climbing one order per step."""
+        Taken over counts: dividing by a row total below 2**52 keeps the row's order and ties."""
+        return np.argmax(self.count_rows, axis=1)[self.row_ids]
+
+    def truncate(self, k: int, *, recycle: bool = False) -> "FallbackResolution":
+        """The resolution at order k <= order, climbing one order per step.
+
+        With ``recycle`` the result gathers its ``cum_columns`` into this resolution's, which it takes
+        over, so a loop over orders does not free and fault in 16 MB per order at 500k positions."""
         if not 1 <= k <= self.order:
             raise ValueError(f"order {k} outside resolved range 1..{self.order}")
         row_ids = self.row_ids
@@ -270,11 +276,9 @@ class FallbackResolution:
             row_ids = np.where(self.orders >= j, self.parents[row_ids], row_ids)
         res = replace(self, order=k, orders=np.minimum(self.orders, k), row_ids=row_ids)
         res.__dict__["actual_pairs"] = self.actual_pairs  # one test half at every order: computed once
+        if recycle and "cum_columns" in self.__dict__:
+            res.__dict__["_recycled"] = self.__dict__.pop("cum_columns")
         return res
-
-    def order_histogram(self) -> dict[int, int]:
-        counts = np.bincount(self.orders, minlength=self.order + 1)
-        return {j: int(counts[j]) for j in range(self.order + 1)}
 
 
 def resolve_fallback(
@@ -324,7 +328,7 @@ def resolve_fallback(
         row_ids=row_ids,
         parents=parents,
         cum_rows=tables.cum,
-        prob_rows=tables.probs,
+        count_rows=tables.counts,
         actual_idx=idx[n:],
     )
 
@@ -385,12 +389,10 @@ def evaluate_run(
     draws come from ``model_gen`` (none in "argmax" mode) and baseline draws
     from ``baseline_gen``, so the two never perturb each other.
     """
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}")
-    if baseline not in BASELINES:
-        raise ValueError(f"baseline must be one of {BASELINES}")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    checks = (("metric", metric, METRICS), ("baseline", baseline, BASELINES), ("mode", mode, MODES))
+    for name, value, allowed in checks:
+        if value not in allowed:
+            raise ValueError(f"{name} must be one of {allowed}")
 
     a, n_test = len(tables.alphabet), resolution.n_test
     errors = _pair_errors(tables.alphabet, metric)
@@ -424,14 +426,9 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if not 1 <= self.k_min <= self.k_max <= _MAX_K:
             raise ValueError(f"need 1 <= k_min <= k_max <= {_MAX_K}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}")
-        if self.baseline not in BASELINES:
-            raise ValueError(f"baseline must be one of {BASELINES}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        for name, allowed in (("scheme", SCHEMES), ("metric", METRICS), ("baseline", BASELINES), ("mode", MODES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}")
         if self.stats_on not in ("full", "train"):
             raise ValueError("stats_on must be 'full' or 'train'")
 
@@ -489,10 +486,12 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
 
     per_run: dict[int, tuple[RunErrors, ...]] = {}
     fallback_histogram: dict[int, dict[int, int]] = {}
+    # positions answered at each order 0 .. k_max; order k answers those at k or above at k
+    longest = np.bincount(resolution.orders, minlength=config.k_max + 1).tolist()
     for k in reversed(k_values):
         # one order at a time, one climb below the last, so only that order's gathered rows are held
-        resolution = resolution.truncate(k)
-        fallback_histogram[k] = resolution.order_histogram()
+        resolution = resolution.truncate(k, recycle=True)
+        fallback_histogram[k] = {**dict(enumerate(longest[:k])), k: sum(longest[k:])}
         per_run[k] = tuple(
             evaluate_run(
                 tables, resolution, config.metric, next(gens), next(gens), baseline=config.baseline, mode=config.mode

@@ -3,6 +3,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import weakref
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,30 @@ def test_census_writes_expected_rows(tmp_path, small_csv, capsys):
     ks = [int(row.split(",")[0]) for row in lines[1:]]
     assert ks == [1, 2, 3, 4, 5, 6]
     assert "k=6" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, stage", [("predict", "run_experiment"), ("census", "encode_series")])
+def test_prices_are_gone_before_the_next_stage(tmp_path, small_csv, monkeypatch, command, stage):
+    # the returns are all that coding and the experiment read; no name may keep the PriceSeries
+    import procrec.cli as cli
+
+    loaded, checked = [], []
+    load, run = cli.load_price_csv, getattr(cli, stage)
+
+    def load_and_watch(*args, **kwargs):
+        series = load(*args, **kwargs)
+        loaded.append(weakref.ref(series))
+        return series
+
+    def run_and_check(*args, **kwargs):
+        checked.append(loaded[0]() is None)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_price_csv", load_and_watch)
+    monkeypatch.setattr(cli, stage, run_and_check)
+    argv = [command, "--input", str(small_csv), "--out", str(tmp_path / "out"), "--kmax", "3"]
+    assert main(argv + (["--runs", "2"] if command == "predict" else [])) == 0
+    assert checked == [True]
 
 
 def test_census_kmax_too_large(tmp_path, small_csv, capsys):

@@ -200,7 +200,9 @@ def test_symbol_sequence_rejects_foreign_symbols():
             SymbolSequence(np.array(bad), five)
     assert len(SymbolSequence(np.array([], dtype=np.int64), five)) == 0
     seq = SymbolSequence(np.array([4, 0, 2, 3]), five)
-    assert seq.indices.dtype == np.int64
+    assert seq.indices.dtype == np.uint8  # a byte per symbol while the alphabet fits in one
+    wide = SymbolSequence(np.array([0, 256]), tuple(range(257)))
+    assert wide.indices.dtype == np.int64 and wide.indices.tolist() == [0, 256]
     np.testing.assert_array_equal(seq.symbols, np.asarray(five)[seq.indices])
     assert seq.symbols.tolist() == [2, -2, 0, 1]
 

@@ -671,6 +671,8 @@ def test_split_concat_identity(values):
     series = mk_returns(values)
     h1, h2 = split_halves(series)
     np.testing.assert_array_equal(np.concatenate([h1.values, h2.values]), series.values)
+    # views, not copies: the halves hold no memory of their own
+    assert np.shares_memory(h1.values, series.values) and np.shares_memory(h2.values, series.values)
 
 
 # --- phase_space_pairs ------------------------------------------------------

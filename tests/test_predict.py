@@ -332,7 +332,8 @@ def test_resolve_fallback_matches_scalar_back_off(data):
     assert res.orders.tolist() == [order for order, _ in expected]
     for i, (_, counts) in enumerate(expected):
         assert res.cum_rows[res.row_ids[i]].tolist() == sequential_cum(counts)
-        assert res.prob_rows[res.row_ids[i]].tolist() == [c / sum(counts) for c in counts]
+        assert res.count_rows[res.row_ids[i]].tolist() == list(counts)
+        assert tables.probs[res.row_ids[i]].tolist() == [c / sum(counts) for c in counts]
     # seen contexts are prefix-closed, so the order at k is the longest match capped at k
     longest = resolve_fallback(tables, seq, n, k_max).orders
     np.testing.assert_array_equal(res.orders, np.minimum(longest, k))
@@ -399,6 +400,23 @@ def test_back_off_three_symbols_deep_orders(k_max):
             assert direct.cum_rows[direct.row_ids[i]].tolist() == sequential_cum(counts)
 
 
+def test_truncate_recycle_gathers_into_the_columns_it_takes():
+    rng = np.random.default_rng(8)
+    symbols = [int(ALPHABET5[i]) for i in np.minimum(rng.geometric(0.45, 3_000) - 1, 4)]
+    seq, tables = split_tables(symbols, ALPHABET5, 1_500, 4)
+    full = resolve_fallback(tables, seq, 1_500, 4)
+    kept = full.truncate(3)  # without recycle, the columns stay where they are
+    columns = full.cum_columns
+    assert kept.cum_columns is not columns and "cum_columns" in vars(full)
+    stepped = full
+    for k in (3, 2, 1):
+        stepped = stepped.truncate(k, recycle=True)
+        assert_same_resolution(stepped, resolve_fallback(tables, seq, 1_500, k))
+        assert stepped.cum_columns is columns  # one array for every order
+    assert "cum_columns" not in vars(full)  # handed on, so read again it is gathered anew
+    np.testing.assert_array_equal(full.cum_columns, full.cum_rows[full.row_ids, :-1].T)
+
+
 class _FixedDraws:
     """Stands in for a generator whose next uniforms are known."""
 
@@ -419,7 +437,7 @@ def _sampled(cum_rows, row_ids, u):
         row_ids=np.array(row_ids, dtype=np.int32),
         parents=np.zeros(len(cum_rows), dtype=np.int32),
         cum_rows=cum_rows,
-        prob_rows=cum_rows,
+        count_rows=cum_rows,
         actual_idx=np.zeros(n_test, dtype=np.intp),
     )
     got = model_picks(res, _FixedDraws(u)).tolist()
@@ -458,6 +476,40 @@ def test_model_indices_matches_sample_index(data):
     ]
     got, want = _sampled(cum_rows, row_ids, u)
     assert got == want
+
+
+def _resolution_over(count_rows):
+    """A resolution whose positions are the rows of ``count_rows``, one each."""
+    n = len(count_rows)
+    return predict_mod.FallbackResolution(
+        order=1,
+        orders=np.ones(n, dtype=np.int8),
+        row_ids=np.arange(n, dtype=np.int32),
+        parents=np.zeros(n, dtype=np.int32),
+        cum_rows=np.cumsum(count_rows, axis=1),
+        count_rows=count_rows,
+        actual_idx=np.zeros(n, dtype=np.uint8),
+    )
+
+
+@given(
+    st.integers(2, 6).flatmap(lambda a: st.lists(
+        st.tuples(
+            st.integers(0, 2**49 - 64),  # a base near which every entry lies: many ties, large totals
+            st.lists(st.integers(0, 3), min_size=a, max_size=a),
+        ).filter(lambda row: row[0] or any(row[1])),  # a seen context has a count
+        min_size=1,
+        max_size=30,
+    ))
+)
+@settings(deadline=None, max_examples=200)
+@example([(0, [3, 3, 1])])
+@example([(2**49 - 64, [1, 0, 1, 0]), (2**49 - 64, [2, 2, 2, 2])])
+def test_argmax_picks_from_counts_match_argmax_of_probs(rows):
+    # dividing a row by its total keeps its order and its ties, so argmax picks the same first index
+    counts = np.array([[base + d for d in deltas] for base, deltas in rows], dtype=np.int64)
+    probs = counts / counts.sum(axis=1, keepdims=True)
+    np.testing.assert_array_equal(_resolution_over(counts).argmax_picks, np.argmax(probs, axis=1))
 
 
 @given(st.data())
@@ -515,7 +567,7 @@ def test_evaluate_run_equals_per_position_mean(metric, baseline, mode, long_spli
         u = reference_generator(stream.substream("model")).random(res.n_test)
         predicted = (res.cum_rows[res.row_ids, :-1] <= u[:, None]).sum(axis=1)
     else:
-        predicted = np.argmax(res.prob_rows[res.row_ids], axis=1)
+        predicted = np.argmax(tables.probs[res.row_ids], axis=1)
     gen = reference_generator(stream.substream("baseline"))
     if baseline == "uniform":
         guessed = gen.integers(0, a, res.n_test)
@@ -598,6 +650,31 @@ def test_run_experiment_shapes_and_histogram():
         assert sum(hist.values()) == report.n_test
         assert all(0 <= order <= k for order in hist)
         assert len(report.per_run[k]) == 4
+
+
+def test_fallback_histogram_counts_each_order():
+    # folded from the k_max counts: equal to counting each truncated resolution's orders
+    cfg = ExperimentConfig(runs=1, k_min=2, k_max=7, master_seed=7)
+    report = run_experiment(cfg, small_returns())
+    full = resolve_fallback(report.tables, report.sequence, report.n_train, cfg.k_max)
+    for k in report.k_values:
+        counts = np.bincount(full.truncate(k).orders, minlength=k + 1)
+        assert report.fallback_histogram[k] == {j: int(counts[j]) for j in range(k + 1)}
+        assert list(report.fallback_histogram[k]) == list(range(k + 1))
+
+
+@pytest.mark.parametrize("mode", predict_mod.MODES)
+def test_run_experiment_never_builds_stacked_probs(mode):
+    report = run_experiment(ExperimentConfig(runs=2, k_max=5, master_seed=3, mode=mode), small_returns())
+    tables = report.tables
+    assert "probs" not in vars(tables)  # a cached_property stores what it builds there
+    # divided when read, the same bits whole, per table and per row
+    np.testing.assert_array_equal(tables.probs, tables.counts / tables.counts.sum(axis=1, keepdims=True))
+    for table in tables.tables.values():
+        np.testing.assert_array_equal(table.probs, tables.probs[table.offset : table.offset + len(table.codes)])
+        context = next(iter(table.rows))
+        np.testing.assert_array_equal(table.rows[context].probs, table.probs[0])
+    np.testing.assert_array_equal(tables.marginal.probs, tables.probs[0])
 
 
 def test_report_means_match_per_run():
