@@ -243,7 +243,12 @@ def build_conditional_tables(train: SymbolSequence, k_max: int) -> ConditionalTa
     for k, codes in enumerate(codes_by_order, start=1):
         rows = slice(offset, offset + len(codes))
         tables[k] = ConditionalTable(
-            order=k, alphabet=alpha, codes=codes, offset=offset, counts=all_counts[rows], cum=cum[rows]
+            order=k,
+            alphabet=alpha,
+            codes=codes,
+            offset=offset,
+            counts=all_counts[rows],
+            cum=cum[rows],
         )
         offset += len(codes)
     return ConditionalTableSet(

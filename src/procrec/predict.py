@@ -235,7 +235,7 @@ class FallbackResolution:
     parents: np.ndarray  # int32, per stacked row the row of its context less the oldest symbol
     cum_rows: np.ndarray  # the table set's stacked rows, (n_rows, |alphabet|)
     count_rows: np.ndarray
-    actual_idx: np.ndarray  # alphabet index of the realized symbol
+    actual_pairs: np.ndarray  # actual * |alphabet|, the pair code less the pick; uint8 while |alphabet|² fits
 
     @property
     def n_test(self) -> int:
@@ -244,18 +244,7 @@ class FallbackResolution:
     @cached_property
     def cum_columns(self) -> np.ndarray:
         """(|alphabet| - 1, n_test) cum of every position's row, last column dropped."""
-        out = self.__dict__.pop("_recycled", None)  # see truncate; "raise" would gather via a copy, "clip" does not
-        return np.take(self.cum_rows[:, :-1].T, self.row_ids, axis=1, out=out, mode="clip")
-
-    @cached_property
-    def actual_pairs(self) -> np.ndarray:
-        """(n_test,) actual * |alphabet|: each position's (actual, predicted) pair code less the pick.
-
-        uint8 while |alphabet|² codes fit in it, int64 beyond. ``truncate`` hands it on, so
-        a chain of truncations computes it once.
-        """
-        a = self.cum_rows.shape[1]
-        return self.actual_idx.astype(np.uint8 if a * a <= 256 else np.int64) * a
+        return np.take(self.cum_rows[:, :-1].T, self.row_ids, axis=1)
 
     @cached_property
     def argmax_picks(self) -> np.ndarray:
@@ -264,20 +253,20 @@ class FallbackResolution:
         Taken over counts: dividing by a row total below 2**52 keeps the row's order and ties."""
         return np.argmax(self.count_rows, axis=1)[self.row_ids]
 
-    def truncate(self, k: int, *, recycle: bool = False) -> "FallbackResolution":
+    def truncate(self, k: int) -> "FallbackResolution":
         """The resolution at order k <= order, climbing one order per step.
 
-        With ``recycle`` the result gathers its ``cum_columns`` into this resolution's, which it takes
-        over, so a loop over orders does not free and fault in 16 MB per order at 500k positions."""
+        Once read, this resolution's ``cum_columns`` pass to the result, which gathers its own into them;
+        read here again, they are gathered anew. An array read from here before then holds the result's."""
         if not 1 <= k <= self.order:
             raise ValueError(f"order {k} outside resolved range 1..{self.order}")
         row_ids = self.row_ids
         for j in range(self.order, k, -1):  # positions answered at order j or above climb to j - 1
             row_ids = np.where(self.orders >= j, self.parents[row_ids], row_ids)
         res = replace(self, order=k, orders=np.minimum(self.orders, k), row_ids=row_ids)
-        res.__dict__["actual_pairs"] = self.actual_pairs  # one test half at every order: computed once
-        if recycle and "cum_columns" in self.__dict__:
-            res.__dict__["_recycled"] = self.__dict__.pop("cum_columns")
+        if "cum_columns" in self.__dict__:  # a loop over orders then frees and faults in no 16 MB array per order
+            columns = self.__dict__.pop("cum_columns")  # "clip" gathers into it directly, "raise" via a copy
+            res.__dict__["cum_columns"] = np.take(self.cum_rows[:, :-1].T, row_ids, axis=1, out=columns, mode="clip")
         return res
 
 
@@ -329,7 +318,7 @@ def resolve_fallback(
         parents=parents,
         cum_rows=tables.cum,
         count_rows=tables.counts,
-        actual_idx=idx[n:],
+        actual_pairs=idx[n:].astype(np.uint8 if a * a <= 256 else np.int64) * a,  # truncate carries it on
     )
 
 
@@ -389,10 +378,12 @@ def evaluate_run(
     draws come from ``model_gen`` (none in "argmax" mode) and baseline draws
     from ``baseline_gen``, so the two never perturb each other.
     """
-    checks = (("metric", metric, METRICS), ("baseline", baseline, BASELINES), ("mode", mode, MODES))
-    for name, value, allowed in checks:
-        if value not in allowed:
-            raise ValueError(f"{name} must be one of {allowed}")
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}")
+    if baseline not in BASELINES:
+        raise ValueError(f"baseline must be one of {BASELINES}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
 
     a, n_test = len(tables.alphabet), resolution.n_test
     errors = _pair_errors(tables.alphabet, metric)
@@ -426,9 +417,14 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if not 1 <= self.k_min <= self.k_max <= _MAX_K:
             raise ValueError(f"need 1 <= k_min <= k_max <= {_MAX_K}")
-        for name, allowed in (("scheme", SCHEMES), ("metric", METRICS), ("baseline", BASELINES), ("mode", MODES)):
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}")
+        if self.metric not in METRICS:
+            raise ValueError(f"metric must be one of {METRICS}")
+        if self.baseline not in BASELINES:
+            raise ValueError(f"baseline must be one of {BASELINES}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
         if self.stats_on not in ("full", "train"):
             raise ValueError("stats_on must be 'full' or 'train'")
 
@@ -490,7 +486,7 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
     longest = np.bincount(resolution.orders, minlength=config.k_max + 1).tolist()
     for k in reversed(k_values):
         # one order at a time, one climb below the last, so only that order's gathered rows are held
-        resolution = resolution.truncate(k, recycle=True)
+        resolution = resolution.truncate(k)
         fallback_histogram[k] = {**dict(enumerate(longest[:k])), k: sum(longest[k:])}
         per_run[k] = tuple(
             evaluate_run(

@@ -345,6 +345,7 @@ def assert_same_resolution(got, want):
     np.testing.assert_array_equal(got.orders, want.orders)
     np.testing.assert_array_equal(got.row_ids, want.row_ids)
     np.testing.assert_array_equal(got.cum_columns, want.cum_rows[want.row_ids, :-1].T)
+    np.testing.assert_array_equal(got.actual_pairs, want.actual_pairs)
 
 
 @given(st.data())
@@ -400,17 +401,15 @@ def test_back_off_three_symbols_deep_orders(k_max):
             assert direct.cum_rows[direct.row_ids[i]].tolist() == sequential_cum(counts)
 
 
-def test_truncate_recycle_gathers_into_the_columns_it_takes():
+def test_truncate_gathers_into_the_columns_it_takes():
     rng = np.random.default_rng(8)
     symbols = [int(ALPHABET5[i]) for i in np.minimum(rng.geometric(0.45, 3_000) - 1, 4)]
     seq, tables = split_tables(symbols, ALPHABET5, 1_500, 4)
     full = resolve_fallback(tables, seq, 1_500, 4)
-    kept = full.truncate(3)  # without recycle, the columns stay where they are
     columns = full.cum_columns
-    assert kept.cum_columns is not columns and "cum_columns" in vars(full)
     stepped = full
     for k in (3, 2, 1):
-        stepped = stepped.truncate(k, recycle=True)
+        stepped = stepped.truncate(k)
         assert_same_resolution(stepped, resolve_fallback(tables, seq, 1_500, k))
         assert stepped.cum_columns is columns  # one array for every order
     assert "cum_columns" not in vars(full)  # handed on, so read again it is gathered anew
@@ -438,7 +437,7 @@ def _sampled(cum_rows, row_ids, u):
         parents=np.zeros(len(cum_rows), dtype=np.int32),
         cum_rows=cum_rows,
         count_rows=cum_rows,
-        actual_idx=np.zeros(n_test, dtype=np.intp),
+        actual_pairs=np.zeros(n_test, dtype=np.uint8),
     )
     got = model_picks(res, _FixedDraws(u)).tolist()
     return got, [sample_index(cum_rows[r].tolist(), x) for r, x in zip(row_ids, u)]
@@ -488,7 +487,7 @@ def _resolution_over(count_rows):
         parents=np.zeros(n, dtype=np.int32),
         cum_rows=np.cumsum(count_rows, axis=1),
         count_rows=count_rows,
-        actual_idx=np.zeros(n, dtype=np.uint8),
+        actual_pairs=np.zeros(n, dtype=np.uint8),
     )
 
 
@@ -575,7 +574,7 @@ def test_evaluate_run_equals_per_position_mean(metric, baseline, mode, long_spli
         guessed = np.minimum(np.searchsorted(tables.marginal.cum, gen.random(res.n_test), side="right"), a - 1)
     means = []
     for picks in (predicted, guessed):
-        errors = alpha[picks] - alpha[res.actual_idx]
+        errors = alpha[picks] - alpha[seq.indices[n:]]
         means.append(float((np.abs(errors) if metric == "abs" else errors).mean()))
     assert res.n_test >= 200_000
     assert (got.e, got.e_rand) == tuple(means)
