@@ -35,7 +35,6 @@ from .markov import (
     BlockCensus,
     ConditionalTable,
     ConditionalTableSet,
-    ContextRow,
     build_conditional_tables,
     census_blocks,
 )

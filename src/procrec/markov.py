@@ -5,6 +5,11 @@ context of position t at order k is (seq[t-1], seq[t-2], ..., seq[t-k]).
 Tables store a context as an integer code whose most significant digit is the
 most recent symbol: dropping the oldest symbol drops the least significant
 digit, so a row's parent, its context less the oldest symbol, has code // |alphabet|.
+
+A table set stacks the distributions of all its contexts in one matrix, and a
+row id, an index into it, is the one name of a context's row: each order's
+``rows`` range, the set's ``parents`` and a resolution's ``row_ids`` all hold
+row ids.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .ingest import write_text_atomic
 
 __all__ = [
     "BlockCensus",
-    "ContextRow",
     "ConditionalTable",
     "ConditionalTableSet",
     "census_blocks",
@@ -50,71 +54,18 @@ def _normalized(counts: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ContextRow:
-    """Next-symbol counts and probabilities for one context."""
-
-    counts: np.ndarray  # int64, one slot per alphabet symbol
-    cum: np.ndarray  # inclusive cumulative sum of probs, for sampling
-    probs = property(lambda self: _normalized(self.counts))
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass(frozen=True, eq=False)
 class ConditionalTable:
-    """Order-k conditional next-symbol distributions, one row per seen context.
+    """Order-k contexts seen in training, and the stacked row ids of their distributions.
 
     ``codes`` holds the contexts as sorted base-|alphabet| integers of symbol
     indices, the most recent symbol as the most significant digit, so code
-    order is the lexicographic order of the context tuples. Row i of
-    ``counts``/``cum``/``probs`` (shape (m, |alphabet|)) belongs to
-    ``codes[i]`` and is row ``offset + i`` of the table set's stacked arrays.
+    order is the lexicographic order of the context tuples. The distribution
+    of ``codes[i]`` is row ``rows[i]`` of the table set's stacked arrays.
     """
 
     order: int
-    alphabet: tuple[int, ...]
     codes: np.ndarray
-    offset: int
-    counts: np.ndarray
-    cum: np.ndarray
-    probs = property(lambda self: _normalized(self.counts))
-
-    def contexts(self) -> np.ndarray:
-        """(m, order) context symbols of every row, most recent first."""
-        a = len(self.alphabet)
-        weights = a ** np.arange(self.order - 1, -1, -1, dtype=np.int64)
-        return np.asarray(self.alphabet, dtype=np.int64)[self.codes[:, None] // weights % a]
-
-    @property
-    def rows(self) -> Mapping[tuple[int, ...], ContextRow]:
-        """Read-only {context tuple: ContextRow} view over the arrays."""
-        return _RowView(self)
-
-
-class _RowView(Mapping):
-    def __init__(self, table: ConditionalTable):
-        self._table = table
-        self._index = {s: i for i, s in enumerate(table.alphabet)}
-
-    def __len__(self) -> int:
-        return len(self._table.codes)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return map(tuple, self._table.contexts().tolist())
-
-    def __getitem__(self, context: tuple[int, ...]) -> ContextRow:
-        t = self._table
-        if len(context) != t.order:
-            raise KeyError(context)
-        code = 0
-        for s in context:
-            code = code * len(t.alphabet) + self._index[s]  # KeyError for a foreign symbol
-        i = int(np.searchsorted(t.codes, code))
-        if i == len(t.codes) or t.codes[i] != code:
-            raise KeyError(context)
-        return ContextRow(counts=t.counts[i], cum=t.cum[i])
+    rows: range
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,10 +73,10 @@ class ConditionalTableSet:
     """Tables for orders 1..k_max plus the order-0 marginal fallback.
 
     ``counts``/``cum`` stack every row of the set: row 0 is the marginal,
-    then each order's rows in turn. The per-order tables and the marginal are
-    views into them, so one row id addresses any distribution. Sampling reads
-    ``cum``, argmax and the writer ``counts``; ``probs``, as large, is divided
-    on first read and kept, and the predict path never reads it.
+    then each order's rows in turn, so one row id addresses any distribution.
+    An order's table holds its context codes and ``rows``, the range of their
+    row ids: the counts of context ``codes[i]`` are ``counts[table.rows[i]]``.
+    Sampling reads ``cum``, argmax and the writer ``counts``.
     """
 
     alphabet: tuple[int, ...]
@@ -134,11 +85,6 @@ class ConditionalTableSet:
     n_train: int
     counts: np.ndarray
     cum: np.ndarray
-    probs = cached_property(lambda self: _normalized(self.counts))
-
-    @property
-    def marginal(self) -> ContextRow:
-        return ContextRow(counts=self.counts[0], cum=self.cum[0])
 
     @cached_property
     def parents(self) -> np.ndarray:
@@ -151,7 +97,7 @@ class ConditionalTableSet:
         for j in range(2, self.k_max + 1):
             # seen contexts are prefix-closed, so every parent code is in the table below
             table, up = self.tables[j], self.tables[j - 1]
-            parents[table.offset : table.offset + len(table.codes)] = up.offset + np.searchsorted(
+            parents[table.rows.start : table.rows.stop] = up.rows.start + np.searchsorted(
                 up.codes, table.codes // a
             )
         return parents
@@ -239,18 +185,14 @@ def build_conditional_tables(train: SymbolSequence, k_max: int) -> ConditionalTa
     cum = all_counts / all_counts.sum(axis=1, keepdims=True)  # the probs, summed in place below
     np.cumsum(cum, axis=1, out=cum)
     tables: dict[int, ConditionalTable] = {}
-    offset = 1
+    start = 1
     for k, codes in enumerate(codes_by_order, start=1):
-        rows = slice(offset, offset + len(codes))
         tables[k] = ConditionalTable(
             order=k,
-            alphabet=alpha,
             codes=codes,
-            offset=offset,
-            counts=all_counts[rows],
-            cum=cum[rows],
+            rows=range(start, start + len(codes)),
         )
-        offset += len(codes)
+        start += len(codes)
     return ConditionalTableSet(
         alphabet=alpha,
         k_max=k_max,
@@ -312,14 +254,14 @@ def dump_tables_json(tables: ConditionalTableSet, path: str | Path) -> None:
 
     names = np.array([str(s) for s in tables.alphabet], dtype=object)
     keys = np.empty(len(tables.counts), dtype=object)
-    marginal = (*tables.counts[0].tolist(), *tables.marginal.probs.tolist())
+    marginal = (*tables.counts[0].tolist(), *_normalized(tables.counts[0]).tolist())
     pieces = [
         '{\n  "alphabet": [\n    %s\n  ],\n' % ",\n    ".join(names.tolist()),
         '  "k_max": %d,\n  "n_train": %d,\n' % (tables.k_max, tables.n_train),
         '  "marginal": {\n%s\n  },\n  "tables": [\n' % (_distribution_template(a, 4) % marginal),
     ]
     for k, table in sorted(tables.tables.items()):
-        ids = slice(table.offset, table.offset + len(table.codes))
+        ids = slice(table.rows.start, table.rows.stop)
         oldest = names[table.codes % a]
         keys[ids] = oldest if k == 1 else keys[tables.parents[ids]] + "," + oldest
         # one (separator, key, body) triple per row, joined with the rest of the file

@@ -298,7 +298,7 @@ def resolve_fallback(
     # every missing child are n_rows, "no such context", so a walk that misses stays missed
     child = np.full((n_rows + 1) * a, n_rows, dtype=np.int32)  # flat: 1-D gathers beat 2-D ones
     for table in tables.tables.values():
-        rows = np.arange(table.offset, table.offset + len(table.codes), dtype=np.int32)
+        rows = np.arange(table.rows.start, table.rows.stop, dtype=np.int32)
         child[parents[rows] * a + table.codes % a] = rows
 
     idx = seq.indices
@@ -345,7 +345,7 @@ def _baseline_indices(
     a = len(tables.alphabet)
     if baseline == "marginal":
         u = gen.random(n_test)
-        return np.minimum(np.searchsorted(tables.marginal.cum, u, side="right"), a - 1)
+        return np.minimum(np.searchsorted(tables.cum[0], u, side="right"), a - 1)
     return gen.integers(0, a, size=n_test)
 
 
@@ -376,7 +376,8 @@ def evaluate_run(
     resolution's order. With metric "abs" both are mean |predicted - actual|
     over symbol values; with "signed" the mean of (predicted - actual). Model
     draws come from ``model_gen`` (none in "argmax" mode) and baseline draws
-    from ``baseline_gen``, so the two never perturb each other.
+    from ``baseline_gen``, so the two never perturb each other. A resolution
+    made from another table set raises ValueError.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
@@ -384,6 +385,8 @@ def evaluate_run(
         raise ValueError(f"baseline must be one of {BASELINES}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if resolution.cum_rows is not tables.cum:  # its row ids and symbol indices would be misread
+        raise ValueError("resolution was not made from these tables")
 
     a, n_test = len(tables.alphabet), resolution.n_test
     errors = _pair_errors(tables.alphabet, metric)

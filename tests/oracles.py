@@ -199,32 +199,52 @@ def reference_load_price_csv(path, ts_name="timestamp", price_name="price", leni
     return ("ok", micros, [price for _, price in kept], skipped)
 
 
+def context_rows(tables, k):
+    """{context tuple: (counts, cum)} of a table set's order-k contexts, in code order.
+
+    Each code is decoded one base-|alphabet| digit at a time, the most recent
+    symbol the most significant digit, so a context tuple reads most recent
+    first. ``counts`` and ``cum`` are the set's stacked rows of the context.
+    """
+    a = len(tables.alphabet)
+    table = tables.tables[k]
+    rows = {}
+    for code, row in zip(table.codes.tolist(), table.rows):
+        oldest_first = []
+        for _ in range(k):
+            code, digit = divmod(code, a)
+            oldest_first.append(tables.alphabet[digit])
+        rows[tuple(reversed(oldest_first))] = (tables.counts[row], tables.cum[row])
+    return rows
+
+
 def reference_tables_json(tables):
     """The ``_tables.json`` text of a table set: a nested payload of dicts and
-    lists, built from the set's arrays, through ``json.dumps(indent=2)``.
+    lists, built from ``context_rows``, through ``json.dumps(indent=2)``.
 
     Shares only the table set's attributes with the package's fixed-layout
     writer, ``procrec.markov.dump_tables_json``.
     """
+
+    def distribution(counts):
+        counts = counts.tolist()
+        total = sum(counts)
+        return {"counts": counts, "probs": [c / total for c in counts]}
+
     payload = {
         "alphabet": list(tables.alphabet),
         "k_max": tables.k_max,
         "n_train": tables.n_train,
-        "marginal": {
-            "counts": tables.marginal.counts.tolist(),
-            "probs": tables.marginal.probs.tolist(),
-        },
+        "marginal": distribution(tables.counts[0]),
         "tables": [
             {
                 "k": k,
                 "rows": {
-                    ",".join(map(str, ctx)): {"counts": counts, "probs": probs}
-                    for ctx, counts, probs in zip(
-                        table.contexts().tolist(), table.counts.tolist(), table.probs.tolist()
-                    )
+                    ",".join(map(str, ctx)): distribution(counts)
+                    for ctx, (counts, _) in context_rows(tables, k).items()
                 },
             }
-            for k, table in sorted(tables.tables.items())
+            for k in sorted(tables.tables)
         ],
     }
     return json.dumps(payload, indent=2) + "\n"

@@ -41,6 +41,7 @@ from oracles import (
     ALPHABET5,
     brute_force_tables,
     coarsen_five_to_three,
+    context_rows,
     expected_sampled_abs_error_order2,
     five_band_matches,
     generate_order2_symbols,
@@ -77,13 +78,14 @@ def test_criterion_1_oracle_equivalence():
             tables = build_conditional_tables(mk_seq(symbols, alphabet), 4)
             expected, marginal = brute_force_tables(symbols, 4, alphabet)
             for k in range(1, 5):
-                got = tables.tables[k].rows
+                got = context_rows(tables, k)
                 assert set(got) == set(expected[k])
                 for ctx, (counts, probs) in expected[k].items():
-                    assert got[ctx].counts.tolist() == counts
-                    for p_got, p_want in zip(got[ctx].probs, probs):
-                        assert abs(p_got - float(p_want)) <= 1e-12
-            assert tables.marginal.counts.tolist() == marginal
+                    got_counts, got_cum = got[ctx]
+                    assert got_counts.tolist() == counts
+                    for c_got, c_want in zip(got_cum, np.cumsum([float(p) for p in probs])):
+                        assert abs(c_got - c_want) <= 1e-12
+            assert tables.counts[0].tolist() == marginal
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"oracle comparison took {elapsed:.2f}s"
 
@@ -102,13 +104,13 @@ def test_criterion_2_row_stochasticity_and_conservation(market_scale_csv):
         table_sets.append((n, build_conditional_tables(train, 8)))
 
         for n_train, tables in table_sets:
-            for k, table in tables.tables.items():
+            for k in tables.tables:
                 total = 0
-                for row in table.rows.values():
-                    assert abs(row.probs.sum() - 1.0) <= 1e-9
-                    total += row.total
+                for counts, cum in context_rows(tables, k).values():
+                    assert (np.diff(cum) >= 0).all() and abs(cum[-1] - 1.0) <= 1e-9
+                    total += int(counts.sum())
                 assert total == n_train - k
-            assert abs(tables.marginal.probs.sum() - 1.0) <= 1e-9
+            assert (np.diff(tables.cum[0]) >= 0).all() and abs(tables.cum[0, -1] - 1.0) <= 1e-9
 
 
 def test_criterion_3_coding_property():
@@ -150,12 +152,11 @@ def test_criterion_4_synthetic_recovery():
         seq = mk_seq(symbols, ALPHABET3)
 
         # estimated conditionals from the generated data vs the generator
-        full_tables = build_conditional_tables(seq, 2)
+        rows = context_rows(build_conditional_tables(seq, 2), 2)
         for (recent_i, older_i), probs in chain.items():
-            ctx = (ALPHABET3[recent_i], ALPHABET3[older_i])
-            row = full_tables.tables[2].rows[ctx]
+            counts, _ = rows[(ALPHABET3[recent_i], ALPHABET3[older_i])]
             for j in range(3):
-                assert abs(row.probs[j] - probs[j]) <= 0.01
+                assert abs(counts[j] / counts.sum() - probs[j]) <= 0.01
 
         # split protocol: past half predicts the future half
         n = len(symbols) // 2
@@ -267,11 +268,11 @@ def test_criterion_7_train_test_hygiene(monkeypatch):
         run_experiment(cfg, mk_returns(mutated_values, instrument="hyg"))
         _, tables_mutated = captured[1]
         for k in tables_clean.tables:
-            rows_a = tables_clean.tables[k].rows
-            rows_b = tables_mutated.tables[k].rows
+            rows_a = context_rows(tables_clean, k)
+            rows_b = context_rows(tables_mutated, k)
             assert set(rows_a) == set(rows_b)
-            for ctx, row in rows_a.items():
-                np.testing.assert_array_equal(row.counts, rows_b[ctx].counts)
+            for ctx, (counts, _) in rows_a.items():
+                np.testing.assert_array_equal(counts, rows_b[ctx][0])
 
 
 def test_criterion_8_market_scale_runtime(tmp_path, market_scale_csv_trio):

@@ -28,7 +28,9 @@ from oracles import (
     brute_force_back_off,
     brute_force_distinct_blocks,
     brute_force_tables,
+    context_rows,
     reference_tables_json,
+    sequential_cum,
 )
 
 import synth
@@ -95,26 +97,27 @@ def test_census_growth_bound(symbols):
 
 def test_tables_constant_sequence():
     tables = build_conditional_tables(mk_seq([0, 0, 0, 0, 0], ALPHABET5), 1)
-    rows = tables.tables[1].rows
+    rows = context_rows(tables, 1)
     assert set(rows) == {(0,)}
-    assert rows[(0,)].counts.tolist() == [0, 0, 4, 0, 0]
-    assert rows[(0,)].probs[2] == 1.0
+    counts, cum = rows[(0,)]
+    assert counts.tolist() == [0, 0, 4, 0, 0]
+    assert cum.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
 
 
 def test_tables_alternating_sequence():
     tables = build_conditional_tables(mk_seq([1, -1, 1, -1, 1], ALPHABET3), 1)
-    rows = tables.tables[1].rows
-    assert rows[(1,)].probs.tolist() == [1.0, 0.0, 0.0]  # P(-1 | 1) = 1
-    assert rows[(-1,)].probs.tolist() == [0.0, 0.0, 1.0]  # P(1 | -1) = 1
+    rows = context_rows(tables, 1)
+    assert rows[(1,)][1].tolist() == [1.0, 1.0, 1.0]  # P(-1 | 1) = 1
+    assert rows[(-1,)][1].tolist() == [0.0, 0.0, 1.0]  # P(1 | -1) = 1
 
 
 def test_context_is_most_recent_first():
     # series ... a, b -> next: the context must read (b, a), newest first
     tables = build_conditional_tables(mk_seq([-1, 0, 1, -1, 0, 1], ALPHABET3), 2)
-    rows = tables.tables[2].rows
+    rows = context_rows(tables, 2)
     assert (0, -1) in rows  # after [-1, 0] comes 1
     assert (-1, 0) not in rows
-    assert rows[(0, -1)].counts.tolist() == [0, 0, 2]
+    assert rows[(0, -1)][0].tolist() == [0, 0, 2]
 
 
 def test_tables_match_bruteforce_exactly():
@@ -125,25 +128,26 @@ def test_tables_match_bruteforce_exactly():
             tables = build_conditional_tables(mk_seq(symbols, alphabet), 4)
             expected, marginal = brute_force_tables(symbols, 4, alphabet)
             for k in range(1, 5):
-                assert set(tables.tables[k].rows) == set(expected[k])
+                rows = context_rows(tables, k)
+                assert set(rows) == set(expected[k])
                 for ctx, (counts, probs) in expected[k].items():
-                    row = tables.tables[k].rows[ctx]
-                    assert row.counts.tolist() == counts
-                    for got, want in zip(row.probs, probs):
-                        assert abs(got - float(want)) <= 1e-12
-            assert tables.marginal.counts.tolist() == marginal
+                    got_counts, got_cum = rows[ctx]
+                    assert got_counts.tolist() == counts
+                    for got, want in zip(got_cum, np.cumsum([float(p) for p in probs])):
+                        assert abs(got - want) <= 1e-12
+            assert tables.counts[0].tolist() == marginal
 
 
 def test_count_conservation_and_row_sums():
     rng = np.random.default_rng(5)
     symbols = random_symbols(rng, 300, ALPHABET5)
     tables = build_conditional_tables(mk_seq(symbols, ALPHABET5), 6)
-    for k, table in tables.tables.items():
+    for k in tables.tables:
         total = 0
-        for row in table.rows.values():
-            assert abs(row.probs.sum() - 1.0) <= 1e-9
-            assert abs(row.cum[-1] - 1.0) <= 1e-9
-            total += row.total
+        for counts, cum in context_rows(tables, k).values():
+            assert cum.tolist() == sequential_cum(counts.tolist())
+            assert abs(cum[-1] - 1.0) <= 1e-9
+            total += int(counts.sum())
         assert total == len(symbols) - k
 
 
@@ -163,10 +167,10 @@ def test_marginalization_consistency():
         vec[idx[symbols[t]]] += 1
 
     summed: dict[tuple, np.ndarray] = {}
-    for ctx, row in tables.tables[k].rows.items():
+    for ctx, (counts, _) in context_rows(tables, k).items():
         short = ctx[:-1]
         summed.setdefault(short, np.zeros(3, dtype=np.int64))
-        summed[short] += row.counts
+        summed[short] += counts
 
     assert set(summed) == set(restricted)
     for ctx in restricted:
@@ -177,13 +181,38 @@ def test_marginalization_consistency():
 @settings(deadline=None)
 def test_tables_invariants_property(symbols):
     tables = build_conditional_tables(mk_seq(symbols, ALPHABET3), 3)
-    for k, table in tables.tables.items():
+    for k in tables.tables:
         totals = 0
-        for row in table.rows.values():
-            assert abs(row.probs.sum() - 1.0) <= 1e-9
-            totals += row.total
+        for counts, cum in context_rows(tables, k).values():
+            assert abs(cum[-1] - 1.0) <= 1e-9
+            totals += int(counts.sum())
         assert totals == len(symbols) - k
-    assert abs(tables.marginal.probs.sum() - 1.0) <= 1e-9
+    assert tables.counts[0].sum() == len(symbols)
+    assert abs(tables.cum[0, -1] - 1.0) <= 1e-9
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_row_ids_tile_the_stacked_rows(data):
+    alphabet = data.draw(st.sampled_from([ALPHABET3, ALPHABET5]))
+    k_max = data.draw(st.integers(1, 8))
+    symbols = data.draw(st.lists(st.sampled_from(alphabet), min_size=k_max + 1, max_size=k_max + 200))
+    tables = build_conditional_tables(mk_seq(symbols, alphabet), k_max)
+    assert sorted(tables.tables) == list(range(1, k_max + 1))
+    start = 1  # row 0 is the marginal
+    for k, table in sorted(tables.tables.items()):
+        assert table.order == k
+        assert table.rows == range(start, start + len(table.rows))
+        assert len(table.rows) == len(table.codes) > 0
+        start = table.rows.stop
+        below = range(0, 1) if k == 1 else tables.tables[k - 1].rows
+        parents = tables.parents[table.rows.start : table.rows.stop]
+        assert below.start <= parents.min() and parents.max() < below.stop
+        if k > 1:  # each parent is the context less its oldest symbol
+            up = tables.tables[k - 1]
+            np.testing.assert_array_equal(up.codes[parents - up.rows.start], table.codes // len(alphabet))
+    assert start == len(tables.counts) == len(tables.cum)
+    assert tables.parents[0] == 0
 
 
 def test_tables_too_short():
@@ -217,7 +246,7 @@ def test_lookup_longest_suffix():
     expected = brute_force_back_off(seq.symbols.tolist(), n, 2, 2, ALPHABET3)
     assert res.orders.tolist() == [order for order, _ in expected]
     for i in (4, 5):
-        np.testing.assert_array_equal(res.cum_rows[res.row_ids[i]], tables.marginal.cum)
+        assert res.row_ids[i] == 0  # the marginal
 
 
 # --- dumps -------------------------------------------------------------------

@@ -23,6 +23,7 @@ from oracles import (
     ALPHABET3,
     ALPHABET5,
     brute_force_back_off,
+    context_rows,
     reference_generator,
     reference_run_generators,
     sample_index,
@@ -149,7 +150,7 @@ def test_predict_next_deterministic_row():
     for seed in (0, 1, 99):
         # every draw is the realized symbol
         assert evaluate_run(tables, res, "abs", *reference_run_generators(RandomStream(seed))).e == 0.0
-    assert tables.tables[2].rows[(0, 1)].probs.tolist() == [0.0, 0.0, 1.0]
+    assert context_rows(tables, 2)[(0, 1)][1].tolist() == [0.0, 0.0, 1.0]  # after 1, 0 always 1
 
 
 def test_predict_next_falls_back_one_order():
@@ -169,14 +170,14 @@ def test_predict_next_marginal_fallback():
     seq, tables = split_tables(train + [2, 2, 0], ALPHABET5, len(train), 2)
     res = resolve_fallback(tables, seq, len(train), 2)
     assert res.orders.tolist()[-2:] == [0, 0]  # contexts (2, 1) and (2, 2)
-    np.testing.assert_array_equal(res.cum_rows[res.row_ids[-1]], tables.marginal.cum)
+    assert res.row_ids[-1] == 0  # the marginal
 
 
 def test_predict_next_sampling_frequencies():
     # in train, context (0,) is followed by 0 twice, 1 three times, 2 five times
     train = [0, 0, 0] + [1, 0] * 3 + [2, 0] * 5
     seq, tables = split_tables(train + [0] * 100_000, (0, 1, 2), len(train), 1)
-    assert tables.tables[1].rows[(0,)].counts.tolist() == [2, 3, 5]
+    assert context_rows(tables, 1)[(0,)][0].tolist() == [2, 3, 5]
     stream = RandomStream(314).substream("lln")
     res = resolve_fallback(tables, seq, len(train), 1)
     draws = model_picks(res, reference_generator(stream.substream("model")))
@@ -249,6 +250,21 @@ def test_evaluate_signed_metric():
     assert result.metric == "signed"
 
 
+def test_evaluate_run_rejects_a_resolution_of_other_tables():
+    # the same symbols over three and five symbols: the five-symbol set would misread
+    # the three-symbol set's row ids and indices
+    symbols = np.random.default_rng(8).integers(-1, 2, 400).tolist()
+    seq3, tables3 = split_tables(symbols, ALPHABET3, 200, 2)
+    seq5, tables5 = split_tables(symbols, ALPHABET5, 200, 2)
+    gens = reference_run_generators(RandomStream(6))
+    with pytest.raises(ValueError, match="not made from these tables"):
+        evaluate_run(tables5, resolve_fallback(tables3, seq3, 200, 2), "abs", *gens)
+    # an equal set built again holds other arrays
+    _, again = split_tables(symbols, ALPHABET5, 200, 2)
+    with pytest.raises(ValueError, match="not made from these tables"):
+        evaluate_run(again, resolve_fallback(tables5, seq5, 200, 2), "abs", *gens)
+
+
 def test_evaluate_marginal_baseline_constant():
     seq = mk_seq([0] * 400, ALPHABET5)
     n = 200
@@ -297,7 +313,7 @@ def test_contexts_span_the_split_boundary():
     expected = brute_force_back_off(symbols, 4, 3, 3, ALPHABET3)
     assert res.orders.tolist() == [order for order, _ in expected]
     assert res.orders[0] == 2
-    np.testing.assert_array_equal(res.cum_rows[res.row_ids[0]], tables.tables[2].rows[(0, 1)].cum)
+    np.testing.assert_array_equal(res.cum_rows[res.row_ids[0]], context_rows(tables, 2)[(0, 1)][1])
 
 
 def test_vectorized_path_matches_sequential_predict_next():
@@ -333,7 +349,6 @@ def test_resolve_fallback_matches_scalar_back_off(data):
     for i, (_, counts) in enumerate(expected):
         assert res.cum_rows[res.row_ids[i]].tolist() == sequential_cum(counts)
         assert res.count_rows[res.row_ids[i]].tolist() == list(counts)
-        assert tables.probs[res.row_ids[i]].tolist() == [c / sum(counts) for c in counts]
     # seen contexts are prefix-closed, so the order at k is the longest match capped at k
     longest = resolve_fallback(tables, seq, n, k_max).orders
     np.testing.assert_array_equal(res.orders, np.minimum(longest, k))
@@ -566,12 +581,12 @@ def test_evaluate_run_equals_per_position_mean(metric, baseline, mode, long_spli
         u = reference_generator(stream.substream("model")).random(res.n_test)
         predicted = (res.cum_rows[res.row_ids, :-1] <= u[:, None]).sum(axis=1)
     else:
-        predicted = np.argmax(tables.probs[res.row_ids], axis=1)
+        predicted = np.argmax((tables.counts / tables.counts.sum(axis=1, keepdims=True))[res.row_ids], axis=1)
     gen = reference_generator(stream.substream("baseline"))
     if baseline == "uniform":
         guessed = gen.integers(0, a, res.n_test)
     else:
-        guessed = np.minimum(np.searchsorted(tables.marginal.cum, gen.random(res.n_test), side="right"), a - 1)
+        guessed = np.minimum(np.searchsorted(tables.cum[0], gen.random(res.n_test), side="right"), a - 1)
     means = []
     for picks in (predicted, guessed):
         errors = alpha[picks] - alpha[seq.indices[n:]]
@@ -611,15 +626,16 @@ def test_fallback_orders_replay_against_tables():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 5)
     res = resolve_fallback(tables, seq, n, 5)
+    rows = {j: context_rows(tables, j) for j in range(1, 6)}
     for i, t in enumerate(range(n, len(symbols))):
         context = tuple(reversed(symbols[t - 5 : t]))
-        largest, row = 0, tables.marginal
+        largest, cum = 0, tables.cum[0]
         for j in range(5, 0, -1):
-            if context[:j] in tables.tables[j].rows:
-                largest, row = j, tables.tables[j].rows[context[:j]]
+            if context[:j] in rows[j]:
+                largest, (_, cum) = j, rows[j][context[:j]]
                 break
         assert res.orders[i] == largest
-        np.testing.assert_array_equal(res.cum_rows[res.row_ids[i]], row.cum)
+        np.testing.assert_array_equal(res.cum_rows[res.row_ids[i]], cum)
 
 
 # --- run_experiment -----------------------------------------------------------
@@ -660,20 +676,6 @@ def test_fallback_histogram_counts_each_order():
         counts = np.bincount(full.truncate(k).orders, minlength=k + 1)
         assert report.fallback_histogram[k] == {j: int(counts[j]) for j in range(k + 1)}
         assert list(report.fallback_histogram[k]) == list(range(k + 1))
-
-
-@pytest.mark.parametrize("mode", predict_mod.MODES)
-def test_run_experiment_never_builds_stacked_probs(mode):
-    report = run_experiment(ExperimentConfig(runs=2, k_max=5, master_seed=3, mode=mode), small_returns())
-    tables = report.tables
-    assert "probs" not in vars(tables)  # a cached_property stores what it builds there
-    # divided when read, the same bits whole, per table and per row
-    np.testing.assert_array_equal(tables.probs, tables.counts / tables.counts.sum(axis=1, keepdims=True))
-    for table in tables.tables.values():
-        np.testing.assert_array_equal(table.probs, tables.probs[table.offset : table.offset + len(table.codes)])
-        context = next(iter(table.rows))
-        np.testing.assert_array_equal(table.rows[context].probs, table.probs[0])
-    np.testing.assert_array_equal(tables.marginal.probs, tables.probs[0])
 
 
 def test_report_means_match_per_run():
@@ -812,6 +814,7 @@ def test_tables_unaffected_by_test_half_content(monkeypatch):
     a, b = captured
     assert set(a.tables) == set(b.tables)
     for k in a.tables:
-        assert set(a.tables[k].rows) == set(b.tables[k].rows)
-        for ctx, row in a.tables[k].rows.items():
-            np.testing.assert_array_equal(row.counts, b.tables[k].rows[ctx].counts)
+        rows_a, rows_b = context_rows(a, k), context_rows(b, k)
+        assert set(rows_a) == set(rows_b)
+        for ctx, (counts, _) in rows_a.items():
+            np.testing.assert_array_equal(counts, rows_b[ctx][0])

@@ -13,8 +13,12 @@ import importlib.util
 import time
 from pathlib import Path
 
-import synth
+import numpy as np
 
+import synth
+from conftest import mk_seq
+
+from procrec import build_conditional_tables
 from procrec.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "procbench" / "tracing.py"
@@ -61,3 +65,15 @@ def test_tracer_wraps_and_counts_predict(tmp_path, capsys):
     assert metrics["predict.evaluate_run.calls"] == 3 * 4
     assert metrics["predict.predictions"] == 3 * 4 * n_test
     assert abs(self_sum - wall_s) < 1e-6
+
+
+
+def test_context_rows_counter_counts_the_stacked_rows_past_the_marginal():
+    # markov.context_rows sums this counter over the builds: one per seen context, the marginal not counted
+    tracing = _load_tracing()
+    counters = [counter for _, attr, _, counter in tracing.WRAPPED if attr == "build_conditional_tables"]
+    assert counters
+    symbols = np.random.default_rng(3).integers(-2, 3, 500).tolist()
+    tables = build_conditional_tables(mk_seq(symbols, (-2, -1, 0, 1, 2)), 6)
+    for counter in counters:
+        assert counter(tables) == len(tables.counts) - 1
