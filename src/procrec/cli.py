@@ -260,7 +260,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
             mode=args.mode,
             stats_on=args.stats_on,
         )
-        config.validate_params()
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     except ValueError as exc:

@@ -35,6 +35,7 @@ __all__ = [
     "SymbolSequence",
     "make_scheme",
     "encode_series",
+    "coding_record",
     "dump_coding_sidecar",
     "dump_symbols_csv",
 ]
@@ -117,11 +118,9 @@ def encode_series(
     return SymbolSequence(indices=scheme.band_indices(returns.values - stats.mean), alphabet=scheme.symbols)
 
 
-def dump_coding_sidecar(
-    scheme: CodingScheme, stats: SeriesStats, path: str | Path
-) -> None:
-    """Record the scheme and the stats it was built from, at full float precision."""
-    payload = {
+def coding_record(scheme: CodingScheme, stats: SeriesStats) -> dict:
+    """The scheme and the stats it was built from, as the sidecar and a report's "coding" hold them."""
+    return {
         "scheme": scheme.name,
         "mean": stats.mean,
         "std": stats.std,
@@ -129,7 +128,11 @@ def dump_coding_sidecar(
         "symbols": list(scheme.symbols),
         "cut_points": list(scheme.cut_points),
     }
-    write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
+
+
+def dump_coding_sidecar(scheme: CodingScheme, stats: SeriesStats, path: str | Path) -> None:
+    """Write ``coding_record`` as JSON; floats keep full precision."""
+    write_text_atomic(path, json.dumps(coding_record(scheme, stats), indent=2) + "\n")
 
 
 def dump_symbols_csv(seq: SymbolSequence, path: str | Path) -> None:

@@ -57,13 +57,14 @@ def _normalized(counts: np.ndarray) -> np.ndarray:
 class ConditionalTable:
     """Order-k contexts seen in training, and the stacked row ids of their distributions.
 
+    The order k is the table's key in ``ConditionalTableSet.tables``.
+
     ``codes`` holds the contexts as sorted base-|alphabet| integers of symbol
     indices, the most recent symbol as the most significant digit, so code
     order is the lexicographic order of the context tuples. The distribution
     of ``codes[i]`` is row ``rows[i]`` of the table set's stacked arrays.
     """
 
-    order: int
     codes: np.ndarray
     rows: range
 
@@ -187,11 +188,7 @@ def build_conditional_tables(train: SymbolSequence, k_max: int) -> ConditionalTa
     tables: dict[int, ConditionalTable] = {}
     start = 1
     for k, codes in enumerate(codes_by_order, start=1):
-        tables[k] = ConditionalTable(
-            order=k,
-            codes=codes,
-            rows=range(start, start + len(codes)),
-        )
+        tables[k] = ConditionalTable(codes=codes, rows=range(start, start + len(codes)))
         start += len(codes)
     return ConditionalTableSet(
         alphabet=alpha,

@@ -11,8 +11,9 @@ A context seen at order j in training is also seen at every shorter order, so
 each test position t has one longest match L_t and order k answers at
 min(L_t, k). ``resolve_fallback`` links each table row to its children, the
 rows one older symbol longer, and walks the links down from the marginal with
-gathers only, as in a suffix tree. It keeps the row of order L_t and each
-row's parent, so ``FallbackResolution.truncate(k)`` climbs to order k.
+gathers only, as in a suffix tree. A resolution keeps the row of order L_t and
+the table set itself, whose ``parents`` let ``FallbackResolution.truncate(k)``
+climb to order k, so scoring needs nothing but the resolution.
 
 All randomness flows from a RandomStream: a master seed and a derivation path
 of tags, which key a PCG64 generator exactly as numpy's
@@ -35,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coding import SCHEMES, CodingScheme, SymbolSequence, encode_series, make_scheme
+from .coding import SCHEMES, CodingScheme, SymbolSequence, coding_record, encode_series, make_scheme
 from .errors import SplitTooSmall
 from .ingest import ReturnSeries, SeriesStats, compute_stats, split_halves
 from .markov import ConditionalTableSet, build_conditional_tables
@@ -217,24 +218,21 @@ class RunErrors:
     order: int
     e: float
     e_rand: float
-    metric: str
     n_predictions: int
 
 
 @dataclass(frozen=True, eq=False)
 class FallbackResolution:
-    """Per-position back-off outcome over a test half, reusable across runs.
+    """Per-position back-off outcome over the test half of ``tables``, reusable across runs.
 
     Which row answers each position depends only on the tables and the symbol
     sequence, never on the random stream, so one resolution serves every run.
     """
 
+    tables: ConditionalTableSet
     order: int
     orders: np.ndarray  # int8, fallback order used per test position: min(L_t, order)
-    row_ids: np.ndarray  # int32, per test position the index into cum_rows/count_rows of its row
-    parents: np.ndarray  # int32, per stacked row the row of its context less the oldest symbol
-    cum_rows: np.ndarray  # the table set's stacked rows, (n_rows, |alphabet|)
-    count_rows: np.ndarray
+    row_ids: np.ndarray  # int32, per test position the stacked row id of its row in ``tables``
     actual_pairs: np.ndarray  # actual * |alphabet|, the pair code less the pick; uint8 while |alphabet|² fits
 
     @property
@@ -244,14 +242,14 @@ class FallbackResolution:
     @cached_property
     def cum_columns(self) -> np.ndarray:
         """(|alphabet| - 1, n_test) cum of every position's row, last column dropped."""
-        return np.take(self.cum_rows[:, :-1].T, self.row_ids, axis=1)
+        return np.take(self.tables.cum[:, :-1].T, self.row_ids, axis=1)
 
     @cached_property
     def argmax_picks(self) -> np.ndarray:
         """(n_test,) alphabet index of every position's most probable symbol, the first on ties.
 
         Taken over counts: dividing by a row total below 2**52 keeps the row's order and ties."""
-        return np.argmax(self.count_rows, axis=1)[self.row_ids]
+        return np.argmax(self.tables.counts, axis=1)[self.row_ids]
 
     def truncate(self, k: int) -> "FallbackResolution":
         """The resolution at order k <= order, climbing one order per step.
@@ -260,36 +258,34 @@ class FallbackResolution:
         read here again, they are gathered anew. An array read from here before then holds the result's."""
         if not 1 <= k <= self.order:
             raise ValueError(f"order {k} outside resolved range 1..{self.order}")
-        row_ids = self.row_ids
+        row_ids, parents = self.row_ids, self.tables.parents
         for j in range(self.order, k, -1):  # positions answered at order j or above climb to j - 1
-            row_ids = np.where(self.orders >= j, self.parents[row_ids], row_ids)
+            row_ids = np.where(self.orders >= j, parents[row_ids], row_ids)
         res = replace(self, order=k, orders=np.minimum(self.orders, k), row_ids=row_ids)
         if "cum_columns" in self.__dict__:  # a loop over orders then frees and faults in no 16 MB array per order
             columns = self.__dict__.pop("cum_columns")  # "clip" gathers into it directly, "raise" via a copy
-            res.__dict__["cum_columns"] = np.take(self.cum_rows[:, :-1].T, row_ids, axis=1, out=columns, mode="clip")
+            res.__dict__["cum_columns"] = np.take(self.tables.cum[:, :-1].T, row_ids, axis=1, out=columns, mode="clip")
         return res
 
 
-def resolve_fallback(
-    tables: ConditionalTableSet, seq: SymbolSequence, n: int, k: int
-) -> FallbackResolution:
-    """Resolve the back-off chain for every test position t = n .. len(seq)-1.
+def resolve_fallback(tables: ConditionalTableSet, seq: SymbolSequence, k: int) -> FallbackResolution:
+    """Resolve the back-off chain at order k for every test position t = n .. len(seq)-1.
 
-    Contexts are the k symbols immediately preceding t and may reach back
-    across the split boundary into the training half for the first positions.
-    Every position walks from the marginal to the child row that adds the next
-    older symbol, k times or until it misses, and keeps the last row it reached.
-    The child links invert the table set's ``parents``, which the resolution
-    keeps for ``truncate`` to serve the lower orders.
+    ``seq`` is the whole coded series whose first n = ``tables.n_train``
+    symbols the tables were built on; the rest is the test half. Contexts are
+    the k symbols immediately preceding t and may reach back across the split
+    boundary into the training half for the first positions. Every position
+    walks from the marginal to the child row that adds the next older symbol,
+    k times or until it misses, and keeps the last row it reached. The child
+    links invert the table set's ``parents``, which ``truncate`` climbs to
+    serve the lower orders.
     """
-    total = len(seq)
+    n, total = tables.n_train, len(seq)
     n_test = total - n
     if n_test < 1:
         raise SplitTooSmall(f"split index {n} leaves no test positions in {total}")
-    if not 1 <= k <= tables.k_max:
+    if not 1 <= k <= tables.k_max:  # the build needs n >= k_max + 1, so every context fits in seq
         raise ValueError(f"order {k} outside built range 1..{tables.k_max}")
-    if n < k:
-        raise ValueError(f"first test context would precede the series (n={n}, k={k})")
     if tuple(seq.alphabet) != tables.alphabet:  # indices of another alphabet would be misread
         raise ValueError(f"sequence alphabet {seq.alphabet} is not the tables' {tables.alphabet}")
 
@@ -312,12 +308,10 @@ def resolve_fallback(
         longest += hit  # no hit follows a miss, so the hits count the order
         np.copyto(row_ids, cur, where=hit)
     return FallbackResolution(
+        tables=tables,
         order=k,
         orders=longest,
         row_ids=row_ids,
-        parents=parents,
-        cum_rows=tables.cum,
-        count_rows=tables.counts,
         actual_pairs=idx[n:].astype(np.uint8 if a * a <= 256 else np.int64) * a,  # truncate carries it on
     )
 
@@ -336,17 +330,12 @@ def _model_indices(
     return onto
 
 
-def _baseline_indices(
-    tables: ConditionalTableSet,
-    n_test: int,
-    gen: np.random.Generator,
-    baseline: str,
-) -> np.ndarray:
-    a = len(tables.alphabet)
+def _baseline_indices(res: FallbackResolution, gen: np.random.Generator, baseline: str) -> np.ndarray:
+    a = len(res.tables.alphabet)
     if baseline == "marginal":
-        u = gen.random(n_test)
-        return np.minimum(np.searchsorted(tables.cum[0], u, side="right"), a - 1)
-    return gen.integers(0, a, size=n_test)
+        u = gen.random(res.n_test)
+        return np.minimum(np.searchsorted(res.tables.cum[0], u, side="right"), a - 1)
+    return gen.integers(0, a, size=res.n_test)
 
 
 @functools.cache
@@ -361,7 +350,6 @@ def _pair_errors(alphabet: tuple[int, ...], metric: str) -> np.ndarray:
 
 
 def evaluate_run(
-    tables: ConditionalTableSet,
     resolution: FallbackResolution,
     metric: str,
     model_gen: np.random.Generator,
@@ -370,14 +358,14 @@ def evaluate_run(
     baseline: str = "uniform",
     mode: str = "sample",
 ) -> RunErrors:
-    """Score one run over the test half that ``resolution`` resolved in ``tables``.
+    """Score one run over the test half that ``resolution`` resolved in its tables.
 
     Returns the model error e and the baseline error e_rand at the
     resolution's order. With metric "abs" both are mean |predicted - actual|
     over symbol values; with "signed" the mean of (predicted - actual). Model
     draws come from ``model_gen`` (none in "argmax" mode) and baseline draws
-    from ``baseline_gen``, so the two never perturb each other. A resolution
-    made from another table set raises ValueError.
+    from ``baseline_gen``, so the two never perturb each other. The marginal
+    baseline draws from the training marginal of the resolution's tables.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
@@ -385,25 +373,23 @@ def evaluate_run(
         raise ValueError(f"baseline must be one of {BASELINES}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if resolution.cum_rows is not tables.cum:  # its row ids and symbol indices would be misread
-        raise ValueError("resolution was not made from these tables")
 
-    a, n_test = len(tables.alphabet), resolution.n_test
-    errors = _pair_errors(tables.alphabet, metric)
+    alphabet, n_test = resolution.tables.alphabet, resolution.n_test
+    a, errors = len(alphabet), _pair_errors(alphabet, metric)
     # Pair counts times pair errors sum to integers below 2**53, so each mean is the same float as
     # the mean of the per-position errors; `@` would page in numpy's matmul code, 0.15 MB resident
     actual = resolution.actual_pairs
     pairs = _model_indices(resolution, model_gen, mode, actual.copy())
     e = int((np.bincount(pairs, minlength=a * a) * errors).sum()) / n_test
-    pairs = _baseline_indices(tables, n_test, baseline_gen, baseline)
+    pairs = _baseline_indices(resolution, baseline_gen, baseline)
     pairs += actual  # in place: the draws are int64 or intp already
     e_rand = int((np.bincount(pairs, minlength=a * a) * errors).sum()) / n_test
-    return RunErrors(order=resolution.order, e=e, e_rand=e_rand, metric=metric, n_predictions=n_test)
+    return RunErrors(order=resolution.order, e=e, e_rand=e_rand, n_predictions=n_test)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything the experiment depends on besides the data itself."""
+    """Everything the experiment depends on besides the data itself; checked when built."""
 
     scheme: str = "five"
     k_min: int = 1
@@ -415,7 +401,7 @@ class ExperimentConfig:
     mode: str = "sample"
     stats_on: str = "full"
 
-    def validate_params(self) -> None:
+    def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if not 1 <= self.k_min <= self.k_max <= _MAX_K:
@@ -430,6 +416,8 @@ class ExperimentConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.stats_on not in ("full", "train"):
             raise ValueError("stats_on must be 'full' or 'train'")
+        if not 0 <= self.master_seed < 2**64:  # RandomStream's range, checked before any work
+            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
 
 
 @dataclass(eq=False)
@@ -466,7 +454,6 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
     so reports are invariant to run scheduling and to which other instruments
     are processed alongside.
     """
-    config.validate_params()
     h1, h2 = split_halves(returns)
     n = len(h1)
     stats = compute_stats(returns if config.stats_on == "full" else h1)
@@ -477,7 +464,7 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
 
     k_values = tuple(range(config.k_min, config.k_max + 1))
     runs = range(1, config.runs + 1)
-    resolution = resolve_fallback(tables, seq, n, config.k_max)
+    resolution = resolve_fallback(tables, seq, config.k_max)
     # the model and baseline substreams of every run, in the order they are scored
     gens = RandomStream(config.master_seed).substream(returns.instrument).generators(
         (j, k, purpose) for k in reversed(k_values) for j in runs for purpose in ("model", "baseline")
@@ -492,9 +479,7 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
         resolution = resolution.truncate(k)
         fallback_histogram[k] = {**dict(enumerate(longest[:k])), k: sum(longest[k:])}
         per_run[k] = tuple(
-            evaluate_run(
-                tables, resolution, config.metric, next(gens), next(gens), baseline=config.baseline, mode=config.mode
-            )
+            evaluate_run(resolution, config.metric, next(gens), next(gens), baseline=config.baseline, mode=config.mode)
             for _ in runs
         )
     per_run, fallback_histogram = dict(sorted(per_run.items())), dict(sorted(fallback_histogram.items()))
@@ -549,14 +534,7 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
             "n_train": report.n_train,
             "n_test": report.n_test,
         },
-        "coding": {
-            "scheme": report.coding.name,
-            "mean": report.stats.mean,
-            "std": report.stats.std,
-            "count": report.stats.count,
-            "symbols": list(report.coding.symbols),
-            "cut_points": list(report.coding.cut_points),
-        },
+        "coding": coding_record(report.coding, report.stats),
         "results": [
             {
                 "k": k,

@@ -163,10 +163,10 @@ def test_criterion_4_synthetic_recovery():
         train = dataclasses.replace(seq, indices=seq.indices[:n])
         tables = build_conditional_tables(train, 2)
         stream = RandomStream(20240002).substream("chain")
-        res = {k: resolve_fallback(tables, seq, n, k) for k in (1, 2)}
+        res = {k: resolve_fallback(tables, seq, k) for k in (1, 2)}
         runs = {
             k: [
-                evaluate_run(tables, res[k], "abs", *reference_run_generators(stream.substream(j, k)))
+                evaluate_run(res[k], "abs", *reference_run_generators(stream.substream(j, k)))
                 for j in range(1, 51)
             ]
             for k in (1, 2)

@@ -257,7 +257,8 @@ def test_predict_dump_flags(tmp_path, small_csv):
     )
     assert code == 0
     assert (out / "demo_symbols.csv").exists()
-    assert (out / "demo_coding.json").exists()
+    coding = json.loads((out / "demo_report.json").read_text())["coding"]
+    assert (out / "demo_coding.json").read_text() == json.dumps(coding, indent=2) + "\n"  # the report's record
     tables = json.loads((out / "demo_tables.json").read_text())
     assert tables["k_max"] == 2
     assert tables["n_train"] == 200

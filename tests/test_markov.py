@@ -201,7 +201,6 @@ def test_row_ids_tile_the_stacked_rows(data):
     assert sorted(tables.tables) == list(range(1, k_max + 1))
     start = 1  # row 0 is the marginal
     for k, table in sorted(tables.tables.items()):
-        assert table.order == k
         assert table.rows == range(start, start + len(table.rows))
         assert len(table.rows) == len(table.codes) > 0
         start = table.rows.stop
@@ -240,7 +239,7 @@ def test_lookup_longest_suffix():
     seq = mk_seq(train + [0, 1, 1, -1, -1, 0], ALPHABET3)
     n = len(train)
     tables = build_conditional_tables(mk_seq(train, ALPHABET3), 2)
-    res = resolve_fallback(tables, seq, n, 2)
+    res = resolve_fallback(tables, seq, 2)
     # (1, 1) never occurs in train but (1,) does; -1 never occurs at all
     assert res.orders.tolist() == [2, 2, 2, 1, 0, 0]
     expected = brute_force_back_off(seq.symbols.tolist(), n, 2, 2, ALPHABET3)

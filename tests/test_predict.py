@@ -7,6 +7,7 @@ import pytest
 
 import procrec.predict as predict_mod
 from procrec import (
+    ConditionalTableSet,
     SplitTooSmall,
     build_conditional_tables,
     evaluate_run,
@@ -145,11 +146,11 @@ def test_stream_rejects_bad_seeds_and_tags():
 def test_predict_next_deterministic_row():
     # in 1, 0, 1, 1, 0, 1, ... every order-2 context has one successor
     seq, tables = split_tables([1, 0, 1] * 40, ALPHABET3, 60, 2)
-    res = resolve_fallback(tables, seq, 60, 2)
+    res = resolve_fallback(tables, seq, 2)
     assert res.orders.tolist() == [2] * 60
     for seed in (0, 1, 99):
         # every draw is the realized symbol
-        assert evaluate_run(tables, res, "abs", *reference_run_generators(RandomStream(seed))).e == 0.0
+        assert evaluate_run(res, "abs", *reference_run_generators(RandomStream(seed))).e == 0.0
     assert context_rows(tables, 2)[(0, 1)][1].tolist() == [0.0, 0.0, 1.0]  # after 1, 0 always 1
 
 
@@ -157,7 +158,7 @@ def test_predict_next_falls_back_one_order():
     # (1, 1) never occurs in train, its suffix (1,) does
     train = [0, 0, 1, 0, 0, 1, 0, 0]
     seq, tables = split_tables(train + [1, 1, 0], ALPHABET3, len(train), 2)
-    res = resolve_fallback(tables, seq, len(train), 2)
+    res = resolve_fallback(tables, seq, 2)
     assert seq.symbols[-3:-1].tolist() == [1, 1]  # the last position's context
     assert res.orders[-1] == 1
     gen = reference_generator(RandomStream(5).substream("model"))
@@ -168,7 +169,7 @@ def test_predict_next_falls_back_one_order():
 def test_predict_next_marginal_fallback():
     train = [-1, 0, 1, -1, 0, 1]  # symbol 2 absent from train
     seq, tables = split_tables(train + [2, 2, 0], ALPHABET5, len(train), 2)
-    res = resolve_fallback(tables, seq, len(train), 2)
+    res = resolve_fallback(tables, seq, 2)
     assert res.orders.tolist()[-2:] == [0, 0]  # contexts (2, 1) and (2, 2)
     assert res.row_ids[-1] == 0  # the marginal
 
@@ -179,7 +180,7 @@ def test_predict_next_sampling_frequencies():
     seq, tables = split_tables(train + [0] * 100_000, (0, 1, 2), len(train), 1)
     assert context_rows(tables, 1)[(0,)][0].tolist() == [2, 3, 5]
     stream = RandomStream(314).substream("lln")
-    res = resolve_fallback(tables, seq, len(train), 1)
+    res = resolve_fallback(tables, seq, 1)
     draws = model_picks(res, reference_generator(stream.substream("model")))
     for symbol, want in ((0, 0.2), (1, 0.3), (2, 0.5)):
         assert abs(np.mean(draws == symbol) - want) < 0.01
@@ -189,7 +190,7 @@ def test_baseline_uniform_frequencies():
     # the uniform baseline evaluate_run scores, against a constant 0 test half
     seq, tables = split_tables([0] * 100_100, ALPHABET5, 100, 1)
     stream = RandomStream(2718).substream("base")
-    result = evaluate_run(tables, resolve_fallback(tables, seq, 100, 1), "signed", *reference_run_generators(stream))
+    result = evaluate_run(resolve_fallback(tables, seq, 1), "signed", *reference_run_generators(stream))
     draws = reference_generator(stream.substream("baseline")).integers(0, 5, size=100_000)
     drawn = np.asarray(ALPHABET5)[draws]
     assert result.e_rand == float(drawn.mean())
@@ -199,13 +200,13 @@ def test_baseline_uniform_frequencies():
 
 def test_baseline_single_symbol_and_determinism():
     seq, tables = split_tables([4] * 20, (4,), 10, 1)
-    res = resolve_fallback(tables, seq, 10, 1)
-    assert evaluate_run(tables, res, "abs", *reference_run_generators(RandomStream(1))).e_rand == 0.0
+    res = resolve_fallback(tables, seq, 1)
+    assert evaluate_run(res, "abs", *reference_run_generators(RandomStream(1))).e_rand == 0.0
     seq, tables = split_tables([-1, 0, 1, 1, 0] * 8, ALPHABET3, 20, 1)
-    res = resolve_fallback(tables, seq, 20, 1)
-    a = [evaluate_run(tables, res, "abs", *reference_run_generators(RandomStream(9).substream(i))).e_rand
+    res = resolve_fallback(tables, seq, 1)
+    a = [evaluate_run(res, "abs", *reference_run_generators(RandomStream(9).substream(i))).e_rand
          for i in range(20)]
-    b = [evaluate_run(tables, res, "abs", *reference_run_generators(RandomStream(9).substream(i))).e_rand
+    b = [evaluate_run(res, "abs", *reference_run_generators(RandomStream(9).substream(i))).e_rand
          for i in range(20)]
     assert a == b
     assert len(set(a)) > 1
@@ -219,8 +220,8 @@ def test_evaluate_constant_sequence():
     n = 2000
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 3)
-    res = resolve_fallback(tables, seq, n, 3)
-    result = evaluate_run(tables, res, "abs", *reference_run_generators(RandomStream(0).substream(1, 3)))
+    res = resolve_fallback(tables, seq, 3)
+    result = evaluate_run(res, "abs", *reference_run_generators(RandomStream(0).substream(1, 3)))
     assert result.e == 0.0  # the only rows are certain about 0
     # uniform baseline against a constant 0: E|u| = (2+1+0+1+2)/5 = 1.2
     assert result.e_rand == pytest.approx(1.2, abs=0.1)
@@ -233,8 +234,8 @@ def test_evaluate_alternating_sequence():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 3)
     for k in (1, 2, 3):
-        res = resolve_fallback(tables, seq, n, k)
-        result = evaluate_run(tables, res, "abs", *reference_run_generators(RandomStream(3).substream(1, k)))
+        res = resolve_fallback(tables, seq, k)
+        result = evaluate_run(res, "abs", *reference_run_generators(RandomStream(3).substream(1, k)))
         assert result.e == 0.0
 
 
@@ -243,26 +244,10 @@ def test_evaluate_signed_metric():
     n = 500
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 1)
-    res = resolve_fallback(tables, seq, n, 1)
-    result = evaluate_run(tables, res, "signed", *reference_run_generators(RandomStream(4).substream(1, 1)))
+    res = resolve_fallback(tables, seq, 1)
+    result = evaluate_run(res, "signed", *reference_run_generators(RandomStream(4).substream(1, 1)))
     assert result.e == 0.0
     assert abs(result.e_rand) < 0.3  # uniform draws vs 0: signed mean near zero
-    assert result.metric == "signed"
-
-
-def test_evaluate_run_rejects_a_resolution_of_other_tables():
-    # the same symbols over three and five symbols: the five-symbol set would misread
-    # the three-symbol set's row ids and indices
-    symbols = np.random.default_rng(8).integers(-1, 2, 400).tolist()
-    seq3, tables3 = split_tables(symbols, ALPHABET3, 200, 2)
-    seq5, tables5 = split_tables(symbols, ALPHABET5, 200, 2)
-    gens = reference_run_generators(RandomStream(6))
-    with pytest.raises(ValueError, match="not made from these tables"):
-        evaluate_run(tables5, resolve_fallback(tables3, seq3, 200, 2), "abs", *gens)
-    # an equal set built again holds other arrays
-    _, again = split_tables(symbols, ALPHABET5, 200, 2)
-    with pytest.raises(ValueError, match="not made from these tables"):
-        evaluate_run(again, resolve_fallback(tables5, seq5, 200, 2), "abs", *gens)
 
 
 def test_evaluate_marginal_baseline_constant():
@@ -270,9 +255,9 @@ def test_evaluate_marginal_baseline_constant():
     n = 200
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 1)
-    res = resolve_fallback(tables, seq, n, 1)
+    res = resolve_fallback(tables, seq, 1)
     stream = RandomStream(4).substream(1, 1)
-    result = evaluate_run(tables, res, "abs", *reference_run_generators(stream), baseline="marginal")
+    result = evaluate_run(res, "abs", *reference_run_generators(stream), baseline="marginal")
     assert result.e_rand == 0.0  # the marginal has all its mass on 0
 
 
@@ -283,9 +268,9 @@ def test_evaluate_argmax_mode_deterministic():
     n = 400
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 2)
-    res = resolve_fallback(tables, seq, n, 2)
-    a = evaluate_run(tables, res, "abs", *reference_run_generators(RandomStream(1).substream(1, 2)), mode="argmax")
-    b = evaluate_run(tables, res, "abs", *reference_run_generators(RandomStream(999).substream(7, 2)), mode="argmax")
+    res = resolve_fallback(tables, seq, 2)
+    a = evaluate_run(res, "abs", *reference_run_generators(RandomStream(1).substream(1, 2)), mode="argmax")
+    b = evaluate_run(res, "abs", *reference_run_generators(RandomStream(999).substream(7, 2)), mode="argmax")
     assert a.e == b.e  # model side ignores the stream entirely under argmax
 
 
@@ -293,27 +278,27 @@ def test_evaluate_split_too_small():
     seq = mk_seq([0, 1, 0, 1], ALPHABET3)
     tables = build_conditional_tables(dataclasses.replace(seq, indices=seq.indices[:4]), 1)
     with pytest.raises(SplitTooSmall):
-        resolve_fallback(tables, seq, 4, 1)
+        resolve_fallback(tables, seq, 1)
 
 
 def test_resolve_fallback_rejects_another_alphabet():
     _, tables = split_tables([-1, 0, 1, 0, -1, 1], ALPHABET3, 4, 1)
     # index 4 of the five-symbol sequence has no meaning over three symbols
     with pytest.raises(ValueError, match="alphabet"):
-        resolve_fallback(tables, mk_seq([-2, 0, 2, 0, -2, 2], ALPHABET5), 4, 1)
+        resolve_fallback(tables, mk_seq([-2, 0, 2, 0, -2, 2], ALPHABET5), 1)
 
 
 def test_contexts_span_the_split_boundary():
     symbols = [1, 0, 1, 0, 1, 0]
     seq, tables = split_tables(symbols, ALPHABET3, 4, 3)
-    res = resolve_fallback(tables, seq, 4, 3)
+    res = resolve_fallback(tables, seq, 3)
     # the first test position, t = 4, has context (0, 1, 0): it reaches two
     # symbols back into the training half, where only (0, 1) was seen
     assert res.n_test == 2
     expected = brute_force_back_off(symbols, 4, 3, 3, ALPHABET3)
     assert res.orders.tolist() == [order for order, _ in expected]
     assert res.orders[0] == 2
-    np.testing.assert_array_equal(res.cum_rows[res.row_ids[0]], context_rows(tables, 2)[(0, 1)][1])
+    np.testing.assert_array_equal(tables.cum[res.row_ids[0]], context_rows(tables, 2)[(0, 1)][1])
 
 
 def test_vectorized_path_matches_sequential_predict_next():
@@ -323,7 +308,7 @@ def test_vectorized_path_matches_sequential_predict_next():
     symbols = [int(ALPHABET5[i]) for i in rng.integers(0, 5, 400)]
     seq, tables = split_tables(symbols, ALPHABET5, 200, 3)
     stream = RandomStream(5).substream(1, 3)
-    res = resolve_fallback(tables, seq, 200, 3)
+    res = resolve_fallback(tables, seq, 3)
     predicted = model_picks(res, reference_generator(stream.substream("model")))
     gen = reference_generator(stream.substream("model"))
     expected = brute_force_back_off(symbols, 200, 3, 3, ALPHABET5)
@@ -342,24 +327,24 @@ def test_resolve_fallback_matches_scalar_back_off(data):
     n = data.draw(st.integers(k + 1, len(symbols) - 1))
     k_max = data.draw(st.integers(k, min(deepest(alphabet), n - 1)))
     seq, tables = split_tables(symbols, alphabet, n, k_max)
-    res = resolve_fallback(tables, seq, n, k)
+    res = resolve_fallback(tables, seq, k)
     assert res.row_ids.shape == res.orders.shape == (len(symbols) - n,)
     expected = brute_force_back_off(symbols, n, k, k_max, alphabet)
     assert res.orders.tolist() == [order for order, _ in expected]
     for i, (_, counts) in enumerate(expected):
-        assert res.cum_rows[res.row_ids[i]].tolist() == sequential_cum(counts)
-        assert res.count_rows[res.row_ids[i]].tolist() == list(counts)
+        assert tables.cum[res.row_ids[i]].tolist() == sequential_cum(counts)
+        assert tables.counts[res.row_ids[i]].tolist() == list(counts)
     # seen contexts are prefix-closed, so the order at k is the longest match capped at k
-    longest = resolve_fallback(tables, seq, n, k_max).orders
+    longest = resolve_fallback(tables, seq, k_max).orders
     np.testing.assert_array_equal(res.orders, np.minimum(longest, k))
 
 
 def assert_same_resolution(got, want):
-    assert got.order == want.order
-    assert got.orders.dtype == np.int8 and got.row_ids.dtype == got.parents.dtype == np.int32
+    assert got.tables is want.tables and got.order == want.order
+    assert got.orders.dtype == np.int8 and got.row_ids.dtype == got.tables.parents.dtype == np.int32
     np.testing.assert_array_equal(got.orders, want.orders)
     np.testing.assert_array_equal(got.row_ids, want.row_ids)
-    np.testing.assert_array_equal(got.cum_columns, want.cum_rows[want.row_ids, :-1].T)
+    np.testing.assert_array_equal(got.cum_columns, want.tables.cum[want.row_ids, :-1].T)
     np.testing.assert_array_equal(got.actual_pairs, want.actual_pairs)
 
 
@@ -371,20 +356,20 @@ def test_truncate_matches_direct_resolution(data):
     n = data.draw(st.integers(2, len(symbols) - 1))
     k_max = data.draw(st.integers(1, min(deepest(alphabet), n - 1)))
     seq, tables = split_tables(symbols, alphabet, n, k_max)
-    full = resolve_fallback(tables, seq, n, k_max)
+    full = resolve_fallback(tables, seq, k_max)
     assert full.row_ids.shape == (len(symbols) - n,)
-    assert full.parents.shape == (len(tables.cum),) and full.parents.dtype == np.int32
+    assert full.tables is tables
     stepped = full
     for k in range(k_max, 0, -1):
         # many climbs at once, one climb from the order above, and a direct walk agree
         stepped = stepped.truncate(k)
-        direct = resolve_fallback(tables, seq, n, k)
+        direct = resolve_fallback(tables, seq, k)
         assert_same_resolution(full.truncate(k), direct)
         assert_same_resolution(stepped, direct)
         expected = brute_force_back_off(symbols, n, k, k_max, alphabet)
         assert stepped.orders.tolist() == [order for order, _ in expected]
         for i, (_, counts) in enumerate(expected):
-            assert stepped.cum_rows[stepped.row_ids[i]].tolist() == sequential_cum(counts)
+            assert tables.cum[stepped.row_ids[i]].tolist() == sequential_cum(counts)
     with pytest.raises(ValueError):
         full.truncate(k_max + 1)
     with pytest.raises(ValueError):
@@ -402,33 +387,33 @@ def test_back_off_three_symbols_deep_orders(k_max):
         symbols[i] = int(ALPHABET3[rng.integers(0, 3)])
     n = 400
     seq, tables = split_tables(symbols, ALPHABET3, n, k_max)
-    full = resolve_fallback(tables, seq, n, k_max)
+    full = resolve_fallback(tables, seq, k_max)
     assert set(full.orders.tolist()) >= {k_max, k_max - 1}
     stepped = full
     for k in range(k_max, 0, -1):
         stepped = stepped.truncate(k)
-        direct = resolve_fallback(tables, seq, n, k)
+        direct = resolve_fallback(tables, seq, k)
         assert_same_resolution(stepped, direct)
         assert_same_resolution(full.truncate(k), direct)
         expected = brute_force_back_off(symbols, n, k, k_max, ALPHABET3)
         assert direct.orders.tolist() == [order for order, _ in expected]
         for i, (_, counts) in enumerate(expected):
-            assert direct.cum_rows[direct.row_ids[i]].tolist() == sequential_cum(counts)
+            assert tables.cum[direct.row_ids[i]].tolist() == sequential_cum(counts)
 
 
 def test_truncate_gathers_into_the_columns_it_takes():
     rng = np.random.default_rng(8)
     symbols = [int(ALPHABET5[i]) for i in np.minimum(rng.geometric(0.45, 3_000) - 1, 4)]
     seq, tables = split_tables(symbols, ALPHABET5, 1_500, 4)
-    full = resolve_fallback(tables, seq, 1_500, 4)
+    full = resolve_fallback(tables, seq, 4)
     columns = full.cum_columns
     stepped = full
     for k in (3, 2, 1):
         stepped = stepped.truncate(k)
-        assert_same_resolution(stepped, resolve_fallback(tables, seq, 1_500, k))
+        assert_same_resolution(stepped, resolve_fallback(tables, seq, k))
         assert stepped.cum_columns is columns  # one array for every order
     assert "cum_columns" not in vars(full)  # handed on, so read again it is gathered anew
-    np.testing.assert_array_equal(full.cum_columns, full.cum_rows[full.row_ids, :-1].T)
+    np.testing.assert_array_equal(full.cum_columns, tables.cum[full.row_ids, :-1].T)
 
 
 class _FixedDraws:
@@ -442,18 +427,27 @@ class _FixedDraws:
         return self.u
 
 
-def _sampled(cum_rows, row_ids, u):
-    """_model_indices over hand-made rows and uniforms, next to sample_index on each."""
+def _resolution_over(counts, cum, row_ids):
+    """An order-1 resolution whose positions read the hand-made stacked rows ``row_ids``.
+
+    Its table set holds the rows and no order's contexts: sampling reads ``cum``, argmax ``counts``.
+    """
+    tables = ConditionalTableSet(
+        alphabet=tuple(range(counts.shape[1])), k_max=1, tables={}, n_train=0, counts=counts, cum=cum
+    )
     n_test = len(row_ids)
-    res = predict_mod.FallbackResolution(
+    return predict_mod.FallbackResolution(
+        tables=tables,
         order=1,
         orders=np.ones(n_test, dtype=np.int8),
-        row_ids=np.array(row_ids, dtype=np.int32),
-        parents=np.zeros(len(cum_rows), dtype=np.int32),
-        cum_rows=cum_rows,
-        count_rows=cum_rows,
+        row_ids=np.asarray(row_ids, dtype=np.int32),
         actual_pairs=np.zeros(n_test, dtype=np.uint8),
     )
+
+
+def _sampled(cum_rows, row_ids, u):
+    """_model_indices over hand-made rows and uniforms, next to sample_index on each."""
+    res = _resolution_over(cum_rows, cum_rows, row_ids)
     got = model_picks(res, _FixedDraws(u)).tolist()
     return got, [sample_index(cum_rows[r].tolist(), x) for r, x in zip(row_ids, u)]
 
@@ -492,20 +486,6 @@ def test_model_indices_matches_sample_index(data):
     assert got == want
 
 
-def _resolution_over(count_rows):
-    """A resolution whose positions are the rows of ``count_rows``, one each."""
-    n = len(count_rows)
-    return predict_mod.FallbackResolution(
-        order=1,
-        orders=np.ones(n, dtype=np.int8),
-        row_ids=np.arange(n, dtype=np.int32),
-        parents=np.zeros(n, dtype=np.int32),
-        cum_rows=np.cumsum(count_rows, axis=1),
-        count_rows=count_rows,
-        actual_pairs=np.zeros(n, dtype=np.uint8),
-    )
-
-
 @given(
     st.integers(2, 6).flatmap(lambda a: st.lists(
         st.tuples(
@@ -523,7 +503,8 @@ def test_argmax_picks_from_counts_match_argmax_of_probs(rows):
     # dividing a row by its total keeps its order and its ties, so argmax picks the same first index
     counts = np.array([[base + d for d in deltas] for base, deltas in rows], dtype=np.int64)
     probs = counts / counts.sum(axis=1, keepdims=True)
-    np.testing.assert_array_equal(_resolution_over(counts).argmax_picks, np.argmax(probs, axis=1))
+    res = _resolution_over(counts, np.cumsum(probs, axis=1), np.arange(len(counts)))
+    np.testing.assert_array_equal(res.argmax_picks, np.argmax(probs, axis=1))
 
 
 @given(st.data())
@@ -540,13 +521,13 @@ def test_evaluate_run_matches_scalar_scorer(data):
     run = data.draw(st.integers(1, 50))
     root = RandomStream(data.draw(st.integers(0, 2**64 - 1)))
     seq, tables = split_tables(symbols, alphabet, n, k_max)
-    full = resolve_fallback(tables, seq, n, k_max)
+    full = resolve_fallback(tables, seq, k_max)
     # the resolution at k itself, then every order derived from the one at k_max,
     # each scored for two runs so the second reuses the gathered rows
-    for res in (resolve_fallback(tables, seq, n, k), *(full.truncate(j) for j in range(1, k_max + 1))):
+    for res in (resolve_fallback(tables, seq, k), *(full.truncate(j) for j in range(1, k_max + 1))):
         for j in (run, run + 1):
             stream = root.substream(j, res.order)
-            got = evaluate_run(tables, res, metric, *reference_run_generators(stream), baseline=baseline, mode=mode)
+            got = evaluate_run(res, metric, *reference_run_generators(stream), baseline=baseline, mode=mode)
             want = scalar_evaluate_run(
                 symbols, n, res.order, k_max, alphabet, metric,
                 *reference_run_generators(stream),
@@ -571,15 +552,15 @@ def long_split():
 def test_evaluate_run_equals_per_position_mean(metric, baseline, mode, long_split):
     # pair counts must give the very float that the mean of 200k+ per-position errors gives
     seq, tables, n = long_split
-    res = resolve_fallback(tables, seq, n, 4)
+    res = resolve_fallback(tables, seq, 4)
     stream = RandomStream(23).substream(1, 4)
-    got = evaluate_run(tables, res, metric, *reference_run_generators(stream), baseline=baseline, mode=mode)
+    got = evaluate_run(res, metric, *reference_run_generators(stream), baseline=baseline, mode=mode)
 
     alpha = np.asarray(tables.alphabet, dtype=np.int64)
     a = len(alpha)
     if mode == "sample":
         u = reference_generator(stream.substream("model")).random(res.n_test)
-        predicted = (res.cum_rows[res.row_ids, :-1] <= u[:, None]).sum(axis=1)
+        predicted = (tables.cum[res.row_ids, :-1] <= u[:, None]).sum(axis=1)
     else:
         predicted = np.argmax((tables.counts / tables.counts.sum(axis=1, keepdims=True))[res.row_ids], axis=1)
     gen = reference_generator(stream.substream("baseline"))
@@ -604,12 +585,12 @@ def test_evaluate_run_wide_alphabet(size):
     symbols[-50:] = [alphabet[-1]] * 50  # the largest pair codes occur
     n = 1500
     seq, tables = split_tables(symbols, alphabet, n, 2)
-    res = resolve_fallback(tables, seq, n, 2)
+    res = resolve_fallback(tables, seq, 2)
     for metric in predict_mod.METRICS:
         for baseline in predict_mod.BASELINES:
             for mode in predict_mod.MODES:
                 stream = RandomStream(5).substream(metric, baseline, mode)
-                got = evaluate_run(tables, res, metric, *reference_run_generators(stream), baseline=baseline, mode=mode)
+                got = evaluate_run(res, metric, *reference_run_generators(stream), baseline=baseline, mode=mode)
                 want = scalar_evaluate_run(
                     symbols, n, 2, 2, alphabet, metric,
                     *reference_run_generators(stream),
@@ -625,7 +606,7 @@ def test_fallback_orders_replay_against_tables():
     n = 250
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 5)
-    res = resolve_fallback(tables, seq, n, 5)
+    res = resolve_fallback(tables, seq, 5)
     rows = {j: context_rows(tables, j) for j in range(1, 6)}
     for i, t in enumerate(range(n, len(symbols))):
         context = tuple(reversed(symbols[t - 5 : t]))
@@ -635,7 +616,7 @@ def test_fallback_orders_replay_against_tables():
                 largest, (_, cum) = j, rows[j][context[:j]]
                 break
         assert res.orders[i] == largest
-        np.testing.assert_array_equal(res.cum_rows[res.row_ids[i]], cum)
+        np.testing.assert_array_equal(tables.cum[res.row_ids[i]], cum)
 
 
 # --- run_experiment -----------------------------------------------------------
@@ -671,7 +652,7 @@ def test_fallback_histogram_counts_each_order():
     # folded from the k_max counts: equal to counting each truncated resolution's orders
     cfg = ExperimentConfig(runs=1, k_min=2, k_max=7, master_seed=7)
     report = run_experiment(cfg, small_returns())
-    full = resolve_fallback(report.tables, report.sequence, report.n_train, cfg.k_max)
+    full = resolve_fallback(report.tables, report.sequence, cfg.k_max)
     for k in report.k_values:
         counts = np.bincount(full.truncate(k).orders, minlength=k + 1)
         assert report.fallback_histogram[k] == {j: int(counts[j]) for j in range(k + 1)}
@@ -698,13 +679,13 @@ def test_run_experiment_runs_match_reference_streams(metric, baseline, mode):
         runs=3, k_min=2, k_max=5, master_seed=2**63 + 5, metric=metric, baseline=baseline, mode=mode
     )
     report = run_experiment(cfg, small_returns())
-    full = resolve_fallback(report.tables, report.sequence, report.n_train, cfg.k_max)
+    full = resolve_fallback(report.tables, report.sequence, cfg.k_max)
     stream = RandomStream(cfg.master_seed).substream("demo")
     for k in report.k_values:
         res = full.truncate(k)
         want = tuple(
             evaluate_run(
-                report.tables, res, metric, *reference_run_generators(stream.substream(j, k)),
+                res, metric, *reference_run_generators(stream.substream(j, k)),
                 baseline=baseline, mode=mode,
             )
             for j in range(1, cfg.runs + 1)
@@ -734,17 +715,41 @@ def test_run_experiment_stats_on_train():
     assert full.stats.count == len(returns)
 
 
-def test_run_experiment_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(runs=0).validate_params()
-    with pytest.raises(ValueError):
-        ExperimentConfig(k_min=0).validate_params()
-    with pytest.raises(ValueError):
-        ExperimentConfig(k_min=5, k_max=4).validate_params()
-    with pytest.raises(ValueError):
-        ExperimentConfig(k_max=13).validate_params()
-    with pytest.raises(ValueError):
-        ExperimentConfig(scheme="seven").validate_params()
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"runs": 0},
+        {"k_min": 0},
+        {"k_min": 5, "k_max": 4},
+        {"k_max": 13},
+        {"scheme": "seven"},
+        {"metric": "squared"},
+        {"baseline": "zero"},
+        {"mode": "median"},
+        {"stats_on": "test"},
+        {"master_seed": -1},
+        {"master_seed": 2**64},
+    ],
+    ids=lambda bad: "-".join(f"{field}={value}" for field, value in bad.items()),
+)
+def test_run_experiment_config_validation(bad):
+    # the message names the field, so the check that fires is that field's own
+    field = next(reversed(bad))
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**bad)
+    with pytest.raises(ValueError, match=field):  # replace builds the config again
+        dataclasses.replace(ExperimentConfig(), **bad)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_run_experiment_rejects_master_seed_before_any_work(monkeypatch, seed):
+    # a seed RandomStream cannot take fails when the config is built, not after the tables are
+    def build(train, k_max):
+        raise AssertionError("tables built for a config whose runs cannot be seeded")
+
+    monkeypatch.setattr(predict_mod, "build_conditional_tables", build)
+    with pytest.raises(ValueError, match="master_seed"):
+        run_experiment(ExperimentConfig(runs=1, k_max=2, master_seed=seed), small_returns())
 
 
 def test_order2_model_beats_order1_on_synthetic_chain():
@@ -760,9 +765,9 @@ def test_order2_model_beats_order1_on_synthetic_chain():
 
     def mean_e(res):
         runs = (reference_run_generators(stream.substream(j, res.order)) for j in range(10))
-        return np.mean([evaluate_run(tables, res, "abs", *gens).e for gens in runs])
+        return np.mean([evaluate_run(res, "abs", *gens).e for gens in runs])
 
-    e1, e2 = mean_e(resolve_fallback(tables, seq, n, 1)), mean_e(resolve_fallback(tables, seq, n, 2))
+    e1, e2 = mean_e(resolve_fallback(tables, seq, 1)), mean_e(resolve_fallback(tables, seq, 2))
     assert e2 < e1 - 0.3  # order-1 conditionals of this chain are exactly uniform
 
 
