@@ -6,10 +6,11 @@ Tables store a context as an integer code whose most significant digit is the
 most recent symbol: dropping the oldest symbol drops the least significant
 digit, so a row's parent, its context less the oldest symbol, has code // |alphabet|.
 
-A table set stacks the distributions of all its contexts in one matrix, and a
-row id, an index into it, is the one name of a context's row: each order's
-``rows`` range, the set's ``parents`` and a resolution's ``row_ids`` all hold
-row ids.
+A table set stacks the distributions of all its contexts, and a row id is the
+one name of a context's row: each order's ``rows`` range, the set's
+``parents`` and a resolution's ``row_ids`` all hold row ids. Counts are held
+row-major, one row per row id; the cumulative distributions column-major, one
+column per row id, the layout in which scoring gathers them.
 """
 
 from __future__ import annotations
@@ -73,11 +74,14 @@ class ConditionalTable:
 class ConditionalTableSet:
     """Tables for orders 1..k_max plus the order-0 marginal fallback.
 
-    ``counts``/``cum`` stack every row of the set: row 0 is the marginal,
-    then each order's rows in turn, so one row id addresses any distribution.
+    ``counts`` stacks every row of the set, ``(n_rows, |alphabet|)``: row 0 is
+    the marginal, then each order's rows in turn, so one row id addresses any
+    distribution. ``cum`` holds the same rows as C-contiguous columns,
+    ``(|alphabet|, n_rows)``: column r is row r's cumulative distribution.
     An order's table holds its context codes and ``rows``, the range of their
-    row ids: the counts of context ``codes[i]`` are ``counts[table.rows[i]]``.
-    Sampling reads ``cum``, argmax and the writer ``counts``.
+    row ids: the counts of context ``codes[i]`` are ``counts[table.rows[i]]``
+    and its cum ``cum[:, table.rows[i]]``. Sampling reads ``cum``, argmax and
+    the writer ``counts``.
     """
 
     alphabet: tuple[int, ...]
@@ -183,8 +187,9 @@ def build_conditional_tables(train: SymbolSequence, k_max: int) -> ConditionalTa
 
     all_counts = np.concatenate(blocks).astype(np.int64, copy=False)
     blocks.clear()  # copied: freed before the division allocates, 3 MB off the build's peak at 1M returns
-    cum = all_counts / all_counts.sum(axis=1, keepdims=True)  # the probs, summed in place below
-    np.cumsum(cum, axis=1, out=cum)
+    # the probs, one C-contiguous column per row, summed down each column in place: a row-wise cumsum's bits
+    cum = np.divide(all_counts.T, all_counts.sum(axis=1), order="C")
+    np.cumsum(cum, axis=0, out=cum)
     tables: dict[int, ConditionalTable] = {}
     start = 1
     for k, codes in enumerate(codes_by_order, start=1):

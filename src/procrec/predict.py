@@ -215,7 +215,6 @@ class RandomStream:
 class RunErrors:
     """Averaged model and baseline error of one run at one order."""
 
-    order: int
     e: float
     e_rand: float
     n_predictions: int
@@ -241,8 +240,8 @@ class FallbackResolution:
 
     @cached_property
     def cum_columns(self) -> np.ndarray:
-        """(|alphabet| - 1, n_test) cum of every position's row, last column dropped."""
-        return np.take(self.tables.cum[:, :-1].T, self.row_ids, axis=1)
+        """(|alphabet| - 1, n_test) cum of every position's row, last entry dropped; gathers no copy of the table."""
+        return np.take(self.tables.cum[:-1], self.row_ids, axis=1)
 
     @cached_property
     def argmax_picks(self) -> np.ndarray:
@@ -264,7 +263,7 @@ class FallbackResolution:
         res = replace(self, order=k, orders=np.minimum(self.orders, k), row_ids=row_ids)
         if "cum_columns" in self.__dict__:  # a loop over orders then frees and faults in no 16 MB array per order
             columns = self.__dict__.pop("cum_columns")  # "clip" gathers into it directly, "raise" via a copy
-            res.__dict__["cum_columns"] = np.take(self.tables.cum[:, :-1].T, row_ids, axis=1, out=columns, mode="clip")
+            res.__dict__["cum_columns"] = np.take(self.tables.cum[:-1], row_ids, axis=1, out=columns, mode="clip")
         return res
 
 
@@ -289,7 +288,7 @@ def resolve_fallback(tables: ConditionalTableSet, seq: SymbolSequence, k: int) -
     if tuple(seq.alphabet) != tables.alphabet:  # indices of another alphabet would be misread
         raise ValueError(f"sequence alphabet {seq.alphabet} is not the tables' {tables.alphabet}")
 
-    a, n_rows, parents = len(tables.alphabet), len(tables.cum), tables.parents
+    a, n_rows, parents = len(tables.alphabet), len(tables.counts), tables.parents
     # child[r * a + s]: the row of r's context extended by the older symbol s. Row n_rows and
     # every missing child are n_rows, "no such context", so a walk that misses stays missed
     child = np.full((n_rows + 1) * a, n_rows, dtype=np.int32)  # flat: 1-D gathers beat 2-D ones
@@ -316,26 +315,16 @@ def resolve_fallback(tables: ConditionalTableSet, seq: SymbolSequence, k: int) -
     )
 
 
-def _model_indices(
-    res: FallbackResolution, gen: np.random.Generator, mode: str, onto: np.ndarray
-) -> np.ndarray:
-    """Add each position's model pick, an alphabet index, onto ``onto`` in place."""
-    if mode == "argmax":
-        onto += res.argmax_picks.astype(onto.dtype)
-        return onto
-    u = gen.random(res.n_test)
-    # the first index whose cum exceeds u, the last when none does
-    for column in res.cum_columns:
-        onto += (column <= u).view(np.uint8)
+def _add_draws(cum_heads: np.ndarray, u: np.ndarray, onto: np.ndarray) -> np.ndarray:
+    """Add each position's inverse-CDF pick, an alphabet index, onto ``onto`` in place.
+
+    ``cum_heads`` is a cum less its last entry: one value per symbol, or a
+    ``(|alphabet| - 1, n)`` column per position. The pick is the first index
+    whose cum exceeds u, the last when none does: the count of entries <= u.
+    """
+    for head in cum_heads:
+        onto += (head <= u).view(np.uint8)
     return onto
-
-
-def _baseline_indices(res: FallbackResolution, gen: np.random.Generator, baseline: str) -> np.ndarray:
-    a = len(res.tables.alphabet)
-    if baseline == "marginal":
-        u = gen.random(res.n_test)
-        return np.minimum(np.searchsorted(res.tables.cum[0], u, side="right"), a - 1)
-    return gen.integers(0, a, size=res.n_test)
 
 
 @functools.cache
@@ -379,12 +368,18 @@ def evaluate_run(
     # Pair counts times pair errors sum to integers below 2**53, so each mean is the same float as
     # the mean of the per-position errors; `@` would page in numpy's matmul code, 0.15 MB resident
     actual = resolution.actual_pairs
-    pairs = _model_indices(resolution, model_gen, mode, actual.copy())
+    if mode == "argmax":
+        pairs = actual + resolution.argmax_picks.astype(actual.dtype)
+    else:
+        pairs = _add_draws(resolution.cum_columns, model_gen.random(n_test), actual.copy())
     e = int((np.bincount(pairs, minlength=a * a) * errors).sum()) / n_test
-    pairs = _baseline_indices(resolution, baseline_gen, baseline)
-    pairs += actual  # in place: the draws are int64 or intp already
+    if baseline == "marginal":  # the model's draw from the marginal's one cum, column 0
+        pairs = _add_draws(resolution.tables.cum[:-1, 0], baseline_gen.random(n_test), actual.copy())
+    else:
+        pairs = baseline_gen.integers(0, a, size=n_test)
+        pairs += actual  # in place: the draws are int64 already
     e_rand = int((np.bincount(pairs, minlength=a * a) * errors).sum()) / n_test
-    return RunErrors(order=resolution.order, e=e, e_rand=e_rand, n_predictions=n_test)
+    return RunErrors(e=e, e_rand=e_rand, n_predictions=n_test)
 
 
 @dataclass(frozen=True)
@@ -425,16 +420,14 @@ class ExperimentReport:
     """Across-run averages of e_k and eRand_k plus the audit trail.
 
     ``sequence`` and ``tables`` are the coded series and the training-half
-    tables the run used, kept for the symbol and table dumps.
+    tables the run used, kept for the symbol and table dumps; the series is
+    split after the tables' ``n_train`` symbols.
     """
 
     instrument: str
     config: ExperimentConfig
     coding: CodingScheme
     k_values: tuple[int, ...]
-    n_returns: int
-    n_train: int
-    n_test: int
     stats: SeriesStats
     e_mean: tuple[float, ...]
     e_std: tuple[float, ...]
@@ -454,7 +447,7 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
     so reports are invariant to run scheduling and to which other instruments
     are processed alongside.
     """
-    h1, h2 = split_halves(returns)
+    h1 = split_halves(returns)[0]
     n = len(h1)
     stats = compute_stats(returns if config.stats_on == "full" else h1)
     scheme = make_scheme(config.scheme, stats)
@@ -497,9 +490,6 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
         config=config,
         coding=scheme,
         k_values=k_values,
-        n_returns=len(returns),
-        n_train=n,
-        n_test=len(h2),
         stats=stats,
         e_mean=tuple(e_mean),
         e_std=tuple(e_std),
@@ -530,9 +520,9 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
             "master_seed": report.config.master_seed,
         },
         "series": {
-            "n_returns": report.n_returns,
-            "n_train": report.n_train,
-            "n_test": report.n_test,
+            "n_returns": len(report.sequence),
+            "n_train": report.tables.n_train,
+            "n_test": len(report.sequence) - report.tables.n_train,
         },
         "coding": coding_record(report.coding, report.stats),
         "results": [

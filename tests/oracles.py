@@ -86,6 +86,11 @@ def sample_index(cum, u):
     return len(cum) - 1
 
 
+def searchsorted_pick(cum, u):
+    """sample_index by binary search, for one u or an array of them: the entries <= u, capped at the last index."""
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
 def scalar_evaluate_run(symbols, n, k, k_max, alphabet, metric, model_gen, baseline_gen, *, baseline, mode):
     """(e, e_rand) of one run, scored one test position at a time.
 
@@ -204,7 +209,8 @@ def context_rows(tables, k):
 
     Each code is decoded one base-|alphabet| digit at a time, the most recent
     symbol the most significant digit, so a context tuple reads most recent
-    first. ``counts`` and ``cum`` are the set's stacked rows of the context.
+    first. ``counts`` and ``cum`` are the context's row of the set's counts
+    and its column of the set's cum.
     """
     a = len(tables.alphabet)
     table = tables.tables[k]
@@ -214,7 +220,7 @@ def context_rows(tables, k):
         for _ in range(k):
             code, digit = divmod(code, a)
             oldest_first.append(tables.alphabet[digit])
-        rows[tuple(reversed(oldest_first))] = (tables.counts[row], tables.cum[row])
+        rows[tuple(reversed(oldest_first))] = (tables.counts[row], tables.cum[:, row])
     return rows
 
 

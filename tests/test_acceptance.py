@@ -110,7 +110,7 @@ def test_criterion_2_row_stochasticity_and_conservation(market_scale_csv):
                     assert (np.diff(cum) >= 0).all() and abs(cum[-1] - 1.0) <= 1e-9
                     total += int(counts.sum())
                 assert total == n_train - k
-            assert (np.diff(tables.cum[0]) >= 0).all() and abs(tables.cum[0, -1] - 1.0) <= 1e-9
+            assert (np.diff(tables.cum[:, 0]) >= 0).all() and abs(tables.cum[-1, 0] - 1.0) <= 1e-9
 
 
 def test_criterion_3_coding_property():

@@ -188,7 +188,17 @@ def test_tables_invariants_property(symbols):
             totals += int(counts.sum())
         assert totals == len(symbols) - k
     assert tables.counts[0].sum() == len(symbols)
-    assert abs(tables.cum[0, -1] - 1.0) <= 1e-9
+    assert abs(tables.cum[-1, 0] - 1.0) <= 1e-9
+
+
+def test_cum_holds_one_column_per_row():
+    rng = np.random.default_rng(29)
+    tables = build_conditional_tables(mk_seq(random_symbols(rng, 400, ALPHABET5), ALPHABET5), 4)
+    n_rows = len(tables.counts)
+    assert tables.counts.shape == (n_rows, 5) and tables.counts.flags.c_contiguous
+    assert tables.cum.shape == (5, n_rows) and tables.cum.flags.c_contiguous
+    for r in range(n_rows):
+        assert tables.cum[:, r].tolist() == sequential_cum(tables.counts[r].tolist())
 
 
 @given(st.data())
@@ -210,7 +220,7 @@ def test_row_ids_tile_the_stacked_rows(data):
         if k > 1:  # each parent is the context less its oldest symbol
             up = tables.tables[k - 1]
             np.testing.assert_array_equal(up.codes[parents - up.rows.start], table.codes // len(alphabet))
-    assert start == len(tables.counts) == len(tables.cum)
+    assert start == len(tables.counts) == tables.cum.shape[1]
     assert tables.parents[0] == 0
 
 

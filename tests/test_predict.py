@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import procrec.predict as predict_mod
 from procrec import (
     ConditionalTableSet,
     SplitTooSmall,
+    SymbolSequence,
     build_conditional_tables,
     evaluate_run,
     resolve_fallback,
@@ -29,6 +31,7 @@ from oracles import (
     reference_run_generators,
     sample_index,
     scalar_evaluate_run,
+    searchsorted_pick,
     sequential_cum,
 )
 
@@ -40,9 +43,9 @@ def split_tables(symbols, alphabet, n, k_max):
     return seq, build_conditional_tables(train, k_max)
 
 
-def model_picks(res, gen, mode="sample"):
-    """The alphabet index the model picks at each test position."""
-    return predict_mod._model_indices(res, gen, mode, np.zeros(res.n_test, dtype=np.uint8))
+def model_picks(res, gen):
+    """The alphabet index the model draws at each test position."""
+    return predict_mod._add_draws(res.cum_columns, gen.random(res.n_test), np.zeros(res.n_test, dtype=np.uint8))
 
 
 def draw_symbols(data, alphabet, min_size):
@@ -298,7 +301,7 @@ def test_contexts_span_the_split_boundary():
     expected = brute_force_back_off(symbols, 4, 3, 3, ALPHABET3)
     assert res.orders.tolist() == [order for order, _ in expected]
     assert res.orders[0] == 2
-    np.testing.assert_array_equal(tables.cum[res.row_ids[0]], context_rows(tables, 2)[(0, 1)][1])
+    np.testing.assert_array_equal(tables.cum[:, res.row_ids[0]], context_rows(tables, 2)[(0, 1)][1])
 
 
 def test_vectorized_path_matches_sequential_predict_next():
@@ -332,7 +335,7 @@ def test_resolve_fallback_matches_scalar_back_off(data):
     expected = brute_force_back_off(symbols, n, k, k_max, alphabet)
     assert res.orders.tolist() == [order for order, _ in expected]
     for i, (_, counts) in enumerate(expected):
-        assert tables.cum[res.row_ids[i]].tolist() == sequential_cum(counts)
+        assert tables.cum[:, res.row_ids[i]].tolist() == sequential_cum(counts)
         assert tables.counts[res.row_ids[i]].tolist() == list(counts)
     # seen contexts are prefix-closed, so the order at k is the longest match capped at k
     longest = resolve_fallback(tables, seq, k_max).orders
@@ -344,7 +347,7 @@ def assert_same_resolution(got, want):
     assert got.orders.dtype == np.int8 and got.row_ids.dtype == got.tables.parents.dtype == np.int32
     np.testing.assert_array_equal(got.orders, want.orders)
     np.testing.assert_array_equal(got.row_ids, want.row_ids)
-    np.testing.assert_array_equal(got.cum_columns, want.tables.cum[want.row_ids, :-1].T)
+    np.testing.assert_array_equal(got.cum_columns, want.tables.cum[:-1, want.row_ids])
     np.testing.assert_array_equal(got.actual_pairs, want.actual_pairs)
 
 
@@ -369,7 +372,7 @@ def test_truncate_matches_direct_resolution(data):
         expected = brute_force_back_off(symbols, n, k, k_max, alphabet)
         assert stepped.orders.tolist() == [order for order, _ in expected]
         for i, (_, counts) in enumerate(expected):
-            assert tables.cum[stepped.row_ids[i]].tolist() == sequential_cum(counts)
+            assert tables.cum[:, stepped.row_ids[i]].tolist() == sequential_cum(counts)
     with pytest.raises(ValueError):
         full.truncate(k_max + 1)
     with pytest.raises(ValueError):
@@ -398,7 +401,7 @@ def test_back_off_three_symbols_deep_orders(k_max):
         expected = brute_force_back_off(symbols, n, k, k_max, ALPHABET3)
         assert direct.orders.tolist() == [order for order, _ in expected]
         for i, (_, counts) in enumerate(expected):
-            assert tables.cum[direct.row_ids[i]].tolist() == sequential_cum(counts)
+            assert tables.cum[:, direct.row_ids[i]].tolist() == sequential_cum(counts)
 
 
 def test_truncate_gathers_into_the_columns_it_takes():
@@ -413,7 +416,7 @@ def test_truncate_gathers_into_the_columns_it_takes():
         assert_same_resolution(stepped, resolve_fallback(tables, seq, k))
         assert stepped.cum_columns is columns  # one array for every order
     assert "cum_columns" not in vars(full)  # handed on, so read again it is gathered anew
-    np.testing.assert_array_equal(full.cum_columns, tables.cum[full.row_ids, :-1].T)
+    np.testing.assert_array_equal(full.cum_columns, tables.cum[:-1, full.row_ids])
 
 
 class _FixedDraws:
@@ -427,13 +430,15 @@ class _FixedDraws:
         return self.u
 
 
-def _resolution_over(counts, cum, row_ids):
+def _resolution_over(counts, cum_rows, row_ids):
     """An order-1 resolution whose positions read the hand-made stacked rows ``row_ids``.
 
-    Its table set holds the rows and no order's contexts: sampling reads ``cum``, argmax ``counts``.
+    Its table set holds the rows and no order's contexts: sampling reads ``cum``, one column per
+    row of ``cum_rows``, and argmax ``counts``.
     """
     tables = ConditionalTableSet(
-        alphabet=tuple(range(counts.shape[1])), k_max=1, tables={}, n_train=0, counts=counts, cum=cum
+        alphabet=tuple(range(counts.shape[1])), k_max=1, tables={}, n_train=0, counts=counts,
+        cum=np.ascontiguousarray(cum_rows.T),
     )
     n_test = len(row_ids)
     return predict_mod.FallbackResolution(
@@ -446,7 +451,7 @@ def _resolution_over(counts, cum, row_ids):
 
 
 def _sampled(cum_rows, row_ids, u):
-    """_model_indices over hand-made rows and uniforms, next to sample_index on each."""
+    """The model draws over hand-made rows and uniforms, next to sample_index on each."""
     res = _resolution_over(cum_rows, cum_rows, row_ids)
     got = model_picks(res, _FixedDraws(u)).tolist()
     return got, [sample_index(cum_rows[r].tolist(), x) for r, x in zip(row_ids, u)]
@@ -484,6 +489,49 @@ def test_model_indices_matches_sample_index(data):
     ]
     got, want = _sampled(cum_rows, row_ids, u)
     assert got == want
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=200)
+def test_add_draws_matches_searchsorted(data):
+    # one counting rule serves a cum per position (the model) and one cum for every position (the marginal)
+    a = data.draw(st.integers(2, 6))
+    counts = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=a, max_size=a).filter(any), min_size=1, max_size=6
+    )))
+    cum = np.cumsum(counts.T / counts.sum(axis=1), axis=0)  # the package's layout and bits
+    for r in data.draw(st.sets(st.integers(0, len(counts) - 1))):
+        cum[cum[:, r] == cum[-1, r], r] = np.nextafter(cum[-1, r], 0.0)  # a last entry below 1.0
+    row_ids = data.draw(st.lists(st.integers(0, len(counts) - 1), min_size=1, max_size=40))
+    u = np.array([
+        data.draw(st.one_of(
+            st.sampled_from(cum[:, r].tolist()),  # u equal to a threshold, repeated by a zero count
+            st.just(float(np.nextafter(cum[-1, r], 1.0))),  # above the last entry
+            st.floats(0.0, 1.0, exclude_max=True),
+        ))
+        for r in row_ids
+    ])
+    got = predict_mod._add_draws(cum[:-1, row_ids], u, np.zeros(len(u), dtype=np.uint8))
+    assert got.tolist() == [searchsorted_pick(cum[:, r], x) for r, x in zip(row_ids, u)]
+    got = predict_mod._add_draws(cum[:-1, row_ids[0]], u, np.zeros(len(u), dtype=np.uint8))
+    assert got.tolist() == searchsorted_pick(cum[:, row_ids[0]], u).tolist()
+
+
+def test_cum_columns_gather_copies_no_table():
+    # many rows, few test positions: a gather allocates about its result, not a copy of cum
+    rng = np.random.default_rng(11)
+    seq = SymbolSequence(rng.integers(0, 5, 201_000), ALPHABET5)
+    tables = build_conditional_tables(dataclasses.replace(seq, indices=seq.indices[:200_000]), 8)
+    res = resolve_fallback(tables, seq, 8)
+    assert tables.cum.nbytes > 8_000_000
+    tracemalloc.start()
+    try:
+        res.cum_columns
+        res.truncate(7)  # which gathers its own into the columns read above
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tables.cum.nbytes / 50
 
 
 @given(
@@ -534,7 +582,7 @@ def test_evaluate_run_matches_scalar_scorer(data):
                 baseline=baseline, mode=mode,
             )
             assert (got.e, got.e_rand) == want
-            assert got.order == res.order and got.n_predictions == len(symbols) - n
+            assert got.n_predictions == len(symbols) - n
 
 
 @pytest.fixture(scope="module")
@@ -560,14 +608,14 @@ def test_evaluate_run_equals_per_position_mean(metric, baseline, mode, long_spli
     a = len(alpha)
     if mode == "sample":
         u = reference_generator(stream.substream("model")).random(res.n_test)
-        predicted = (tables.cum[res.row_ids, :-1] <= u[:, None]).sum(axis=1)
+        predicted = (tables.cum[:-1, res.row_ids] <= u).sum(axis=0)
     else:
         predicted = np.argmax((tables.counts / tables.counts.sum(axis=1, keepdims=True))[res.row_ids], axis=1)
     gen = reference_generator(stream.substream("baseline"))
     if baseline == "uniform":
         guessed = gen.integers(0, a, res.n_test)
     else:
-        guessed = np.minimum(np.searchsorted(tables.cum[0], gen.random(res.n_test), side="right"), a - 1)
+        guessed = searchsorted_pick(tables.cum[:, 0], gen.random(res.n_test))
     means = []
     for picks in (predicted, guessed):
         errors = alpha[picks] - alpha[seq.indices[n:]]
@@ -610,13 +658,13 @@ def test_fallback_orders_replay_against_tables():
     rows = {j: context_rows(tables, j) for j in range(1, 6)}
     for i, t in enumerate(range(n, len(symbols))):
         context = tuple(reversed(symbols[t - 5 : t]))
-        largest, cum = 0, tables.cum[0]
+        largest, cum = 0, tables.cum[:, 0]
         for j in range(5, 0, -1):
             if context[:j] in rows[j]:
                 largest, (_, cum) = j, rows[j][context[:j]]
                 break
         assert res.orders[i] == largest
-        np.testing.assert_array_equal(tables.cum[res.row_ids[i]], cum)
+        np.testing.assert_array_equal(tables.cum[:, res.row_ids[i]], cum)
 
 
 # --- run_experiment -----------------------------------------------------------
@@ -640,10 +688,11 @@ def test_run_experiment_shapes_and_histogram():
     report = run_experiment(cfg, small_returns())
     assert report.k_values == tuple(range(1, 9))
     assert len(report.e_mean) == 8 and len(report.rand_mean) == 8
-    assert report.n_train == 400 and report.n_test == 400
+    n_test = len(report.sequence) - report.tables.n_train
+    assert report.tables.n_train == 400 and n_test == 400
     for k in report.k_values:
         hist = report.fallback_histogram[k]
-        assert sum(hist.values()) == report.n_test
+        assert sum(hist.values()) == n_test
         assert all(0 <= order <= k for order in hist)
         assert len(report.per_run[k]) == 4
 
