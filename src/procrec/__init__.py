@@ -41,10 +41,10 @@ from .markov import (
 from .predict import (
     ExperimentConfig,
     ExperimentReport,
-    RandomStream,
     RunErrors,
     evaluate_run,
     report_to_json_dict,
     resolve_fallback,
     run_experiment,
+    run_generators,
 )

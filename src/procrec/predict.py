@@ -15,14 +15,14 @@ gathers only, as in a suffix tree. A resolution keeps the row of order L_t and
 the table set itself, whose ``parents`` let ``FallbackResolution.truncate(k)``
 climb to order k, so scoring needs nothing but the resolution.
 
-All randomness flows from a RandomStream: a master seed and a derivation path
-of tags, which key a PCG64 generator exactly as numpy's
-``SeedSequence(seed, spawn_key=path)`` would. Runs, orders and purposes get
-independent, platform-stable substreams, and the whole experiment is
-reproducible from (data, config, master seed). ``RandomStream.generators``
-seeds a batch of substreams in one pass: it runs SeedSequence's hash as uint32
-column arithmetic over every key at once and hands each generator its seed
-words when it is built, so no SeedSequence object is made per run.
+All randomness flows from ``run_generators``: run j at order k of an instrument
+draws from two PCG64 generators, "model" and "baseline", seeded exactly as
+numpy's ``SeedSequence(master_seed, spawn_key=(crc32(instrument), j, k,
+crc32(purpose)))`` would seed them. Every stream is independent and
+platform-stable, and the whole experiment is reproducible from (data, config,
+master seed). Such a key always hashes to the same 8 uint32 words, so one pass
+of SeedSequence's hash as uint32 column arithmetic seeds every stream of an
+instrument, and no SeedSequence object is made per run.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .ingest import ReturnSeries, SeriesStats, compute_stats, split_halves
 from .markov import ConditionalTableSet, build_conditional_tables
 
 __all__ = [
-    "RandomStream",
+    "run_generators",
     "RunErrors",
     "ExperimentConfig",
     "ExperimentReport",
@@ -62,14 +62,6 @@ REPORT_SCHEMA_VERSION = 1
 _MAX_K = 12
 
 
-def _tag_code(tag: int | str) -> int:
-    if isinstance(tag, str):
-        return zlib.crc32(tag.encode("utf-8"))
-    if tag < 0:
-        raise ValueError(f"stream tags must be nonnegative, got {tag}")
-    return int(tag)
-
-
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on 32-bit words, its 4-word pool
 # and its multipliers as Python ints; numpy guarantees these streams stay stable across versions
 _M32 = 0xFFFF_FFFF
@@ -79,18 +71,11 @@ _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
 _XSHIFT = 16
 
-
-def _words(value: int) -> tuple[int, ...]:
-    """The little-endian 32-bit words SeedSequence makes of a nonnegative int: (0,) for 0."""
-    words = [value & _M32]
-    while value > _M32:
-        value >>= 32
-        words.append(value & _M32)
-    return tuple(words)
+_PURPOSES = (zlib.crc32(b"model"), zlib.crc32(b"baseline"))  # the last spawn key word of a run's two streams
 
 
 def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
-    """(n, 4) uint64 ``generate_state(4, uint64)`` of n SeedSequences from their (n, L) uint32 entropy.
+    """(n, 4) uint64 ``generate_state(4, uint64)`` of n SeedSequences from their (n, 8) uint32 entropy.
 
     Each step of SeedSequence's ``mix_entropy`` and ``generate_state`` is one uint32 column
     operation over all n rows. The hash constant each step uses depends only on the step, so
@@ -110,8 +95,7 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
         return result ^ (result >> _XSHIFT)
 
     n, length = entropy.shape
-    zeros = np.zeros(n, dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < length else zeros) for i in range(_POOL_SIZE)]
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
     for i_src in range(_POOL_SIZE):
         for i_dst in range(_POOL_SIZE):
             if i_src != i_dst:
@@ -128,35 +112,6 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
         value = value * hash_const
         state[:, i_dst] = value ^ (value >> _XSHIFT)
     return state.astype("<u4").view("<u8").astype(np.uint64)  # word pairs, low word first
-
-
-def _seed_words(seed: int, paths: Iterable[tuple[int, ...]]) -> np.ndarray:
-    """(n, 4) uint64: ``SeedSequence(seed, spawn_key=path).generate_state(4, uint64)`` for each of n paths.
-
-    SeedSequence hashes the seed's words, padded to the pool size when a spawn key follows,
-    then the key's words. Keys with the same number of words form one group and are hashed
-    together, so tags or seeds that need two words only cost a second group. The words are
-    gathered into flat arrays, not held as one tuple per key.
-    """
-    run = _words(seed)
-    padded = run + (0,) * (_POOL_SIZE - len(run))
-    groups: dict[int, tuple[array, array]] = {}  # entropy length -> (key indices, their words)
-    for i, path in enumerate(paths):
-        if not path:
-            entropy = run
-        elif max(path) <= _M32:
-            entropy = padded + path
-        else:
-            entropy = padded + tuple(w for tag in path for w in _words(tag))
-        group = groups.get(len(entropy))
-        if group is None:
-            group = groups[len(entropy)] = (array("q"), array("Q"))
-        group[0].append(i)
-        group[1].extend(entropy)
-    seeds = np.empty((sum(len(keys) for keys, _ in groups.values()), 4), dtype=np.uint64)
-    for length, (keys, words) in groups.items():
-        seeds[np.asarray(keys)] = _pcg64_seeds(np.asarray(words).astype(np.uint32).reshape(-1, length))
-    return seeds
 
 
 @functools.cache
@@ -179,36 +134,28 @@ def _preseeded() -> type:
     return Preseeded
 
 
-@dataclass(frozen=True)
-class RandomStream:
-    """Seeded, addressable source of reproducible randomness.
+def run_generators(seed: int, instrument: str, keys: Iterable[tuple[int, int]]) -> Iterator[np.random.Generator]:
+    """The model and then the baseline generator of each (run j, order k) key, in order.
 
-    A stream is a master seed and a path of tags. Its generator is PCG64
-    seeded as numpy's ``SeedSequence(seed, spawn_key=path)`` seeds it, which
-    numpy keeps identical on every platform and version. Substreams extend
-    the path, so (seed, run, order, purpose) streams are mutually independent
-    and do not depend on evaluation order.
+    Each is PCG64 seeded as ``SeedSequence(seed, spawn_key=(crc32(instrument), j, k,
+    crc32(purpose)))`` seeds it, which numpy keeps identical on every platform and version.
+    With a seed below 2**64 and keys below 2**32 that sequence hashes the same 8 words for
+    every stream, ``(seed & 0xFFFFFFFF, seed >> 32, 0, 0, crc32(instrument), j, k,
+    crc32(purpose))``, so every seed is computed at once from one (n, 8) uint32 array. Each
+    generator is built only when the iterator reaches it, so a long batch holds one at a time
+    and ``numpy.random`` is imported when the first one is built.
     """
-
-    seed: int
-    path: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.seed < 0 or self.seed >= 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-    def substream(self, *tags: int | str) -> "RandomStream":
-        return RandomStream(self.seed, self.path + tuple(_tag_code(t) for t in tags))
-
-    def generators(self, paths: Iterable[tuple[int | str, ...]]) -> Iterator[np.random.Generator]:
-        """The generator of ``substream(*path)`` for each path, in order.
-
-        Every seed is computed at once, up front; each generator is built only
-        when the iterator reaches it, so a long batch holds one at a time and
-        ``numpy.random`` is imported when the first one is built.
-        """
-        seeds = _seed_words(self.seed, (self.path + tuple(_tag_code(t) for t in path) for path in paths))
-        return (np.random.Generator(np.random.PCG64(_preseeded()(words))) for words in seeds)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    head = (seed & _M32, seed >> 32, 0, 0, zlib.crc32(instrument.encode("utf-8")))
+    words = array("Q")
+    for j, k in keys:
+        if not (0 <= j <= _M32 and 0 <= k <= _M32):
+            raise ValueError(f"run and order keys must fit in an unsigned 32-bit integer, got ({j}, {k})")
+        for purpose in _PURPOSES:
+            words.extend((*head, j, k, purpose))
+    seeds = _pcg64_seeds(np.asarray(words).astype(np.uint32).reshape(-1, 8))
+    return (np.random.Generator(np.random.PCG64(_preseeded()(state))) for state in seeds)
 
 
 @dataclass(frozen=True)
@@ -397,8 +344,8 @@ class ExperimentConfig:
     stats_on: str = "full"
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        if not 1 <= self.runs <= _M32:  # a run number is one 32-bit word of its streams' key
+            raise ValueError("runs must be between 1 and 2**32 - 1")
         if not 1 <= self.k_min <= self.k_max <= _MAX_K:
             raise ValueError(f"need 1 <= k_min <= k_max <= {_MAX_K}")
         if self.scheme not in SCHEMES:
@@ -411,7 +358,7 @@ class ExperimentConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.stats_on not in ("full", "train"):
             raise ValueError("stats_on must be 'full' or 'train'")
-        if not 0 <= self.master_seed < 2**64:  # RandomStream's range, checked before any work
+        if not 0 <= self.master_seed < 2**64:  # the two seed words of run_generators, checked before any work
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
 
 
@@ -458,10 +405,8 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
     k_values = tuple(range(config.k_min, config.k_max + 1))
     runs = range(1, config.runs + 1)
     resolution = resolve_fallback(tables, seq, config.k_max)
-    # the model and baseline substreams of every run, in the order they are scored
-    gens = RandomStream(config.master_seed).substream(returns.instrument).generators(
-        (j, k, purpose) for k in reversed(k_values) for j in runs for purpose in ("model", "baseline")
-    )
+    # the model and baseline generators of every run, in the order they are scored
+    gens = run_generators(config.master_seed, returns.instrument, ((j, k) for k in reversed(k_values) for j in runs))
 
     per_run: dict[int, tuple[RunErrors, ...]] = {}
     fallback_histogram: dict[int, dict[int, int]] = {}
@@ -477,9 +422,9 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
         )
     per_run, fallback_histogram = dict(sorted(per_run.items())), dict(sorted(fallback_histogram.items()))
     e_mean, e_std, r_mean, r_std = [], [], [], []
-    for runs in per_run.values():
-        es = np.array([r.e for r in runs])
-        rs = np.array([r.e_rand for r in runs])
+    for errors in per_run.values():
+        es = np.array([r.e for r in errors])
+        rs = np.array([r.e_rand for r in errors])
         e_mean.append(float(es.mean()))
         e_std.append(float(es.std()))
         r_mean.append(float(rs.mean()))

@@ -11,6 +11,7 @@ import calendar
 import csv
 import json
 import math
+import zlib
 from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -126,14 +127,20 @@ def scalar_evaluate_run(symbols, n, k, k_max, alphabet, metric, model_gen, basel
     return mean_error(predicted), mean_error(guessed)
 
 
-def reference_generator(stream):
-    """numpy's own SeedSequence -> PCG64 generator for a RandomStream's (seed, path)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=stream.seed, spawn_key=stream.path)))
+def reference_seed_sequence(seed, *tags):
+    """numpy's own SeedSequence of ``seed`` with ``tags`` as its spawn key, a string tag as its crc32."""
+    key = [zlib.crc32(t.encode("utf-8")) if isinstance(t, str) else t for t in tags]
+    return np.random.SeedSequence(seed, spawn_key=key)
 
 
-def reference_run_generators(stream):
-    """The (model, baseline) generators a run on ``stream`` draws from, seeded by numpy."""
-    return reference_generator(stream.substream("model")), reference_generator(stream.substream("baseline"))
+def reference_generator(seed, *tags):
+    """numpy's own SeedSequence -> PCG64 generator of ``reference_seed_sequence(seed, *tags)``."""
+    return np.random.Generator(np.random.PCG64(reference_seed_sequence(seed, *tags)))
+
+
+def reference_run_generators(seed, *tags):
+    """The (model, baseline) generators a run keyed by ``tags`` draws from, seeded by numpy."""
+    return reference_generator(seed, *tags, "model"), reference_generator(seed, *tags, "baseline")
 
 
 def _reference_instant(raw):

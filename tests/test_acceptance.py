@@ -33,7 +33,7 @@ from procrec import (
     run_experiment,
 )
 from procrec.cli import main
-from procrec.predict import ExperimentConfig, RandomStream
+from procrec.predict import ExperimentConfig
 
 from conftest import mk_returns, mk_seq
 from oracles import (
@@ -162,11 +162,10 @@ def test_criterion_4_synthetic_recovery():
         n = len(symbols) // 2
         train = dataclasses.replace(seq, indices=seq.indices[:n])
         tables = build_conditional_tables(train, 2)
-        stream = RandomStream(20240002).substream("chain")
         res = {k: resolve_fallback(tables, seq, k) for k in (1, 2)}
         runs = {
             k: [
-                evaluate_run(res[k], "abs", *reference_run_generators(stream.substream(j, k)))
+                evaluate_run(res[k], "abs", *reference_run_generators(20240002, "chain", j, k))
                 for j in range(1, 51)
             ]
             for k in (1, 2)

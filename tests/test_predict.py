@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from procrec import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from procrec.predict import ExperimentConfig, RandomStream, report_to_json_dict
+from procrec.predict import ExperimentConfig, report_to_json_dict, run_generators
 
 from conftest import mk_returns, mk_seq
 from oracles import (
@@ -29,6 +30,7 @@ from oracles import (
     context_rows,
     reference_generator,
     reference_run_generators,
+    reference_seed_sequence,
     sample_index,
     scalar_evaluate_run,
     searchsorted_pick,
@@ -65,82 +67,92 @@ def deepest(alphabet):
     return 12 if alphabet == ALPHABET3 else 5
 
 
-# --- RandomStream ------------------------------------------------------------
+# --- run_generators ----------------------------------------------------------
 
 
-def first(stream, *tags):
-    """The package's own generator of ``stream.substream(*tags)``."""
-    return next(stream.generators([tags]))
+def run_pair(seed, instrument, j, k):
+    """The package's own (model, baseline) generators of run j at order k."""
+    return tuple(run_generators(seed, instrument, [(j, k)]))
 
 
 def test_stream_repeatable():
-    a = first(RandomStream(7), "x", 3).random(5)
-    b = first(RandomStream(7), "x", 3).random(5)
+    a = run_pair(7, "x", 3, 1)[0].random(5)
+    b = run_pair(7, "x", 3, 1)[0].random(5)
     np.testing.assert_array_equal(a, b)
 
 
 def test_stream_substreams_differ():
-    root = RandomStream(7)
-    a = first(root, 1, 2).random(4)
-    b = first(root, 2, 1).random(4)
-    c = first(root).random(4)
-    assert not np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    # a change of seed, instrument, run, order or purpose gives another stream
+    draws = [
+        gen.random(4).tolist()
+        for seed, instrument, j, k in ((7, "x", 1, 2), (7, "x", 2, 1), (7, "y", 1, 2), (8, "x", 1, 2))
+        for gen in run_pair(seed, instrument, j, k)
+    ]
+    assert len({tuple(d) for d in draws}) == len(draws)
 
 
 def test_stream_cross_platform_pin():
     # frozen draws document the fixed-generator contract: same seed, same
-    # sequence, everywhere, from the package's seeding and from numpy's
-    stream = RandomStream(12345)
-    for make in (lambda: first(stream, "model"), lambda: reference_generator(stream.substream("model"))):
-        np.testing.assert_allclose(
-            make().random(3),
-            [0.2579337492286621, 0.24496871883348414, 7.006638758488837e-05],
-            rtol=0,
-            atol=0,
-        )
-        assert make().integers(0, 5, 6).tolist() == [2, 1, 4, 1, 4, 0]
+    # sequence, everywhere; numpy's SeedSequence -> PCG64 for one key ...
+    np.testing.assert_allclose(
+        reference_generator(12345, "model").random(3),
+        [0.2579337492286621, 0.24496871883348414, 7.006638758488837e-05],
+        rtol=0,
+        atol=0,
+    )
+    assert reference_generator(12345, "model").integers(0, 5, 6).tolist() == [2, 1, 4, 1, 4, 0]
+    # ... and the model and baseline streams of one run key, from the package's seeding and from numpy's
+    pins = (
+        ([0.7395005341537522, 0.2069079878950687, 0.8302210921293076], [2, 3, 1, 1, 0, 4]),
+        ([0.5280460665154483, 0.8949210359658082, 0.3046299966037037], [2, 2, 4, 4, 3, 1]),
+    )
+    for make in (lambda: run_pair(12345, "btcx", 1, 8), lambda: reference_run_generators(12345, "btcx", 1, 8)):
+        for i, (random, integers) in enumerate(pins):
+            np.testing.assert_allclose(make()[i].random(3), random, rtol=0, atol=0)
+            assert make()[i].integers(0, 5, 6).tolist() == integers
 
 
-# a tag of one 32-bit word, of several words, or a string hashed to one word
-TAGS = st.one_of(
-    st.integers(0, 2**32 - 1),
-    st.integers(2**32, 2**100),
-    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
-    st.text(max_size=6),
-)
+SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]))
+INSTRUMENTS = st.one_of(st.text(max_size=8), st.sampled_from(["", "btcx", "xü", "比特币"]))
+KEYS = st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2**32 - 1]))
 
 
-@given(
-    seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1])),
-    paths=st.lists(st.lists(TAGS, max_size=5).map(tuple), min_size=1, max_size=10),
-)
+@given(seed=SEEDS, instrument=INSTRUMENTS, keys=st.lists(st.tuples(KEYS, KEYS), max_size=10))
 @settings(deadline=None, max_examples=200)
-@example(seed=2**64 - 1, paths=[(), (1,), (2**32,), ("model", 7, 2**70), (0, 0, 0, 0, 0), ("x",)])
-@example(seed=0, paths=[()])
-def test_batch_seeding_matches_seed_sequence(seed, paths):
-    # one batch mixes path lengths and one- and several-word tags; every key's seed words,
-    # PCG64 state and increment, and first draws are numpy's own
-    root = RandomStream(seed)
-    keys = [root.substream(*path).path for path in paths]
-    want = [np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64) for key in keys]
-    got = predict_mod._seed_words(seed, keys)
-    assert got.dtype == np.uint64 and got.shape == (len(paths), 4)
-    np.testing.assert_array_equal(got, np.array(want))
-    for gen, path in zip(root.generators(paths), paths, strict=True):
-        ref = reference_generator(root.substream(*path))
+@example(seed=2**64 - 1, instrument="", keys=[(0, 0), (2**32 - 1, 2**32 - 1)])
+@example(seed=2**32, instrument="xü", keys=[(1, 8), (2**32 - 1, 0)])
+@example(seed=2**32 - 1, instrument="比特币", keys=[(0, 2**32 - 1)])
+@example(seed=0, instrument="", keys=[])
+def test_run_generators_match_seed_sequence(seed, instrument, keys):
+    # one hash pass gives every stream numpy's seed words, and every generator numpy's
+    # PCG64 state and increment and numpy's first draws
+    real, passes = predict_mod._pcg64_seeds, []
+
+    def spy(entropy):
+        passes.append(real(entropy))
+        return passes[-1]
+
+    with mock.patch.object(predict_mod, "_pcg64_seeds", spy):
+        gens = run_generators(seed, instrument, keys)
+    want = [
+        reference_seed_sequence(seed, instrument, j, k, purpose).generate_state(4, np.uint64)
+        for j, k in keys
+        for purpose in ("model", "baseline")
+    ]
+    assert len(passes) == 1 and passes[0].dtype == np.uint64
+    np.testing.assert_array_equal(passes[0], np.array(want, dtype=np.uint64).reshape(-1, 4))
+    refs = [gen for j, k in keys for gen in reference_run_generators(seed, instrument, j, k)]
+    for gen, ref in zip(gens, refs, strict=True):
         assert gen.bit_generator.state == ref.bit_generator.state
         np.testing.assert_array_equal(gen.random(3), ref.random(3))
         assert gen.integers(0, 5, 4).tolist() == ref.integers(0, 5, 4).tolist()
 
 
 def test_stream_rejects_bad_seeds_and_tags():
-    with pytest.raises(ValueError):
-        RandomStream(-1)
-    with pytest.raises(ValueError):
-        RandomStream(2**64)
-    with pytest.raises(ValueError):
-        RandomStream(3).substream(-2)
+    # a ValueError, not numpy's or array's OverflowError, raised by the call before any generator is built
+    for seed, keys in ((-1, [(1, 1)]), (2**64, [(1, 1)]), (3, [(-2, 1)]), (3, [(1, 2**32)]), (3, [(1, 1), (2**63, 1)])):
+        with pytest.raises(ValueError, match="seed|keys"):
+            run_generators(seed, "x", keys)
 
 
 # --- next-symbol prediction and the baseline draws -------------------------
@@ -153,7 +165,7 @@ def test_predict_next_deterministic_row():
     assert res.orders.tolist() == [2] * 60
     for seed in (0, 1, 99):
         # every draw is the realized symbol
-        assert evaluate_run(res, "abs", *reference_run_generators(RandomStream(seed))).e == 0.0
+        assert evaluate_run(res, "abs", *reference_run_generators(seed)).e == 0.0
     assert context_rows(tables, 2)[(0, 1)][1].tolist() == [0.0, 0.0, 1.0]  # after 1, 0 always 1
 
 
@@ -164,7 +176,7 @@ def test_predict_next_falls_back_one_order():
     res = resolve_fallback(tables, seq, 2)
     assert seq.symbols[-3:-1].tolist() == [1, 1]  # the last position's context
     assert res.orders[-1] == 1
-    gen = reference_generator(RandomStream(5).substream("model"))
+    gen = reference_generator(5, "model")
     predicted = model_picks(res, gen)
     assert ALPHABET3[predicted[-1]] == 0  # every 1 in train is followed by 0
 
@@ -182,9 +194,8 @@ def test_predict_next_sampling_frequencies():
     train = [0, 0, 0] + [1, 0] * 3 + [2, 0] * 5
     seq, tables = split_tables(train + [0] * 100_000, (0, 1, 2), len(train), 1)
     assert context_rows(tables, 1)[(0,)][0].tolist() == [2, 3, 5]
-    stream = RandomStream(314).substream("lln")
     res = resolve_fallback(tables, seq, 1)
-    draws = model_picks(res, reference_generator(stream.substream("model")))
+    draws = model_picks(res, reference_generator(314, "lln", "model"))
     for symbol, want in ((0, 0.2), (1, 0.3), (2, 0.5)):
         assert abs(np.mean(draws == symbol) - want) < 0.01
 
@@ -192,9 +203,8 @@ def test_predict_next_sampling_frequencies():
 def test_baseline_uniform_frequencies():
     # the uniform baseline evaluate_run scores, against a constant 0 test half
     seq, tables = split_tables([0] * 100_100, ALPHABET5, 100, 1)
-    stream = RandomStream(2718).substream("base")
-    result = evaluate_run(resolve_fallback(tables, seq, 1), "signed", *reference_run_generators(stream))
-    draws = reference_generator(stream.substream("baseline")).integers(0, 5, size=100_000)
+    result = evaluate_run(resolve_fallback(tables, seq, 1), "signed", *reference_run_generators(2718, "base"))
+    draws = reference_generator(2718, "base", "baseline").integers(0, 5, size=100_000)
     drawn = np.asarray(ALPHABET5)[draws]
     assert result.e_rand == float(drawn.mean())
     for symbol in ALPHABET5:
@@ -204,12 +214,12 @@ def test_baseline_uniform_frequencies():
 def test_baseline_single_symbol_and_determinism():
     seq, tables = split_tables([4] * 20, (4,), 10, 1)
     res = resolve_fallback(tables, seq, 1)
-    assert evaluate_run(res, "abs", *reference_run_generators(RandomStream(1))).e_rand == 0.0
+    assert evaluate_run(res, "abs", *reference_run_generators(1)).e_rand == 0.0
     seq, tables = split_tables([-1, 0, 1, 1, 0] * 8, ALPHABET3, 20, 1)
     res = resolve_fallback(tables, seq, 1)
-    a = [evaluate_run(res, "abs", *reference_run_generators(RandomStream(9).substream(i))).e_rand
+    a = [evaluate_run(res, "abs", *reference_run_generators(9, i)).e_rand
          for i in range(20)]
-    b = [evaluate_run(res, "abs", *reference_run_generators(RandomStream(9).substream(i))).e_rand
+    b = [evaluate_run(res, "abs", *reference_run_generators(9, i)).e_rand
          for i in range(20)]
     assert a == b
     assert len(set(a)) > 1
@@ -224,7 +234,7 @@ def test_evaluate_constant_sequence():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 3)
     res = resolve_fallback(tables, seq, 3)
-    result = evaluate_run(res, "abs", *reference_run_generators(RandomStream(0).substream(1, 3)))
+    result = evaluate_run(res, "abs", *reference_run_generators(0, 1, 3))
     assert result.e == 0.0  # the only rows are certain about 0
     # uniform baseline against a constant 0: E|u| = (2+1+0+1+2)/5 = 1.2
     assert result.e_rand == pytest.approx(1.2, abs=0.1)
@@ -238,7 +248,7 @@ def test_evaluate_alternating_sequence():
     tables = build_conditional_tables(train, 3)
     for k in (1, 2, 3):
         res = resolve_fallback(tables, seq, k)
-        result = evaluate_run(res, "abs", *reference_run_generators(RandomStream(3).substream(1, k)))
+        result = evaluate_run(res, "abs", *reference_run_generators(3, 1, k))
         assert result.e == 0.0
 
 
@@ -248,7 +258,7 @@ def test_evaluate_signed_metric():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 1)
     res = resolve_fallback(tables, seq, 1)
-    result = evaluate_run(res, "signed", *reference_run_generators(RandomStream(4).substream(1, 1)))
+    result = evaluate_run(res, "signed", *reference_run_generators(4, 1, 1))
     assert result.e == 0.0
     assert abs(result.e_rand) < 0.3  # uniform draws vs 0: signed mean near zero
 
@@ -259,8 +269,7 @@ def test_evaluate_marginal_baseline_constant():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 1)
     res = resolve_fallback(tables, seq, 1)
-    stream = RandomStream(4).substream(1, 1)
-    result = evaluate_run(res, "abs", *reference_run_generators(stream), baseline="marginal")
+    result = evaluate_run(res, "abs", *reference_run_generators(4, 1, 1), baseline="marginal")
     assert result.e_rand == 0.0  # the marginal has all its mass on 0
 
 
@@ -272,8 +281,8 @@ def test_evaluate_argmax_mode_deterministic():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 2)
     res = resolve_fallback(tables, seq, 2)
-    a = evaluate_run(res, "abs", *reference_run_generators(RandomStream(1).substream(1, 2)), mode="argmax")
-    b = evaluate_run(res, "abs", *reference_run_generators(RandomStream(999).substream(7, 2)), mode="argmax")
+    a = evaluate_run(res, "abs", *reference_run_generators(1, 1, 2), mode="argmax")
+    b = evaluate_run(res, "abs", *reference_run_generators(999, 7, 2), mode="argmax")
     assert a.e == b.e  # model side ignores the stream entirely under argmax
 
 
@@ -310,10 +319,9 @@ def test_vectorized_path_matches_sequential_predict_next():
     rng = np.random.default_rng(3)
     symbols = [int(ALPHABET5[i]) for i in rng.integers(0, 5, 400)]
     seq, tables = split_tables(symbols, ALPHABET5, 200, 3)
-    stream = RandomStream(5).substream(1, 3)
     res = resolve_fallback(tables, seq, 3)
-    predicted = model_picks(res, reference_generator(stream.substream("model")))
-    gen = reference_generator(stream.substream("model"))
+    predicted = model_picks(res, reference_generator(5, 1, 3, "model"))
+    gen = reference_generator(5, 1, 3, "model")
     expected = brute_force_back_off(symbols, 200, 3, 3, ALPHABET5)
     for i, (order, counts) in enumerate(expected):
         assert sample_index(sequential_cum(counts), float(gen.random())) == predicted[i]
@@ -567,18 +575,17 @@ def test_evaluate_run_matches_scalar_scorer(data):
     baseline = data.draw(st.sampled_from(predict_mod.BASELINES))
     mode = data.draw(st.sampled_from(predict_mod.MODES))
     run = data.draw(st.integers(1, 50))
-    root = RandomStream(data.draw(st.integers(0, 2**64 - 1)))
+    seed = data.draw(st.integers(0, 2**64 - 1))
     seq, tables = split_tables(symbols, alphabet, n, k_max)
     full = resolve_fallback(tables, seq, k_max)
     # the resolution at k itself, then every order derived from the one at k_max,
     # each scored for two runs so the second reuses the gathered rows
     for res in (resolve_fallback(tables, seq, k), *(full.truncate(j) for j in range(1, k_max + 1))):
         for j in (run, run + 1):
-            stream = root.substream(j, res.order)
-            got = evaluate_run(res, metric, *reference_run_generators(stream), baseline=baseline, mode=mode)
+            got = evaluate_run(res, metric, *reference_run_generators(seed, j, res.order), baseline=baseline, mode=mode)
             want = scalar_evaluate_run(
                 symbols, n, res.order, k_max, alphabet, metric,
-                *reference_run_generators(stream),
+                *reference_run_generators(seed, j, res.order),
                 baseline=baseline, mode=mode,
             )
             assert (got.e, got.e_rand) == want
@@ -601,17 +608,16 @@ def test_evaluate_run_equals_per_position_mean(metric, baseline, mode, long_spli
     # pair counts must give the very float that the mean of 200k+ per-position errors gives
     seq, tables, n = long_split
     res = resolve_fallback(tables, seq, 4)
-    stream = RandomStream(23).substream(1, 4)
-    got = evaluate_run(res, metric, *reference_run_generators(stream), baseline=baseline, mode=mode)
+    got = evaluate_run(res, metric, *reference_run_generators(23, 1, 4), baseline=baseline, mode=mode)
 
     alpha = np.asarray(tables.alphabet, dtype=np.int64)
     a = len(alpha)
     if mode == "sample":
-        u = reference_generator(stream.substream("model")).random(res.n_test)
+        u = reference_generator(23, 1, 4, "model").random(res.n_test)
         predicted = (tables.cum[:-1, res.row_ids] <= u).sum(axis=0)
     else:
         predicted = np.argmax((tables.counts / tables.counts.sum(axis=1, keepdims=True))[res.row_ids], axis=1)
-    gen = reference_generator(stream.substream("baseline"))
+    gen = reference_generator(23, 1, 4, "baseline")
     if baseline == "uniform":
         guessed = gen.integers(0, a, res.n_test)
     else:
@@ -637,11 +643,11 @@ def test_evaluate_run_wide_alphabet(size):
     for metric in predict_mod.METRICS:
         for baseline in predict_mod.BASELINES:
             for mode in predict_mod.MODES:
-                stream = RandomStream(5).substream(metric, baseline, mode)
-                got = evaluate_run(res, metric, *reference_run_generators(stream), baseline=baseline, mode=mode)
+                tags = (5, metric, baseline, mode)
+                got = evaluate_run(res, metric, *reference_run_generators(*tags), baseline=baseline, mode=mode)
                 want = scalar_evaluate_run(
                     symbols, n, 2, 2, alphabet, metric,
-                    *reference_run_generators(stream),
+                    *reference_run_generators(*tags),
                     baseline=baseline, mode=mode,
                 )
                 assert (got.e, got.e_rand) == want
@@ -729,12 +735,11 @@ def test_run_experiment_runs_match_reference_streams(metric, baseline, mode):
     )
     report = run_experiment(cfg, small_returns())
     full = resolve_fallback(report.tables, report.sequence, cfg.k_max)
-    stream = RandomStream(cfg.master_seed).substream("demo")
     for k in report.k_values:
         res = full.truncate(k)
         want = tuple(
             evaluate_run(
-                res, metric, *reference_run_generators(stream.substream(j, k)),
+                res, metric, *reference_run_generators(cfg.master_seed, "demo", j, k),
                 baseline=baseline, mode=mode,
             )
             for j in range(1, cfg.runs + 1)
@@ -768,6 +773,7 @@ def test_run_experiment_stats_on_train():
     "bad",
     [
         {"runs": 0},
+        {"runs": 2**32},
         {"k_min": 0},
         {"k_min": 5, "k_max": 4},
         {"k_max": 13},
@@ -792,7 +798,7 @@ def test_run_experiment_config_validation(bad):
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_run_experiment_rejects_master_seed_before_any_work(monkeypatch, seed):
-    # a seed RandomStream cannot take fails when the config is built, not after the tables are
+    # a seed run_generators cannot take fails when the config is built, not after the tables are
     def build(train, k_max):
         raise AssertionError("tables built for a config whose runs cannot be seeded")
 
@@ -810,10 +816,9 @@ def test_order2_model_beats_order1_on_synthetic_chain():
     n = 10_000
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 2)
-    stream = RandomStream(99).substream("chain")
 
     def mean_e(res):
-        runs = (reference_run_generators(stream.substream(j, res.order)) for j in range(10))
+        runs = (reference_run_generators(99, "chain", j, res.order) for j in range(10))
         return np.mean([evaluate_run(res, "abs", *gens).e for gens in runs])
 
     e1, e2 = mean_e(resolve_fallback(tables, seq, 1)), mean_e(resolve_fallback(tables, seq, 2))

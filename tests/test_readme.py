@@ -2,7 +2,8 @@
 
 The block is read out of README.md and executed with ``returns`` bound to a
 small synthetic series, so an API change that the example does not follow
-fails here instead of in a reader's session.
+fails here instead of in a reader's session. Its scores must be those of
+``run_experiment``, which the README says it reproduces.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 
 import synth
 
-from procrec import PriceSeries, compute_log_returns
+from procrec import PriceSeries, compute_log_returns, run_experiment
+from procrec.predict import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,4 +35,8 @@ def test_readme_experiment_by_hand_runs(capsys):
     exec(compile(_experiment_by_hand(), str(README), "exec"), {"returns": returns})
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [(int(k), int(j)) for k, j, _, _ in rows] == [(k, j) for k in range(1, 9) for j in range(1, 51)]
-    assert all(float(e) >= 0 and float(e_rand) >= 0 for _, _, e, e_rand in rows)  # mean absolute errors
+    per_run = run_experiment(ExperimentConfig(runs=50, k_max=8, master_seed=42), returns).per_run
+    # every printed score, read back exactly from its repr, is the experiment's own
+    assert [(float(e), float(e_rand)) for _, _, e, e_rand in rows] == [
+        (run.e, run.e_rand) for k in range(1, 9) for run in per_run[k]
+    ]
