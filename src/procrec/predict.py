@@ -11,9 +11,10 @@ A context seen at order j in training is also seen at every shorter order, so
 each test position t has one longest match L_t and order k answers at
 min(L_t, k). ``resolve_fallback`` links each table row to its children, the
 rows one older symbol longer, and walks the links down from the marginal with
-gathers only, as in a suffix tree. A resolution keeps the row of order L_t and
-the table set itself, whose ``parents`` let ``FallbackResolution.truncate(k)``
-climb to order k, so scoring needs nothing but the resolution.
+gathers only, as in a suffix tree. A resolution keeps the row id of order
+min(L_t, k) and the table set itself. The set stacks its rows order by order,
+so a row id names its order; its ``parents`` let ``FallbackResolution.truncate(j)``
+climb to order j, so scoring needs nothing but the resolution.
 
 All randomness flows from ``run_generators``: run j at order k of an instrument
 draws from two PCG64 generators, "model" and "baseline", seeded exactly as
@@ -173,17 +174,23 @@ class FallbackResolution:
 
     Which row answers each position depends only on the tables and the symbol
     sequence, never on the random stream, so one resolution serves every run.
+    A position's order, cum and argmax pick are all read off its row id.
     """
 
     tables: ConditionalTableSet
     order: int
-    orders: np.ndarray  # int8, fallback order used per test position: min(L_t, order)
     row_ids: np.ndarray  # int32, per test position the stacked row id of its row in ``tables``
     actual_pairs: np.ndarray  # actual * |alphabet|, the pair code less the pick; uint8 while |alphabet|² fits
 
     @property
     def n_test(self) -> int:
-        return len(self.orders)
+        return len(self.row_ids)
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """(n_test,) int8 fallback order of every position, min(L_t, order): the order whose rows hold its row id."""
+        starts = [self.tables.tables[j].rows.start for j in range(1, self.tables.k_max + 1)]
+        return np.searchsorted(starts, self.row_ids, side="right").astype(np.int8)
 
     @cached_property
     def cum_columns(self) -> np.ndarray:
@@ -198,20 +205,13 @@ class FallbackResolution:
         return np.argmax(self.tables.counts, axis=1)[self.row_ids]
 
     def truncate(self, k: int) -> "FallbackResolution":
-        """The resolution at order k <= order, climbing one order per step.
-
-        Once read, this resolution's ``cum_columns`` pass to the result, which gathers its own into them;
-        read here again, they are gathered anew. An array read from here before then holds the result's."""
+        """The resolution at order k <= order, climbing one order per step; shares nothing it gathers."""
         if not 1 <= k <= self.order:
             raise ValueError(f"order {k} outside resolved range 1..{self.order}")
-        row_ids, parents = self.row_ids, self.tables.parents
-        for j in range(self.order, k, -1):  # positions answered at order j or above climb to j - 1
-            row_ids = np.where(self.orders >= j, parents[row_ids], row_ids)
-        res = replace(self, order=k, orders=np.minimum(self.orders, k), row_ids=row_ids)
-        if "cum_columns" in self.__dict__:  # a loop over orders then frees and faults in no 16 MB array per order
-            columns = self.__dict__.pop("cum_columns")  # "clip" gathers into it directly, "raise" via a copy
-            res.__dict__["cum_columns"] = np.take(self.tables.cum[:-1], row_ids, axis=1, out=columns, mode="clip")
-        return res
+        row_ids, tables = self.row_ids, self.tables
+        for j in range(self.order, k, -1):  # rows of order j or above, stacked from order j's start, climb
+            row_ids = np.where(row_ids >= tables.tables[j].rows.start, tables.parents[row_ids], row_ids)
+        return replace(self, order=k, row_ids=row_ids)
 
 
 def resolve_fallback(tables: ConditionalTableSet, seq: SymbolSequence, k: int) -> FallbackResolution:
@@ -245,18 +245,14 @@ def resolve_fallback(tables: ConditionalTableSet, seq: SymbolSequence, k: int) -
 
     idx = seq.indices
     cur = np.zeros(n_test, dtype=np.int32)
-    longest = np.zeros(n_test, dtype=np.int8)
     row_ids = np.zeros(n_test, dtype=np.int32)
     for j in range(1, k + 1):
         # symbol t-j of t = n .. total-1 extends each position's order-(j-1) context
         cur = child[cur * a + idx[n - j : total - j]]
-        hit = cur != n_rows
-        longest += hit  # no hit follows a miss, so the hits count the order
-        np.copyto(row_ids, cur, where=hit)
+        np.copyto(row_ids, cur, where=cur != n_rows)
     return FallbackResolution(
         tables=tables,
         order=k,
-        orders=longest,
         row_ids=row_ids,
         actual_pairs=idx[n:].astype(np.uint8 if a * a <= 256 else np.int64) * a,  # truncate carries it on
     )

@@ -83,10 +83,12 @@ def test_exported_names_resolve(module):
 
 
 def test_cli_setup_leaves_numpy_random_unloaded():
-    # numpy.random takes milliseconds to import; it loads at the first draw, not at setup
+    # numpy.random takes milliseconds to import; it loads at the first draw, not at setup. numpy 2
+    # loads it lazily, numpy 1.x in its own __init__, so only what procrec adds to a bare numpy counts
     code = (
-        "import sys, procrec.cli; procrec.cli.build_parser(); "
-        "print([m for m in sys.modules if m.startswith('numpy.random')])"
+        "import sys, numpy; bare = set(sys.modules); "
+        "import procrec.cli; procrec.cli.build_parser(); "
+        "print([m for m in sys.modules if m.startswith('numpy.random') and m not in bare])"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

@@ -412,19 +412,21 @@ def test_back_off_three_symbols_deep_orders(k_max):
             assert tables.cum[:, direct.row_ids[i]].tolist() == sequential_cum(counts)
 
 
-def test_truncate_gathers_into_the_columns_it_takes():
+def test_truncate_leaves_what_was_read_unchanged():
     rng = np.random.default_rng(8)
     symbols = [int(ALPHABET5[i]) for i in np.minimum(rng.geometric(0.45, 3_000) - 1, 4)]
     seq, tables = split_tables(symbols, ALPHABET5, 1_500, 4)
     full = resolve_fallback(tables, seq, 4)
-    columns = full.cum_columns
+    columns, orders = full.cum_columns, full.orders
+    columns_before, orders_before = columns.copy(), orders.copy()
     stepped = full
     for k in (3, 2, 1):
         stepped = stepped.truncate(k)
         assert_same_resolution(stepped, resolve_fallback(tables, seq, k))
-        assert stepped.cum_columns is columns  # one array for every order
-    assert "cum_columns" not in vars(full)  # handed on, so read again it is gathered anew
-    np.testing.assert_array_equal(full.cum_columns, tables.cum[:-1, full.row_ids])
+        assert not np.shares_memory(stepped.cum_columns, columns)  # each order gathers its own
+    assert full.cum_columns is columns and full.orders is orders
+    np.testing.assert_array_equal(columns, columns_before)
+    np.testing.assert_array_equal(orders, orders_before)
 
 
 class _FixedDraws:
@@ -448,13 +450,11 @@ def _resolution_over(counts, cum_rows, row_ids):
         alphabet=tuple(range(counts.shape[1])), k_max=1, tables={}, n_train=0, counts=counts,
         cum=np.ascontiguousarray(cum_rows.T),
     )
-    n_test = len(row_ids)
     return predict_mod.FallbackResolution(
         tables=tables,
         order=1,
-        orders=np.ones(n_test, dtype=np.int8),
         row_ids=np.asarray(row_ids, dtype=np.int32),
-        actual_pairs=np.zeros(n_test, dtype=np.uint8),
+        actual_pairs=np.zeros(len(row_ids), dtype=np.uint8),
     )
 
 
@@ -535,7 +535,7 @@ def test_cum_columns_gather_copies_no_table():
     tracemalloc.start()
     try:
         res.cum_columns
-        res.truncate(7)  # which gathers its own into the columns read above
+        res.truncate(7).cum_columns  # the climb gathers parents only, then the first read its own columns
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
