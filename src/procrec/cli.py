@@ -1,8 +1,9 @@
 """Command-line front end: returns | census | predict.
 
 Exit codes: 0 on success, 1 when an experiment fails, 2 for usage or ingest
-errors. With several instruments, predict keeps going past a failing one and
-the final exit code reflects the most severe failure seen.
+errors. With several instruments, predict runs them one at a time, each with
+its outputs, report and stderr lines before the next loads. It keeps going
+past a failing one, and the final exit code reflects the most severe failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -142,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--baseline", choices=BASELINES, default="uniform")
     p_pred.add_argument("--mode", choices=MODES, default="sample")
     p_pred.add_argument("--stats-on", choices=("full", "train"), default="full")
-    p_pred.add_argument("--jobs", type=int, default=1, help="instruments processed concurrently")
+    p_pred.add_argument("--jobs", type=int, default=1,
+                        help="most worker processes to use (>= 1); none are started, instruments run one at a time")
     p_pred.add_argument("--dump-symbols", action="store_true", help="also write the coded sequence and coding sidecar")
     p_pred.add_argument("--dump-tables", action="store_true", help="also write the conditional tables as JSON")
     return parser
@@ -220,7 +221,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _predict_one(config: ExperimentConfig, args: argparse.Namespace, label: str, path: Path):
+def _predict_one(config: ExperimentConfig, args: argparse.Namespace, label: str, path: Path) -> None:
     report = run_experiment(config, compute_log_returns(_load(args, label, path)))  # no name keeps the prices
     out = args.out
     _make_out_dir(out)  # only now, so a predict that fails on every input leaves no --out behind
@@ -234,7 +235,7 @@ def _predict_one(config: ExperimentConfig, args: argparse.Namespace, label: str,
         dump_coding_sidecar(report.coding, report.stats, out / f"{label}_coding.json")
     if args.dump_tables:
         dump_tables_json(report.tables, out / f"{label}_tables.json")
-    return report
+    _print_report(report)
 
 
 def _print_report(report) -> None:
@@ -247,7 +248,6 @@ def _print_report(report) -> None:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    inputs = tuple(args.input)
     try:
         config = ExperimentConfig(
             scheme=args.scheme,
@@ -266,22 +266,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    def task(item):
-        label, path = item
-        try:
-            return label, _predict_one(config, args, label, path), None
-        except Exception as exc:  # noqa: BLE001 - per-instrument isolation
-            return label, None, exc
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(task, inputs))
-    else:
-        results = [task(item) for item in inputs]
-
     status, printed = EXIT_OK, set()
-    for label, report, exc in results:
-        if exc is not None:
+    for label, path in args.input:
+        try:
+            _predict_one(config, args, label, path)  # returns nothing, so no report outlives its instrument
+        except Exception as exc:  # noqa: BLE001 - per-instrument isolation
             message = str(exc)
             if not message.startswith((f"{label}: ", "--out: ")):  # these already name what failed
                 message = f"{label}: {message}"
@@ -292,8 +281,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 status = EXIT_USAGE
             elif status == EXIT_OK:
                 status = EXIT_EXPERIMENT
-        else:
-            _print_report(report)
     return status
 
 

@@ -22,13 +22,14 @@ numpy's ``SeedSequence(master_seed, spawn_key=(crc32(instrument), j, k,
 crc32(purpose)))`` would seed them. Every stream is independent and
 platform-stable, and the whole experiment is reproducible from (data, config,
 master seed). Such a key always hashes to the same 8 uint32 words, so one pass
-of SeedSequence's hash as uint32 column arithmetic seeds every stream of an
-instrument, and no SeedSequence object is made per run.
+of SeedSequence's hash as uint32 column arithmetic seeds a chunk of streams of
+an instrument, and no SeedSequence object is made per run.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import zlib
 from array import array
 from collections.abc import Iterable, Iterator
@@ -73,6 +74,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
 _XSHIFT = 16
 
 _PURPOSES = (zlib.crc32(b"model"), zlib.crc32(b"baseline"))  # the last spawn key word of a run's two streams
+_SEED_CHUNK = 1024  # (run, order) keys hashed per pass: 400 (50 runs x 8 orders) take one pass
 
 
 def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
@@ -142,21 +144,31 @@ def run_generators(seed: int, instrument: str, keys: Iterable[tuple[int, int]]) 
     crc32(purpose)))`` seeds it, which numpy keeps identical on every platform and version.
     With a seed below 2**64 and keys below 2**32 that sequence hashes the same 8 words for
     every stream, ``(seed & 0xFFFFFFFF, seed >> 32, 0, 0, crc32(instrument), j, k,
-    crc32(purpose))``, so every seed is computed at once from one (n, 8) uint32 array. Each
-    generator is built only when the iterator reaches it, so a long batch holds one at a time
-    and ``numpy.random`` is imported when the first one is built.
+    crc32(purpose))``, so ``_SEED_CHUNK`` keys are checked and hashed at once as one (n, 8)
+    uint32 array: the first chunk by the call, each later one when the iterator reaches it, so
+    memory does not grow with the keys. Each generator is built only when the iterator reaches
+    it, so a long batch holds one at a time and ``numpy.random`` loads with the first one.
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
     head = (seed & _M32, seed >> 32, 0, 0, zlib.crc32(instrument.encode("utf-8")))
-    words = array("Q")
-    for j, k in keys:
-        if not (0 <= j <= _M32 and 0 <= k <= _M32):
-            raise ValueError(f"run and order keys must fit in an unsigned 32-bit integer, got ({j}, {k})")
-        for purpose in _PURPOSES:
-            words.extend((*head, j, k, purpose))
-    seeds = _pcg64_seeds(np.asarray(words).astype(np.uint32).reshape(-1, 8))
-    return (np.random.Generator(np.random.PCG64(_preseeded()(state))) for state in seeds)
+    keys = iter(keys)
+
+    def hash_next_chunk() -> np.ndarray:
+        words = array("Q")
+        for j, k in itertools.islice(keys, _SEED_CHUNK):
+            if not (0 <= j <= _M32 and 0 <= k <= _M32):
+                raise ValueError(f"run and order keys must fit in an unsigned 32-bit integer, got ({j}, {k})")
+            for purpose in _PURPOSES:
+                words.extend((*head, j, k, purpose))
+        return _pcg64_seeds(np.asarray(words).astype(np.uint32).reshape(-1, 8))
+
+    def generators(seeds: np.ndarray) -> Iterator[np.random.Generator]:
+        while len(seeds):
+            yield from (np.random.Generator(np.random.PCG64(_preseeded()(state))) for state in seeds)
+            seeds = hash_next_chunk()
+
+    return generators(hash_next_chunk())
 
 
 @dataclass(frozen=True)
@@ -193,9 +205,9 @@ class FallbackResolution:
         return np.searchsorted(starts, self.row_ids, side="right").astype(np.int8)
 
     @cached_property
-    def cum_columns(self) -> np.ndarray:
-        """(|alphabet| - 1, n_test) cum of every position's row, last entry dropped; gathers no copy of the table."""
-        return np.take(self.tables.cum[:-1], self.row_ids, axis=1)
+    def cum_columns(self) -> tuple[np.ndarray, ...]:
+        """Every position's cum less its last entry, one (n_test,) array per entry, not one block; copies no table."""
+        return tuple(head.take(self.row_ids) for head in self.tables.cum[:-1])
 
     @cached_property
     def argmax_picks(self) -> np.ndarray:
@@ -258,11 +270,11 @@ def resolve_fallback(tables: ConditionalTableSet, seq: SymbolSequence, k: int) -
     )
 
 
-def _add_draws(cum_heads: np.ndarray, u: np.ndarray, onto: np.ndarray) -> np.ndarray:
+def _add_draws(cum_heads: Iterable, u: np.ndarray, onto: np.ndarray) -> np.ndarray:
     """Add each position's inverse-CDF pick, an alphabet index, onto ``onto`` in place.
 
-    ``cum_heads`` is a cum less its last entry: one value per symbol, or a
-    ``(|alphabet| - 1, n)`` column per position. The pick is the first index
+    ``cum_heads`` is a cum less its last entry: one value per symbol, or one
+    ``(n,)`` array per entry, a value per position. The pick is the first index
     whose cum exceeds u, the last when none does: the count of entries <= u.
     """
     for head in cum_heads:

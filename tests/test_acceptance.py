@@ -217,7 +217,7 @@ def test_criterion_5_model_beats_random(market_scale_csv):
 
 
 def test_criterion_6_byte_identical_reports(tmp_path):
-    with criterion(6, "determinism under repeated, serial and parallel execution"):
+    with criterion(6, "determinism under repeated execution and any --jobs"):
         paths = [
             synth.write_price_csv(tmp_path / f"i{j}.csv", synth.crypto_like_prices(401, seed=60 + j))
             for j in range(2)
@@ -225,7 +225,7 @@ def test_criterion_6_byte_identical_reports(tmp_path):
         argv = ["predict", "--runs", "5", "--kmax", "4", "--seed", "99", "--dump-tables"]
         for p in paths:
             argv += ["--input", str(p)]
-        # two parallel runs, then a serial one: the per-order caches must not depend on threads
+        # two runs at --jobs 2, then one at --jobs 1: neither a repeat nor the option may change a byte
         outs = {name: tmp_path / name for name in ("a", "b", "serial")}
         for name, out in outs.items():
             jobs = "1" if name == "serial" else "2"

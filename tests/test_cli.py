@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -210,6 +213,43 @@ def test_predict_partial_failure_keeps_going(tmp_path, small_csv, capsys):
     captured = capsys.readouterr()
     assert "ghost" in captured.err
     assert "instrument=demo" in captured.out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_predict_frees_each_report_before_the_next_instrument(tmp_path, small_csv, monkeypatch, jobs):
+    # a finished report holds its tables and coded series; no name may keep it while the next one runs
+    import procrec.cli as cli
+
+    reports, dead = [], []
+    run = cli.run_experiment
+
+    def run_and_watch(*args, **kwargs):
+        gc.collect()
+        dead.append([ref() is None for ref in reports])
+        report = run(*args, **kwargs)
+        reports.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(cli, "run_experiment", run_and_watch)
+    argv = ["predict", "--input", f"a={small_csv}", "--input", f"b={small_csv}", "--out", str(tmp_path / "out")]
+    assert main([*argv, "--jobs", jobs, "--runs", "2", "--kmax", "3"]) == 0
+    assert dead == [[], [True]]
+
+
+def test_predict_stderr_comes_one_instrument_at_a_time(tmp_path, small_csv):
+    # the first input's error line comes before the second input's ingest warning
+    lines = small_csv.read_text().splitlines()
+    lines.insert(50, "not-a-date,abc")
+    bad_row = tmp_path / "bad_row.csv"
+    bad_row.write_text("\n".join(lines) + "\n")
+    argv = ["predict", "--input", str(tmp_path / "ghost.csv"), "--input", str(bad_row), "--lenient",
+            "--out", str(tmp_path / "out"), "--runs", "1", "--kmax", "2"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-m", "procrec.cli", *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    err = done.stderr.splitlines()
+    assert [line.split(" ", 1)[0] for line in err] == ["error:", "WARNING"], err
+    assert "ghost" in err[0] and "skipped" in err[1]
 
 
 def test_predict_labeled_inputs(tmp_path, small_csv):

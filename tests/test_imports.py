@@ -82,14 +82,24 @@ def test_exported_names_resolve(module):
     assert not missing, f"{module}.py exports names that are not defined: {', '.join(missing)}"
 
 
-def test_cli_setup_leaves_numpy_random_unloaded():
-    # numpy.random takes milliseconds to import; it loads at the first draw, not at setup. numpy 2
-    # loads it lazily, numpy 1.x in its own __init__, so only what procrec adds to a bare numpy counts
+def _added_at_cli_setup(prefix: str) -> str:
+    """The printed list of modules under ``prefix`` that procrec.cli's import and parser add to a bare numpy."""
     code = (
         "import sys, numpy; bare = set(sys.modules); "
         "import procrec.cli; procrec.cli.build_parser(); "
-        "print([m for m in sys.modules if m.startswith('numpy.random') and m not in bare])"
+        f"print([m for m in sys.modules if m.startswith({prefix!r}) and m not in bare])"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_setup_leaves_numpy_random_unloaded():
+    # numpy.random takes milliseconds to import; it loads at the first draw, not at setup. numpy 2
+    # loads it lazily, numpy 1.x in its own __init__, so only what procrec adds to a bare numpy counts
+    assert _added_at_cli_setup("numpy.random") == "[]"
+
+
+def test_cli_setup_loads_no_executor():
+    # instruments run one at a time in the command's own process: no pool module is imported
+    assert _added_at_cli_setup("concurrent.futures") == "[]"

@@ -155,6 +155,34 @@ def test_stream_rejects_bad_seeds_and_tags():
             run_generators(seed, "x", keys)
 
 
+def test_run_generators_match_seed_sequence_across_chunks():
+    # the keys after the first chunk are hashed as the iterator reaches them, into the same streams
+    keys = [(j, 1 + j % 8) for j in range(predict_mod._SEED_CHUNK + 3)]
+    refs = [gen for j, k in keys for gen in reference_run_generators(7, "btcx", j, k)]
+    for gen, ref in zip(run_generators(7, "btcx", keys), refs, strict=True):
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+
+def test_run_generators_reject_bad_key_in_a_later_chunk():
+    gens = run_generators(3, "x", [(1, 1)] * predict_mod._SEED_CHUNK + [(1, 2**32)])
+    for _ in range(2 * predict_mod._SEED_CHUNK):
+        next(gens)
+    with pytest.raises(ValueError, match="keys"):
+        next(gens)
+
+
+def test_run_generators_memory_does_not_grow_with_runs():
+    # 20,000 runs x 8 orders are 320,000 streams; hashed at once they took 65 MB before the first draw
+    run_pair(1, "x", 1, 1)  # numpy.random and the seed class load outside the measurement
+    tracemalloc.start()
+    try:
+        next(run_generators(1, "x", ((j, k) for k in range(8, 0, -1) for j in range(1, 20_001))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 # --- next-symbol prediction and the baseline draws -------------------------
 
 
@@ -418,12 +446,13 @@ def test_truncate_leaves_what_was_read_unchanged():
     seq, tables = split_tables(symbols, ALPHABET5, 1_500, 4)
     full = resolve_fallback(tables, seq, 4)
     columns, orders = full.cum_columns, full.orders
-    columns_before, orders_before = columns.copy(), orders.copy()
+    columns_before, orders_before = [c.copy() for c in columns], orders.copy()
     stepped = full
     for k in (3, 2, 1):
         stepped = stepped.truncate(k)
         assert_same_resolution(stepped, resolve_fallback(tables, seq, k))
-        assert not np.shares_memory(stepped.cum_columns, columns)  # each order gathers its own
+        # each order gathers its own
+        assert not any(np.shares_memory(got, read) for got in stepped.cum_columns for read in columns)
     assert full.cum_columns is columns and full.orders is orders
     np.testing.assert_array_equal(columns, columns_before)
     np.testing.assert_array_equal(orders, orders_before)
@@ -540,6 +569,19 @@ def test_cum_columns_gather_copies_no_table():
     finally:
         tracemalloc.stop()
     assert peak < tables.cum.nbytes / 50
+
+
+def test_cum_columns_hold_one_array_per_entry():
+    # one allocation per cum entry, each of n_test values, none a view into a larger block
+    rng = np.random.default_rng(12)
+    symbols = [int(ALPHABET5[i]) for i in rng.integers(0, 5, 2_000)]
+    seq, tables = split_tables(symbols, ALPHABET5, 1_000, 3)
+    res = resolve_fallback(tables, seq, 3)
+    columns = res.cum_columns
+    assert isinstance(columns, tuple) and len(columns) == len(ALPHABET5) - 1
+    for entry, column in enumerate(columns):
+        assert column.shape == (res.n_test,) and column.base is None and column.flags.c_contiguous
+        np.testing.assert_array_equal(column, tables.cum[entry, res.row_ids])
 
 
 @given(
