@@ -292,7 +292,10 @@ class _PriceRows:
         self.path, self.schema, self.lenient = path, schema, lenient
         self.width = 0  # fields in the header row; 0 until it is read
         self.limit = csv.field_size_limit()
-        self.stamps, self.prices, self.lines = array("q"), array("d"), array("q")  # accepted rows
+        self.stamps, self.prices = array("q"), array("d")  # accepted rows
+        # the file line of row r is r + line_offsets[i], i the last with line_starts[i] <= r: one
+        # entry per run of rows with no skipped line between them, not one per row
+        self.line_starts, self.line_offsets = array("q"), array("q")
 
     def set_header(self, row: list[str] | None) -> None:
         if row is None:
@@ -323,9 +326,12 @@ class _PriceRows:
                 logger.warning("%s line %d skipped: non-positive price %r", self.path, line, price)
                 return
             raise NonPositivePrice(line, f"price {price!r} is not positive")
+        row = len(self.stamps)
+        if not self.line_offsets or line - row != self.line_offsets[-1]:
+            self.line_starts.append(row)
+            self.line_offsets.append(line - row)
         self.stamps.append(us)
         self.prices.append(price)
-        self.lines.append(line)
 
     def add_block(self, data: bytes, line0: int) -> int:
         """Load ``data``, whole lines with no quote, CR or NUL, the first being line ``line0 + 1``;
@@ -362,9 +368,13 @@ class _PriceRows:
             seconds, read = stamps
             good = read & (seconds >= _EPOCH_SECONDS_MIN) & (seconds <= _EPOCH_SECONDS_MAX)
             good &= (prices > 0) & (prices < np.inf)
+            kept = rows[good]
+            offsets = line0 + 1 + kept - np.arange(len(self.stamps), len(self.stamps) + len(kept))
+            new = np.flatnonzero(np.diff(offsets, prepend=self.line_offsets[-1] if self.line_offsets else 0))
+            self.line_starts.frombytes((len(self.stamps) + new).tobytes())
+            self.line_offsets.frombytes(offsets[new].tobytes())
             self.stamps.frombytes((seconds[good] * 1_000_000).tobytes())
             self.prices.frombytes(prices[good].tobytes())
-            self.lines.frombytes((line0 + 1 + rows[good]).tobytes())
             flagged[rows[~good]] = True
         rows = np.flatnonzero(flagged)
         for i, first, last, over in zip(
@@ -375,6 +385,12 @@ class _PriceRows:
                 raise MalformedRow(line, f"unreadable CSV: field larger than field limit ({self.limit})")
             self.add_row(row, line)
         return len(ends)
+
+    def line_numbers(self) -> np.ndarray:
+        """The file line of every accepted row."""
+        starts = np.frombuffer(self.line_starts, dtype=np.int64)
+        offsets = np.frombuffer(self.line_offsets, dtype=np.int64)
+        return np.arange(len(self.stamps)) + np.repeat(offsets, np.diff(starts, append=len(self.stamps)))
 
     def add_csv(self, fh, offset: int, line0: int) -> None:
         """Load the rest of ``fh`` from byte ``offset``, line ``line0 + 1``, through ``csv.reader``."""
@@ -449,11 +465,14 @@ def load_price_csv(
     if not table.width:
         table.set_header(None)
 
-    ts, values = np.frombuffer(table.stamps, dtype=np.int64), np.frombuffer(table.prices, dtype=np.float64)
+    ts = np.frombuffer(table.stamps, dtype=np.int64)
     if (ts[1:] > ts[:-1]).all():  # the usual case: in order, no duplicates
-        # copies, so the series does not pin the loader's over-allocated buffers
-        return PriceSeries(instrument=name, timestamps=ts.copy(), prices=values.copy())
-    line_nos = np.frombuffer(table.lines, dtype=np.int64)
+        # copies, so the series does not pin the loader's over-allocated buffers: the stamps, then
+        # the prices, each buffer freed before the next copy, so the peak holds one of them
+        ts, table.stamps = ts.copy(), None
+        values, table.prices = np.frombuffer(table.prices, dtype=np.float64).copy(), None
+        return PriceSeries(instrument=name, timestamps=ts, prices=values)
+    values, line_nos = np.frombuffer(table.prices, dtype=np.float64), table.line_numbers()
     order = np.lexsort((line_nos, ts))
     ts, values, line_nos = ts[order], values[order], line_nos[order]
     dup = np.flatnonzero(ts[1:] == ts[:-1]) + 1

@@ -74,7 +74,8 @@ class ConditionalTable:
 class ConditionalTableSet:
     """Tables for orders 1..k_max plus the order-0 marginal fallback.
 
-    ``counts`` stacks every row of the set, ``(n_rows, |alphabet|)``: row 0 is
+    ``counts`` stacks every row of the set, ``(n_rows, |alphabet|)``, int32
+    while ``n_train < 2**31`` and int64 beyond: row 0 is
     the marginal, then each order's rows in turn, so one row id addresses any
     distribution. ``cum`` holds the same rows as C-contiguous columns,
     ``(|alphabet|, n_rows)``: column r is row r's cumulative distribution.
@@ -149,13 +150,34 @@ def census_blocks(seq: SymbolSequence, k_max: int) -> list[BlockCensus]:
     ]
 
 
+def _count_dtype(n_train: int) -> type:
+    """int32 while every row total, at most ``n_train``, fits in it; int64 beyond."""
+    return np.int32 if n_train < 2**31 else np.int64
+
+
+def _order_rows(ctx: np.ndarray, nxt: np.ndarray, a: int, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted context codes seen at one order and their count rows, ``(n_rows, a)`` of ``dtype``.
+
+    ``ctx`` holds each position's context code and ``nxt`` its next symbol's index. The
+    order's temporaries are this call's locals, so they are freed when it returns.
+    """
+    # each context with its next symbol as the least significant digit
+    uniq, counts = np.unique(ctx * a + nxt, return_counts=True)
+    ctx_codes, next_idx = np.divmod(uniq, a)
+    first = np.ones(len(uniq), dtype=bool)
+    first[1:] = ctx_codes[1:] != ctx_codes[:-1]
+    block = np.zeros((int(first.sum()), a), dtype=dtype)
+    block[np.cumsum(first) - 1, next_idx] = counts
+    return ctx_codes[first], block
+
+
 def build_conditional_tables(train: SymbolSequence, k_max: int) -> ConditionalTableSet:
     """Count every (context, next) transition inside the training sequence.
 
     For order k, every position t with k preceding symbols contributes one
     count to row context=(train[t-1],...,train[t-k]), column train[t]. Row
     totals therefore sum to n_train - k. The marginal is the plain symbol
-    frequency over all of train.
+    frequency over all of train. Counts are int32 while n_train < 2**31.
     """
     alpha = tuple(train.alphabet)
     n = len(train)
@@ -168,25 +190,16 @@ def build_conditional_tables(train: SymbolSequence, k_max: int) -> ConditionalTa
     a = len(alpha)
     _check_packable(a, k_max)
     idx = train.indices
+    dtype = _count_dtype(n)
 
-    # row 0 of the stacked arrays is the marginal, then each order's rows
-    blocks = [np.bincount(idx, minlength=a)[None, :]]
-    codes_by_order = []
     # the contexts of t = k .. n-1 use only train[:-1]; coding them over all of train
     # gives arrays one longer, which raised peak RSS by 4 MB at 1M returns (glibc, x86-64)
-    for k, ctx in enumerate(_context_codes(idx[:-1], a, k_max), start=1):
-        # each context with its next symbol as the least significant digit
-        uniq, counts = np.unique(ctx * a + idx[k:], return_counts=True)
-        ctx_codes, next_idx = np.divmod(uniq, a)
-        first = np.ones(len(uniq), dtype=bool)
-        first[1:] = ctx_codes[1:] != ctx_codes[:-1]
-        block = np.zeros((int(first.sum()), a), dtype=np.int64)
-        block[np.cumsum(first) - 1, next_idx] = counts
-        codes_by_order.append(ctx_codes[first])
-        blocks.append(block)
-
-    all_counts = np.concatenate(blocks).astype(np.int64, copy=False)
-    blocks.clear()  # copied: freed before the division allocates, 3 MB off the build's peak at 1M returns
+    contexts = _context_codes(idx[:-1], a, k_max)
+    per_order = [_order_rows(ctx, idx[k:], a, dtype) for k, ctx in enumerate(contexts, start=1)]
+    # row 0 of the stacked arrays is the marginal, then each order's rows
+    all_counts = np.concatenate([np.bincount(idx, minlength=a).astype(dtype)[None, :], *(b for _, b in per_order)])
+    codes_by_order = [codes for codes, _ in per_order]
+    del per_order  # the blocks, copied: freed before the division allocates
     # the probs, one C-contiguous column per row, summed down each column in place: a row-wise cumsum's bits
     cum = np.divide(all_counts.T, all_counts.sum(axis=1), order="C")
     np.cumsum(cum, axis=0, out=cum)

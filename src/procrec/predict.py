@@ -75,6 +75,7 @@ _XSHIFT = 16
 
 _PURPOSES = (zlib.crc32(b"model"), zlib.crc32(b"baseline"))  # the last spawn key word of a run's two streams
 _SEED_CHUNK = 1024  # (run, order) keys hashed per pass: 400 (50 runs x 8 orders) take one pass
+_SLICE = 1 << 16  # test positions gathered, drawn and counted at a time: the paper's 3153 take one slice
 
 
 def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
@@ -206,8 +207,17 @@ class FallbackResolution:
 
     @cached_property
     def cum_columns(self) -> tuple[np.ndarray, ...]:
-        """Every position's cum less its last entry, one (n_test,) array per entry, not one block; copies no table."""
-        return tuple(head.take(self.row_ids) for head in self.tables.cum[:-1])
+        """Every position's cum less its last entry, one (n_test,) array per entry, not one block; copies no table.
+
+        Gathered ``_SLICE`` positions at a time: each slice's row ids are copied to intp once, for every entry.
+        """
+        heads = self.tables.cum[:-1]
+        columns = tuple(np.empty(self.n_test) for _ in heads)
+        for part in _slices(self.n_test):
+            ids = self.row_ids[part].astype(np.intp)
+            for head, column in zip(heads, columns):
+                head.take(ids, out=column[part], mode="clip")  # ids are in range; "raise" would buffer out
+        return columns
 
     @cached_property
     def argmax_picks(self) -> np.ndarray:
@@ -270,6 +280,11 @@ def resolve_fallback(tables: ConditionalTableSet, seq: SymbolSequence, k: int) -
     )
 
 
+def _slices(n: int) -> list[slice]:
+    """Consecutive slices of ``_SLICE`` positions that cover ``range(n)``."""
+    return [slice(start, start + _SLICE) for start in range(0, n, _SLICE)]
+
+
 def _add_draws(cum_heads: Iterable, u: np.ndarray, onto: np.ndarray) -> np.ndarray:
     """Add each position's inverse-CDF pick, an alphabet index, onto ``onto`` in place.
 
@@ -321,20 +336,25 @@ def evaluate_run(
     alphabet, n_test = resolution.tables.alphabet, resolution.n_test
     a, errors = len(alphabet), _pair_errors(alphabet, metric)
     # Pair counts times pair errors sum to integers below 2**53, so each mean is the same float as
-    # the mean of the per-position errors; `@` would page in numpy's matmul code, 0.15 MB resident
-    actual = resolution.actual_pairs
-    if mode == "argmax":
-        pairs = actual + resolution.argmax_picks.astype(actual.dtype)
-    else:
-        pairs = _add_draws(resolution.cum_columns, model_gen.random(n_test), actual.copy())
-    e = int((np.bincount(pairs, minlength=a * a) * errors).sum()) / n_test
-    if baseline == "marginal":  # the model's draw from the marginal's one cum, column 0
-        pairs = _add_draws(resolution.tables.cum[:-1, 0], baseline_gen.random(n_test), actual.copy())
-    else:
-        pairs = baseline_gen.integers(0, a, size=n_test)
-        pairs += actual  # in place: the draws are int64 already
-    e_rand = int((np.bincount(pairs, minlength=a * a) * errors).sum()) / n_test
-    return RunErrors(e=e, e_rand=e_rand, n_predictions=n_test)
+    # the mean of the per-position errors; `@` would page in numpy's matmul code, 0.15 MB resident.
+    # Positions are drawn and counted a slice at a time; each stream continues across slices.
+    e_sum = rand_sum = 0
+    for part in _slices(n_test):
+        actual = resolution.actual_pairs[part]
+        size = len(actual)
+        if mode == "argmax":
+            pairs = actual + resolution.argmax_picks[part].astype(actual.dtype)
+        else:
+            heads = [column[part] for column in resolution.cum_columns]
+            pairs = _add_draws(heads, model_gen.random(size), actual.copy())
+        e_sum += int((np.bincount(pairs, minlength=a * a) * errors).sum())
+        if baseline == "marginal":  # the model's draw from the marginal's one cum, column 0
+            pairs = _add_draws(resolution.tables.cum[:-1, 0], baseline_gen.random(size), actual.copy())
+        else:
+            pairs = baseline_gen.integers(0, a, size=size)
+            pairs += actual  # in place: the draws are int64 already
+        rand_sum += int((np.bincount(pairs, minlength=a * a) * errors).sum())
+    return RunErrors(e=e_sum / n_test, e_rand=rand_sum / n_test, n_predictions=n_test)
 
 
 @dataclass(frozen=True)
@@ -402,32 +422,38 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
     so reports are invariant to run scheduling and to which other instruments
     are processed alongside.
     """
-    h1 = split_halves(returns)[0]
+    instrument, h1 = returns.instrument, split_halves(returns)[0]
     n = len(h1)
     stats = compute_stats(returns if config.stats_on == "full" else h1)
     scheme = make_scheme(config.scheme, stats)
     seq = encode_series(returns, stats, scheme)
+    # nothing later reads the returns: freed here, unless the caller still holds them (CPython 3.10
+    # keeps a temporary argument in the caller's frame until the call returns)
+    del returns, h1
     train = replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, config.k_max)
 
     k_values = tuple(range(config.k_min, config.k_max + 1))
     runs = range(1, config.runs + 1)
-    resolution = resolve_fallback(tables, seq, config.k_max)
+    climb = resolve_fallback(tables, seq, config.k_max)
     # the model and baseline generators of every run, in the order they are scored
-    gens = run_generators(config.master_seed, returns.instrument, ((j, k) for k in reversed(k_values) for j in runs))
+    gens = run_generators(config.master_seed, instrument, ((j, k) for k in reversed(k_values) for j in runs))
 
     per_run: dict[int, tuple[RunErrors, ...]] = {}
     fallback_histogram: dict[int, dict[int, int]] = {}
     # positions answered at each order 0 .. k_max; order k answers those at k or above at k
-    longest = np.bincount(resolution.orders, minlength=config.k_max + 1).tolist()
+    longest = np.bincount(climb.orders, minlength=config.k_max + 1).tolist()
     for k in reversed(k_values):
-        # one order at a time, one climb below the last, so only that order's gathered rows are held
-        resolution = resolution.truncate(k)
+        # one order at a time, one climb below the last. The climb gathers nothing: each order is
+        # scored on a copy, and the copy's gathered rows are freed before the next climb
+        climb = climb.truncate(k)
+        resolution = replace(climb)
         fallback_histogram[k] = {**dict(enumerate(longest[:k])), k: sum(longest[k:])}
         per_run[k] = tuple(
             evaluate_run(resolution, config.metric, next(gens), next(gens), baseline=config.baseline, mode=config.mode)
             for _ in runs
         )
+        del resolution
     per_run, fallback_histogram = dict(sorted(per_run.items())), dict(sorted(fallback_histogram.items()))
     e_mean, e_std, r_mean, r_std = [], [], [], []
     for errors in per_run.values():
@@ -439,7 +465,7 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
         r_std.append(float(rs.std()))
 
     return ExperimentReport(
-        instrument=returns.instrument,
+        instrument=instrument,
         config=config,
         coding=scheme,
         k_values=k_values,

@@ -326,6 +326,25 @@ def test_loader_random_bytes_outcomes_tiny_blocks(header, text, body, lenient, b
         _check_against_reference(Path(tmp) / "b.csv", header + text.encode() + body, lenient, block_bytes)
 
 
+def test_load_in_order_holds_one_buffer_beyond_the_series(tmp_path):
+    # the loader keeps stamps and prices, no line per row, and copies them out one at a time, each
+    # buffer freed before the next copy: the series and one buffer, where three buffers and two
+    # copies came to 5.5 buffers
+    n = 200_000
+    stamps = 1_600_000_000 + 3600 * np.arange(n)
+    path = tmp_path / "long.csv"
+    path.write_text("timestamp,price\n" + "".join(f"{s},{100 + i / 8!r}\n" for i, s in enumerate(stamps.tolist())))
+    tracemalloc.start()
+    try:
+        series = load_price_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer = 8 * n
+    assert series.timestamps.nbytes + series.prices.nbytes == 2 * buffer
+    assert peak < 3.5 * buffer, f"peak {peak / buffer:.2f} buffers of {buffer / 1e6:.1f} MB"
+
+
 def test_load_undecodable_bytes_and_oversized_field(tmp_path):
     rows = [f"{hourly(0)},100", f"{hourly(1)},1\xff01", f"{hourly(2)},102", f"{hourly(3)},103"]
     path = tmp_path / "u.csv"

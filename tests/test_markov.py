@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from procrec import (
     make_scheme,
     resolve_fallback,
 )
+from procrec import markov
 from procrec.markov import dump_tables_json, write_census_csv
 
 from conftest import mk_returns, mk_seq
@@ -222,6 +224,31 @@ def test_row_ids_tile_the_stacked_rows(data):
             np.testing.assert_array_equal(up.codes[parents - up.rows.start], table.codes // len(alphabet))
     assert start == len(tables.counts) == tables.cum.shape[1]
     assert tables.parents[0] == 0
+
+
+def test_counts_are_int32_while_row_totals_fit():
+    # a row total is at most n_train, the marginal's; the widths are chosen without building that much
+    assert markov._count_dtype(2**31 - 1) is np.int32
+    assert markov._count_dtype(2**31) is np.int64
+    rng = np.random.default_rng(30)
+    tables = build_conditional_tables(mk_seq(random_symbols(rng, 400, ALPHABET5), ALPHABET5), 4)
+    assert tables.counts.dtype == np.int32
+
+
+def test_build_frees_each_order_before_stacking():
+    # many contexts: the stacking holds counts, cum, the codes and the row totals, which is the
+    # build's peak, so any order's temporaries still alive after the loop would add to it
+    rng = np.random.default_rng(31)
+    seq = mk_seq(random_symbols(rng, 200_000, ALPHABET5), ALPHABET5)
+    tracemalloc.start()
+    try:
+        tables = build_conditional_tables(seq, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    codes = sum(table.codes.nbytes for table in tables.tables.values())
+    held = tables.counts.nbytes + tables.cum.nbytes + codes + 8 * len(tables.counts)
+    assert peak < 1.03 * held, f"peak {peak / 1e6:.1f} MB against {held / 1e6:.1f} MB held by the stacking"
 
 
 def test_tables_too_short():

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import sys
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -181,6 +184,20 @@ def test_run_generators_memory_does_not_grow_with_runs():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_numpy_streams_continue_across_calls():
+    # evaluate_run draws a slice at a time and relies on this: two calls give what one call of
+    # their total size gives. NEP 19 does not promise it across numpy releases; if one breaks it,
+    # this test fails first, not every golden report
+    for n1, n2 in ((1, 1), (1, 6), (7, 9), (1000, 3), (4096, 4097)):
+        gen, whole = reference_generator(5, n1, n2), reference_generator(5, n1, n2)
+        np.testing.assert_array_equal(np.concatenate([gen.random(n1), gen.random(n2)]), whole.random(n1 + n2))
+        for high in (2, 3, 5, 17, 256, 1000):
+            gen, whole = reference_generator(6, high, n1, n2), reference_generator(6, high, n1, n2)
+            parts = [gen.integers(0, high, n1), gen.integers(0, high, n2)]
+            assert parts[0].dtype == parts[1].dtype == np.int64
+            np.testing.assert_array_equal(np.concatenate(parts), whole.integers(0, high, n1 + n2))
 
 
 # --- next-symbol prediction and the baseline draws -------------------------
@@ -634,6 +651,29 @@ def test_evaluate_run_matches_scalar_scorer(data):
             assert got.n_predictions == len(symbols) - n
 
 
+@pytest.mark.parametrize("slice_size", [1, 7, 89, 90, 91])  # 90 test positions: one slice each, to one more
+def test_evaluate_run_slices_match_per_position_scorer(slice_size, monkeypatch):
+    # drawing and counting a slice at a time gives every run's unsliced result
+    rng = np.random.default_rng(41)
+    symbols = [int(ALPHABET5[i]) for i in np.minimum(rng.geometric(0.45, 150) - 1, 4)]
+    n, k_max = 60, 3
+    monkeypatch.setattr(predict_mod, "_SLICE", slice_size)
+    seq, tables = split_tables(symbols, ALPHABET5, n, k_max)
+    full = resolve_fallback(tables, seq, k_max)  # its columns are gathered in slices too
+    for res in (full, full.truncate(2)):
+        for metric in predict_mod.METRICS:
+            for baseline in predict_mod.BASELINES:
+                for mode in predict_mod.MODES:
+                    gens = reference_run_generators(8, res.order)
+                    got = evaluate_run(res, metric, *gens, baseline=baseline, mode=mode)
+                    want = scalar_evaluate_run(
+                        symbols, n, res.order, k_max, ALPHABET5, metric,
+                        *reference_run_generators(8, res.order),
+                        baseline=baseline, mode=mode,
+                    )
+                    assert (got.e, got.e_rand) == want
+
+
 @pytest.fixture(scope="module")
 def long_split():
     rng = np.random.default_rng(2024)
@@ -670,6 +710,28 @@ def test_evaluate_run_equals_per_position_mean(metric, baseline, mode, long_spli
         means.append(float((np.abs(errors) if metric == "abs" else errors).mean()))
     assert res.n_test >= 200_000
     assert (got.e, got.e_rand) == tuple(means)
+
+
+@pytest.mark.parametrize("baseline", predict_mod.BASELINES)
+def test_evaluate_run_memory_is_bounded_by_slices(baseline, long_split, monkeypatch):
+    # 210,000 test positions in slices of 4096: the gather's intp row ids and a run's draws and
+    # pair codes are held a slice at a time, where one 8-byte array over all positions is 1.7 MB
+    seq, tables, n = long_split
+    monkeypatch.setattr(predict_mod, "_SLICE", 4096)
+    res = resolve_fallback(tables, seq, 4)
+    bound = 40 * predict_mod._SLICE
+    assert 8 * res.n_test > 10 * bound
+    tracemalloc.start()
+    try:
+        columns = res.cum_columns
+        gather_peak = tracemalloc.get_traced_memory()[1] - sum(c.nbytes for c in columns)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        evaluate_run(res, "abs", *reference_run_generators(9, 1, 4), baseline=baseline)
+        run_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert gather_peak < bound and run_peak < bound, (gather_peak, run_peak)
 
 
 @pytest.mark.parametrize("size", [16, 17])
@@ -721,6 +783,52 @@ def test_fallback_orders_replay_against_tables():
 def small_returns(seed=19, n=800):
     rng = np.random.default_rng(seed)
     return mk_returns(rng.standard_t(4, n) * 0.01, instrument="demo")
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="CPython 3.10 keeps a temporary argument in the caller's frame until the call returns",
+)
+def test_run_experiment_frees_returns_after_coding(monkeypatch):
+    # the caller holds no name for the returns, so after coding nothing keeps them
+    refs = []
+
+    def fresh_returns():
+        returns = small_returns()
+        refs.extend((weakref.ref(returns), weakref.ref(returns.values)))
+        return returns
+
+    alive = []
+    build = predict_mod.build_conditional_tables
+
+    def spy(train, k_max):
+        gc.collect()
+        alive.append([ref() is not None for ref in refs])
+        return build(train, k_max)
+
+    monkeypatch.setattr(predict_mod, "build_conditional_tables", spy)
+    run_experiment(ExperimentConfig(runs=1, k_max=3, stats_on="train"), fresh_returns())
+    assert alive == [[False, False]]
+
+
+def test_run_experiment_frees_each_order_columns_before_the_next_climb(monkeypatch):
+    # only one order's gathered columns are alive at a time, so the climb to the next order does not add to them
+    columns, alive = [], []
+    evaluate, truncate = predict_mod.evaluate_run, predict_mod.FallbackResolution.truncate
+
+    def spy_evaluate(resolution, *args, **kwargs):
+        columns.append(weakref.ref(resolution.cum_columns[0]))
+        return evaluate(resolution, *args, **kwargs)
+
+    def spy_truncate(self, k):
+        gc.collect()
+        alive.append(any(ref() is not None for ref in columns))
+        return truncate(self, k)
+
+    monkeypatch.setattr(predict_mod, "evaluate_run", spy_evaluate)
+    monkeypatch.setattr(predict_mod.FallbackResolution, "truncate", spy_truncate)
+    run_experiment(ExperimentConfig(runs=2, k_max=4), small_returns())
+    assert alive == [False] * 4
 
 
 def test_run_experiment_deterministic():
