@@ -1,23 +1,26 @@
 """Command-line front end: returns | census | predict.
 
-Exit codes: 0 on success, 1 when an experiment fails, 2 for usage or ingest
-errors. With several instruments, predict runs them one at a time, each with
-its outputs, report and stderr lines before the next loads. It keeps going
-past a failing one, and the final exit code reflects the most severe failure.
+A command checks its options before any input loads, then runs each input on
+its own: an input's outputs, report and stderr lines come before the next one
+loads, and its error line names its label once. ``returns`` and ``census`` take
+one input. Exit codes: 0 on success, 1 when an experiment fails, 2 for usage or
+ingest errors, a bad option among them; with several inputs, the most severe.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
-from .coding import SCHEMES, dump_coding_sidecar, dump_symbols_csv, encode_series, make_scheme
-from .errors import IngestError, ProcrecError, SequenceTooShort, SeriesTooShort
+from .coding import SCHEME_TABLE, SCHEMES, dump_coding_sidecar, dump_symbols_csv, encode_series, make_scheme
+from .errors import IngestError, SequenceTooShort, SeriesTooShort
 from .ingest import (
     ColumnSchema,
     PriceSeries,
@@ -30,7 +33,7 @@ from .ingest import (
     write_phase_space_csv,
     write_text_atomic,
 )
-from .markov import census_blocks, dump_tables_json, write_census_csv
+from .markov import census_blocks, check_order, dump_tables_json, write_census_csv
 from .predict import (
     BASELINES,
     METRICS,
@@ -68,17 +71,6 @@ def _parse_input(value: str) -> tuple[str, Path]:
     return label, path
 
 
-def _label_problem(inputs: list[tuple[str, Path]]) -> str | None:
-    """Why the labels would write outside --out or onto each other's files, if they would."""
-    labels = [label for label, _ in inputs]
-    for label in labels:
-        if label in ("", ".", "..") or Path(label).name != label:
-            return f"label {label!r} is not a plain file name"
-        if labels.count(label) > 1:
-            return f"label {label!r} is given to more than one input"
-    return None
-
-
 def _uint64(value: str) -> int:
     try:
         seed = int(value)
@@ -105,6 +97,7 @@ def _add_io_args(p: argparse.ArgumentParser, repeatable: bool) -> None:
         type=_parse_input,
         required=True,
         action="append" if repeatable else "store",
+        nargs=None if repeatable else 1,  # a list of one: every command gives main a list of inputs
         metavar="[LABEL=]PATH",
         help="price CSV" + (", repeatable, one per instrument" if repeatable else ""),
     )
@@ -149,8 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args: argparse.Namespace, label: str, path: Path) -> PriceSeries:
-    schema = ColumnSchema(timestamp=args.timestamp_col, price=args.price_col)
+def _load(args: argparse.Namespace, schema: ColumnSchema, label: str, path: Path) -> PriceSeries:
     try:
         return load_price_csv(path, schema, instrument=label, lenient=args.lenient)
     except OSError as exc:  # missing, a directory, unreadable: the loader's only OS errors
@@ -171,9 +163,8 @@ def _write_returns_csv(prices: PriceSeries, returns: ReturnSeries, path: Path) -
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def cmd_returns(args: argparse.Namespace) -> int:
-    label, path = args.input
-    prices = _load(args, label, path)
+def _returns_one(args: argparse.Namespace, schema: ColumnSchema, label: str, path: Path) -> None:
+    prices = _load(args, schema, label, path)
     returns = compute_log_returns(prices)
     stats = compute_stats(returns)
     out = args.out
@@ -196,20 +187,14 @@ def cmd_returns(args: argparse.Namespace) -> int:
     )
     write_phase_space_csv(phase_space_pairs(returns), out / f"{label}_phase_space.csv")
     print(f"{label}: {len(prices)} prices -> {len(returns)} returns (mean {stats.mean:.6g}, std {stats.std:.6g})")
-    return EXIT_OK
 
 
-def cmd_census(args: argparse.Namespace) -> int:
-    label, path = args.input
-    returns = compute_log_returns(_load(args, label, path))  # the prices go once read: nothing later needs them
+def _census_one(args: argparse.Namespace, schema: ColumnSchema, label: str, path: Path) -> None:
+    returns = compute_log_returns(_load(args, schema, label, path))  # the prices go once read: nothing later needs them
     stats = compute_stats(returns)
     scheme = make_scheme(args.scheme, stats)
     seq = encode_series(returns, stats, scheme)
-    try:
-        census = census_blocks(seq, args.kmax)
-    except ValueError as exc:  # order outside 1 .. the packable maximum
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    census = census_blocks(seq, args.kmax)
     out = args.out
     _make_out_dir(out)
     write_census_csv(census, out / f"{label}_census.csv")
@@ -218,11 +203,10 @@ def cmd_census(args: argparse.Namespace) -> int:
         dump_coding_sidecar(scheme, stats, out / f"{label}_coding.json")
     for c in census:
         print(f"k={c.order} distinct={c.distinct_count} max={c.max_possible} windows={c.total_windows}")
-    return EXIT_OK
 
 
-def _predict_one(config: ExperimentConfig, args: argparse.Namespace, label: str, path: Path) -> None:
-    report = run_experiment(config, compute_log_returns(_load(args, label, path)))  # no name keeps the prices
+def _predict_one(config: ExperimentConfig, args: argparse.Namespace, schema: ColumnSchema, label: str, path: Path) -> None:
+    report = run_experiment(config, compute_log_returns(_load(args, schema, label, path)))  # no name keeps the prices
     out = args.out
     _make_out_dir(out)  # only now, so a predict that fails on every input leaves no --out behind
     write_text_atomic(out / f"{label}_report.json", json.dumps(report_to_json_dict(report), indent=2) + "\n")
@@ -247,21 +231,44 @@ def _print_report(report) -> None:
               f"{report.rand_mean[i]:.4f} +/- {report.rand_std[i]:.4f}")
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def _check_options(args: argparse.Namespace) -> Callable[[str, Path], None]:
+    """Check the command's options, before any input loads; return the command's work on one input.
+
+    Raises ValueError naming the first bad option.
+    """
+    labels = [label for label, _ in args.input]
+    for label in labels:  # so outputs stay inside --out and never overwrite each other
+        if label in ("", ".", "..") or Path(label).name != label:
+            raise ValueError(f"label {label!r} is not a plain file name")
+        if labels.count(label) > 1:
+            raise ValueError(f"label {label!r} is given to more than one input")
+    schema = ColumnSchema(timestamp=args.timestamp_col, price=args.price_col)
+    if args.command == "returns":
+        return functools.partial(_returns_one, args, schema)
+    if args.command == "census":
+        check_order(len(SCHEME_TABLE[args.scheme][0]), args.kmax)
+        return functools.partial(_census_one, args, schema)
+    config = ExperimentConfig(
+        scheme=args.scheme,
+        k_min=args.kmin,
+        k_max=args.kmax,
+        runs=args.runs,
+        master_seed=args.seed if args.seed is not None else _default_seed(),
+        metric=args.metric,
+        baseline=args.baseline,
+        mode=args.mode,
+        stats_on=args.stats_on,
+    )
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    return functools.partial(_predict_one, config, args, schema)
+
+
+def main(argv: list[str] | None = None) -> int:
+    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(message)s")
+    args = build_parser().parse_args(argv)
     try:
-        config = ExperimentConfig(
-            scheme=args.scheme,
-            k_min=args.kmin,
-            k_max=args.kmax,
-            runs=args.runs,
-            master_seed=args.seed if args.seed is not None else _default_seed(),
-            metric=args.metric,
-            baseline=args.baseline,
-            mode=args.mode,
-            stats_on=args.stats_on,
-        )
-        if args.jobs < 1:
-            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+        run_one = _check_options(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -269,8 +276,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     status, printed = EXIT_OK, set()
     for label, path in args.input:
         try:
-            _predict_one(config, args, label, path)  # returns nothing, so no report outlives its instrument
-        except Exception as exc:  # noqa: BLE001 - per-instrument isolation
+            run_one(label, path)  # returns nothing, so no report outlives its input
+        except Exception as exc:  # noqa: BLE001 - per-input isolation
             message = str(exc)
             if not message.startswith((f"{label}: ", "--out: ")):  # these already name what failed
                 message = f"{label}: {message}"
@@ -282,28 +289,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
             elif status == EXIT_OK:
                 status = EXIT_EXPERIMENT
     return status
-
-
-def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    problem = _label_problem([args.input] if args.command != "predict" else args.input)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.command == "returns":
-            return cmd_returns(args)
-        if args.command == "census":
-            return cmd_census(args)
-        return cmd_predict(args)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ProcrecError, OSError) as exc:  # OSError: a failed output write
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXPERIMENT
 
 
 def entry() -> None:

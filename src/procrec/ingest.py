@@ -63,6 +63,10 @@ class ColumnSchema:
     timestamp: str = "timestamp"
     price: str = "price"
 
+    def __post_init__(self):
+        if self.timestamp == self.price:
+            raise ValueError(f"timestamp and price columns are both {self.price!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
@@ -202,15 +206,16 @@ _BLOCK_BYTES = 1 << 16
 # bytes that hand the rest of a file to csv.reader: quoted fields may hold commas and line
 # ends, CR ends lines, and csv.reader treats NUL differently across Python versions
 _CSV_BYTES = (b'"', b"\r", b"\0")
+_BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports begin
 
 
 def _blocks(fh):
-    """``(offset, data)`` over a binary file in blocks of whole lines.
+    """``(offset, data)`` over a binary file from its position on, in blocks of whole lines.
 
     Each ``data`` is at least one ``_BLOCK_BYTES`` read, cut back to its last
     newline; a final line without a newline is given one.
     """
-    offset, parts = 0, []
+    offset, parts = fh.tell(), []
     while chunk := fh.read(_BLOCK_BYTES):
         cut = chunk.rfind(b"\n") + 1
         if not cut:
@@ -444,12 +449,15 @@ def load_price_csv(
     columns again. The block holding the first
     quote, CR or NUL byte, and everything after it, goes through
     ``csv.reader``, which keeps quoted fields and CR line ends exact. A final
-    line without a newline is read as if it had one.
+    line without a newline is read as if it had one. A UTF-8 byte-order mark
+    at the start of the file is skipped.
     """
     path = Path(path)
     name = instrument if instrument is not None else path.stem
     table = _PriceRows(path, schema or ColumnSchema(), lenient)
     with path.open("rb") as fh:
+        if fh.read(len(_BOM)) != _BOM:
+            fh.seek(0)
         line0 = 0
         for offset, data in _blocks(fh):
             if any(b in data for b in _CSV_BYTES):

@@ -33,6 +33,7 @@ __all__ = [
     "ConditionalTable",
     "ConditionalTableSet",
     "census_blocks",
+    "check_order",
     "build_conditional_tables",
     "dump_tables_json",
     "write_census_csv",
@@ -109,7 +110,10 @@ class ConditionalTableSet:
         return parents
 
 
-def _check_packable(alphabet_size: int, k_max: int) -> None:
+def check_order(alphabet_size: int, k_max: int) -> None:
+    """Raise ValueError unless orders 1 .. ``k_max`` pack into int64 codes over ``alphabet_size`` symbols."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     # blocks are packed into int64 codes; fails loudly instead of wrapping
     if alphabet_size ** (k_max + 1) > 2**62:
         raise ValueError(f"order {k_max} too large to pack over {alphabet_size} symbols")
@@ -132,13 +136,10 @@ def _context_codes(idx: np.ndarray, a: int, k_max: int) -> Iterator[np.ndarray]:
 
 def census_blocks(seq: SymbolSequence, k_max: int) -> list[BlockCensus]:
     """Count distinct contiguous k-blocks for every k up to k_max."""
-    n = len(seq)
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    n, a = len(seq), len(seq.alphabet)
+    check_order(a, k_max)
     if n < k_max:
         raise SequenceTooShort(f"sequence of length {n} has no block of size {k_max}")
-    a = len(seq.alphabet)
-    _check_packable(a, k_max)
     return [
         BlockCensus(
             order=k,
@@ -180,15 +181,12 @@ def build_conditional_tables(train: SymbolSequence, k_max: int) -> ConditionalTa
     frequency over all of train. Counts are int32 while n_train < 2**31.
     """
     alpha = tuple(train.alphabet)
-    n = len(train)
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    n, a = len(train), len(alpha)
+    check_order(a, k_max)
     if n < k_max + 1:
         raise SequenceTooShort(
             f"training sequence of length {n} cannot support order {k_max}"
         )
-    a = len(alpha)
-    _check_packable(a, k_max)
     idx = train.indices
     dtype = _count_dtype(n)
 

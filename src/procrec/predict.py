@@ -142,17 +142,19 @@ def run_generators(seed: int, instrument: str, keys: Iterable[tuple[int, int]]) 
     """The model and then the baseline generator of each (run j, order k) key, in order.
 
     Each is PCG64 seeded as ``SeedSequence(seed, spawn_key=(crc32(instrument), j, k,
-    crc32(purpose)))`` seeds it, which numpy keeps identical on every platform and version.
-    With a seed below 2**64 and keys below 2**32 that sequence hashes the same 8 words for
-    every stream, ``(seed & 0xFFFFFFFF, seed >> 32, 0, 0, crc32(instrument), j, k,
-    crc32(purpose))``, so ``_SEED_CHUNK`` keys are checked and hashed at once as one (n, 8)
-    uint32 array: the first chunk by the call, each later one when the iterator reaches it, so
-    memory does not grow with the keys. Each generator is built only when the iterator reaches
-    it, so a long batch holds one at a time and ``numpy.random`` loads with the first one.
+    crc32(purpose)))`` seeds it, which numpy keeps identical on every platform and version;
+    ``crc32`` reads a text's UTF-8 bytes, and the surrogates of a label taken from a file name
+    that is not UTF-8 as the bytes they stand for. With a seed below 2**64 and keys below 2**32
+    that sequence hashes the same 8 words for every stream,
+    ``(seed & 0xFFFFFFFF, seed >> 32, 0, 0, crc32(instrument), j, k, crc32(purpose))``, so
+    ``_SEED_CHUNK`` keys are checked and hashed at once as one (n, 8) uint32 array: the first
+    chunk by the call, each later one when the iterator reaches it, so memory does not grow with
+    the keys. Each generator is built only when the iterator reaches it, so a long batch holds
+    one at a time and ``numpy.random`` loads with the first one.
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-    head = (seed & _M32, seed >> 32, 0, 0, zlib.crc32(instrument.encode("utf-8")))
+    head = (seed & _M32, seed >> 32, 0, 0, zlib.crc32(instrument.encode("utf-8", "surrogateescape")))
     keys = iter(keys)
 
     def hash_next_chunk() -> np.ndarray:

@@ -163,13 +163,14 @@ def reference_load_price_csv(path, ts_name="timestamp", price_name="price", leni
     """Row-at-a-time price loader: one (datetime, price, line) tuple per row,
     a sort on (datetime, line), a walk that drops repeated datetimes.
 
-    Shares only the ``csv`` tokenizer and the file decoding with the package.
+    Shares only the ``csv`` tokenizer and the file decoding (UTF-8, a leading
+    byte-order mark dropped) with the package.
     Returns ``("ok", microseconds, prices, skipped_lines)`` with the skipped
     lines in warning order, or ``(error_name, line_no)`` with line_no None
     for a series that is too short.
     """
     rows, skipped = [], []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader, [])]

@@ -132,6 +132,17 @@ def test_census_kmax_too_large(tmp_path, small_csv, capsys):
         assert err.count("\n") == 1
 
 
+def test_census_kmax_is_checked_before_the_input_loads(tmp_path, capsys):
+    # constant prices cannot be coded; the option error comes first, as a usage error
+    flat = tmp_path / "flat.csv"
+    flat.write_text("\n".join(["timestamp,price"] + [f"2022-05-20T{h:02d}:00:00+00:00,100.0" for h in range(10)]) + "\n")
+    out = tmp_path / "out"
+    for scheme, symbols in (("five", 5), ("three", 3)):
+        assert main(["census", "--input", str(flat), "--scheme", scheme, "--kmax", "40", "--out", str(out)]) == 2
+        assert _one_error_line(capsys) == f"error: order 40 too large to pack over {symbols} symbols\n"
+    assert not out.exists()
+
+
 def test_census_dump_symbols(tmp_path, small_csv):
     out = tmp_path / "out"
     code = main(["census", "--input", str(small_csv), "--kmax", "3", "--out", str(out), "--dump-symbols"])
@@ -364,7 +375,8 @@ def test_predict_bad_env_seed_exits_2(tmp_path, small_csv, monkeypatch, capsys, 
     assert not out.exists()
 
 
-def test_predict_error_names_label_once(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["census", "predict", "returns"])
+def test_error_names_label_once(tmp_path, capsys, command):
     header_only = tmp_path / "h.csv"
     header_only.write_text("timestamp,price\n")
     empty = tmp_path / "e.csv"
@@ -373,7 +385,7 @@ def test_predict_error_names_label_once(tmp_path, capsys):
         (header_only, "error: h: need at least 2 price points, got 0\n"),
         (empty, "error: e: line 1: empty file, expected a header row\n"),
     ):
-        code = main(["predict", "--input", str(path), "--out", str(tmp_path / "o"), *SUBCOMMAND_ARGS["predict"]])
+        code = main([command, "--input", str(path), "--out", str(tmp_path / "o"), *SUBCOMMAND_ARGS[command]])
         assert code == 2
         assert _one_error_line(capsys) == want
 
@@ -515,3 +527,52 @@ def test_failed_write_exits_1(tmp_path, small_csv, monkeypatch, capsys, command)
     assert main([command, "--input", str(small_csv), "--out", str(out), *SUBCOMMAND_ARGS[command]]) == 1
     assert "No space left on device" in _one_error_line(capsys)
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+@pytest.mark.parametrize("price_col", ["timestamp", "close"])
+def test_bad_columns_exit_2_before_out(tmp_path, small_csv, capsys, command, price_col):
+    # "timestamp" names the stamp column twice, which the option check rejects; "close" is not in the header
+    out = tmp_path / "out"
+    argv = [command, "--input", str(small_csv), "--out", str(out), "--price-col", price_col]
+    assert main(argv + SUBCOMMAND_ARGS[command]) == 2
+    err = _one_error_line(capsys)
+    assert ("both 'timestamp'" in err) == (price_col == "timestamp")
+    assert not out.exists()
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture
+def latin1_csv(tmp_path, small_csv):
+    """``small_csv``'s bytes under the file name ``x\\xff.csv``, which is not UTF-8."""
+    path = tmp_path / os.fsdecode(b"x\xff.csv")
+    try:
+        path.write_bytes(small_csv.read_bytes())
+    except (OSError, UnicodeError):
+        pytest.skip("this file system takes only UTF-8 file names")
+    return path
+
+
+def _run_cli(argv, stdout_errors):
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": f"utf-8:{stdout_errors}"}
+    return subprocess.run([sys.executable, "-m", "procrec.cli", *map(str, argv)], env=env, capture_output=True)
+
+
+def test_predict_label_not_utf8(tmp_path, latin1_csv):
+    # the label "x\udcff" seeds its streams from the file name's bytes and names its outputs
+    out = tmp_path / "out"
+    done = _run_cli(["predict", "--input", latin1_csv, "--out", out, *SUBCOMMAND_ARGS["predict"]], "surrogateescape")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(b"instrument=x\xff ")
+    assert json.loads((out / os.fsdecode(b"x\xff_report.json")).read_text())["instrument"] == "x\udcff"
+
+
+def test_returns_unprintable_label_one_error_line(tmp_path, latin1_csv):
+    # a stdout that cannot print the label fails this input like any other error: one line, no traceback
+    done = _run_cli(["returns", "--input", latin1_csv, "--out", tmp_path / "out"], "strict")
+    assert done.returncode == 1
+    err = done.stderr.decode("utf-8")
+    assert err.startswith("error: x\\udcff: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err

@@ -92,6 +92,30 @@ def test_load_custom_columns(tmp_path):
     assert series.prices.tolist() == [10.0, 11.0, 12.0]
 
 
+def test_schema_rejects_one_column_for_both_fields():
+    with pytest.raises(ValueError, match="both 'p'"):
+        ColumnSchema(timestamp="p", price="p")
+
+
+@pytest.mark.parametrize("reader", ["blocks", "csv"])
+def test_load_skips_utf8_bom(tmp_path, reader):
+    # a spreadsheet's "CSV UTF-8" export begins with EF BB BF; a quote sends the file to csv.reader
+    rows = [f"{hourly(i)},{100 + i}" for i in range(6)]
+    if reader == "csv":
+        rows[1] = f'"{hourly(1)}",101'
+    plain = write_csv(tmp_path / "plain.csv", rows)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a, b = load_price_csv(plain), load_price_csv(marked)
+    np.testing.assert_array_equal(a.timestamps, b.timestamps)
+    np.testing.assert_array_equal(a.prices, b.prices)
+    # line numbers are the file's own
+    marked.write_bytes(marked.read_bytes() + b"bad,row\n")
+    with pytest.raises(MalformedRow) as exc:
+        load_price_csv(marked)
+    assert exc.value.line_no == 8
+
+
 def test_load_epoch_seconds_and_zulu(tmp_path):
     epoch = int(BASE.timestamp())
     rows = [f"{epoch},100", f"{(BASE + timedelta(hours=1)).strftime('%Y-%m-%dT%H:%M:%S')}Z,101"]
@@ -304,7 +328,10 @@ special_bytes = st.lists(
     max_size=30,
 ).map(b"".join)
 random_files = {
-    "header": st.sampled_from([b"", b"timestamp,price\n", b"price,timestamp\r\n", b'"timestamp",price\r']),
+    "header": st.sampled_from([
+        b"", b"timestamp,price\n", b"price,timestamp\r\n", b'"timestamp",price\r',
+        b"\xef\xbb\xbftimestamp,price\n", b'\xef\xbb\xbf"timestamp",price\r', b"\xef\xbb\xbf",
+    ]),
     "text": csv_text(max_size=6),
     "body": st.one_of(st.binary(max_size=200), special_bytes),
     "lenient": st.booleans(),

@@ -5,6 +5,7 @@ import gc
 import sys
 import tracemalloc
 import weakref
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -164,6 +165,15 @@ def test_run_generators_match_seed_sequence_across_chunks():
     refs = [gen for j, k in keys for gen in reference_run_generators(7, "btcx", j, k)]
     for gen, ref in zip(run_generators(7, "btcx", keys), refs, strict=True):
         assert gen.bit_generator.state == ref.bit_generator.state
+
+
+def test_run_generators_seed_a_label_that_is_not_utf8_by_its_bytes():
+    # the file name x\xff.csv gives the label "x\udcff"; its key word is the crc32 of b"x\xff"
+    model = run_pair(5, "x\udcff", 1, 1)[0]
+    key = (zlib.crc32(b"x\xff"), 1, 1, zlib.crc32(b"model"))
+    want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5, spawn_key=key)))
+    assert model.bit_generator.state == want.bit_generator.state
+    np.testing.assert_array_equal(model.random(3), want.random(3))
 
 
 def test_run_generators_reject_bad_key_in_a_later_chunk():
