@@ -39,6 +39,7 @@ from .predict import (
     METRICS,
     MODES,
     ExperimentConfig,
+    json_label,
     report_to_json_dict,
     run_experiment,
 )
@@ -174,7 +175,7 @@ def _returns_one(args: argparse.Namespace, schema: ColumnSchema, label: str, pat
         out / f"{label}_stats.json",
         json.dumps(
             {
-                "instrument": label,
+                "instrument": json_label(label),
                 "count": stats.count,
                 "mean": stats.mean,
                 "std": stats.std,

@@ -63,8 +63,12 @@ class CodingScheme:
             raise ValueError("symbols must be strictly increasing")
 
     def band_indices(self, v: np.ndarray) -> np.ndarray:
-        """Band index of each centered value: the number of cuts below it."""
-        return np.searchsorted(np.asarray(self.cut_points), v, side="left")
+        """Band index of each centered value, the number of cuts below it, in ``SymbolSequence``'s dtype."""
+        v = np.asarray(v)
+        bands = np.zeros(v.shape, dtype=np.uint8 if len(self.symbols) <= 256 else np.int64)
+        for cut in self.cut_points:
+            bands += v > cut
+        return bands
 
 
 @dataclass(frozen=True, eq=False)

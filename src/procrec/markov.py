@@ -8,9 +8,9 @@ digit, so a row's parent, its context less the oldest symbol, has code // |alpha
 
 A table set stacks the distributions of all its contexts, and a row id is the
 one name of a context's row: each order's ``rows`` range, the set's
-``parents`` and a resolution's ``row_ids`` all hold row ids. Counts are held
-row-major, one row per row id; the cumulative distributions column-major, one
-column per row id, the layout in which scoring gathers them.
+``parents`` and a resolution's ``row_ids`` all hold row ids. A table is held
+once, as counts, one row per row id and each symbol's column contiguous: the
+layout in which scoring gathers them and derives its cumulative distributions.
 """
 
 from __future__ import annotations
@@ -78,12 +78,11 @@ class ConditionalTableSet:
     ``counts`` stacks every row of the set, ``(n_rows, |alphabet|)``, int32
     while ``n_train < 2**31`` and int64 beyond: row 0 is
     the marginal, then each order's rows in turn, so one row id addresses any
-    distribution. ``cum`` holds the same rows as C-contiguous columns,
-    ``(|alphabet|, n_rows)``: column r is row r's cumulative distribution.
-    An order's table holds its context codes and ``rows``, the range of their
-    row ids: the counts of context ``codes[i]`` are ``counts[table.rows[i]]``
-    and its cum ``cum[:, table.rows[i]]``. Sampling reads ``cum``, argmax and
-    the writer ``counts``.
+    distribution. It is held column-major, so ``counts.T`` is C-contiguous and
+    each symbol's counts over all rows are one run of memory. An order's table
+    holds its context codes and ``rows``, the range of their row ids: the
+    counts of context ``codes[i]`` are ``counts[table.rows[i]]``. Sampling,
+    argmax and the writer all read ``counts``.
     """
 
     alphabet: tuple[int, ...]
@@ -91,7 +90,6 @@ class ConditionalTableSet:
     tables: Mapping[int, ConditionalTable]
     n_train: int
     counts: np.ndarray
-    cum: np.ndarray
 
     @cached_property
     def parents(self) -> np.ndarray:
@@ -194,16 +192,13 @@ def build_conditional_tables(train: SymbolSequence, k_max: int) -> ConditionalTa
     # gives arrays one longer, which raised peak RSS by 4 MB at 1M returns (glibc, x86-64)
     contexts = _context_codes(idx[:-1], a, k_max)
     per_order = [_order_rows(ctx, idx[k:], a, dtype) for k, ctx in enumerate(contexts, start=1)]
-    # row 0 of the stacked arrays is the marginal, then each order's rows
-    all_counts = np.concatenate([np.bincount(idx, minlength=a).astype(dtype)[None, :], *(b for _, b in per_order)])
-    codes_by_order = [codes for codes, _ in per_order]
-    del per_order  # the blocks, copied: freed before the division allocates
-    # the probs, one C-contiguous column per row, summed down each column in place: a row-wise cumsum's bits
-    cum = np.divide(all_counts.T, all_counts.sum(axis=1), order="C")
-    np.cumsum(cum, axis=0, out=cum)
+    # row 0 of the stacked arrays is the marginal, then each order's rows. Stacked into a
+    # column-major array, so each symbol's column is contiguous and scoring's take reads it in place
+    blocks = [np.bincount(idx, minlength=a).astype(dtype)[None, :], *(b for _, b in per_order)]
+    all_counts = np.concatenate(blocks, out=np.empty((sum(map(len, blocks)), a), dtype, order="F"))
     tables: dict[int, ConditionalTable] = {}
     start = 1
-    for k, codes in enumerate(codes_by_order, start=1):
+    for k, (codes, _) in enumerate(per_order, start=1):
         tables[k] = ConditionalTable(codes=codes, rows=range(start, start + len(codes)))
         start += len(codes)
     return ConditionalTableSet(
@@ -212,7 +207,6 @@ def build_conditional_tables(train: SymbolSequence, k_max: int) -> ConditionalTa
         tables=tables,
         n_train=n,
         counts=all_counts,
-        cum=cum,
     )
 
 

@@ -211,14 +211,22 @@ class FallbackResolution:
     def cum_columns(self) -> tuple[np.ndarray, ...]:
         """Every position's cum less its last entry, one (n_test,) array per entry, not one block; copies no table.
 
-        Gathered ``_SLICE`` positions at a time: each slice's row ids are copied to intp once, for every entry.
+        Derived from the counts ``_SLICE`` positions at a time, each slice's row ids copied to intp once:
+        entry j is count j over the row total plus entry j - 1, the probabilities summed left to right.
         """
-        heads = self.tables.cum[:-1]
-        columns = tuple(np.empty(self.n_test) for _ in heads)
+        by_symbol = self.tables.counts.T  # C-contiguous: each symbol's counts are one run, read in place
+        columns = tuple(np.empty(self.n_test) for _ in by_symbol[:-1])
         for part in _slices(self.n_test):
             ids = self.row_ids[part].astype(np.intp)
-            for head, column in zip(heads, columns):
-                head.take(ids, out=column[part], mode="clip")  # ids are in range; "raise" would buffer out
+            # one gathered count column at a time; ids are in range, and mode "raise" would buffer out
+            gathered = np.empty(len(ids), by_symbol.dtype)
+            total = np.zeros(len(ids), by_symbol.dtype)  # a row total is at most n_train, which the dtype holds
+            for symbol_counts in by_symbol:
+                total += symbol_counts.take(ids, out=gathered, mode="clip")
+            for j, column in enumerate(columns):
+                np.divide(by_symbol[j].take(ids, out=gathered, mode="clip"), total, out=column[part])
+                if j:
+                    column[part] += columns[j - 1][part]
         return columns
 
     @cached_property
@@ -299,6 +307,11 @@ def _add_draws(cum_heads: Iterable, u: np.ndarray, onto: np.ndarray) -> np.ndarr
     return onto
 
 
+def _marginal_heads(marginal: np.ndarray) -> np.ndarray:
+    """The training marginal's cum less its last entry: its probabilities summed left to right."""
+    return np.cumsum(marginal / marginal.sum())[:-1]
+
+
 @functools.cache
 def _pair_errors(alphabet: tuple[int, ...], metric: str) -> np.ndarray:
     """Error of every (actual, predicted) symbol pair at actual * |alphabet| + predicted."""
@@ -337,6 +350,8 @@ def evaluate_run(
 
     alphabet, n_test = resolution.tables.alphabet, resolution.n_test
     a, errors = len(alphabet), _pair_errors(alphabet, metric)
+    if baseline == "marginal":
+        marginal_heads = _marginal_heads(resolution.tables.counts[0])
     # Pair counts times pair errors sum to integers below 2**53, so each mean is the same float as
     # the mean of the per-position errors; `@` would page in numpy's matmul code, 0.15 MB resident.
     # Positions are drawn and counted a slice at a time; each stream continues across slices.
@@ -350,8 +365,8 @@ def evaluate_run(
             heads = [column[part] for column in resolution.cum_columns]
             pairs = _add_draws(heads, model_gen.random(size), actual.copy())
         e_sum += int((np.bincount(pairs, minlength=a * a) * errors).sum())
-        if baseline == "marginal":  # the model's draw from the marginal's one cum, column 0
-            pairs = _add_draws(resolution.tables.cum[:-1, 0], baseline_gen.random(size), actual.copy())
+        if baseline == "marginal":  # the model's draw from the marginal's one cum
+            pairs = _add_draws(marginal_heads, baseline_gen.random(size), actual.copy())
         else:
             pairs = baseline_gen.integers(0, a, size=size)
             pairs += actual  # in place: the draws are int64 already
@@ -483,11 +498,16 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
     )
 
 
+def json_label(label: str) -> str:
+    """A label as valid Unicode: each lone surrogate, a file name's byte outside UTF-8, as ``\\xNN``."""
+    return label.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+
+
 def report_to_json_dict(report: ExperimentReport) -> dict:
     """Stable wire form of a report; key order is fixed so dumps are byte-stable."""
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "instrument": report.instrument,
+        "instrument": json_label(report.instrument),
         "master_seed": report.config.master_seed,
         "config": {
             "scheme": report.config.scheme,

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (sliding-window
 enumeration, exact rational arithmetic, literal predicate chains, power
-iteration) and shares no code with the package.
+iteration) and shares no code with the package. Two accessors, ``context_rows``
+and ``table_cum``, read a table set the package built, so that tests can hold
+its rows against these oracles.
 """
 
 from __future__ import annotations
@@ -217,19 +219,36 @@ def context_rows(tables, k):
 
     Each code is decoded one base-|alphabet| digit at a time, the most recent
     symbol the most significant digit, so a context tuple reads most recent
-    first. ``counts`` and ``cum`` are the context's row of the set's counts
-    and its column of the set's cum.
+    first. ``counts`` is the context's row of the set's counts and ``cum`` its
+    ``table_cum``.
     """
     a = len(tables.alphabet)
     table = tables.tables[k]
     rows = {}
-    for code, row in zip(table.codes.tolist(), table.rows):
+    for code, row, cum in zip(table.codes.tolist(), table.rows, table_cum(tables, table.rows).T):
         oldest_first = []
         for _ in range(k):
             code, digit = divmod(code, a)
             oldest_first.append(tables.alphabet[digit])
-        rows[tuple(reversed(oldest_first))] = (tables.counts[row], tables.cum[:, row])
+        rows[tuple(reversed(oldest_first))] = (tables.counts[row], cum)
     return rows
+
+
+def table_cum(tables, rows):
+    """The cum of stacked row ``rows`` as scoring reads it: (|alphabet|,), or one column per row of an array.
+
+    The first |alphabet| - 1 entries are what ``FallbackResolution.cum_columns`` derives for a
+    position that row answers, the package's own bits. The last, which no draw reads, adds the
+    row's last count over its total to them, as the left-to-right sum would.
+    """
+    from procrec.predict import FallbackResolution
+
+    ids = np.atleast_1d(np.asarray(rows, dtype=np.int32))
+    probe = FallbackResolution(tables=tables, order=1, row_ids=ids, actual_pairs=np.zeros(len(ids), dtype=np.uint8))
+    counts = tables.counts[ids]
+    heads = np.array(probe.cum_columns).reshape(-1, len(ids))
+    cum = np.vstack([heads, heads[-1] + counts[:, -1] / counts.sum(axis=1)])
+    return cum if np.ndim(rows) else cum[:, 0]
 
 
 def reference_tables_json(tables):

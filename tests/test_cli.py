@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from procrec.cli import main
+from procrec.predict import json_label
 
 import synth
 
@@ -566,7 +567,23 @@ def test_predict_label_not_utf8(tmp_path, latin1_csv):
     done = _run_cli(["predict", "--input", latin1_csv, "--out", out, *SUBCOMMAND_ARGS["predict"]], "surrogateescape")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith(b"instrument=x\xff ")
-    assert json.loads((out / os.fsdecode(b"x\xff_report.json")).read_text())["instrument"] == "x\udcff"
+    report = (out / os.fsdecode(b"x\xff_report.json")).read_bytes().decode("utf-8", "strict")  # valid Unicode
+    assert json.loads(report)["instrument"] == "x\\xff"
+
+
+def test_returns_label_not_utf8(tmp_path, latin1_csv):
+    # the stats name the label in valid Unicode, as the report does: its stray byte written as \xff
+    out = tmp_path / "out"
+    done = _run_cli(["returns", "--input", latin1_csv, "--out", out], "surrogateescape")
+    assert done.returncode == 0, done.stderr
+    text = (out / os.fsdecode(b"x\xff_stats.json")).read_bytes().decode("utf-8", "strict")
+    assert json.loads(text)["instrument"] == "x\\xff"
+
+
+def test_json_label_keeps_utf8_labels():
+    for label in ("btc", "ethx-2022", "\u00e9t\u00e9", "\u6bd4\u7279\u5e01"):
+        assert json_label(label) == label
+    assert json_label("x\udcff") == "x\\xff"
 
 
 def test_returns_unprintable_label_one_error_line(tmp_path, latin1_csv):

@@ -136,6 +136,38 @@ def test_totality_exactly_one_band(s, v):
     assert len(m3) == 1 and m3[0] == symbol_of(three, v)
 
 
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308, 1e308, -1e308]
+
+
+@given(
+    name=st.sampled_from(("five", "three")),
+    s=st.floats(min_value=1e-323, max_value=1e300),
+    values=st.lists(st.floats(allow_nan=False), max_size=20),
+)
+@example(name="five", s=1e-323, values=[])
+@example(name="three", s=1e300, values=[])
+@settings(deadline=None)
+def test_band_indices_match_searchsorted(name, s, values):
+    # one compare per cut counts the cuts strictly below v: searchsorted's left insertion point
+    scheme = make_scheme(name, SeriesStats(mean=0.0, std=s, count=10))
+    cuts = np.asarray(scheme.cut_points)
+    on_cuts = [float(x) for c in cuts for x in (c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf))]
+    v = np.array(values + EDGE_VALUES + on_cuts)
+    got = scheme.band_indices(v)
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(got, np.searchsorted(cuts, v, side="left"))
+    for x in v.tolist():  # a Python float gives the same index
+        assert int(scheme.band_indices(x)) == int(np.searchsorted(cuts, x, side="left"))
+
+
+def test_band_indices_past_256_symbols_are_int64():
+    scheme = CodingScheme("wide", tuple(range(300)), tuple(float(c) for c in range(299)))
+    v = np.array([-1.0, 0.0, 0.5, 150.0, 298.0, 298.5, 1e308])
+    got = scheme.band_indices(v)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.searchsorted(np.asarray(scheme.cut_points), v, side="left"))
+
+
 @given(
     s=st.floats(min_value=1e-6, max_value=1e3),
     v1=st.floats(min_value=-1e4, max_value=1e4),

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import csv
+import gc
 import logging
 import math
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
@@ -615,6 +617,32 @@ def test_returns_length_and_span():
     returns = compute_log_returns(prices)
     assert len(returns) == len(prices) - 1
     assert returns.span == (BASE, BASE + timedelta(hours=9))
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="CPython 3.10 keeps a temporary argument in the caller's frame until the call returns",
+)
+def test_compute_log_returns_frees_prices_before_the_difference(monkeypatch):
+    # the caller holds no name for the prices, so once their logs are taken nothing keeps them
+    refs, alive = [], []
+
+    def fresh_prices():
+        prices = mk_prices(np.linspace(100.0, 200.0, 1_000))
+        refs.extend((weakref.ref(prices), weakref.ref(prices.prices), weakref.ref(prices.timestamps)))
+        return prices
+
+    diff = np.diff
+
+    def spy(*args, **kwargs):
+        gc.collect()
+        alive.append([ref() is not None for ref in refs])
+        return diff(*args, **kwargs)
+
+    monkeypatch.setattr(np, "diff", spy)
+    returns = compute_log_returns(fresh_prices())
+    assert alive == [[False, False, False]]
+    assert len(returns) == 999 and returns.span == (BASE, BASE + timedelta(hours=999))
 
 
 def test_price_series_too_short():

@@ -39,6 +39,7 @@ from oracles import (
     scalar_evaluate_run,
     searchsorted_pick,
     sequential_cum,
+    table_cum,
 )
 
 
@@ -365,7 +366,7 @@ def test_contexts_span_the_split_boundary():
     expected = brute_force_back_off(symbols, 4, 3, 3, ALPHABET3)
     assert res.orders.tolist() == [order for order, _ in expected]
     assert res.orders[0] == 2
-    np.testing.assert_array_equal(tables.cum[:, res.row_ids[0]], context_rows(tables, 2)[(0, 1)][1])
+    np.testing.assert_array_equal(table_cum(tables, res.row_ids[0]), context_rows(tables, 2)[(0, 1)][1])
 
 
 def test_vectorized_path_matches_sequential_predict_next():
@@ -397,8 +398,9 @@ def test_resolve_fallback_matches_scalar_back_off(data):
     assert res.row_ids.shape == res.orders.shape == (len(symbols) - n,)
     expected = brute_force_back_off(symbols, n, k, k_max, alphabet)
     assert res.orders.tolist() == [order for order, _ in expected]
+    cum = table_cum(tables, res.row_ids)
     for i, (_, counts) in enumerate(expected):
-        assert tables.cum[:, res.row_ids[i]].tolist() == sequential_cum(counts)
+        assert cum[:, i].tolist() == sequential_cum(counts)
         assert tables.counts[res.row_ids[i]].tolist() == list(counts)
     # seen contexts are prefix-closed, so the order at k is the longest match capped at k
     longest = resolve_fallback(tables, seq, k_max).orders
@@ -410,7 +412,7 @@ def assert_same_resolution(got, want):
     assert got.orders.dtype == np.int8 and got.row_ids.dtype == got.tables.parents.dtype == np.int32
     np.testing.assert_array_equal(got.orders, want.orders)
     np.testing.assert_array_equal(got.row_ids, want.row_ids)
-    np.testing.assert_array_equal(got.cum_columns, want.tables.cum[:-1, want.row_ids])
+    np.testing.assert_array_equal(got.cum_columns, table_cum(want.tables, want.row_ids)[:-1])
     np.testing.assert_array_equal(got.actual_pairs, want.actual_pairs)
 
 
@@ -434,8 +436,9 @@ def test_truncate_matches_direct_resolution(data):
         assert_same_resolution(stepped, direct)
         expected = brute_force_back_off(symbols, n, k, k_max, alphabet)
         assert stepped.orders.tolist() == [order for order, _ in expected]
+        cum = table_cum(tables, stepped.row_ids)
         for i, (_, counts) in enumerate(expected):
-            assert tables.cum[:, stepped.row_ids[i]].tolist() == sequential_cum(counts)
+            assert cum[:, i].tolist() == sequential_cum(counts)
     with pytest.raises(ValueError):
         full.truncate(k_max + 1)
     with pytest.raises(ValueError):
@@ -463,8 +466,9 @@ def test_back_off_three_symbols_deep_orders(k_max):
         assert_same_resolution(full.truncate(k), direct)
         expected = brute_force_back_off(symbols, n, k, k_max, ALPHABET3)
         assert direct.orders.tolist() == [order for order, _ in expected]
+        cum = table_cum(tables, direct.row_ids)
         for i, (_, counts) in enumerate(expected):
-            assert tables.cum[:, direct.row_ids[i]].tolist() == sequential_cum(counts)
+            assert cum[:, i].tolist() == sequential_cum(counts)
 
 
 def test_truncate_leaves_what_was_read_unchanged():
@@ -496,16 +500,13 @@ class _FixedDraws:
         return self.u
 
 
-def _resolution_over(counts, cum_rows, row_ids):
+def _resolution_over(counts, row_ids):
     """An order-1 resolution whose positions read the hand-made stacked rows ``row_ids``.
 
-    Its table set holds the rows and no order's contexts: sampling reads ``cum``, one column per
-    row of ``cum_rows``, and argmax ``counts``.
+    Its table set holds the rows of ``counts``, as given, and no order's contexts: sampling
+    derives its cum from them, and argmax reads them.
     """
-    tables = ConditionalTableSet(
-        alphabet=tuple(range(counts.shape[1])), k_max=1, tables={}, n_train=0, counts=counts,
-        cum=np.ascontiguousarray(cum_rows.T),
-    )
+    tables = ConditionalTableSet(alphabet=tuple(range(counts.shape[1])), k_max=1, tables={}, n_train=0, counts=counts)
     return predict_mod.FallbackResolution(
         tables=tables,
         order=1,
@@ -514,22 +515,24 @@ def _resolution_over(counts, cum_rows, row_ids):
     )
 
 
-def _sampled(cum_rows, row_ids, u):
-    """The model draws over hand-made rows and uniforms, next to sample_index on each."""
-    res = _resolution_over(cum_rows, cum_rows, row_ids)
+def _sampled(counts, row_ids, u):
+    """The model draws over hand-made count rows and uniforms, next to sample_index on each."""
+    res = _resolution_over(counts, row_ids)
     got = model_picks(res, _FixedDraws(u)).tolist()
-    return got, [sample_index(cum_rows[r].tolist(), x) for r, x in zip(row_ids, u)]
+    return got, [sample_index(sequential_cum(counts[r].tolist()), x) for r, x in zip(row_ids, u)]
 
 
 def test_model_indices_sampling_edges():
     short = np.nextafter(1.0, 0.0)
-    cum_rows = np.array([
-        [0.0, 0.5, 0.5, 1.0, 1.0],  # counts 0, 2, 0, 2, 0: zero-count columns repeat cum
-        [0.2, 0.4, 0.6, 0.8, 0.9],  # a last entry below 1.0
+    counts = np.array([
+        [0, 2, 0, 2, 0],  # cum 0, 0.5, 0.5, 1, 1: zero-count columns repeat cum
+        [0, 1, 4, 1, 1],  # cum 0, 1/7, 5/7, 6/7 and a last entry two steps below 1.0
     ])
+    cum = sequential_cum(counts[1].tolist())
+    assert cum[-1] < short
     row_ids = [0, 0, 0, 0, 0, 1, 1, 1, 1]
-    u = [0.0, 0.25, 0.5, np.nextafter(0.5, 0.0), short, 0.2, 0.8, 0.9, 0.95]
-    got, want = _sampled(cum_rows, row_ids, u)
+    u = [0.0, 0.25, 0.5, np.nextafter(0.5, 0.0), short, 0.0, cum[3], 0.9, short]
+    got, want = _sampled(counts, row_ids, u)
     assert got == want == [1, 1, 3, 1, 3, 1, 4, 4, 4]
 
 
@@ -540,7 +543,7 @@ def test_model_indices_matches_sample_index(data):
     counts = np.array(data.draw(st.lists(
         st.lists(st.integers(0, 3), min_size=a, max_size=a).filter(any), min_size=1, max_size=6
     )))
-    # the package's own cum, which may end a rounding step below 1.0
+    # each row's cum, summed as scoring sums it, which may end a rounding step below 1.0
     cum_rows = np.cumsum(counts / counts.sum(axis=1, keepdims=True), axis=1)
     row_ids = data.draw(st.lists(st.integers(0, len(cum_rows) - 1), min_size=1, max_size=40))
     u = [
@@ -551,7 +554,7 @@ def test_model_indices_matches_sample_index(data):
         ))
         for r in row_ids
     ]
-    got, want = _sampled(cum_rows, row_ids, u)
+    got, want = _sampled(counts, row_ids, u)
     assert got == want
 
 
@@ -582,12 +585,12 @@ def test_add_draws_matches_searchsorted(data):
 
 
 def test_cum_columns_gather_copies_no_table():
-    # many rows, few test positions: a gather allocates about its result, not a copy of cum
+    # many rows, few test positions: a gather allocates about its result, not a copy of the counts
     rng = np.random.default_rng(11)
     seq = SymbolSequence(rng.integers(0, 5, 201_000), ALPHABET5)
     tables = build_conditional_tables(dataclasses.replace(seq, indices=seq.indices[:200_000]), 8)
     res = resolve_fallback(tables, seq, 8)
-    assert tables.cum.nbytes > 8_000_000
+    assert tables.counts.dtype == np.int32 and tables.counts.nbytes > 4_000_000
     tracemalloc.start()
     try:
         res.cum_columns
@@ -595,7 +598,7 @@ def test_cum_columns_gather_copies_no_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < tables.cum.nbytes / 50
+    assert peak < tables.counts.nbytes / 25  # a float64 table's bytes / 50
 
 
 def test_cum_columns_hold_one_array_per_entry():
@@ -606,9 +609,55 @@ def test_cum_columns_hold_one_array_per_entry():
     res = resolve_fallback(tables, seq, 3)
     columns = res.cum_columns
     assert isinstance(columns, tuple) and len(columns) == len(ALPHABET5) - 1
+    cum = np.array([sequential_cum(tables.counts[r].tolist()) for r in res.row_ids])
     for entry, column in enumerate(columns):
         assert column.shape == (res.n_test,) and column.base is None and column.flags.c_contiguous
-        np.testing.assert_array_equal(column, tables.cum[entry, res.row_ids])
+        np.testing.assert_array_equal(column, cum[:, entry])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=100)
+def test_cum_columns_are_the_sequential_cum_of_each_positions_counts(data):
+    # derived from the counts a slice at a time, every position's heads are its row's
+    # probabilities summed left to right, bit for bit, at every order and slice size
+    alphabet = data.draw(st.sampled_from((ALPHABET3, ALPHABET5)))
+    symbols = draw_symbols(data, alphabet, 3)
+    n = data.draw(st.integers(2, len(symbols) - 1))
+    k_max = data.draw(st.integers(1, min(deepest(alphabet), n - 1)))
+    seq, tables = split_tables(symbols, alphabet, n, k_max)
+    assert tables.counts.T.flags.c_contiguous
+    full = resolve_fallback(tables, seq, k_max)
+    with mock.patch.object(predict_mod, "_SLICE", data.draw(st.sampled_from((1, 7, predict_mod._SLICE)))):
+        for k in range(k_max, 0, -1):
+            res = full.truncate(k)
+            want = [sequential_cum(tables.counts[r].tolist())[:-1] for r in res.row_ids.tolist()]
+            np.testing.assert_array_equal(_bits(res.cum_columns).T, _bits(want))
+    marginal = predict_mod._marginal_heads(tables.counts[0])
+    np.testing.assert_array_equal(_bits(marginal), _bits(sequential_cum(tables.counts[0].tolist())[:-1]))
+
+
+@given(
+    st.integers(2, 6).flatmap(lambda a: st.lists(
+        st.lists(st.integers(0, 2**47), min_size=a, max_size=a).filter(any), min_size=1, max_size=8
+    )),
+    st.data(),
+)
+@settings(deadline=None, max_examples=150)
+def test_cum_columns_of_hand_built_int64_counts(rows, data):
+    # int64 counts, row-major as given, with totals past int32: the same left-to-right sums
+    counts = np.array(rows, dtype=np.int64)
+    row_ids = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=40))
+    res = _resolution_over(counts, row_ids)
+    want = [sequential_cum(rows[r])[:-1] for r in row_ids]
+    np.testing.assert_array_equal(_bits(res.cum_columns).T, _bits(want))
+    for row in rows:
+        np.testing.assert_array_equal(
+            _bits(predict_mod._marginal_heads(np.array(row, dtype=np.int64))), _bits(sequential_cum(row)[:-1])
+        )
 
 
 @given(
@@ -628,7 +677,7 @@ def test_argmax_picks_from_counts_match_argmax_of_probs(rows):
     # dividing a row by its total keeps its order and its ties, so argmax picks the same first index
     counts = np.array([[base + d for d in deltas] for base, deltas in rows], dtype=np.int64)
     probs = counts / counts.sum(axis=1, keepdims=True)
-    res = _resolution_over(counts, np.cumsum(probs, axis=1), np.arange(len(counts)))
+    res = _resolution_over(counts, np.arange(len(counts)))
     np.testing.assert_array_equal(res.argmax_picks, np.argmax(probs, axis=1))
 
 
@@ -706,14 +755,14 @@ def test_evaluate_run_equals_per_position_mean(metric, baseline, mode, long_spli
     a = len(alpha)
     if mode == "sample":
         u = reference_generator(23, 1, 4, "model").random(res.n_test)
-        predicted = (tables.cum[:-1, res.row_ids] <= u).sum(axis=0)
+        predicted = (table_cum(tables, res.row_ids)[:-1] <= u).sum(axis=0)
     else:
         predicted = np.argmax((tables.counts / tables.counts.sum(axis=1, keepdims=True))[res.row_ids], axis=1)
     gen = reference_generator(23, 1, 4, "baseline")
     if baseline == "uniform":
         guessed = gen.integers(0, a, res.n_test)
     else:
-        guessed = searchsorted_pick(tables.cum[:, 0], gen.random(res.n_test))
+        guessed = searchsorted_pick(table_cum(tables, 0), gen.random(res.n_test))
     means = []
     for picks in (predicted, guessed):
         errors = alpha[picks] - alpha[seq.indices[n:]]
@@ -776,15 +825,16 @@ def test_fallback_orders_replay_against_tables():
     tables = build_conditional_tables(train, 5)
     res = resolve_fallback(tables, seq, 5)
     rows = {j: context_rows(tables, j) for j in range(1, 6)}
+    answered = table_cum(tables, res.row_ids)
     for i, t in enumerate(range(n, len(symbols))):
         context = tuple(reversed(symbols[t - 5 : t]))
-        largest, cum = 0, tables.cum[:, 0]
+        largest, cum = 0, table_cum(tables, 0)
         for j in range(5, 0, -1):
             if context[:j] in rows[j]:
                 largest, (_, cum) = j, rows[j][context[:j]]
                 break
         assert res.orders[i] == largest
-        np.testing.assert_array_equal(tables.cum[:, res.row_ids[i]], cum)
+        np.testing.assert_array_equal(answered[:, i], cum)
 
 
 # --- run_experiment -----------------------------------------------------------

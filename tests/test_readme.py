@@ -8,6 +8,7 @@ fails here instead of in a reader's session. Its scores must be those of
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -40,3 +41,11 @@ def test_readme_experiment_by_hand_runs(capsys):
     assert [(float(e), float(e_rand)) for _, _, e, e_rand in rows] == [
         (run.e, run.e_rand) for k in range(1, 9) for run in per_run[k]
     ]
+
+
+def test_readme_bench_files_exist_and_parse():
+    # every measurement file README.md cites is at the repository root, as JSON
+    names = sorted(set(re.findall(r"BENCH_\d+\.json", README.read_text(encoding="utf-8"))))
+    assert names
+    for name in names:
+        json.loads((README.parent / name).read_text(encoding="utf-8"))
