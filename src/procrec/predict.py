@@ -189,13 +189,13 @@ class FallbackResolution:
 
     Which row answers each position depends only on the tables and the symbol
     sequence, never on the random stream, so one resolution serves every run.
-    A position's order, cum and argmax pick are all read off its row id.
+    A position's order, cum heads and argmax pick are all read off its row id.
     """
 
     tables: ConditionalTableSet
     order: int
     row_ids: np.ndarray  # int32, per test position the stacked row id of its row in ``tables``
-    actual_pairs: np.ndarray  # actual * |alphabet|, the pair code less the pick; uint8 while |alphabet|² fits
+    above: np.ndarray  # read-only bool (|alphabet| - 1, n_test): row j says the actual index > j
 
     @property
     def n_test(self) -> int:
@@ -208,14 +208,14 @@ class FallbackResolution:
         return np.searchsorted(starts, self.row_ids, side="right").astype(np.int8)
 
     @cached_property
-    def cum_columns(self) -> tuple[np.ndarray, ...]:
-        """Every position's cum less its last entry, one (n_test,) array per entry, not one block; copies no table.
+    def cum_heads(self) -> tuple[np.ndarray, ...]:
+        """Every position's cum less its last entry, one (|alphabet| - 1, len) block per slice; copies no table.
 
         Derived from the counts ``_SLICE`` positions at a time, each slice's row ids copied to intp once:
         entry j is count j over the row total plus entry j - 1, the probabilities summed left to right.
         """
         by_symbol = self.tables.counts.T  # C-contiguous: each symbol's counts are one run, read in place
-        columns = tuple(np.empty(self.n_test) for _ in by_symbol[:-1])
+        blocks = []  # one per slice: a block over every position is mapped afresh (README, memory)
         for part in _slices(self.n_test):
             ids = self.row_ids[part].astype(np.intp)
             # one gathered count column at a time; ids are in range, and mode "raise" would buffer out
@@ -223,11 +223,13 @@ class FallbackResolution:
             total = np.zeros(len(ids), by_symbol.dtype)  # a row total is at most n_train, which the dtype holds
             for symbol_counts in by_symbol:
                 total += symbol_counts.take(ids, out=gathered, mode="clip")
-            for j, column in enumerate(columns):
-                np.divide(by_symbol[j].take(ids, out=gathered, mode="clip"), total, out=column[part])
+            heads = np.empty((len(by_symbol) - 1, len(ids)))
+            for j, head in enumerate(heads):
+                np.divide(by_symbol[j].take(ids, out=gathered, mode="clip"), total, out=head)
                 if j:
-                    column[part] += columns[j - 1][part]
-        return columns
+                    head += heads[j - 1]
+            blocks.append(heads)
+        return tuple(blocks)
 
     @cached_property
     def argmax_picks(self) -> np.ndarray:
@@ -282,29 +284,14 @@ def resolve_fallback(tables: ConditionalTableSet, seq: SymbolSequence, k: int) -
         # symbol t-j of t = n .. total-1 extends each position's order-(j-1) context
         cur = child[cur * a + idx[n - j : total - j]]
         np.copyto(row_ids, cur, where=cur != n_rows)
-    return FallbackResolution(
-        tables=tables,
-        order=k,
-        row_ids=row_ids,
-        actual_pairs=idx[n:].astype(np.uint8 if a * a <= 256 else np.int64) * a,  # truncate carries it on
-    )
+    above = idx[n:] > np.arange(a - 1)[:, None]
+    above.flags.writeable = False  # truncate carries it on, and every run reads it
+    return FallbackResolution(tables=tables, order=k, row_ids=row_ids, above=above)
 
 
 def _slices(n: int) -> list[slice]:
     """Consecutive slices of ``_SLICE`` positions that cover ``range(n)``."""
     return [slice(start, start + _SLICE) for start in range(0, n, _SLICE)]
-
-
-def _add_draws(cum_heads: Iterable, u: np.ndarray, onto: np.ndarray) -> np.ndarray:
-    """Add each position's inverse-CDF pick, an alphabet index, onto ``onto`` in place.
-
-    ``cum_heads`` is a cum less its last entry: one value per symbol, or one
-    ``(n,)`` array per entry, a value per position. The pick is the first index
-    whose cum exceeds u, the last when none does: the count of entries <= u.
-    """
-    for head in cum_heads:
-        onto += (head <= u).view(np.uint8)
-    return onto
 
 
 def _marginal_heads(marginal: np.ndarray) -> np.ndarray:
@@ -313,14 +300,28 @@ def _marginal_heads(marginal: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _pair_errors(alphabet: tuple[int, ...], metric: str) -> np.ndarray:
-    """Error of every (actual, predicted) symbol pair at actual * |alphabet| + predicted."""
-    alpha = np.asarray(alphabet, dtype=np.int64)
-    errors = (alpha[None, :] - alpha[:, None]).ravel()  # predicted - actual
-    if metric == "abs":
-        errors = np.abs(errors)
-    errors.flags.writeable = False  # shared by every run over this alphabet
-    return errors
+def _gap_runs(alphabet: tuple[int, ...]) -> tuple[np.ndarray, tuple[tuple[int, slice], ...]]:
+    """(steps, runs) of an alphabet: the (|alphabet| - 1, 1) column of indices j, and its rows in runs of
+    one gap alpha[j + 1] - alpha[j], each (gap, rows); an evenly spaced alphabet is one run."""
+    gaps = [int(high) - int(low) for low, high in zip(alphabet, alphabet[1:])]
+    starts = [j for j, gap in enumerate(gaps) if j == 0 or gap != gaps[j - 1]]
+    runs = tuple((gaps[start], slice(start, stop)) for start, stop in zip(starts, [*starts[1:], len(gaps)]))
+    steps = np.arange(len(gaps))[:, None]
+    steps.flags.writeable = False  # shared by every run over this alphabet
+    return steps, runs
+
+
+def _error_sum(picked: np.ndarray, above: np.ndarray, runs: tuple[tuple[int, slice], ...], metric: str) -> int:
+    """Sum over positions of predicted - actual ("signed") or of its absolute value, from crossings.
+
+    Row j of ``picked`` and ``above`` says the pick and the actual index exceed j. Over a strictly
+    increasing alphabet, predicted - actual is the sum of gap_j * ([pick > j] - [actual > j]), and
+    |predicted - actual| the sum of gap_j * ([pick > j] xor [actual > j]); ``picked`` is overwritten.
+    """
+    if metric == "signed":
+        return int(sum(gap * (np.count_nonzero(picked[rows]) - np.count_nonzero(above[rows])) for gap, rows in runs))
+    np.bitwise_xor(picked, above, out=picked)
+    return int(sum(gap * np.count_nonzero(picked[rows]) for gap, rows in runs))
 
 
 def evaluate_run(
@@ -349,28 +350,26 @@ def evaluate_run(
         raise ValueError(f"mode must be one of {MODES}")
 
     alphabet, n_test = resolution.tables.alphabet, resolution.n_test
-    a, errors = len(alphabet), _pair_errors(alphabet, metric)
+    steps, runs = _gap_runs(alphabet)
     if baseline == "marginal":
-        marginal_heads = _marginal_heads(resolution.tables.counts[0])
-    # Pair counts times pair errors sum to integers below 2**53, so each mean is the same float as
-    # the mean of the per-position errors; `@` would page in numpy's matmul code, 0.15 MB resident.
+        marginal_heads = _marginal_heads(resolution.tables.counts[0])[:, None]
+    # The inverse-CDF pick, the first index whose cum exceeds u, exceeds j when head j <= u, as the
+    # heads never fall. Integer error sums give each mean the float of the per-position errors' mean.
     # Positions are drawn and counted a slice at a time; each stream continues across slices.
     e_sum = rand_sum = 0
-    for part in _slices(n_test):
-        actual = resolution.actual_pairs[part]
-        size = len(actual)
+    for i, part in enumerate(_slices(n_test)):
+        above = resolution.above[:, part]
+        size = above.shape[1]
         if mode == "argmax":
-            pairs = actual + resolution.argmax_picks[part].astype(actual.dtype)
+            picked = resolution.argmax_picks[part] > steps
         else:
-            heads = [column[part] for column in resolution.cum_columns]
-            pairs = _add_draws(heads, model_gen.random(size), actual.copy())
-        e_sum += int((np.bincount(pairs, minlength=a * a) * errors).sum())
+            picked = resolution.cum_heads[i] <= model_gen.random(size)
+        e_sum += _error_sum(picked, above, runs, metric)
         if baseline == "marginal":  # the model's draw from the marginal's one cum
-            pairs = _add_draws(marginal_heads, baseline_gen.random(size), actual.copy())
+            picked = marginal_heads <= baseline_gen.random(size)
         else:
-            pairs = baseline_gen.integers(0, a, size=size)
-            pairs += actual  # in place: the draws are int64 already
-        rand_sum += int((np.bincount(pairs, minlength=a * a) * errors).sum())
+            picked = baseline_gen.integers(0, len(alphabet), size=size) > steps
+        rand_sum += _error_sum(picked, above, runs, metric)
     return RunErrors(e=e_sum / n_test, e_rand=rand_sum / n_test, n_predictions=n_test)
 
 

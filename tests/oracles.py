@@ -237,16 +237,17 @@ def context_rows(tables, k):
 def table_cum(tables, rows):
     """The cum of stacked row ``rows`` as scoring reads it: (|alphabet|,), or one column per row of an array.
 
-    The first |alphabet| - 1 entries are what ``FallbackResolution.cum_columns`` derives for a
+    The first |alphabet| - 1 entries are what ``FallbackResolution.cum_heads`` derives for a
     position that row answers, the package's own bits. The last, which no draw reads, adds the
     row's last count over its total to them, as the left-to-right sum would.
     """
     from procrec.predict import FallbackResolution
 
     ids = np.atleast_1d(np.asarray(rows, dtype=np.int32))
-    probe = FallbackResolution(tables=tables, order=1, row_ids=ids, actual_pairs=np.zeros(len(ids), dtype=np.uint8))
+    above = np.zeros((len(tables.alphabet) - 1, len(ids)), dtype=bool)
+    probe = FallbackResolution(tables=tables, order=1, row_ids=ids, above=above)
     counts = tables.counts[ids]
-    heads = np.array(probe.cum_columns).reshape(-1, len(ids))
+    heads = np.hstack(probe.cum_heads)
     cum = np.vstack([heads, heads[-1] + counts[:, -1] / counts.sum(axis=1)])
     return cum if np.ndim(rows) else cum[:, 0]
 

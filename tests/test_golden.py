@@ -36,6 +36,7 @@ DATA_DIR = Path(__file__).parent / "data"
 CASES = {
     "sample": ["--mode", "sample"],
     "argmax_three": ["--mode", "argmax", "--scheme", "three"],
+    "signed_marginal": ["--mode", "sample", "--metric", "signed", "--baseline", "marginal"],
 }
 DIGESTED = ("plot.csv", "coding.json", "tables.json", "symbols.csv")
 

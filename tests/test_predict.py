@@ -51,8 +51,8 @@ def split_tables(symbols, alphabet, n, k_max):
 
 
 def model_picks(res, gen):
-    """The alphabet index the model draws at each test position."""
-    return predict_mod._add_draws(res.cum_columns, gen.random(res.n_test), np.zeros(res.n_test, dtype=np.uint8))
+    """The alphabet index the model draws at each test position: the count of the heads it crosses."""
+    return np.count_nonzero(np.hstack(res.cum_heads) <= gen.random(res.n_test), axis=0)
 
 
 def draw_symbols(data, alphabet, min_size):
@@ -412,8 +412,9 @@ def assert_same_resolution(got, want):
     assert got.orders.dtype == np.int8 and got.row_ids.dtype == got.tables.parents.dtype == np.int32
     np.testing.assert_array_equal(got.orders, want.orders)
     np.testing.assert_array_equal(got.row_ids, want.row_ids)
-    np.testing.assert_array_equal(got.cum_columns, table_cum(want.tables, want.row_ids)[:-1])
-    np.testing.assert_array_equal(got.actual_pairs, want.actual_pairs)
+    np.testing.assert_array_equal(np.hstack(got.cum_heads), table_cum(want.tables, want.row_ids)[:-1])
+    np.testing.assert_array_equal(got.above, want.above)
+    assert got.above.dtype == bool and not got.above.flags.writeable
 
 
 @given(st.data())
@@ -476,15 +477,15 @@ def test_truncate_leaves_what_was_read_unchanged():
     symbols = [int(ALPHABET5[i]) for i in np.minimum(rng.geometric(0.45, 3_000) - 1, 4)]
     seq, tables = split_tables(symbols, ALPHABET5, 1_500, 4)
     full = resolve_fallback(tables, seq, 4)
-    columns, orders = full.cum_columns, full.orders
+    columns, orders = full.cum_heads, full.orders
     columns_before, orders_before = [c.copy() for c in columns], orders.copy()
     stepped = full
     for k in (3, 2, 1):
         stepped = stepped.truncate(k)
         assert_same_resolution(stepped, resolve_fallback(tables, seq, k))
         # each order gathers its own
-        assert not any(np.shares_memory(got, read) for got in stepped.cum_columns for read in columns)
-    assert full.cum_columns is columns and full.orders is orders
+        assert not any(np.shares_memory(got, read) for got in stepped.cum_heads for read in columns)
+    assert full.cum_heads is columns and full.orders is orders
     np.testing.assert_array_equal(columns, columns_before)
     np.testing.assert_array_equal(orders, orders_before)
 
@@ -511,7 +512,7 @@ def _resolution_over(counts, row_ids):
         tables=tables,
         order=1,
         row_ids=np.asarray(row_ids, dtype=np.int32),
-        actual_pairs=np.zeros(len(row_ids), dtype=np.uint8),
+        above=np.zeros((counts.shape[1] - 1, len(row_ids)), dtype=bool),
     )
 
 
@@ -534,6 +535,25 @@ def test_model_indices_sampling_edges():
     u = [0.0, 0.25, 0.5, np.nextafter(0.5, 0.0), short, 0.0, cum[3], 0.9, short]
     got, want = _sampled(counts, row_ids, u)
     assert got == want == [1, 1, 3, 1, 3, 1, 4, 4, 4]
+
+
+def test_evaluate_run_crosses_a_head_equal_to_u():
+    # u equal to a head crosses it, in the model's draw and in the marginal's, zero counts included
+    counts = np.array([[1, 1, 2], [0, 3, 1]])  # stacked row 0 doubles as the training marginal
+    row_ids, actual = [0, 0, 1, 1, 0], np.array([2, 0, 1, 0, 1])
+    res = _resolution_over(counts, row_ids)
+    res = dataclasses.replace(res, above=actual > np.arange(2)[:, None])
+    heads = np.hstack(res.cum_heads)
+    u = [0.0, heads[0, 1], heads[0, 2], heads[1, 3], heads[1, 4]]
+    picks = [sample_index(sequential_cum(counts[r].tolist()), x) for r, x in zip(row_ids, u)]
+    guesses = [sample_index(sequential_cum(counts[0].tolist()), x) for x in u]
+    assert (picks, guesses) == ([0, 1, 1, 2, 2], [0, 1, 0, 2, 2])
+    for metric in predict_mod.METRICS:
+        got = evaluate_run(res, metric, _FixedDraws(u), _FixedDraws(u), baseline="marginal")
+        want = [picks - actual, guesses - actual]
+        if metric == "abs":
+            want = [np.abs(errors) for errors in want]
+        assert (got.e, got.e_rand) == tuple(errors.sum() / 5 for errors in want)
 
 
 @given(st.data())
@@ -560,8 +580,9 @@ def test_model_indices_matches_sample_index(data):
 
 @given(st.data())
 @settings(deadline=None, max_examples=200)
-def test_add_draws_matches_searchsorted(data):
-    # one counting rule serves a cum per position (the model) and one cum for every position (the marginal)
+def test_crossings_match_searchsorted(data):
+    # one crossing rule serves a cum per position (the model) and one cum for every position (the
+    # marginal), and the gap-weighted crossing counts sum the errors of the searchsorted picks
     a = data.draw(st.integers(2, 6))
     counts = np.array(data.draw(st.lists(
         st.lists(st.integers(0, 3), min_size=a, max_size=a).filter(any), min_size=1, max_size=6
@@ -578,10 +599,53 @@ def test_add_draws_matches_searchsorted(data):
         ))
         for r in row_ids
     ])
-    got = predict_mod._add_draws(cum[:-1, row_ids], u, np.zeros(len(u), dtype=np.uint8))
-    assert got.tolist() == [searchsorted_pick(cum[:, r], x) for r, x in zip(row_ids, u)]
-    got = predict_mod._add_draws(cum[:-1, row_ids[0]], u, np.zeros(len(u), dtype=np.uint8))
-    assert got.tolist() == searchsorted_pick(cum[:, row_ids[0]], u).tolist()
+    gaps = data.draw(st.lists(st.integers(1, 3), min_size=a - 1, max_size=a - 1))  # equal and unequal runs
+    alphabet = tuple(np.cumsum([data.draw(st.integers(-50, 50)), *gaps]).tolist())
+    steps, runs = predict_mod._gap_runs(alphabet)
+    actual = np.array(data.draw(st.lists(st.integers(0, a - 1), min_size=len(u), max_size=len(u))))
+    above = actual > steps
+    cases = (
+        (cum[:-1, row_ids], [searchsorted_pick(cum[:, r], x) for r, x in zip(row_ids, u)]),
+        (cum[:-1, row_ids[0]][:, None], searchsorted_pick(cum[:, row_ids[0]], u)),
+    )
+    for heads, picks in cases:
+        picked = heads <= u
+        np.testing.assert_array_equal(picked, np.array(picks) > steps)
+        errors = np.array(alphabet)[picks] - np.array(alphabet)[actual]
+        assert predict_mod._error_sum(picked.copy(), above, runs, "signed") == errors.sum()
+        assert predict_mod._error_sum(picked, above, runs, "abs") == np.abs(errors).sum()
+
+
+@given(
+    st.integers(1, 6).flatmap(lambda a: st.lists(
+        # zero counts repeat a head; int64 counts reach totals past int32
+        st.lists(st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 2**47)), min_size=a, max_size=a).filter(any),
+        min_size=1,
+        max_size=6,
+    )),
+    st.data(),
+)
+@settings(deadline=None, max_examples=200)
+def test_pick_exceeds_j_exactly_when_head_j_is_at_most_u(rows, data):
+    # the package's heads, per position and of the marginal, never fall: the inverse-CDF pick
+    # exceeds j exactly when head j <= u, for every j, u equal to a head and u = 0 included
+    counts = np.array(rows, dtype=np.int64)
+    row_ids = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=30))
+    res = _resolution_over(counts, row_ids)
+    heads = np.hstack(res.cum_heads)
+    u = np.array([
+        data.draw(st.one_of(
+            st.sampled_from([0.0, *heads[:, i].tolist()]),
+            st.floats(0.0, 1.0, exclude_max=True),
+        ))
+        for i in range(len(row_ids))
+    ])
+    steps = np.arange(counts.shape[1] - 1)[:, None]
+    picks = [sample_index(sequential_cum(rows[r]), x) for r, x in zip(row_ids, u)]
+    np.testing.assert_array_equal(heads <= u, np.array(picks) > steps)
+    marginal = predict_mod._marginal_heads(counts[row_ids[0]])
+    picks = searchsorted_pick(np.array(sequential_cum(rows[row_ids[0]])), u)
+    np.testing.assert_array_equal(marginal[:, None] <= u, picks > steps)
 
 
 def test_cum_columns_gather_copies_no_table():
@@ -593,26 +657,29 @@ def test_cum_columns_gather_copies_no_table():
     assert tables.counts.dtype == np.int32 and tables.counts.nbytes > 4_000_000
     tracemalloc.start()
     try:
-        res.cum_columns
-        res.truncate(7).cum_columns  # the climb gathers parents only, then the first read its own columns
+        res.cum_heads
+        res.truncate(7).cum_heads  # the climb gathers parents only, then the first read its own heads
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < tables.counts.nbytes / 25  # a float64 table's bytes / 50
 
 
-def test_cum_columns_hold_one_array_per_entry():
-    # one allocation per cum entry, each of n_test values, none a view into a larger block
+def test_cum_heads_hold_one_block_per_slice(monkeypatch):
+    # one allocation per slice, (|alphabet| - 1, its positions), none a view into a larger block
     rng = np.random.default_rng(12)
     symbols = [int(ALPHABET5[i]) for i in rng.integers(0, 5, 2_000)]
     seq, tables = split_tables(symbols, ALPHABET5, 1_000, 3)
+    monkeypatch.setattr(predict_mod, "_SLICE", 300)
     res = resolve_fallback(tables, seq, 3)
-    columns = res.cum_columns
-    assert isinstance(columns, tuple) and len(columns) == len(ALPHABET5) - 1
+    blocks = res.cum_heads
+    assert isinstance(blocks, tuple) and len(blocks) == 4  # 1,000 positions in slices of 300
     cum = np.array([sequential_cum(tables.counts[r].tolist()) for r in res.row_ids])
-    for entry, column in enumerate(columns):
-        assert column.shape == (res.n_test,) and column.base is None and column.flags.c_contiguous
-        np.testing.assert_array_equal(column, cum[:, entry])
+    for i, block in enumerate(blocks):
+        part = slice(300 * i, 300 * (i + 1))
+        assert block.shape == (len(ALPHABET5) - 1, len(res.row_ids[part]))
+        assert block.base is None and block.flags.c_contiguous
+        np.testing.assert_array_equal(block, cum[part, :-1].T)
 
 
 def _bits(values):
@@ -635,7 +702,7 @@ def test_cum_columns_are_the_sequential_cum_of_each_positions_counts(data):
         for k in range(k_max, 0, -1):
             res = full.truncate(k)
             want = [sequential_cum(tables.counts[r].tolist())[:-1] for r in res.row_ids.tolist()]
-            np.testing.assert_array_equal(_bits(res.cum_columns).T, _bits(want))
+            np.testing.assert_array_equal(_bits(np.hstack(res.cum_heads)).T, _bits(want))
     marginal = predict_mod._marginal_heads(tables.counts[0])
     np.testing.assert_array_equal(_bits(marginal), _bits(sequential_cum(tables.counts[0].tolist())[:-1]))
 
@@ -653,7 +720,7 @@ def test_cum_columns_of_hand_built_int64_counts(rows, data):
     row_ids = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=40))
     res = _resolution_over(counts, row_ids)
     want = [sequential_cum(rows[r])[:-1] for r in row_ids]
-    np.testing.assert_array_equal(_bits(res.cum_columns).T, _bits(want))
+    np.testing.assert_array_equal(_bits(np.hstack(res.cum_heads)).T, _bits(want))
     for row in rows:
         np.testing.assert_array_equal(
             _bits(predict_mod._marginal_heads(np.array(row, dtype=np.int64))), _bits(sequential_cum(row)[:-1])
@@ -746,7 +813,7 @@ def long_split():
 @pytest.mark.parametrize("baseline", predict_mod.BASELINES)
 @pytest.mark.parametrize("metric", predict_mod.METRICS)
 def test_evaluate_run_equals_per_position_mean(metric, baseline, mode, long_split):
-    # pair counts must give the very float that the mean of 200k+ per-position errors gives
+    # crossing counts must give the very float that the mean of 200k+ per-position errors gives
     seq, tables, n = long_split
     res = resolve_fallback(tables, seq, 4)
     got = evaluate_run(res, metric, *reference_run_generators(23, 1, 4), baseline=baseline, mode=mode)
@@ -774,7 +841,7 @@ def test_evaluate_run_equals_per_position_mean(metric, baseline, mode, long_spli
 @pytest.mark.parametrize("baseline", predict_mod.BASELINES)
 def test_evaluate_run_memory_is_bounded_by_slices(baseline, long_split, monkeypatch):
     # 210,000 test positions in slices of 4096: the gather's intp row ids and a run's draws and
-    # pair codes are held a slice at a time, where one 8-byte array over all positions is 1.7 MB
+    # crossings are held a slice at a time, where one 8-byte array over all positions is 1.7 MB
     seq, tables, n = long_split
     monkeypatch.setattr(predict_mod, "_SLICE", 4096)
     res = resolve_fallback(tables, seq, 4)
@@ -782,8 +849,8 @@ def test_evaluate_run_memory_is_bounded_by_slices(baseline, long_split, monkeypa
     assert 8 * res.n_test > 10 * bound
     tracemalloc.start()
     try:
-        columns = res.cum_columns
-        gather_peak = tracemalloc.get_traced_memory()[1] - sum(c.nbytes for c in columns)
+        blocks = res.cum_heads
+        gather_peak = tracemalloc.get_traced_memory()[1] - sum(b.nbytes for b in blocks)
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         evaluate_run(res, "abs", *reference_run_generators(9, 1, 4), baseline=baseline)
@@ -795,11 +862,11 @@ def test_evaluate_run_memory_is_bounded_by_slices(baseline, long_split, monkeypa
 
 @pytest.mark.parametrize("size", [16, 17])
 def test_evaluate_run_wide_alphabet(size):
-    # 17 symbols code 289 (actual, predicted) pairs, past what one byte holds
+    # 16 and 17 evenly spaced symbols: 15 and 16 rows of crossings, each counted as one run of gaps
     alphabet = tuple(range(-(size // 2), size - size // 2))
     rng = np.random.default_rng(size)
     symbols = [alphabet[i] for i in rng.integers(0, size, 3000)]
-    symbols[-50:] = [alphabet[-1]] * 50  # the largest pair codes occur
+    symbols[-50:] = [alphabet[-1]] * 50  # the last symbol, above every step, occurs
     n = 1500
     seq, tables = split_tables(symbols, alphabet, n, 2)
     res = resolve_fallback(tables, seq, 2)
@@ -814,6 +881,32 @@ def test_evaluate_run_wide_alphabet(size):
                     baseline=baseline, mode=mode,
                 )
                 assert (got.e, got.e_rand) == want
+
+
+@pytest.mark.parametrize("alphabet", [(-40, 7, 1234), (0, 1, 3, 6, 10, 15), (5,)])
+def test_evaluate_run_over_uneven_alphabets_matches_scalar_scorer(alphabet, monkeypatch):
+    # unequal gaps count one run of equal gaps at a time, and a single symbol has no step to cross;
+    # slices of 7 positions draw and count the 100 test positions in 15 slices
+    rng = np.random.default_rng(len(alphabet))
+    symbols = [alphabet[i] for i in np.minimum(rng.geometric(0.4, 260) - 1, len(alphabet) - 1)]
+    n, k_max = 160, 3
+    monkeypatch.setattr(predict_mod, "_SLICE", 7)
+    seq, tables = split_tables(symbols, alphabet, n, k_max)
+    full = resolve_fallback(tables, seq, k_max)
+    assert full.above.shape == (len(alphabet) - 1, len(symbols) - n)
+    for res in (full, full.truncate(1)):
+        for metric in predict_mod.METRICS:
+            for baseline in predict_mod.BASELINES:
+                for mode in predict_mod.MODES:
+                    tags = (31, res.order, metric, baseline, mode)
+                    got = evaluate_run(res, metric, *reference_run_generators(*tags), baseline=baseline, mode=mode)
+                    want = scalar_evaluate_run(
+                        symbols, n, res.order, k_max, alphabet, metric,
+                        *reference_run_generators(*tags),
+                        baseline=baseline, mode=mode,
+                    )
+                    assert (got.e, got.e_rand) == want
+                    assert type(got.e) is type(got.e_rand) is float  # no numpy scalar
 
 
 def test_fallback_orders_replay_against_tables():
@@ -877,7 +970,7 @@ def test_run_experiment_frees_each_order_columns_before_the_next_climb(monkeypat
     evaluate, truncate = predict_mod.evaluate_run, predict_mod.FallbackResolution.truncate
 
     def spy_evaluate(resolution, *args, **kwargs):
-        columns.append(weakref.ref(resolution.cum_columns[0]))
+        columns.append(weakref.ref(resolution.cum_heads[0]))
         return evaluate(resolution, *args, **kwargs)
 
     def spy_truncate(self, k):
