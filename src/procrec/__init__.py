@@ -28,7 +28,6 @@ from .ingest import (
     compute_log_returns,
     compute_stats,
     load_price_csv,
-    phase_space_pairs,
     split_halves,
 )
 from .markov import (

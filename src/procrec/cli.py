@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import logging
 import os
@@ -24,13 +25,10 @@ from .errors import IngestError, SequenceTooShort, SeriesTooShort
 from .ingest import (
     ColumnSchema,
     PriceSeries,
-    ReturnSeries,
     compute_log_returns,
     compute_stats,
     load_price_csv,
-    phase_space_pairs,
-    utc_datetime,
-    write_phase_space_csv,
+    utc_isoformat,
     write_text_atomic,
 )
 from .markov import census_blocks, check_order, dump_tables_json, write_census_csv
@@ -42,6 +40,7 @@ from .predict import (
     json_label,
     report_to_json_dict,
     run_experiment,
+    _slices,
 )
 
 EXIT_OK = 0
@@ -157,11 +156,10 @@ def _make_out_dir(out: Path) -> None:
         raise PathError(f"--out: {exc}") from None
 
 
-def _write_returns_csv(prices: PriceSeries, returns: ReturnSeries, path: Path) -> None:
-    lines = ["timestamp,log_return"]
-    for us, value in zip(prices.timestamps[1:].tolist(), returns.values.tolist()):
-        lines.append(f"{utc_datetime(us).isoformat()},{value!r}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+def _pair_lines(values) -> str:
+    """The ``r_t,r_t_plus_1`` lines of each return in ``values`` but the last, paired with the next."""
+    texts = list(map(repr, values.tolist()))
+    return "".join(map("{},{}\r\n".format, texts, texts[1:]))
 
 
 def _returns_one(args: argparse.Namespace, schema: ColumnSchema, label: str, path: Path) -> None:
@@ -170,7 +168,14 @@ def _returns_one(args: argparse.Namespace, schema: ColumnSchema, label: str, pat
     stats = compute_stats(returns)
     out = args.out
     _make_out_dir(out)
-    _write_returns_csv(prices, returns, out / f"{label}_returns.csv")
+    # each file is written a slice of rows at a time, so its text is never held whole
+    stamps, values = prices.timestamps[1:], returns.values
+    lines = (
+        "".join(map("{},{}\n".format, utc_isoformat(stamps[part]), map(repr, values[part].tolist())))
+        for part in _slices(len(values))
+    )
+    write_text_atomic(out / f"{label}_returns.csv", itertools.chain(["timestamp,log_return\n"], lines))
+    first, last = utc_isoformat(prices.timestamps[[0, -1]])
     write_text_atomic(
         out / f"{label}_stats.json",
         json.dumps(
@@ -179,14 +184,16 @@ def _returns_one(args: argparse.Namespace, schema: ColumnSchema, label: str, pat
                 "count": stats.count,
                 "mean": stats.mean,
                 "std": stats.std,
-                "first_timestamp": returns.span[0].isoformat(),
-                "last_timestamp": returns.span[1].isoformat(),
+                "first_timestamp": first,
+                "last_timestamp": last,
             },
             indent=2,
         )
         + "\n",
     )
-    write_phase_space_csv(phase_space_pairs(returns), out / f"{label}_phase_space.csv")
+    # a slice's last pair reads the first return of the next slice
+    pairs = (_pair_lines(values[part.start : part.stop + 1]) for part in _slices(len(values) - 1))
+    write_text_atomic(out / f"{label}_phase_space.csv", itertools.chain(["r_t,r_t_plus_1\r\n"], pairs))
     print(f"{label}: {len(prices)} prices -> {len(returns)} returns (mean {stats.mean:.6g}, std {stats.std:.6g})")
 
 

@@ -1,4 +1,5 @@
-"""Price CSV ingestion, log returns, summary stats, and series splitting.
+"""Price CSV ingestion, log returns, summary stats, series splitting, and the
+text and file writing that every output shares.
 
 Input CSV contract: a header row, one row per observation, with a timestamp
 column (ISO-8601 or epoch seconds, assumed UTC when naive) and a positive
@@ -49,9 +50,8 @@ __all__ = [
     "compute_log_returns",
     "compute_stats",
     "split_halves",
-    "phase_space_pairs",
-    "write_phase_space_csv",
     "utc_datetime",
+    "utc_isoformat",
     "write_text_atomic",
 ]
 
@@ -101,15 +101,10 @@ class PriceSeries:
 
 @dataclass(frozen=True, eq=False)
 class ReturnSeries:
-    """One-period log returns, dimensionless, one shorter than the price series.
-
-    ``span`` records the first and last timestamp of the source price series;
-    slices produced by :func:`split_halves` keep the parent span as provenance.
-    """
+    """One-period log returns, dimensionless, one shorter than the price series."""
 
     instrument: str
     values: np.ndarray
-    span: tuple[datetime, datetime]
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
@@ -136,20 +131,21 @@ class SeriesStats:
 _WRITE_SLICE = 1 << 16  # characters handed to the file at a time
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 through ``<path>.tmp`` and ``os.replace``.
+def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or an iterable of strings, as UTF-8 through ``<path>.tmp`` and ``os.replace``.
 
-    A failed write or rename leaves any old file at ``path`` whole and
-    removes the temp file. Newlines are written as given, on every platform.
-    The text is encoded a slice at a time, so a large output is never held
-    a second time as one ``bytes`` object.
+    A failed write or rename, or an iterable that raises, leaves any old file at
+    ``path`` whole and removes the temp file. Newlines are written as given, on
+    every platform. Each string is encoded a slice at a time, so a large output
+    is never held a second time as one ``bytes`` object.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("w", encoding="utf-8", newline="") as fh:
-            for start in range(0, len(text), _WRITE_SLICE):
-                fh.write(text[start : start + _WRITE_SLICE])
+            for piece in [text] if isinstance(text, str) else text:
+                for start in range(0, len(piece), _WRITE_SLICE):
+                    fh.write(piece[start : start + _WRITE_SLICE])
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -162,6 +158,16 @@ _MICROSECOND = timedelta(microseconds=1)
 def utc_datetime(us: int) -> datetime:
     """The aware UTC datetime of a ``PriceSeries`` timestamp."""
     return _EPOCH + timedelta(microseconds=int(us))
+
+
+def utc_isoformat(us: np.ndarray) -> np.ndarray:
+    """The ``utc_datetime(u).isoformat()`` text of each ``PriceSeries`` timestamp ``u`` in ``us``, as an
+    object array of ``str``: ``YYYY-MM-DDTHH:MM:SS``, then ``.ffffff`` unless a whole second, then ``+00:00``."""
+    stamps = us.astype("M8[us]")
+    text = np.datetime_as_string(stamps, unit="s").astype(object)
+    fractional = np.flatnonzero(us % 1_000_000)
+    text[fractional] = np.datetime_as_string(stamps[fractional], unit="us")
+    return text + "+00:00"
 
 
 # the whole epoch seconds datetime.fromtimestamp(s, tz=timezone.utc) accepts:
@@ -499,11 +505,10 @@ def compute_log_returns(prices: PriceSeries) -> ReturnSeries:
 
     Releases the prices once it has their logs: a temporary argument is the callee's from CPython 3.11.
     """
-    instrument, span = prices.instrument, (utc_datetime(prices.timestamps[0]), utc_datetime(prices.timestamps[-1]))
-    values = np.log(prices.prices)
+    instrument, values = prices.instrument, np.log(prices.prices)
     del prices
     values = np.diff(values)  # the logs go once differenced
-    return ReturnSeries(instrument=instrument, values=values, span=span)
+    return ReturnSeries(instrument=instrument, values=values)
 
 
 def compute_stats(returns: ReturnSeries) -> SeriesStats:
@@ -530,20 +535,5 @@ def split_halves(returns: ReturnSeries) -> tuple[ReturnSeries, ReturnSeries]:
     n = len(returns)
     if n < 4:
         raise SeriesTooShort(f"{returns.instrument}: need at least 4 returns to split, got {n}")
-    return tuple(ReturnSeries(returns.instrument, v, returns.span) for v in np.split(returns.values, [n // 2]))
+    return tuple(ReturnSeries(returns.instrument, v) for v in np.split(returns.values, [n // 2]))
 
-
-def phase_space_pairs(returns: ReturnSeries) -> list[tuple[float, float]]:
-    """Consecutive return pairs (r_t, r_{t+1}), the plot-ready dynamics data."""
-    if len(returns) < 2:
-        raise SeriesTooShort(f"{returns.instrument}: need at least 2 returns for pairs")
-    v = returns.values
-    return [(float(a), float(b)) for a, b in zip(v[:-1], v[1:])]
-
-
-def write_phase_space_csv(pairs: Iterable[tuple[float, float]], path: str | Path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["r_t", "r_t_plus_1"])
-    writer.writerows([repr(a), repr(b)] for a, b in pairs)
-    write_text_atomic(path, buf.getvalue())

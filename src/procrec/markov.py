@@ -15,8 +15,6 @@ layout in which scoring gathers them and derives its cumulative distributions.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -285,8 +283,6 @@ def dump_tables_json(tables: ConditionalTableSet, path: str | Path) -> None:
 
 
 def write_census_csv(census: Iterable[BlockCensus], path: str | Path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["k", "distinct", "max_possible", "total_windows"])
-    writer.writerows([c.order, c.distinct_count, c.max_possible, c.total_windows] for c in census)
-    write_text_atomic(path, buf.getvalue())
+    lines = ["k,distinct,max_possible,total_windows"]
+    lines += [f"{c.order},{c.distinct_count},{c.max_possible},{c.total_windows}" for c in census]
+    write_text_atomic(path, "\r\n".join(lines) + "\r\n")

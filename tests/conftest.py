@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from datetime import datetime, timezone
-
 import numpy as np
 import pytest
 
@@ -9,14 +7,8 @@ from procrec import ReturnSeries, SymbolSequence
 
 import synth
 
-SPAN = (
-    datetime(2022, 5, 20, 0, 0, tzinfo=timezone.utc),
-    datetime(2023, 1, 8, 0, 0, tzinfo=timezone.utc),
-)
-
-
 def mk_returns(values, instrument="test") -> ReturnSeries:
-    return ReturnSeries(instrument=instrument, values=np.asarray(values, dtype=float), span=SPAN)
+    return ReturnSeries(instrument=instrument, values=np.asarray(values, dtype=float))
 
 
 def mk_seq(symbols, alphabet) -> SymbolSequence:

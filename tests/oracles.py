@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import calendar
 import csv
+import io
 import json
 import math
 import zlib
 from collections import Counter
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
 import numpy as np
@@ -159,6 +160,52 @@ def _reference_instant(raw):
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
+
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def reference_isoformat(us):
+    """``datetime.isoformat`` of each microsecond stamp, one aware UTC ``datetime`` per stamp."""
+    return [(_EPOCH + timedelta(microseconds=int(u))).isoformat() for u in us]
+
+
+def reference_returns_outputs(label, us, prices):
+    """``{suffix: text}`` of the three files ``returns`` writes for a loaded series, a row at a
+    time: one ``datetime`` and one ``repr`` per row, the pairs as a list of tuples through
+    ``csv.writer``. ``label`` must be one that JSON writes as given."""
+    values = np.diff(np.log(np.asarray(prices, dtype=np.float64))).tolist()
+    stamps = reference_isoformat(us)
+    lines = ["timestamp,log_return"]
+    for stamp, value in zip(stamps[1:], values):
+        lines.append(f"{stamp},{value!r}")
+    stats = {
+        "instrument": label,
+        "count": len(values),
+        "mean": float(np.mean(values)),
+        "std": float(np.std(values)),
+        "first_timestamp": stamps[0],
+        "last_timestamp": stamps[-1],
+    }
+    pairs = list(zip(values[:-1], values[1:]))
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["r_t", "r_t_plus_1"])
+    writer.writerows([repr(a), repr(b)] for a, b in pairs)
+    return {
+        "returns.csv": "\n".join(lines) + "\n",
+        "stats.json": json.dumps(stats, indent=2) + "\n",
+        "phase_space.csv": buf.getvalue(),
+    }
+
+
+def reference_census_csv(census):
+    """The text ``csv.writer`` gives a block census: a header, then one row per order."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["k", "distinct", "max_possible", "total_windows"])
+    writer.writerows([c.order, c.distinct_count, c.max_possible, c.total_windows] for c in census)
+    return buf.getvalue()
 
 
 def reference_load_price_csv(path, ts_name="timestamp", price_name="price", lenient=False):

@@ -6,15 +6,21 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
+from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import procrec.cli as cli
+import procrec.predict as predict_mod
 from procrec.cli import main
 from procrec.predict import json_label
 
 import synth
+from oracles import reference_load_price_csv, reference_returns_outputs
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -41,6 +47,91 @@ def test_returns_writes_all_outputs(tmp_path, small_csv, capsys):
     phase_lines = (out / "demo_phase_space.csv").read_text().strip().splitlines()
     assert len(phase_lines) == 1 + 399
     assert "400 returns" in capsys.readouterr().out
+
+
+def test_returns_phase_space_pairs_consecutive_returns(tmp_path, small_csv):
+    out = tmp_path / "out"
+    assert main(["returns", "--input", str(small_csv), "--out", str(out)]) == 0
+    values = [float(line.split(",")[1]) for line in (out / "demo_returns.csv").read_text().splitlines()[1:]]
+    raw = (out / "demo_phase_space.csv").read_bytes()
+    assert raw.startswith(b"r_t,r_t_plus_1\r\n") and raw.endswith(b"\r\n")
+    lines = raw.decode().splitlines()
+    pairs = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    assert len(pairs) == len(values) - 1 == 399
+    assert pairs == list(zip(values[:-1], values[1:]))
+
+
+def test_returns_phase_space_of_constant_prices_on_diagonal(tmp_path):
+    src = synth.write_price_csv(tmp_path / "flat.csv", [250.0] * 7)
+    out = tmp_path / "out"
+    assert main(["returns", "--input", str(src), "--out", str(out)]) == 0
+    lines = (out / "flat_phase_space.csv").read_text().splitlines()
+    assert lines == ["r_t,r_t_plus_1"] + ["0.0,0.0"] * 5
+
+
+def test_returns_stats_name_the_first_and_last_price_stamp(tmp_path, small_csv):
+    out = tmp_path / "out"
+    assert main(["returns", "--input", str(small_csv), "--out", str(out)]) == 0
+    stats = json.loads((out / "demo_stats.json").read_text())
+    assert stats["first_timestamp"] == synth.START.isoformat()
+    assert stats["last_timestamp"] == (synth.START + timedelta(hours=400)).isoformat()
+
+
+def _odd_stamps(n: int) -> list[str]:
+    """``n`` distinct stamps, three forms in turn: ISO seconds of year 999 with microseconds (zero
+    for the first), epoch seconds around 1970 in quarters, and whole ISO hours of 2022."""
+    forms = (
+        lambda i: f"0999-12-31T23:59:{i // 3:02d}.{i:06d}Z",
+        lambda i: repr(-2.5 + 0.25 * i),
+        lambda i: f"2022-05-20T{i // 3:02d}:00:00+00:00",
+    )
+    return [forms[i % 3](i) for i in range(n)]
+
+
+@pytest.mark.parametrize("n_returns", [3, 4, 5, 7, 8, 9, 12])
+def test_returns_slices_match_the_row_oracle(tmp_path, monkeypatch, n_returns):
+    # slices of 4 rows: return counts at a multiple of the slice, one below and one above, so
+    # the phase space's pairs cross each slice boundary
+    monkeypatch.setattr(predict_mod, "_SLICE", 4)
+    prices = synth.crypto_like_prices(n_returns + 1, seed=n_returns)
+    src = tmp_path / "odd.csv"
+    rows = [f"{stamp},{float(p)!r}" for stamp, p in zip(_odd_stamps(len(prices)), prices)]
+    src.write_text("\n".join(["timestamp,price", *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["returns", "--input", str(src), "--out", str(out)]) == 0
+    status, us, loaded, _ = reference_load_price_csv(src)
+    assert status == "ok" and any(u % 10**6 for u in us) and min(us) < 0
+    for suffix, text in reference_returns_outputs("odd", us, loaded).items():
+        assert (out / f"odd_{suffix}").read_bytes() == text.encode("utf-8"), suffix
+
+
+def test_returns_memory_is_bounded_by_slices(tmp_path, monkeypatch):
+    # 200,000 returns in slices of 4096: each file is formatted and written a slice at a time, so
+    # what the writes allocate above the loaded series is bounded by the slice, not by the text of
+    # a whole file
+    monkeypatch.setattr(predict_mod, "_SLICE", 4096)
+    n = 200_000
+    prices = synth.crypto_like_prices(n + 1, seed=3)
+    src = tmp_path / "big.csv"
+    rows = map("{},{!r}".format, range(1_600_000_000, 1_600_000_000 + 3600 * (n + 1), 3600), prices.tolist())
+    src.write_text("\n".join(["timestamp,price", *rows]) + "\n", encoding="utf-8")
+    bound = 400 * predict_mod._SLICE
+    make_out_dir = cli._make_out_dir
+
+    def trace_from_here(out):  # the series is loaded and its stats taken; the writes follow
+        make_out_dir(out)
+        tracemalloc.start()
+
+    monkeypatch.setattr(cli, "_make_out_dir", trace_from_here)
+    try:
+        assert main(["returns", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB"
+    written = tmp_path / "out" / "big_returns.csv"
+    assert written.stat().st_size > 5 * bound
+    assert len(written.read_text().splitlines()) == 1 + n
 
 
 def test_returns_missing_file(tmp_path, capsys):

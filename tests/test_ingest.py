@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from procrec import (
@@ -28,14 +28,12 @@ from procrec import (
     compute_log_returns,
     compute_stats,
     load_price_csv,
-    phase_space_pairs,
     split_halves,
 )
 from procrec import ingest
-from procrec.ingest import write_phase_space_csv
 
 from conftest import mk_returns
-from oracles import reference_load_price_csv
+from oracles import reference_isoformat, reference_load_price_csv
 
 BASE = datetime(2022, 5, 20, tzinfo=timezone.utc)
 
@@ -612,11 +610,10 @@ def test_returns_antisymmetry():
     assert down == pytest.approx(-up, abs=1e-15)
 
 
-def test_returns_length_and_span():
+def test_returns_length():
     prices = mk_prices(range(100, 110))
     returns = compute_log_returns(prices)
     assert len(returns) == len(prices) - 1
-    assert returns.span == (BASE, BASE + timedelta(hours=9))
 
 
 @pytest.mark.skipif(
@@ -642,7 +639,7 @@ def test_compute_log_returns_frees_prices_before_the_difference(monkeypatch):
     monkeypatch.setattr(np, "diff", spy)
     returns = compute_log_returns(fresh_prices())
     assert alive == [[False, False, False]]
-    assert len(returns) == 999 and returns.span == (BASE, BASE + timedelta(hours=999))
+    assert len(returns) == 999
 
 
 def test_price_series_too_short():
@@ -749,32 +746,6 @@ def test_split_concat_identity(values):
     assert np.shares_memory(h1.values, series.values) and np.shares_memory(h2.values, series.values)
 
 
-# --- phase_space_pairs ------------------------------------------------------
-
-
-def test_pairs_basic():
-    assert phase_space_pairs(mk_returns([0.1, 0.2, 0.3])) == [(0.1, 0.2), (0.2, 0.3)]
-
-
-def test_pairs_constant_on_diagonal():
-    pairs = phase_space_pairs(mk_returns([0.5] * 6))
-    assert all(a == b == 0.5 for a, b in pairs)
-
-
-def test_pairs_count():
-    assert len(phase_space_pairs(mk_returns(np.linspace(0, 1, 37)))) == 36
-
-
-def test_pairs_csv_roundtrip(tmp_path):
-    pairs = phase_space_pairs(mk_returns([0.1, -0.2, 0.3]))
-    out = tmp_path / "ps.csv"
-    write_phase_space_csv(pairs, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "r_t,r_t_plus_1"
-    parsed = [tuple(map(float, ln.split(","))) for ln in lines[1:]]
-    assert parsed == pairs
-
-
 # --- write_text_atomic -----------------------------------------------------------
 
 
@@ -785,6 +756,24 @@ def test_write_text_atomic_slices_keep_the_bytes(tmp_path):
     path = tmp_path / "out.txt"
     ingest.write_text_atomic(path, text)
     assert path.read_bytes() == text.encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    # the same text as pieces: one longer than a slice, an empty one, and the rest
+    ingest.write_text_atomic(path, iter([text[: size + 3], "", text[size + 3 :]]))
+    assert path.read_bytes() == text.encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_text_atomic_pieces_that_raise_keep_the_old_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+
+    def pieces():
+        yield "new\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError):
+        ingest.write_text_atomic(path, pieces())
+    assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
@@ -799,3 +788,28 @@ def test_write_text_atomic_holds_no_encoded_copy(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "big.txt").stat().st_size == size
     assert peak < size / 4, f"peak {peak / 2**20:.1f} MiB writing {size / 2**20:.0f} MiB"
+
+
+# --- utc_isoformat ------------------------------------------------------------
+
+# the stamps a PriceSeries can hold: 0001-01-01T00:00:00 through 9999-12-31T23:59:59.999999 UTC
+US_MIN, US_MAX = -62_135_596_800 * 10**6, 253_402_300_800 * 10**6 - 1
+YEAR_999_US = (datetime(999, 7, 4, 12, 30, 15, tzinfo=timezone.utc) - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(microseconds=1)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(US_MIN // 10**6, US_MAX // 10**6).map(lambda s: s * 10**6),  # whole seconds
+            st.integers(US_MIN, US_MAX),
+        ),
+        max_size=20,
+    )
+)
+@example([0, -1, 1, -86_400 * 10**6, -1_000_000, YEAR_999_US, YEAR_999_US + 123, US_MIN, US_MAX])
+@example([])
+def test_utc_isoformat_matches_datetime(us):
+    text = ingest.utc_isoformat(np.array(us, dtype=np.int64)).tolist()
+    assert text == reference_isoformat(us)
+    assert all(type(t) is str for t in text)

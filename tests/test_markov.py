@@ -31,6 +31,7 @@ from oracles import (
     brute_force_distinct_blocks,
     brute_force_tables,
     context_rows,
+    reference_census_csv,
     reference_tables_json,
     sequential_cum,
     table_cum,
@@ -370,3 +371,6 @@ def test_write_census_csv(tmp_path):
     assert lines[1] == "1,2,3,5"
     assert lines[2] == "2,2,9,4"
     assert out.read_bytes().startswith(b"k,distinct,max_possible,total_windows\r\n1,2,3,5\r\n")
+    census = census_blocks(mk_seq(np.random.default_rng(4).integers(0, 3, 500) - 1, ALPHABET3), 8)
+    write_census_csv(census, out)
+    assert out.read_bytes() == reference_census_csv(census).encode()
