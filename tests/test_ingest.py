@@ -31,6 +31,7 @@ from procrec import (
     split_halves,
 )
 from procrec import ingest
+from procrec.cli import main
 
 from conftest import mk_returns
 from oracles import reference_isoformat, reference_load_price_csv
@@ -744,6 +745,38 @@ def test_split_concat_identity(values):
     np.testing.assert_array_equal(np.concatenate([h1.values, h2.values]), series.values)
     # views, not copies: the halves hold no memory of their own
     assert np.shares_memory(h1.values, series.values) and np.shares_memory(h2.values, series.values)
+
+
+# --- phase-space pairs, as the returns command writes them ----------------------
+
+
+def _phase_space(tmp_path, prices):
+    """The returns of ``prices`` and the ``(r_t, r_t+1)`` pairs and lines of ``_phase_space.csv``."""
+    src = write_csv(tmp_path / "ps.csv", [f"{hourly(i)},{float(p)!r}" for i, p in enumerate(prices)])
+    out = tmp_path / "out"
+    assert main(["returns", "--input", str(src), "--out", str(out)]) == 0
+    values = compute_log_returns(load_price_csv(src)).values.tolist()
+    lines = (out / "ps_phase_space.csv").read_text().strip().splitlines()
+    pairs = [tuple(map(float, ln.split(","))) for ln in lines[1:]]
+    return values, pairs, lines
+
+
+def test_pairs_basic(tmp_path):
+    values, pairs, _ = _phase_space(tmp_path, 100.0 * np.exp(np.cumsum([0.0, 0.1, 0.2, 0.3])))
+    assert len(values) == 3
+    assert pairs == [(values[0], values[1]), (values[1], values[2])]
+
+
+def test_pairs_count(tmp_path):
+    values, pairs, _ = _phase_space(tmp_path, 100.0 * np.exp(np.linspace(0, 1, 38)))
+    assert len(values) == 37
+    assert len(pairs) == 36
+
+
+def test_pairs_csv_roundtrip(tmp_path):
+    values, pairs, lines = _phase_space(tmp_path, 100.0 * np.exp(np.cumsum([0.0, 0.1, -0.2, 0.3])))
+    assert lines[0] == "r_t,r_t_plus_1"
+    assert pairs == list(zip(values[:-1], values[1:]))
 
 
 # --- write_text_atomic -----------------------------------------------------------
