@@ -300,15 +300,45 @@ def _marginal_heads(marginal: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _gap_runs(alphabet: tuple[int, ...]) -> tuple[np.ndarray, tuple[tuple[int, slice], ...]]:
-    """(steps, runs) of an alphabet: the (|alphabet| - 1, 1) column of indices j, and its rows in runs of
+def _gap_runs(alphabet: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, slice], ...]]:
+    """(steps, cuts, runs) of an alphabet of a symbols: the (a - 1, 1) columns of indices j and of uint32
+    ceil((j + 1) * 2**32 / a), the least word that draws above j from range(a), and the rows in runs of
     one gap alpha[j + 1] - alpha[j], each (gap, rows); an evenly spaced alphabet is one run."""
     gaps = [int(high) - int(low) for low, high in zip(alphabet, alphabet[1:])]
     starts = [j for j, gap in enumerate(gaps) if j == 0 or gap != gaps[j - 1]]
     runs = tuple((gaps[start], slice(start, stop)) for start, stop in zip(starts, [*starts[1:], len(gaps)]))
     steps = np.arange(len(gaps))[:, None]
-    steps.flags.writeable = False  # shared by every run over this alphabet
-    return steps, runs
+    cuts = np.array([-(-(j << 32) // len(alphabet)) for j in range(1, len(alphabet))], dtype=np.uint32)[:, None]
+    steps.flags.writeable = cuts.flags.writeable = False  # shared by every run over this alphabet
+    return steps, cuts, runs
+
+
+def _accepted_words(bit_generator: np.random.PCG64, a: int, n: int) -> np.ndarray:
+    """The n 32-bit words x whose draws (x * a) >> 32 are ``Generator.integers(0, a, n)``, for a <= 2**32.
+
+    Like numpy's bounded draw (Lemire's multiply-shift), it reads each 64-bit PCG64 word low half
+    first, leaves an unused high half in ``has_uint32`` and ``uinteger`` for the next call, rejects
+    x while (x * a) mod 2**32 < 2**32 mod a, and draws no word when a = 1.
+    """
+    if a == 1:
+        return np.zeros(n, np.uint32)
+    raw = bit_generator.random_raw((n + 1) // 2)  # what numpy draws when no half is carried in
+    state = bit_generator.state
+    if state["has_uint32"] and n % 2:  # numpy reads the carried half first and draws one word less
+        raw = raw[:-1]
+        state["state"] = bit_generator.advance(2**128 - 1).state["state"]  # one step back: the period is 2**128
+    halves = raw.astype("<u8", copy=False).view("<u4")  # low half first on any platform
+    if state["has_uint32"]:
+        halves = np.concatenate(([np.uint32(state["uinteger"])], halves))
+    if len(raw):
+        state["uinteger"] = int(raw[-1]) >> 32  # the last word's high half, used or not
+    state["has_uint32"] = len(halves) - n
+    bit_generator.state = state
+    words, bound = halves[:n], (1 << 32) % a
+    if bound and (words * np.uint32(a)).min(initial=bound) < bound:  # numpy draws a word again for each it rejects
+        words = words[words * np.uint32(a) >= bound]
+        return np.concatenate((words, _accepted_words(bit_generator, a, n - len(words))))
+    return words
 
 
 def _error_sum(picked: np.ndarray, above: np.ndarray, runs: tuple[tuple[int, slice], ...], metric: str) -> int:
@@ -340,7 +370,9 @@ def evaluate_run(
     over symbol values; with "signed" the mean of (predicted - actual). Model
     draws come from ``model_gen`` (none in "argmax" mode) and baseline draws
     from ``baseline_gen``, so the two never perturb each other. The marginal
-    baseline draws from the training marginal of the resolution's tables.
+    baseline draws from the training marginal of the resolution's tables. The
+    uniform one reads the words ``baseline_gen.integers(0, |alphabet|, n_test)``
+    would read from ``baseline_gen.bit_generator`` and compares them with cuts.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
@@ -350,7 +382,7 @@ def evaluate_run(
         raise ValueError(f"mode must be one of {MODES}")
 
     alphabet, n_test = resolution.tables.alphabet, resolution.n_test
-    steps, runs = _gap_runs(alphabet)
+    steps, cuts, runs = _gap_runs(alphabet)
     if baseline == "marginal":
         marginal_heads = _marginal_heads(resolution.tables.counts[0])[:, None]
     # The inverse-CDF pick, the first index whose cum exceeds u, exceeds j when head j <= u, as the
@@ -367,8 +399,8 @@ def evaluate_run(
         e_sum += _error_sum(picked, above, runs, metric)
         if baseline == "marginal":  # the model's draw from the marginal's one cum
             picked = marginal_heads <= baseline_gen.random(size)
-        else:
-            picked = baseline_gen.integers(0, len(alphabet), size=size) > steps
+        else:  # the stream continues across slices with the odd half a slice leaves
+            picked = _accepted_words(baseline_gen.bit_generator, len(alphabet), size) >= cuts
         rand_sum += _error_sum(picked, above, runs, metric)
     return RunErrors(e=e_sum / n_test, e_rand=rand_sum / n_test, n_predictions=n_test)
 

@@ -211,6 +211,82 @@ def test_numpy_streams_continue_across_calls():
             np.testing.assert_array_equal(np.concatenate(parts), whole.integers(0, high, n1 + n2))
 
 
+def word_picks(words, a):
+    """The int64 draws from range(a) that numpy's multiply-shift makes of accepted 32-bit words."""
+    return ((np.asarray(words, np.uint64) * np.uint64(a)) >> np.uint64(32)).astype(np.int64)
+
+
+@given(
+    a=st.one_of(st.integers(2, 1000), st.sampled_from([2**31 + 1, 2**32 - 1, 2**32])),
+    sizes=st.lists(st.integers(0, 301), min_size=1, max_size=6),  # odd sizes carry a half to the next call
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(deadline=None, max_examples=200)
+@example(a=5, sizes=[3153, 3153], seed=0)
+@example(a=3, sizes=[1, 1, 2, 1, 0, 3], seed=1)
+def test_accepted_words_match_numpy_integers(a, sizes, seed):
+    # the words the uniform baseline compares with its cuts are the words integers(0, a, n) draws from:
+    # after every call the picks and the whole bit generator state, has_uint32 and uinteger included, agree
+    gen, numpy_gen = reference_generator(seed, "words"), reference_generator(seed, "words")
+    for n in sizes:
+        words = predict_mod._accepted_words(gen.bit_generator, a, n)
+        assert words.dtype == np.uint32 and len(words) == n
+        np.testing.assert_array_equal(word_picks(words, a), numpy_gen.integers(0, a, n))
+        assert gen.bit_generator.state == numpy_gen.bit_generator.state
+
+
+@pytest.mark.parametrize("sizes", [(1000,), (999, 1, 37), (1, 2, 3) * 40])
+def test_accepted_words_draw_again_after_rejections(sizes):
+    # at a = 3 * 2**30 + 1, 2**30 - 1 of every 2**32 words reject: numpy draws a further word for each,
+    # and the word path consumes no more and no fewer words than numpy does
+    a = 3 * 2**30 + 1
+    bound = 2**32 % a
+    assert bound == 2**30 - 1
+    gen, numpy_gen = reference_generator(17, "reject"), reference_generator(17, "reject")
+    stream = reference_generator(17, "reject").bit_generator.random_raw(sum(sizes))
+    halves = stream.astype("<u8").view("<u4").tolist()
+    drawn = 0
+    for n in sizes:
+        words = predict_mod._accepted_words(gen.bit_generator, a, n)
+        np.testing.assert_array_equal(word_picks(words, a), numpy_gen.integers(0, a, n))
+        assert gen.bit_generator.state == numpy_gen.bit_generator.state
+        # the stream read so far is every accepted word in order, with the rejected ones between them
+        kept = []
+        while len(kept) < n:
+            x, drawn = halves[drawn], drawn + 1
+            if (x * a) % 2**32 >= bound:
+                kept.append(x)
+        assert words.tolist() == kept
+    assert drawn > sum(sizes)  # some words were rejected
+
+
+def test_cuts_are_where_the_draw_crosses_each_step():
+    # word x draws above j from range(a) exactly when x >= cut j: checked for each j at its cut, one
+    # below it, and at the smallest and largest words; uncached, so the 999 alphabets are not kept
+    for a in range(2, 1001):
+        steps, cuts, _ = predict_mod._gap_runs.__wrapped__(tuple(range(a)))
+        assert cuts.shape == steps.shape == (a - 1, 1) and cuts.dtype == np.uint32
+        assert not cuts.flags.writeable
+        for words in (cuts, cuts - 1, np.zeros_like(cuts), np.full_like(cuts, 2**32 - 1)):
+            np.testing.assert_array_equal(words >= cuts, word_picks(words, a) > steps, err_msg=str(a))
+
+
+def test_accepted_words_of_one_symbol_draw_nothing():
+    # integers(0, 1, n) draws no word, so neither the word path nor a run over one symbol may
+    gen = reference_generator(3, "one")
+    gen.bit_generator.random_raw(1)
+    gen.integers(0, 5, 1)  # a half waits in the bit generator
+    before = gen.bit_generator.state
+    assert before["has_uint32"] == 1
+    assert predict_mod._accepted_words(gen.bit_generator, 1, 7).tolist() == [0] * 7
+    assert gen.bit_generator.state == before
+    seq, tables = split_tables([4] * 20, (4,), 10, 1)
+    model_gen, baseline_gen = reference_run_generators(1)
+    before = baseline_gen.bit_generator.state
+    assert evaluate_run(resolve_fallback(tables, seq, 1), "abs", model_gen, baseline_gen).e_rand == 0.0
+    assert baseline_gen.bit_generator.state == before
+
+
 # --- next-symbol prediction and the baseline draws -------------------------
 
 
@@ -556,6 +632,23 @@ def test_evaluate_run_crosses_a_head_equal_to_u():
         assert (got.e, got.e_rand) == tuple(errors.sum() / 5 for errors in want)
 
 
+def test_evaluate_run_counts_a_word_at_a_cut_as_crossing_it(monkeypatch):
+    # a uniform baseline word equal to cut j draws above j, and one below it does not
+    counts = np.array([[1, 1, 2]])
+    res = _resolution_over(counts, [0] * 6)
+    actual = np.array([2, 0, 1, 0, 1, 2])
+    res = dataclasses.replace(res, above=actual > np.arange(2)[:, None])
+    (cut_1,), (cut_2,) = predict_mod._gap_runs(res.tables.alphabet)[1].tolist()
+    words = np.array([0, cut_1 - 1, cut_1, cut_2 - 1, cut_2, 2**32 - 1], dtype=np.uint32)
+    guesses = word_picks(words, 3)
+    assert guesses.tolist() == [0, 0, 1, 1, 2, 2]
+    monkeypatch.setattr(predict_mod, "_accepted_words", lambda bit_generator, a, n: words)
+    for metric in predict_mod.METRICS:
+        got = evaluate_run(res, metric, *reference_run_generators(4), mode="argmax")
+        errors = guesses - actual
+        assert got.e_rand == (np.abs(errors) if metric == "abs" else errors).sum() / 6
+
+
 @given(st.data())
 @settings(deadline=None, max_examples=150)
 def test_model_indices_matches_sample_index(data):
@@ -601,7 +694,7 @@ def test_crossings_match_searchsorted(data):
     ])
     gaps = data.draw(st.lists(st.integers(1, 3), min_size=a - 1, max_size=a - 1))  # equal and unequal runs
     alphabet = tuple(np.cumsum([data.draw(st.integers(-50, 50)), *gaps]).tolist())
-    steps, runs = predict_mod._gap_runs(alphabet)
+    steps, _, runs = predict_mod._gap_runs(alphabet)
     actual = np.array(data.draw(st.lists(st.integers(0, a - 1), min_size=len(u), max_size=len(u))))
     above = actual > steps
     cases = (
