@@ -10,6 +10,7 @@ ingest errors, a bad option among them; with several inputs, the most severe.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -36,6 +37,7 @@ from .predict import (
     BASELINES,
     METRICS,
     MODES,
+    STATS_ON,
     ExperimentConfig,
     json_label,
     report_to_json_dict,
@@ -127,14 +129,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred = sub.add_parser("predict", help="run the split-halves forecasting experiment")
     _add_io_args(p_pred, repeatable=True)
     p_pred.add_argument("--scheme", choices=SCHEMES, default="five")
-    p_pred.add_argument("--kmin", type=int, default=1)
-    p_pred.add_argument("--kmax", type=int, default=8)
+    # the option of a config field stores under the field's name, which _check_options reads
+    p_pred.add_argument("--kmin", dest="k_min", metavar="KMIN", type=int, default=1)
+    p_pred.add_argument("--kmax", dest="k_max", metavar="KMAX", type=int, default=8)
     p_pred.add_argument("--runs", type=int, default=50)
-    p_pred.add_argument("--seed", type=_uint64, default=None, help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
+    p_pred.add_argument("--seed", dest="master_seed", metavar="SEED", type=_uint64, default=None,
+                        help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
     p_pred.add_argument("--metric", choices=METRICS, default="abs")
     p_pred.add_argument("--baseline", choices=BASELINES, default="uniform")
     p_pred.add_argument("--mode", choices=MODES, default="sample")
-    p_pred.add_argument("--stats-on", choices=("full", "train"), default="full")
+    p_pred.add_argument("--stats-on", choices=STATS_ON, default="full")
     p_pred.add_argument("--jobs", type=int, default=1,
                         help="most worker processes to use (>= 1); none are started, instruments run one at a time")
     p_pred.add_argument("--dump-symbols", action="store_true", help="also write the coded sequence and coding sidecar")
@@ -256,17 +260,10 @@ def _check_options(args: argparse.Namespace) -> Callable[[str, Path], None]:
     if args.command == "census":
         check_order(len(SCHEME_TABLE[args.scheme][0]), args.kmax)
         return functools.partial(_census_one, args, schema)
-    config = ExperimentConfig(
-        scheme=args.scheme,
-        k_min=args.kmin,
-        k_max=args.kmax,
-        runs=args.runs,
-        master_seed=args.seed if args.seed is not None else _default_seed(),
-        metric=args.metric,
-        baseline=args.baseline,
-        mode=args.mode,
-        stats_on=args.stats_on,
-    )
+    values = {field.name: getattr(args, field.name) for field in dataclasses.fields(ExperimentConfig)}
+    if values["master_seed"] is None:
+        values["master_seed"] = _default_seed()
+    config = ExperimentConfig(**values)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     return functools.partial(_predict_one, config, args, schema)

@@ -50,7 +50,6 @@ __all__ = [
     "compute_log_returns",
     "compute_stats",
     "split_halves",
-    "utc_datetime",
     "utc_isoformat",
     "write_text_atomic",
 ]
@@ -92,7 +91,7 @@ class PriceSeries:
             raise ValueError(f"{self.instrument}: prices must be positive and finite")
         steps = ts[1:] <= ts[:-1]
         if steps.any():
-            at = utc_datetime(ts[1 + np.argmax(steps)])
+            at = utc_isoformat(ts[[1 + np.argmax(steps)]])[0]
             raise ValueError(f"{self.instrument}: timestamps not strictly increasing at {at}")
 
     def __len__(self) -> int:
@@ -155,13 +154,8 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
 
-def utc_datetime(us: int) -> datetime:
-    """The aware UTC datetime of a ``PriceSeries`` timestamp."""
-    return _EPOCH + timedelta(microseconds=int(us))
-
-
 def utc_isoformat(us: np.ndarray) -> np.ndarray:
-    """The ``utc_datetime(u).isoformat()`` text of each ``PriceSeries`` timestamp ``u`` in ``us``, as an
+    """The ``isoformat()`` text of each ``PriceSeries`` timestamp in ``us`` as an aware UTC datetime, as an
     object array of ``str``: ``YYYY-MM-DDTHH:MM:SS``, then ``.ffffff`` unless a whole second, then ``+00:00``."""
     stamps = us.astype("M8[us]")
     text = np.datetime_as_string(stamps, unit="s").astype(object)
@@ -491,10 +485,9 @@ def load_price_csv(
     ts, values, line_nos = ts[order], values[order], line_nos[order]
     dup = np.flatnonzero(ts[1:] == ts[:-1]) + 1
     if len(dup) and not lenient:
-        stamp = utc_datetime(ts[dup[0]]).isoformat()
-        raise DuplicateTimestamp(int(line_nos[dup[0]]), f"timestamp {stamp} repeats")
-    for line, us in zip(line_nos[dup].tolist(), ts[dup].tolist()):
-        logger.warning("%s line %d skipped: duplicate timestamp %s", path, line, utc_datetime(us))
+        raise DuplicateTimestamp(int(line_nos[dup[0]]), f"timestamp {utc_isoformat(ts[dup[:1]])[0]} repeats")
+    for line, stamp in zip(line_nos[dup].tolist(), utc_isoformat(ts[dup])):
+        logger.warning("%s line %d skipped: duplicate timestamp %s", path, line, stamp)
     if len(dup):
         ts, values = np.delete(ts, dup), np.delete(values, dup)
     return PriceSeries(instrument=name, timestamps=ts, prices=values)

@@ -33,7 +33,7 @@ import itertools
 import zlib
 from array import array
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -58,6 +58,8 @@ __all__ = [
 METRICS = ("abs", "signed")
 BASELINES = ("uniform", "marginal")
 MODES = ("sample", "argmax")
+STATS_ON = ("full", "train")  # the returns whose mean and std set the coding thresholds
+_CHOICES = {"scheme": SCHEMES, "metric": METRICS, "baseline": BASELINES, "mode": MODES, "stats_on": STATS_ON}
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -356,34 +358,25 @@ def _error_sum(picked: np.ndarray, above: np.ndarray, runs: tuple[tuple[int, sli
 
 def evaluate_run(
     resolution: FallbackResolution,
-    metric: str,
+    config: ExperimentConfig,
     model_gen: np.random.Generator,
     baseline_gen: np.random.Generator,
-    *,
-    baseline: str = "uniform",
-    mode: str = "sample",
 ) -> RunErrors:
     """Score one run over the test half that ``resolution`` resolved in its tables.
 
     Returns the model error e and the baseline error e_rand at the
-    resolution's order. With metric "abs" both are mean |predicted - actual|
-    over symbol values; with "signed" the mean of (predicted - actual). Model
-    draws come from ``model_gen`` (none in "argmax" mode) and baseline draws
-    from ``baseline_gen``, so the two never perturb each other. The marginal
-    baseline draws from the training marginal of the resolution's tables. The
-    uniform one reads the words ``baseline_gen.integers(0, |alphabet|, n_test)``
-    would read from ``baseline_gen.bit_generator`` and compares them with cuts.
+    resolution's order, by ``config``'s metric, baseline and mode. With metric
+    "abs" both are mean |predicted - actual| over symbol values; with "signed"
+    the mean of (predicted - actual). Model draws come from ``model_gen`` (none
+    in "argmax" mode) and baseline draws from ``baseline_gen``, so the two
+    never perturb each other. The marginal baseline draws from the training
+    marginal of the resolution's tables. The uniform one reads the words
+    ``baseline_gen.integers(0, |alphabet|, n_test)`` would read from
+    ``baseline_gen.bit_generator`` and compares them with cuts.
     """
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}")
-    if baseline not in BASELINES:
-        raise ValueError(f"baseline must be one of {BASELINES}")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-
     alphabet, n_test = resolution.tables.alphabet, resolution.n_test
     steps, cuts, runs = _gap_runs(alphabet)
-    if baseline == "marginal":
+    if config.baseline == "marginal":
         marginal_heads = _marginal_heads(resolution.tables.counts[0])[:, None]
     # The inverse-CDF pick, the first index whose cum exceeds u, exceeds j when head j <= u, as the
     # heads never fall. Integer error sums give each mean the float of the per-position errors' mean.
@@ -392,48 +385,47 @@ def evaluate_run(
     for i, part in enumerate(_slices(n_test)):
         above = resolution.above[:, part]
         size = above.shape[1]
-        if mode == "argmax":
+        if config.mode == "argmax":
             picked = resolution.argmax_picks[part] > steps
         else:
             picked = resolution.cum_heads[i] <= model_gen.random(size)
-        e_sum += _error_sum(picked, above, runs, metric)
-        if baseline == "marginal":  # the model's draw from the marginal's one cum
+        e_sum += _error_sum(picked, above, runs, config.metric)
+        if config.baseline == "marginal":  # the model's draw from the marginal's one cum
             picked = marginal_heads <= baseline_gen.random(size)
         else:  # the stream continues across slices with the odd half a slice leaves
             picked = _accepted_words(baseline_gen.bit_generator, len(alphabet), size) >= cuts
-        rand_sum += _error_sum(picked, above, runs, metric)
+        rand_sum += _error_sum(picked, above, runs, config.metric)
     return RunErrors(e=e_sum / n_test, e_rand=rand_sum / n_test, n_predictions=n_test)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything the experiment depends on besides the data itself; checked when built."""
+    """Everything the experiment depends on besides the data itself; checked when built.
+
+    The fields are in the order of the report's ``config`` block.
+    """
 
     scheme: str = "five"
     k_min: int = 1
     k_max: int = 8
     runs: int = 50
-    master_seed: int = 0
     metric: str = "abs"
     baseline: str = "uniform"
     mode: str = "sample"
     stats_on: str = "full"
+    master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("k_min", "k_max", "runs", "master_seed"):  # a bool, float or numpy integer gets no further
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if not 1 <= self.runs <= _M32:  # a run number is one 32-bit word of its streams' key
             raise ValueError("runs must be between 1 and 2**32 - 1")
         if not 1 <= self.k_min <= self.k_max <= _MAX_K:
             raise ValueError(f"need 1 <= k_min <= k_max <= {_MAX_K}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}")
-        if self.baseline not in BASELINES:
-            raise ValueError(f"baseline must be one of {BASELINES}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.stats_on not in ("full", "train"):
-            raise ValueError("stats_on must be 'full' or 'train'")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}")
         if not 0 <= self.master_seed < 2**64:  # the two seed words of run_generators, checked before any work
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
 
@@ -497,10 +489,7 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
         climb = climb.truncate(k)
         resolution = replace(climb)
         fallback_histogram[k] = {**dict(enumerate(longest[:k])), k: sum(longest[k:])}
-        per_run[k] = tuple(
-            evaluate_run(resolution, config.metric, next(gens), next(gens), baseline=config.baseline, mode=config.mode)
-            for _ in runs
-        )
+        per_run[k] = tuple(evaluate_run(resolution, config, next(gens), next(gens)) for _ in runs)
         del resolution
     per_run, fallback_histogram = dict(sorted(per_run.items())), dict(sorted(fallback_histogram.items()))
     e_mean, e_std, r_mean, r_std = [], [], [], []
@@ -540,17 +529,7 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
         "schema_version": REPORT_SCHEMA_VERSION,
         "instrument": json_label(report.instrument),
         "master_seed": report.config.master_seed,
-        "config": {
-            "scheme": report.config.scheme,
-            "k_min": report.config.k_min,
-            "k_max": report.config.k_max,
-            "runs": report.config.runs,
-            "metric": report.config.metric,
-            "baseline": report.config.baseline,
-            "mode": report.config.mode,
-            "stats_on": report.config.stats_on,
-            "master_seed": report.config.master_seed,
-        },
+        "config": asdict(report.config),
         "series": {
             "n_returns": len(report.sequence),
             "n_train": report.tables.n_train,

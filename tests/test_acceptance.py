@@ -167,7 +167,7 @@ def test_criterion_4_synthetic_recovery():
         res = {k: resolve_fallback(tables, seq, k) for k in (1, 2)}
         runs = {
             k: [
-                evaluate_run(res[k], "abs", *reference_run_generators(20240002, "chain", j, k))
+                evaluate_run(res[k], ExperimentConfig(metric="abs"), *reference_run_generators(20240002, "chain", j, k))
                 for j in range(1, 51)
             ]
             for k in (1, 2)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import errno
 import gc
 import json
@@ -279,6 +280,22 @@ def test_predict_report_matches_golden_schema(tmp_path, small_csv):
     assert list(report["coding"].keys()) == golden["coding"]
     for entry in report["results"]:
         assert list(entry.keys()) == golden["result_entry"]
+
+
+def test_predict_every_config_flag_reaches_the_report(tmp_path, small_csv):
+    # each flag of a config field at a value other than its default, through to the report
+    out = tmp_path / "out"
+    flags = ["--scheme", "three", "--kmin", "2", "--kmax", "5", "--runs", "3", "--seed", "7",
+             "--metric", "signed", "--baseline", "marginal", "--mode", "argmax", "--stats-on", "train"]
+    assert main(["predict", "--input", str(small_csv), "--out", str(out), *flags]) == 0
+    report = json.loads((out / "demo_report.json").read_text())
+    want = [("scheme", "three"), ("k_min", 2), ("k_max", 5), ("runs", 3), ("metric", "signed"),
+            ("baseline", "marginal"), ("mode", "argmax"), ("stats_on", "train"), ("master_seed", 7)]
+    assert list(report["config"].items()) == want
+    assert report["master_seed"] == 7
+    defaults = dataclasses.asdict(predict_mod.ExperimentConfig())
+    assert all(value != defaults[field] for field, value in want)
+    assert [r["k"] for r in report["results"]] == [2, 3, 4, 5]
 
 
 def test_predict_three_instruments(tmp_path):

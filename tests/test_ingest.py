@@ -171,6 +171,23 @@ def test_load_duplicate_timestamp_lenient_keeps_first(tmp_path):
     assert series.prices.tolist() == [100.0, 101.0]
 
 
+def test_stamp_messages_share_one_text(tmp_path, caplog):
+    # the strict duplicate error, the lenient duplicate warning and the series' order error
+    # print a stamp as its isoformat(), "T" between date and time
+    rows = ["2020-01-01T00:00:00+00:00,100", "2020-01-01T01:00:00+00:00,101", "2020-01-01T00:00:00Z,102"]
+    path = write_csv(tmp_path / "d.csv", rows)
+    with pytest.raises(DuplicateTimestamp) as exc:
+        load_price_csv(path)
+    assert str(exc.value) == "line 4: timestamp 2020-01-01T00:00:00+00:00 repeats"
+    with caplog.at_level("WARNING", logger="procrec.ingest"):
+        load_price_csv(path, lenient=True)
+    assert caplog.messages == [f"{path} line 4 skipped: duplicate timestamp 2020-01-01T00:00:00+00:00"]
+    us = int(datetime(2020, 1, 1, tzinfo=timezone.utc).timestamp()) * 10**6
+    with pytest.raises(ValueError) as exc:
+        PriceSeries("t", [us, us + 1, us + 1], [1.0, 2.0, 3.0])
+    assert str(exc.value) == "t: timestamps not strictly increasing at 2020-01-01T00:00:00.000001+00:00"
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_price_csv(tmp_path / "nope.csv")

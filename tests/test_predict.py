@@ -283,7 +283,8 @@ def test_accepted_words_of_one_symbol_draw_nothing():
     seq, tables = split_tables([4] * 20, (4,), 10, 1)
     model_gen, baseline_gen = reference_run_generators(1)
     before = baseline_gen.bit_generator.state
-    assert evaluate_run(resolve_fallback(tables, seq, 1), "abs", model_gen, baseline_gen).e_rand == 0.0
+    result = evaluate_run(resolve_fallback(tables, seq, 1), ExperimentConfig(metric="abs"), model_gen, baseline_gen)
+    assert result.e_rand == 0.0
     assert baseline_gen.bit_generator.state == before
 
 
@@ -297,7 +298,7 @@ def test_predict_next_deterministic_row():
     assert res.orders.tolist() == [2] * 60
     for seed in (0, 1, 99):
         # every draw is the realized symbol
-        assert evaluate_run(res, "abs", *reference_run_generators(seed)).e == 0.0
+        assert evaluate_run(res, ExperimentConfig(metric="abs"), *reference_run_generators(seed)).e == 0.0
     assert context_rows(tables, 2)[(0, 1)][1].tolist() == [0.0, 0.0, 1.0]  # after 1, 0 always 1
 
 
@@ -335,7 +336,9 @@ def test_predict_next_sampling_frequencies():
 def test_baseline_uniform_frequencies():
     # the uniform baseline evaluate_run scores, against a constant 0 test half
     seq, tables = split_tables([0] * 100_100, ALPHABET5, 100, 1)
-    result = evaluate_run(resolve_fallback(tables, seq, 1), "signed", *reference_run_generators(2718, "base"))
+    result = evaluate_run(
+        resolve_fallback(tables, seq, 1), ExperimentConfig(metric="signed"), *reference_run_generators(2718, "base")
+    )
     draws = reference_generator(2718, "base", "baseline").integers(0, 5, size=100_000)
     drawn = np.asarray(ALPHABET5)[draws]
     assert result.e_rand == float(drawn.mean())
@@ -346,12 +349,12 @@ def test_baseline_uniform_frequencies():
 def test_baseline_single_symbol_and_determinism():
     seq, tables = split_tables([4] * 20, (4,), 10, 1)
     res = resolve_fallback(tables, seq, 1)
-    assert evaluate_run(res, "abs", *reference_run_generators(1)).e_rand == 0.0
+    assert evaluate_run(res, ExperimentConfig(metric="abs"), *reference_run_generators(1)).e_rand == 0.0
     seq, tables = split_tables([-1, 0, 1, 1, 0] * 8, ALPHABET3, 20, 1)
     res = resolve_fallback(tables, seq, 1)
-    a = [evaluate_run(res, "abs", *reference_run_generators(9, i)).e_rand
+    a = [evaluate_run(res, ExperimentConfig(metric="abs"), *reference_run_generators(9, i)).e_rand
          for i in range(20)]
-    b = [evaluate_run(res, "abs", *reference_run_generators(9, i)).e_rand
+    b = [evaluate_run(res, ExperimentConfig(metric="abs"), *reference_run_generators(9, i)).e_rand
          for i in range(20)]
     assert a == b
     assert len(set(a)) > 1
@@ -366,7 +369,7 @@ def test_evaluate_constant_sequence():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 3)
     res = resolve_fallback(tables, seq, 3)
-    result = evaluate_run(res, "abs", *reference_run_generators(0, 1, 3))
+    result = evaluate_run(res, ExperimentConfig(metric="abs"), *reference_run_generators(0, 1, 3))
     assert result.e == 0.0  # the only rows are certain about 0
     # uniform baseline against a constant 0: E|u| = (2+1+0+1+2)/5 = 1.2
     assert result.e_rand == pytest.approx(1.2, abs=0.1)
@@ -380,7 +383,7 @@ def test_evaluate_alternating_sequence():
     tables = build_conditional_tables(train, 3)
     for k in (1, 2, 3):
         res = resolve_fallback(tables, seq, k)
-        result = evaluate_run(res, "abs", *reference_run_generators(3, 1, k))
+        result = evaluate_run(res, ExperimentConfig(metric="abs"), *reference_run_generators(3, 1, k))
         assert result.e == 0.0
 
 
@@ -390,7 +393,7 @@ def test_evaluate_signed_metric():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 1)
     res = resolve_fallback(tables, seq, 1)
-    result = evaluate_run(res, "signed", *reference_run_generators(4, 1, 1))
+    result = evaluate_run(res, ExperimentConfig(metric="signed"), *reference_run_generators(4, 1, 1))
     assert result.e == 0.0
     assert abs(result.e_rand) < 0.3  # uniform draws vs 0: signed mean near zero
 
@@ -401,7 +404,7 @@ def test_evaluate_marginal_baseline_constant():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 1)
     res = resolve_fallback(tables, seq, 1)
-    result = evaluate_run(res, "abs", *reference_run_generators(4, 1, 1), baseline="marginal")
+    result = evaluate_run(res, ExperimentConfig(metric="abs", baseline="marginal"), *reference_run_generators(4, 1, 1))
     assert result.e_rand == 0.0  # the marginal has all its mass on 0
 
 
@@ -413,8 +416,8 @@ def test_evaluate_argmax_mode_deterministic():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 2)
     res = resolve_fallback(tables, seq, 2)
-    a = evaluate_run(res, "abs", *reference_run_generators(1, 1, 2), mode="argmax")
-    b = evaluate_run(res, "abs", *reference_run_generators(999, 7, 2), mode="argmax")
+    a = evaluate_run(res, ExperimentConfig(metric="abs", mode="argmax"), *reference_run_generators(1, 1, 2))
+    b = evaluate_run(res, ExperimentConfig(metric="abs", mode="argmax"), *reference_run_generators(999, 7, 2))
     assert a.e == b.e  # model side ignores the stream entirely under argmax
 
 
@@ -625,7 +628,7 @@ def test_evaluate_run_crosses_a_head_equal_to_u():
     guesses = [sample_index(sequential_cum(counts[0].tolist()), x) for x in u]
     assert (picks, guesses) == ([0, 1, 1, 2, 2], [0, 1, 0, 2, 2])
     for metric in predict_mod.METRICS:
-        got = evaluate_run(res, metric, _FixedDraws(u), _FixedDraws(u), baseline="marginal")
+        got = evaluate_run(res, ExperimentConfig(metric=metric, baseline="marginal"), _FixedDraws(u), _FixedDraws(u))
         want = [picks - actual, guesses - actual]
         if metric == "abs":
             want = [np.abs(errors) for errors in want]
@@ -644,7 +647,7 @@ def test_evaluate_run_counts_a_word_at_a_cut_as_crossing_it(monkeypatch):
     assert guesses.tolist() == [0, 0, 1, 1, 2, 2]
     monkeypatch.setattr(predict_mod, "_accepted_words", lambda bit_generator, a, n: words)
     for metric in predict_mod.METRICS:
-        got = evaluate_run(res, metric, *reference_run_generators(4), mode="argmax")
+        got = evaluate_run(res, ExperimentConfig(metric=metric, mode="argmax"), *reference_run_generators(4))
         errors = guesses - actual
         assert got.e_rand == (np.abs(errors) if metric == "abs" else errors).sum() / 6
 
@@ -860,7 +863,8 @@ def test_evaluate_run_matches_scalar_scorer(data):
     # each scored for two runs so the second reuses the gathered rows
     for res in (resolve_fallback(tables, seq, k), *(full.truncate(j) for j in range(1, k_max + 1))):
         for j in (run, run + 1):
-            got = evaluate_run(res, metric, *reference_run_generators(seed, j, res.order), baseline=baseline, mode=mode)
+            config = ExperimentConfig(metric=metric, baseline=baseline, mode=mode)
+            got = evaluate_run(res, config, *reference_run_generators(seed, j, res.order))
             want = scalar_evaluate_run(
                 symbols, n, res.order, k_max, alphabet, metric,
                 *reference_run_generators(seed, j, res.order),
@@ -884,7 +888,7 @@ def test_evaluate_run_slices_match_per_position_scorer(slice_size, monkeypatch):
             for baseline in predict_mod.BASELINES:
                 for mode in predict_mod.MODES:
                     gens = reference_run_generators(8, res.order)
-                    got = evaluate_run(res, metric, *gens, baseline=baseline, mode=mode)
+                    got = evaluate_run(res, ExperimentConfig(metric=metric, baseline=baseline, mode=mode), *gens)
                     want = scalar_evaluate_run(
                         symbols, n, res.order, k_max, ALPHABET5, metric,
                         *reference_run_generators(8, res.order),
@@ -909,7 +913,8 @@ def test_evaluate_run_equals_per_position_mean(metric, baseline, mode, long_spli
     # crossing counts must give the very float that the mean of 200k+ per-position errors gives
     seq, tables, n = long_split
     res = resolve_fallback(tables, seq, 4)
-    got = evaluate_run(res, metric, *reference_run_generators(23, 1, 4), baseline=baseline, mode=mode)
+    config = ExperimentConfig(metric=metric, baseline=baseline, mode=mode)
+    got = evaluate_run(res, config, *reference_run_generators(23, 1, 4))
 
     alpha = np.asarray(tables.alphabet, dtype=np.int64)
     a = len(alpha)
@@ -946,7 +951,7 @@ def test_evaluate_run_memory_is_bounded_by_slices(baseline, long_split, monkeypa
         gather_peak = tracemalloc.get_traced_memory()[1] - sum(b.nbytes for b in blocks)
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        evaluate_run(res, "abs", *reference_run_generators(9, 1, 4), baseline=baseline)
+        evaluate_run(res, ExperimentConfig(metric="abs", baseline=baseline), *reference_run_generators(9, 1, 4))
         run_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -967,7 +972,8 @@ def test_evaluate_run_wide_alphabet(size):
         for baseline in predict_mod.BASELINES:
             for mode in predict_mod.MODES:
                 tags = (5, metric, baseline, mode)
-                got = evaluate_run(res, metric, *reference_run_generators(*tags), baseline=baseline, mode=mode)
+                config = ExperimentConfig(metric=metric, baseline=baseline, mode=mode)
+                got = evaluate_run(res, config, *reference_run_generators(*tags))
                 want = scalar_evaluate_run(
                     symbols, n, 2, 2, alphabet, metric,
                     *reference_run_generators(*tags),
@@ -992,7 +998,8 @@ def test_evaluate_run_over_uneven_alphabets_matches_scalar_scorer(alphabet, monk
             for baseline in predict_mod.BASELINES:
                 for mode in predict_mod.MODES:
                     tags = (31, res.order, metric, baseline, mode)
-                    got = evaluate_run(res, metric, *reference_run_generators(*tags), baseline=baseline, mode=mode)
+                    config = ExperimentConfig(metric=metric, baseline=baseline, mode=mode)
+                    got = evaluate_run(res, config, *reference_run_generators(*tags))
                     want = scalar_evaluate_run(
                         symbols, n, res.order, k_max, alphabet, metric,
                         *reference_run_generators(*tags),
@@ -1135,8 +1142,8 @@ def test_run_experiment_runs_match_reference_streams(metric, baseline, mode):
         res = full.truncate(k)
         want = tuple(
             evaluate_run(
-                res, metric, *reference_run_generators(cfg.master_seed, "demo", j, k),
-                baseline=baseline, mode=mode,
+                res, ExperimentConfig(metric=metric, baseline=baseline, mode=mode),
+                *reference_run_generators(cfg.master_seed, "demo", j, k),
             )
             for j in range(1, cfg.runs + 1)
         )
@@ -1180,6 +1187,13 @@ def test_run_experiment_stats_on_train():
         {"stats_on": "test"},
         {"master_seed": -1},
         {"master_seed": 2**64},
+        # only an int: a bool reaches the report as true, a float fails once the data has loaded,
+        # and a numpy integer cannot be written to the report
+        {"runs": True},
+        {"master_seed": True},
+        {"runs": 2.5},
+        {"k_max": 2.0},
+        {"runs": np.int64(2)},
     ],
     ids=lambda bad: "-".join(f"{field}={value}" for field, value in bad.items()),
 )
@@ -1215,7 +1229,7 @@ def test_order2_model_beats_order1_on_synthetic_chain():
 
     def mean_e(res):
         runs = (reference_run_generators(99, "chain", j, res.order) for j in range(10))
-        return np.mean([evaluate_run(res, "abs", *gens).e for gens in runs])
+        return np.mean([evaluate_run(res, ExperimentConfig(metric="abs"), *gens).e for gens in runs])
 
     e1, e2 = mean_e(resolve_fallback(tables, seq, 1)), mean_e(resolve_fallback(tables, seq, 2))
     assert e2 < e1 - 0.3  # order-1 conditionals of this chain are exactly uniform
