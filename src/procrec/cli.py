@@ -2,9 +2,10 @@
 
 A command checks its options before any input loads, then runs each input on
 its own: an input's outputs, report and stderr lines come before the next one
-loads, and its error line names its label once. ``returns`` and ``census`` take
-one input. Exit codes: 0 on success, 1 when an experiment fails, 2 for usage or
-ingest errors, a bad option among them; with several inputs, the most severe.
+loads, and its error line names its label once. Every command takes --input
+once per instrument. Exit codes: 0 on success, 1 when an experiment fails, 2
+for usage or ingest errors, a bad option among them; with several inputs, the
+most severe.
 """
 
 from __future__ import annotations
@@ -93,15 +94,14 @@ def _default_seed() -> int:
         raise ValueError(f"${SEED_ENV_VAR}: {exc}") from None
 
 
-def _add_io_args(p: argparse.ArgumentParser, repeatable: bool) -> None:
+def _add_io_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--input",
         type=_parse_input,
         required=True,
-        action="append" if repeatable else "store",
-        nargs=None if repeatable else 1,  # a list of one: every command gives main a list of inputs
+        action="append",
         metavar="[LABEL=]PATH",
-        help="price CSV" + (", repeatable, one per instrument" if repeatable else ""),
+        help="price CSV, repeatable, one per instrument",
     )
     p.add_argument("--out", type=Path, default=Path("."), metavar="DIR", help="output directory")
     p.add_argument("--timestamp-col", default="timestamp", help="timestamp column name")
@@ -118,16 +118,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ret = sub.add_parser("returns", help="compute log returns, stats and phase-space pairs")
-    _add_io_args(p_ret, repeatable=False)
+    _add_io_args(p_ret)
 
     p_cen = sub.add_parser("census", help="count distinct symbol blocks per order")
-    _add_io_args(p_cen, repeatable=False)
+    _add_io_args(p_cen)
     p_cen.add_argument("--scheme", choices=SCHEMES, default="five")
     p_cen.add_argument("--kmax", type=int, default=8)
     p_cen.add_argument("--dump-symbols", action="store_true", help="also write the coded sequence and coding sidecar")
 
     p_pred = sub.add_parser("predict", help="run the split-halves forecasting experiment")
-    _add_io_args(p_pred, repeatable=True)
+    _add_io_args(p_pred)
     p_pred.add_argument("--scheme", choices=SCHEMES, default="five")
     # the option of a config field stores under the field's name, which _check_options reads
     p_pred.add_argument("--kmin", dest="k_min", metavar="KMIN", type=int, default=1)

@@ -211,27 +211,9 @@ class FallbackResolution:
 
     @cached_property
     def cum_heads(self) -> tuple[np.ndarray, ...]:
-        """Every position's cum less its last entry, one (|alphabet| - 1, len) block per slice; copies no table.
-
-        Derived from the counts ``_SLICE`` positions at a time, each slice's row ids copied to intp once:
-        entry j is count j over the row total plus entry j - 1, the probabilities summed left to right.
-        """
+        """Every position's ``_heads``, one (|alphabet| - 1, len) block per slice, each from one ``take``."""
         by_symbol = self.tables.counts.T  # C-contiguous: each symbol's counts are one run, read in place
-        blocks = []  # one per slice: a block over every position is mapped afresh (README, memory)
-        for part in _slices(self.n_test):
-            ids = self.row_ids[part].astype(np.intp)
-            # one gathered count column at a time; ids are in range, and mode "raise" would buffer out
-            gathered = np.empty(len(ids), by_symbol.dtype)
-            total = np.zeros(len(ids), by_symbol.dtype)  # a row total is at most n_train, which the dtype holds
-            for symbol_counts in by_symbol:
-                total += symbol_counts.take(ids, out=gathered, mode="clip")
-            heads = np.empty((len(by_symbol) - 1, len(ids)))
-            for j, head in enumerate(heads):
-                np.divide(by_symbol[j].take(ids, out=gathered, mode="clip"), total, out=head)
-                if j:
-                    head += heads[j - 1]
-            blocks.append(heads)
-        return tuple(blocks)
+        return tuple(_heads(by_symbol.take(self.row_ids[part], axis=1)) for part in _slices(self.n_test))
 
     @cached_property
     def argmax_picks(self) -> np.ndarray:
@@ -296,9 +278,17 @@ def _slices(n: int) -> list[slice]:
     return [slice(start, start + _SLICE) for start in range(0, n, _SLICE)]
 
 
-def _marginal_heads(marginal: np.ndarray) -> np.ndarray:
-    """The training marginal's cum less its last entry: its probabilities summed left to right."""
-    return np.cumsum(marginal / marginal.sum())[:-1]
+def _heads(counts: np.ndarray) -> np.ndarray:
+    """The (|alphabet| - 1, m) heads of an (|alphabet|, m) count block: head j is count j over the column
+    total plus head j - 1, the probabilities summed left to right. One head is divided at a time, as
+    dividing the whole block would cast whole copies of it."""
+    total = counts.sum(axis=0, dtype=counts.dtype)  # a total is at most n_train, which the count dtype holds
+    heads = np.empty((len(counts) - 1, counts.shape[1]))
+    for j, head in enumerate(heads):
+        np.divide(counts[j], total, out=head)
+        if j:
+            head += heads[j - 1]
+    return heads
 
 
 @functools.cache
@@ -320,12 +310,15 @@ def _accepted_words(bit_generator: np.random.PCG64, a: int, n: int) -> np.ndarra
 
     Like numpy's bounded draw (Lemire's multiply-shift), it reads each 64-bit PCG64 word low half
     first, leaves an unused high half in ``has_uint32`` and ``uinteger`` for the next call, rejects
-    x while (x * a) mod 2**32 < 2**32 mod a, and draws no word when a = 1.
+    x while (x * a) mod 2**32 < 2**32 mod a, and draws no word when a = 1. Any bit generator but
+    PCG64 and PCG64DXSM raises ValueError.
     """
     if a == 1:
         return np.zeros(n, np.uint32)
     raw = bit_generator.random_raw((n + 1) // 2)  # what numpy draws when no half is carried in
     state = bit_generator.state
+    if state["bit_generator"] not in ("PCG64", "PCG64DXSM"):  # a 2**128 period, 64-bit words and a carried half
+        raise ValueError(f"the uniform baseline draws from PCG64 or PCG64DXSM, not {state['bit_generator']}")
     if state["has_uint32"] and n % 2:  # numpy reads the carried half first and draws one word less
         raw = raw[:-1]
         state["state"] = bit_generator.advance(2**128 - 1).state["state"]  # one step back: the period is 2**128
@@ -372,12 +365,13 @@ def evaluate_run(
     never perturb each other. The marginal baseline draws from the training
     marginal of the resolution's tables. The uniform one reads the words
     ``baseline_gen.integers(0, |alphabet|, n_test)`` would read from
-    ``baseline_gen.bit_generator`` and compares them with cuts.
+    ``baseline_gen.bit_generator`` and compares them with cuts; that bit
+    generator must be PCG64 or PCG64DXSM, or it raises ValueError.
     """
     alphabet, n_test = resolution.tables.alphabet, resolution.n_test
     steps, cuts, runs = _gap_runs(alphabet)
     if config.baseline == "marginal":
-        marginal_heads = _marginal_heads(resolution.tables.counts[0])[:, None]
+        marginal_heads = _heads(resolution.tables.counts[:1].T)
     # The inverse-CDF pick, the first index whose cum exceeds u, exceeds j when head j <= u, as the
     # heads never fall. Integer error sums give each mean the float of the per-position errors' mean.
     # Positions are drawn and counted a slice at a time; each stream continues across slices.

@@ -50,6 +50,23 @@ def test_returns_writes_all_outputs(tmp_path, small_csv, capsys):
     assert "400 returns" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["returns", "census"])
+def test_every_command_runs_each_input(command, tmp_path, small_csv, capsys):
+    # --input repeats for every command: both labels get their files and their lines, in input order
+    out = tmp_path / "out"
+    argv = [command, "--input", str(small_csv), "--input", f"copy={small_csv}", "--out", str(out)]
+    assert main(argv + (["--kmax", "3"] if command == "census" else [])) == 0
+    suffixes = ("returns.csv", "phase_space.csv") if command == "returns" else ("census.csv",)
+    for suffix in suffixes:
+        assert (out / f"demo_{suffix}").read_bytes() == (out / f"copy_{suffix}").read_bytes()
+    lines = capsys.readouterr().out.splitlines()
+    if command == "returns":
+        instruments = [json.loads((out / f"{label}_stats.json").read_text())["instrument"] for label in ("demo", "copy")]
+        assert instruments == [line.split(":")[0] for line in lines] == ["demo", "copy"]
+    else:
+        assert lines[:3] == lines[3:] and [line.split()[0] for line in lines[:3]] == ["k=1", "k=2", "k=3"]
+
+
 def test_returns_phase_space_pairs_consecutive_returns(tmp_path, small_csv):
     out = tmp_path / "out"
     assert main(["returns", "--input", str(small_csv), "--out", str(out)]) == 0

@@ -271,6 +271,31 @@ def test_cuts_are_where_the_draw_crosses_each_step():
             np.testing.assert_array_equal(words >= cuts, word_picks(words, a) > steps, err_msg=str(a))
 
 
+def test_accepted_words_of_pcg64dxsm_match_numpy_integers():
+    # PCG64DXSM shares PCG64's period, 64-bit words and carried half, so its words are integers' words too
+    gen, numpy_gen = (np.random.Generator(np.random.PCG64DXSM(19)) for _ in range(2))
+    for n in (3, 1, 3153, 0, 2, 7):
+        words = predict_mod._accepted_words(gen.bit_generator, 5, n)
+        np.testing.assert_array_equal(word_picks(words, 5), numpy_gen.integers(0, 5, n))
+        assert gen.bit_generator.state == numpy_gen.bit_generator.state
+
+
+@pytest.mark.parametrize("bit_generator", ["Philox", "SFC64", "MT19937"])
+def test_accepted_words_refuse_other_bit_generators(bit_generator):
+    # Philox would step back by the wrong period, SFC64 cannot advance and MT19937 carries no half:
+    # each is refused by name, with and without a half waiting, and through evaluate_run
+    gen = np.random.Generator(getattr(np.random, bit_generator)(5))
+    with pytest.raises(ValueError, match=f"not {bit_generator}$"):
+        predict_mod._accepted_words(gen.bit_generator, 5, 4)
+    gen.integers(0, 5, 1)  # a half waits where the bit generator carries one
+    with pytest.raises(ValueError, match=f"not {bit_generator}$"):
+        predict_mod._accepted_words(gen.bit_generator, 5, 3)
+    seq, tables = split_tables([-2, 0, 1, 2, 0] * 8, ALPHABET5, 20, 1)
+    model_gen = reference_run_generators(1)[0]
+    with pytest.raises(ValueError, match=f"not {bit_generator}$"):
+        evaluate_run(resolve_fallback(tables, seq, 1), ExperimentConfig(), model_gen, gen)
+
+
 def test_accepted_words_of_one_symbol_draw_nothing():
     # integers(0, 1, n) draws no word, so neither the word path nor a run over one symbol may
     gen = reference_generator(3, "one")
@@ -739,9 +764,9 @@ def test_pick_exceeds_j_exactly_when_head_j_is_at_most_u(rows, data):
     steps = np.arange(counts.shape[1] - 1)[:, None]
     picks = [sample_index(sequential_cum(rows[r]), x) for r, x in zip(row_ids, u)]
     np.testing.assert_array_equal(heads <= u, np.array(picks) > steps)
-    marginal = predict_mod._marginal_heads(counts[row_ids[0]])
+    marginal = predict_mod._heads(counts[row_ids[0]][:, None])
     picks = searchsorted_pick(np.array(sequential_cum(rows[row_ids[0]])), u)
-    np.testing.assert_array_equal(marginal[:, None] <= u, picks > steps)
+    np.testing.assert_array_equal(marginal <= u, picks > steps)
 
 
 def test_cum_columns_gather_copies_no_table():
@@ -794,13 +819,17 @@ def test_cum_columns_are_the_sequential_cum_of_each_positions_counts(data):
     seq, tables = split_tables(symbols, alphabet, n, k_max)
     assert tables.counts.T.flags.c_contiguous
     full = resolve_fallback(tables, seq, k_max)
+    marginal = predict_mod._heads(tables.counts[:1].T)  # what the marginal baseline draws by
+    np.testing.assert_array_equal(_bits(marginal[:, 0]), _bits(sequential_cum(tables.counts[0].tolist())[:-1]))
     with mock.patch.object(predict_mod, "_SLICE", data.draw(st.sampled_from((1, 7, predict_mod._SLICE)))):
         for k in range(k_max, 0, -1):
             res = full.truncate(k)
             want = [sequential_cum(tables.counts[r].tolist())[:-1] for r in res.row_ids.tolist()]
-            np.testing.assert_array_equal(_bits(np.hstack(res.cum_heads)).T, _bits(want))
-    marginal = predict_mod._marginal_heads(tables.counts[0])
-    np.testing.assert_array_equal(_bits(marginal), _bits(sequential_cum(tables.counts[0].tolist())[:-1]))
+            heads = np.hstack(res.cum_heads)
+            np.testing.assert_array_equal(_bits(heads).T, _bits(want))
+            # positions the marginal answers (row id 0) get the marginal baseline's very heads
+            at_marginal = heads[:, res.row_ids == 0]
+            np.testing.assert_array_equal(_bits(at_marginal), _bits(np.broadcast_to(marginal, at_marginal.shape)))
 
 
 @given(
@@ -819,7 +848,7 @@ def test_cum_columns_of_hand_built_int64_counts(rows, data):
     np.testing.assert_array_equal(_bits(np.hstack(res.cum_heads)).T, _bits(want))
     for row in rows:
         np.testing.assert_array_equal(
-            _bits(predict_mod._marginal_heads(np.array(row, dtype=np.int64))), _bits(sequential_cum(row)[:-1])
+            _bits(predict_mod._heads(np.array(row, dtype=np.int64)[:, None])[:, 0]), _bits(sequential_cum(row)[:-1])
         )
 
 
