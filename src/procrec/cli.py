@@ -214,7 +214,7 @@ def _census_one(args: argparse.Namespace, schema: ColumnSchema, label: str, path
         dump_symbols_csv(seq, out / f"{label}_symbols.csv")
         dump_coding_sidecar(scheme, stats, out / f"{label}_coding.json")
     for c in census:
-        print(f"k={c.order} distinct={c.distinct_count} max={c.max_possible} windows={c.total_windows}")
+        print(f"{label}: k={c.order} distinct={c.distinct_count} max={c.max_possible} windows={c.total_windows}")
 
 
 def _predict_one(config: ExperimentConfig, args: argparse.Namespace, schema: ColumnSchema, label: str, path: Path) -> None:

@@ -21,6 +21,7 @@ alphabet, built here, decides the symbol value each index stands for.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,6 +97,8 @@ class SymbolSequence:
         return len(self.indices)
 
 
+_SLICE = 1 << 16  # symbols written, and test positions scored in predict, at a time: the paper's 3153 take one slice
+
 # name -> (symbols, std divisors of the cut points)
 SCHEME_TABLE = {
     "five": ((-2, -1, 0, 1, 2), (-1, -3, 3, 1)),
@@ -140,6 +143,8 @@ def dump_coding_sidecar(scheme: CodingScheme, stats: SeriesStats, path: str | Pa
 
 
 def dump_symbols_csv(seq: SymbolSequence, path: str | Path) -> None:
-    """One symbol per line under a ``symbol`` header, each alphabet symbol's text formatted once."""
-    names = np.array([str(s) for s in seq.alphabet], dtype=object)
-    write_text_atomic(path, "\n".join(["symbol", *names[seq.indices].tolist()]) + "\n")
+    """One symbol per line under a ``symbol`` header, each alphabet symbol's line formatted once and the
+    file joined and written ``_SLICE`` symbols at a time."""
+    lines = np.array([f"{s}\n" for s in seq.alphabet], dtype=object)
+    parts = ("".join(lines[seq.indices[start : start + _SLICE]].tolist()) for start in range(0, len(seq), _SLICE))
+    write_text_atomic(path, itertools.chain(["symbol\n"], parts))

@@ -208,6 +208,9 @@ def build_conditional_tables(train: SymbolSequence, k_max: int) -> ConditionalTa
     )
 
 
+_BLOCK = 1024  # rows of the tables file joined into one string at a time
+
+
 def _distribution_template(a: int, indent: int) -> str:
     """The "counts" and "probs" members of one row, as json.dumps(indent=2) lays them out.
 
@@ -241,7 +244,9 @@ def dump_tables_json(tables: ConditionalTableSet, path: str | Path) -> None:
 
     A row's body depends only on its counts (probs are counts / total), so
     each distinct counts row is formatted once and shared by every row that
-    has it. A row's key is its parent's key plus its oldest symbol.
+    has it. A row's key is its parent's key plus its oldest symbol. Rows are
+    joined and written ``_BLOCK`` at a time: no text of an order or of the
+    file is held whole.
     """
     a = len(tables.alphabet)
     # group equal counts rows: sort them, then mark each row that differs from the one before
@@ -254,32 +259,31 @@ def dump_tables_json(tables: ConditionalTableSet, path: str | Path) -> None:
     first = order[new]
     body = '": {\n' + _distribution_template(a, 10) + "\n        }"
     distinct = tables.counts[first]
-    texts = [body % (*c, *p) for c, p in zip(distinct.tolist(), _normalized(distinct).tolist())]
-    bodies = np.array(texts, dtype=object)[group]  # row 0's goes unused: the marginal has its own indent
+    # row 0's body goes unused: the marginal has its own indent
+    bodies = np.array([body % (*c, *p) for c, p in zip(distinct.tolist(), _normalized(distinct).tolist())], object)
 
     names = np.array([str(s) for s in tables.alphabet], dtype=object)
-    keys = np.empty(len(tables.counts), dtype=object)
     marginal = (*tables.counts[0].tolist(), *_normalized(tables.counts[0]).tolist())
-    pieces = [
-        '{\n  "alphabet": [\n    %s\n  ],\n' % ",\n    ".join(names.tolist()),
-        '  "k_max": %d,\n  "n_train": %d,\n' % (tables.k_max, tables.n_train),
-        '  "marginal": {\n%s\n  },\n  "tables": [\n' % (_distribution_template(a, 4) % marginal),
-    ]
-    for k, table in sorted(tables.tables.items()):
-        ids = slice(table.rows.start, table.rows.stop)
-        oldest = names[table.codes % a]
-        keys[ids] = oldest if k == 1 else keys[tables.parents[ids]] + "," + oldest
-        # one (separator, key, body) triple per row, joined with the rest of the file
-        triples = np.empty((len(table.codes), 3), dtype=object)
+
+    def pieces() -> Iterator[str]:
+        yield '{\n  "alphabet": [\n    %s\n  ],\n' % ",\n    ".join(names.tolist())
+        yield '  "k_max": %d,\n  "n_train": %d,\n' % (tables.k_max, tables.n_train)
+        yield '  "marginal": {\n%s\n  },\n  "tables": [\n' % (_distribution_template(a, 4) % marginal)
+        triples = np.empty((_BLOCK, 3), dtype=object)  # (separator, key, body) of each row of a block
         triples[:, 0] = ',\n        "'
-        triples[0, 0] = '        "'
-        triples[:, 1] = keys[ids]
-        triples[:, 2] = bodies[ids]
-        pieces.append('%s    {\n      "k": %d,\n      "rows": {\n' % ("" if k == 1 else ",\n", k))
-        pieces += triples.ravel().tolist()
-        pieces.append("\n      }\n    }")
-    pieces.append("\n  ]\n}\n")
-    write_text_atomic(path, "".join(pieces))
+        for k, table in sorted(tables.tables.items()):
+            rows, oldest = slice(table.rows.start, table.rows.stop), names[table.codes % a]
+            # the keys of order k - 1 are dropped once they have given order k its parent keys
+            keys = oldest if k == 1 else keys[tables.parents[rows] - tables.tables[k - 1].rows.start] + "," + oldest
+            yield '%s    {\n      "k": %d,\n      "rows": {\n        "' % ("" if k == 1 else ",\n", k)
+            for start in range(0, len(keys), _BLOCK):
+                block, part = slice(start, start + _BLOCK), triples[: len(keys) - start]
+                part[:, 1], part[:, 2] = keys[block], bodies[group[rows][block]]
+                yield "".join(part.ravel()[start == 0 :].tolist())  # the order's first key follows its opening
+            yield "\n      }\n    }"
+        yield "\n  ]\n}\n"
+
+    write_text_atomic(path, pieces())
 
 
 def write_census_csv(census: Iterable[BlockCensus], path: str | Path) -> None:

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coding import SCHEMES, CodingScheme, SymbolSequence, coding_record, encode_series, make_scheme
+from .coding import _SLICE, SCHEMES, CodingScheme, SymbolSequence, coding_record, encode_series, make_scheme
 from .errors import SplitTooSmall
 from .ingest import ReturnSeries, SeriesStats, compute_stats, split_halves
 from .markov import ConditionalTableSet, build_conditional_tables
@@ -77,7 +77,6 @@ _XSHIFT = 16
 
 _PURPOSES = (zlib.crc32(b"model"), zlib.crc32(b"baseline"))  # the last spawn key word of a run's two streams
 _SEED_CHUNK = 1024  # (run, order) keys hashed per pass: 400 (50 runs x 8 orders) take one pass
-_SLICE = 1 << 16  # test positions gathered, drawn and counted at a time: the paper's 3153 take one slice
 
 
 def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:

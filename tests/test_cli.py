@@ -63,8 +63,10 @@ def test_every_command_runs_each_input(command, tmp_path, small_csv, capsys):
     if command == "returns":
         instruments = [json.loads((out / f"{label}_stats.json").read_text())["instrument"] for label in ("demo", "copy")]
         assert instruments == [line.split(":")[0] for line in lines] == ["demo", "copy"]
-    else:
-        assert lines[:3] == lines[3:] and [line.split()[0] for line in lines[:3]] == ["k=1", "k=2", "k=3"]
+    else:  # each census line names its input, so the two inputs' lines differ only in their labels
+        labels, census = zip(*(line.split(": ", 1) for line in lines))
+        assert labels == ("demo",) * 3 + ("copy",) * 3
+        assert census[:3] == census[3:] and [line.split()[0] for line in census[:3]] == ["k=1", "k=2", "k=3"]
 
 
 def test_returns_phase_space_pairs_consecutive_returns(tmp_path, small_csv):

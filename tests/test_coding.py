@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from procrec import (
     encode_series,
     make_scheme,
 )
+import procrec.coding as coding_mod
 from procrec.coding import dump_coding_sidecar, dump_symbols_csv
 
 from conftest import mk_returns
@@ -271,3 +273,32 @@ def test_symbols_csv_matches_per_symbol_text(tmp_path_factory, alphabet, picks):
     out = tmp_path_factory.mktemp("symbols") / "symbols.csv"
     dump_symbols_csv(seq, out)
     assert out.read_bytes() == ("\n".join(["symbol"] + [str(int(s)) for s in seq.symbols]) + "\n").encode()
+
+
+@pytest.mark.parametrize("slice_size", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 6, 7])
+def test_symbols_csv_slices_keep_the_bytes(tmp_path, monkeypatch, slice_size, n):
+    # slice edges after every symbol, inside the file and at its end; an empty sequence is its header
+    monkeypatch.setattr(coding_mod, "_SLICE", slice_size)
+    seq = SymbolSequence(np.arange(n) % 5, ALPHABET5)
+    out = tmp_path / "symbols.csv"
+    dump_symbols_csv(seq, out)
+    assert out.read_bytes() == ("\n".join(["symbol"] + [str(int(s)) for s in seq.symbols]) + "\n").encode()
+
+
+def test_symbols_csv_memory_is_bounded_by_slices(tmp_path, monkeypatch):
+    # 200,000 symbols in slices of 4096: the file is joined and written a slice at a time, so what
+    # the dump allocates is bounded by the slice, not by the text or an object array of the whole file
+    monkeypatch.setattr(coding_mod, "_SLICE", 4096)
+    seq = SymbolSequence(np.random.default_rng(5).integers(0, 5, 200_000), ALPHABET5)
+    out = tmp_path / "symbols.csv"
+    bound = 100 * coding_mod._SLICE
+    tracemalloc.start()
+    try:
+        dump_symbols_csv(seq, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB"
+    assert out.stat().st_size > bound
+    assert out.read_text().splitlines()[1:] == [str(s) for s in seq.symbols.tolist()]
