@@ -40,7 +40,6 @@ from .markov import (
 from .predict import (
     ExperimentConfig,
     ExperimentReport,
-    RunErrors,
     evaluate_run,
     report_to_json_dict,
     resolve_fallback,

@@ -45,7 +45,7 @@ from .markov import ConditionalTableSet, build_conditional_tables
 
 __all__ = [
     "run_generators",
-    "RunErrors",
+    "OrderErrors",
     "ExperimentConfig",
     "ExperimentReport",
     "FallbackResolution",
@@ -76,7 +76,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
 _XSHIFT = 16
 
 _PURPOSES = (zlib.crc32(b"model"), zlib.crc32(b"baseline"))  # the last spawn key word of a run's two streams
-_SEED_CHUNK = 1024  # (run, order) keys hashed per pass: 400 (50 runs x 8 orders) take one pass
+_SEED_CHUNK = 1024  # (run, order) keys hashed per pass, and runs scored per gather: 400 (50 runs x 8 orders) take one
 
 
 def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
@@ -150,8 +150,8 @@ def run_generators(seed: int, instrument: str, keys: Iterable[tuple[int, int]]) 
     ``(seed & 0xFFFFFFFF, seed >> 32, 0, 0, crc32(instrument), j, k, crc32(purpose))``, so
     ``_SEED_CHUNK`` keys are checked and hashed at once as one (n, 8) uint32 array: the first
     chunk by the call, each later one when the iterator reaches it, so memory does not grow with
-    the keys. Each generator is built only when the iterator reaches it, so a long batch holds
-    one at a time and ``numpy.random`` loads with the first one.
+    the keys. Each generator is built only when the iterator reaches it, so a caller holds only
+    the generators it has taken and ``numpy.random`` loads with the first one.
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
@@ -175,13 +175,13 @@ def run_generators(seed: int, instrument: str, keys: Iterable[tuple[int, int]]) 
     return generators(hash_next_chunk())
 
 
-@dataclass(frozen=True)
-class RunErrors:
-    """Averaged model and baseline error of one run at one order."""
+@dataclass(frozen=True, eq=False)
+class OrderErrors:
+    """Averaged model and baseline error of every run at one order, in run order."""
 
-    e: float
-    e_rand: float
-    n_predictions: int
+    e: np.ndarray  # float64, one per run
+    e_rand: np.ndarray  # float64, one per run
+    n_predictions: int  # test positions x runs
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +190,8 @@ class FallbackResolution:
 
     Which row answers each position depends only on the tables and the symbol
     sequence, never on the random stream, so one resolution serves every run.
-    A position's order, cum heads and argmax pick are all read off its row id.
+    A position's order and counts row are read off its row id; scoring gathers
+    the counts a slice of positions at a time and keeps nothing it gathered.
     """
 
     tables: ConditionalTableSet
@@ -207,19 +208,6 @@ class FallbackResolution:
         """(n_test,) int8 fallback order of every position, min(L_t, order): the order whose rows hold its row id."""
         starts = [self.tables.tables[j].rows.start for j in range(1, self.tables.k_max + 1)]
         return np.searchsorted(starts, self.row_ids, side="right").astype(np.int8)
-
-    @cached_property
-    def cum_heads(self) -> tuple[np.ndarray, ...]:
-        """Every position's ``_heads``, one (|alphabet| - 1, len) block per slice, each from one ``take``."""
-        by_symbol = self.tables.counts.T  # C-contiguous: each symbol's counts are one run, read in place
-        return tuple(_heads(by_symbol.take(self.row_ids[part], axis=1)) for part in _slices(self.n_test))
-
-    @cached_property
-    def argmax_picks(self) -> np.ndarray:
-        """(n_test,) alphabet index of every position's most probable symbol, the first on ties.
-
-        Taken over counts: dividing by a row total below 2**52 keeps the row's order and ties."""
-        return np.argmax(self.tables.counts, axis=1)[self.row_ids]
 
     def truncate(self, k: int) -> "FallbackResolution":
         """The resolution at order k <= order, climbing one order per step; shares nothing it gathers."""
@@ -351,44 +339,60 @@ def _error_sum(picked: np.ndarray, above: np.ndarray, runs: tuple[tuple[int, sli
 def evaluate_run(
     resolution: FallbackResolution,
     config: ExperimentConfig,
-    model_gen: np.random.Generator,
-    baseline_gen: np.random.Generator,
-) -> RunErrors:
-    """Score one run over the test half that ``resolution`` resolved in its tables.
+    pairs: Iterable[tuple[np.random.Generator, np.random.Generator]],
+) -> OrderErrors:
+    """Score every run of the resolution's order over the test half it resolved in its tables.
 
-    Returns the model error e and the baseline error e_rand at the
-    resolution's order, by ``config``'s metric, baseline and mode. With metric
-    "abs" both are mean |predicted - actual| over symbol values; with "signed"
-    the mean of (predicted - actual). Model draws come from ``model_gen`` (none
-    in "argmax" mode) and baseline draws from ``baseline_gen``, so the two
-    never perturb each other. The marginal baseline draws from the training
-    marginal of the resolution's tables. The uniform one reads the words
-    ``baseline_gen.integers(0, |alphabet|, n_test)`` would read from
-    ``baseline_gen.bit_generator`` and compares them with cuts; that bit
-    generator must be PCG64 or PCG64DXSM, or it raises ValueError.
+    ``pairs`` yields each run's (model, baseline) generators in run order. Returns each run's
+    model error e and baseline error e_rand, by ``config``'s metric, baseline and mode. With
+    metric "abs" both are mean |predicted - actual| over symbol values; with "signed" the mean
+    of (predicted - actual). Model draws come from the model generator (none in "argmax" mode)
+    and baseline draws from the baseline one, so the two never perturb each other. The marginal
+    baseline draws from the training marginal of the resolution's tables. The uniform one reads
+    the words ``integers(0, |alphabet|, n_test)`` would read from the baseline's bit generator
+    and compares them with cuts; that bit generator must be PCG64 or PCG64DXSM, or it raises
+    ValueError.
     """
-    alphabet, n_test = resolution.tables.alphabet, resolution.n_test
+    alphabet, n_test, row_ids = resolution.tables.alphabet, resolution.n_test, resolution.row_ids
     steps, cuts, runs = _gap_runs(alphabet)
-    if config.baseline == "marginal":
-        marginal_heads = _heads(resolution.tables.counts[:1].T)
+    by_symbol = resolution.tables.counts.T  # C-contiguous: each symbol's counts are one run, read in place
+    marginal_heads = _heads(resolution.tables.counts[:1].T)
     # The inverse-CDF pick, the first index whose cum exceeds u, exceeds j when head j <= u, as the
     # heads never fall. Integer error sums give each mean the float of the per-position errors' mean.
-    # Positions are drawn and counted a slice at a time; each stream continues across slices.
-    e_sum = rand_sum = 0
-    for i, part in enumerate(_slices(n_test)):
-        above = resolution.above[:, part]
-        size = above.shape[1]
-        if config.mode == "argmax":
-            picked = resolution.argmax_picks[part] > steps
-        else:
-            picked = resolution.cum_heads[i] <= model_gen.random(size)
-        e_sum += _error_sum(picked, above, runs, config.metric)
-        if config.baseline == "marginal":  # the model's draw from the marginal's one cum
-            picked = marginal_heads <= baseline_gen.random(size)
-        else:  # the stream continues across slices with the odd half a slice leaves
-            picked = _accepted_words(baseline_gen.bit_generator, len(alphabet), size) >= cuts
-        rand_sum += _error_sum(picked, above, runs, config.metric)
-    return RunErrors(e=e_sum / n_test, e_rand=rand_sum / n_test, n_predictions=n_test)
+    # Each slice's counts are gathered once for a batch of runs and dropped before the next slice;
+    # each run's streams continue across slices. A batch holds at most _SEED_CHUNK runs' generators.
+    e_sums: list[int] = []
+    rand_sums: list[int] = []
+    pairs = iter(pairs)
+    while batch := list(itertools.islice(pairs, _SEED_CHUNK)):
+        first = len(e_sums)
+        e_sums += [0] * len(batch)
+        rand_sums += [0] * len(batch)
+        for part in _slices(n_test):
+            above = resolution.above[:, part]
+            size = above.shape[1]
+            counts = by_symbol.take(row_ids[part], axis=1)
+            if config.mode == "argmax":  # one error for every run: the first index on ties, which the heads keep
+                argmax_sum = _error_sum(counts.argmax(axis=0) > steps, above, runs, config.metric)
+            else:
+                heads = _heads(counts)
+            del counts
+            for i, (model_gen, baseline_gen) in enumerate(batch, first):
+                if config.mode == "argmax":
+                    e_sums[i] += argmax_sum
+                else:
+                    e_sums[i] += _error_sum(heads <= model_gen.random(size), above, runs, config.metric)
+                if config.baseline == "marginal":  # the model's draw from the marginal's one cum
+                    picked = marginal_heads <= baseline_gen.random(size)
+                else:  # the stream continues across slices with the odd half a slice leaves
+                    picked = _accepted_words(baseline_gen.bit_generator, len(alphabet), size) >= cuts
+                rand_sums[i] += _error_sum(picked, above, runs, config.metric)
+            heads = picked = None  # freed before the next slice is gathered
+    return OrderErrors(
+        e=np.array(e_sums, dtype=np.float64) / n_test,
+        e_rand=np.array(rand_sums, dtype=np.float64) / n_test,
+        n_predictions=n_test * len(e_sums),
+    )
 
 
 @dataclass(frozen=True)
@@ -442,7 +446,7 @@ class ExperimentReport:
     rand_mean: tuple[float, ...]
     rand_std: tuple[float, ...]
     fallback_histogram: dict[int, dict[int, int]]
-    per_run: dict[int, tuple[RunErrors, ...]]
+    per_run: dict[int, OrderErrors]
     sequence: SymbolSequence
     tables: ConditionalTableSet
 
@@ -467,32 +471,26 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
     tables = build_conditional_tables(train, config.k_max)
 
     k_values = tuple(range(config.k_min, config.k_max + 1))
-    runs = range(1, config.runs + 1)
+    keys = ((j, k) for k in reversed(k_values) for j in range(1, config.runs + 1))
+    gens = run_generators(config.master_seed, instrument, keys)
+    pairs = zip(gens, gens)  # the model and baseline generators of every run, in the order they are scored
     climb = resolve_fallback(tables, seq, config.k_max)
-    # the model and baseline generators of every run, in the order they are scored
-    gens = run_generators(config.master_seed, instrument, ((j, k) for k in reversed(k_values) for j in runs))
 
-    per_run: dict[int, tuple[RunErrors, ...]] = {}
+    per_run: dict[int, OrderErrors] = {}
     fallback_histogram: dict[int, dict[int, int]] = {}
     # positions answered at each order 0 .. k_max; order k answers those at k or above at k
     longest = np.bincount(climb.orders, minlength=config.k_max + 1).tolist()
-    for k in reversed(k_values):
-        # one order at a time, one climb below the last. The climb gathers nothing: each order is
-        # scored on a copy, and the copy's gathered rows are freed before the next climb
+    for k in reversed(k_values):  # one order at a time, one climb below the last
         climb = climb.truncate(k)
-        resolution = replace(climb)
         fallback_histogram[k] = {**dict(enumerate(longest[:k])), k: sum(longest[k:])}
-        per_run[k] = tuple(evaluate_run(resolution, config, next(gens), next(gens)) for _ in runs)
-        del resolution
+        per_run[k] = evaluate_run(climb, config, itertools.islice(pairs, config.runs))
     per_run, fallback_histogram = dict(sorted(per_run.items())), dict(sorted(fallback_histogram.items()))
     e_mean, e_std, r_mean, r_std = [], [], [], []
     for errors in per_run.values():
-        es = np.array([r.e for r in errors])
-        rs = np.array([r.e_rand for r in errors])
-        e_mean.append(float(es.mean()))
-        e_std.append(float(es.std()))
-        r_mean.append(float(rs.mean()))
-        r_std.append(float(rs.std()))
+        e_mean.append(float(errors.e.mean()))
+        e_std.append(float(errors.e.std()))
+        r_mean.append(float(errors.e_rand.mean()))
+        r_std.append(float(errors.e_rand.std()))
 
     return ExperimentReport(
         instrument=instrument,

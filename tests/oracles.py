@@ -284,17 +284,15 @@ def context_rows(tables, k):
 def table_cum(tables, rows):
     """The cum of stacked row ``rows`` as scoring reads it: (|alphabet|,), or one column per row of an array.
 
-    The first |alphabet| - 1 entries are what ``FallbackResolution.cum_heads`` derives for a
-    position that row answers, the package's own bits. The last, which no draw reads, adds the
-    row's last count over its total to them, as the left-to-right sum would.
+    The first |alphabet| - 1 entries are the heads ``evaluate_run`` derives for a position that
+    row answers, with the package's own ``_heads``, so they are its bits. The last, which no draw
+    reads, adds the row's last count over its total to them, as the left-to-right sum would.
     """
-    from procrec.predict import FallbackResolution
+    from procrec.predict import _heads
 
     ids = np.atleast_1d(np.asarray(rows, dtype=np.int32))
-    above = np.zeros((len(tables.alphabet) - 1, len(ids)), dtype=bool)
-    probe = FallbackResolution(tables=tables, order=1, row_ids=ids, above=above)
     counts = tables.counts[ids]
-    heads = np.hstack(probe.cum_heads)
+    heads = _heads(counts.T)
     cum = np.vstack([heads, heads[-1] + counts[:, -1] / counts.sum(axis=1)])
     return cum if np.ndim(rows) else cum[:, 0]
 

@@ -166,18 +166,19 @@ def test_criterion_4_synthetic_recovery():
         tables = build_conditional_tables(train, 2)
         res = {k: resolve_fallback(tables, seq, k) for k in (1, 2)}
         runs = {
-            k: [
-                evaluate_run(res[k], ExperimentConfig(metric="abs"), *reference_run_generators(20240002, "chain", j, k))
-                for j in range(1, 51)
-            ]
+            k: evaluate_run(
+                res[k],
+                ExperimentConfig(metric="abs"),
+                [reference_run_generators(20240002, "chain", j, k) for j in range(1, 51)],
+            )
             for k in (1, 2)
         }
-        e1 = float(np.mean([r.e for r in runs[1]]))
-        e2 = float(np.mean([r.e for r in runs[2]]))
+        e1 = float(runs[1].e.mean())
+        e2 = float(runs[2].e.mean())
         oracle_e2 = expected_sampled_abs_error_order2(chain)
         assert abs(e2 - oracle_e2) <= 0.02
 
-        diffs = np.array([r.e_rand - r.e for r in runs[2]])
+        diffs = runs[2].e_rand - runs[2].e
         assert e2 <= e1
         assert diffs.mean() > 3.0 * diffs.std()
 

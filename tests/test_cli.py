@@ -341,6 +341,24 @@ def test_predict_repeat_runs_are_byte_identical(tmp_path, small_csv):
     assert (out_a / "demo_plot.csv").read_bytes() == (out_b / "demo_plot.csv").read_bytes()
 
 
+def test_predict_report_is_the_same_alone_first_or_last(tmp_path):
+    # acceptance criterion 6 apart from --jobs: each input's report has the same bytes whether it
+    # runs alone or among other inputs, first, in the middle or last
+    paths = [
+        synth.write_price_csv(tmp_path / f"i{j}.csv", synth.crypto_like_prices(301, seed=70 + j)) for j in range(3)
+    ]
+
+    def reports(name, inputs):
+        out = tmp_path / name
+        argv = ["predict", "--runs", "3", "--kmax", "3", "--seed", "7", "--out", str(out)]
+        assert main(argv + [arg for path in inputs for arg in ("--input", str(path))]) == 0
+        return {path.stem: (out / f"{path.stem}_report.json").read_bytes() for path in inputs}
+
+    alone = {path.stem: reports(f"alone-{path.stem}", [path])[path.stem] for path in paths}
+    assert len(set(alone.values())) == 3
+    assert reports("forward", paths) == reports("backward", paths[::-1]) == alone
+
+
 def test_predict_partial_failure_keeps_going(tmp_path, small_csv, capsys):
     out = tmp_path / "out"
     code = main(

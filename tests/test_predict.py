@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import sys
 import tracemalloc
 import weakref
 import zlib
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -50,9 +52,23 @@ def split_tables(symbols, alphabet, n, k_max):
     return seq, build_conditional_tables(train, k_max)
 
 
+def heads_of(res):
+    """Every position's heads as scoring derives them: ``_heads`` of its gathered counts, a slice at a time."""
+    by_symbol = res.tables.counts.T
+    parts = predict_mod._slices(res.n_test)
+    return np.hstack([predict_mod._heads(by_symbol.take(res.row_ids[part], axis=1)) for part in parts])
+
+
 def model_picks(res, gen):
     """The alphabet index the model draws at each test position: the count of the heads it crosses."""
-    return np.count_nonzero(np.hstack(res.cum_heads) <= gen.random(res.n_test), axis=0)
+    return np.count_nonzero(heads_of(res) <= gen.random(res.n_test), axis=0)
+
+
+def evaluate_one(res, config, model_gen, baseline_gen):
+    """One run scored in its own ``evaluate_run`` call: its e and e_rand as floats."""
+    result = evaluate_run(res, config, [(model_gen, baseline_gen)])
+    assert result.e.dtype == result.e_rand.dtype == np.float64 and result.e.shape == result.e_rand.shape == (1,)
+    return SimpleNamespace(e=float(result.e[0]), e_rand=float(result.e_rand[0]), n_predictions=result.n_predictions)
 
 
 def draw_symbols(data, alphabet, min_size):
@@ -293,7 +309,7 @@ def test_accepted_words_refuse_other_bit_generators(bit_generator):
     seq, tables = split_tables([-2, 0, 1, 2, 0] * 8, ALPHABET5, 20, 1)
     model_gen = reference_run_generators(1)[0]
     with pytest.raises(ValueError, match=f"not {bit_generator}$"):
-        evaluate_run(resolve_fallback(tables, seq, 1), ExperimentConfig(), model_gen, gen)
+        evaluate_one(resolve_fallback(tables, seq, 1), ExperimentConfig(), model_gen, gen)
 
 
 def test_accepted_words_of_one_symbol_draw_nothing():
@@ -308,7 +324,7 @@ def test_accepted_words_of_one_symbol_draw_nothing():
     seq, tables = split_tables([4] * 20, (4,), 10, 1)
     model_gen, baseline_gen = reference_run_generators(1)
     before = baseline_gen.bit_generator.state
-    result = evaluate_run(resolve_fallback(tables, seq, 1), ExperimentConfig(metric="abs"), model_gen, baseline_gen)
+    result = evaluate_one(resolve_fallback(tables, seq, 1), ExperimentConfig(metric="abs"), model_gen, baseline_gen)
     assert result.e_rand == 0.0
     assert baseline_gen.bit_generator.state == before
 
@@ -323,7 +339,7 @@ def test_predict_next_deterministic_row():
     assert res.orders.tolist() == [2] * 60
     for seed in (0, 1, 99):
         # every draw is the realized symbol
-        assert evaluate_run(res, ExperimentConfig(metric="abs"), *reference_run_generators(seed)).e == 0.0
+        assert evaluate_one(res, ExperimentConfig(metric="abs"), *reference_run_generators(seed)).e == 0.0
     assert context_rows(tables, 2)[(0, 1)][1].tolist() == [0.0, 0.0, 1.0]  # after 1, 0 always 1
 
 
@@ -361,7 +377,7 @@ def test_predict_next_sampling_frequencies():
 def test_baseline_uniform_frequencies():
     # the uniform baseline evaluate_run scores, against a constant 0 test half
     seq, tables = split_tables([0] * 100_100, ALPHABET5, 100, 1)
-    result = evaluate_run(
+    result = evaluate_one(
         resolve_fallback(tables, seq, 1), ExperimentConfig(metric="signed"), *reference_run_generators(2718, "base")
     )
     draws = reference_generator(2718, "base", "baseline").integers(0, 5, size=100_000)
@@ -374,12 +390,12 @@ def test_baseline_uniform_frequencies():
 def test_baseline_single_symbol_and_determinism():
     seq, tables = split_tables([4] * 20, (4,), 10, 1)
     res = resolve_fallback(tables, seq, 1)
-    assert evaluate_run(res, ExperimentConfig(metric="abs"), *reference_run_generators(1)).e_rand == 0.0
+    assert evaluate_one(res, ExperimentConfig(metric="abs"), *reference_run_generators(1)).e_rand == 0.0
     seq, tables = split_tables([-1, 0, 1, 1, 0] * 8, ALPHABET3, 20, 1)
     res = resolve_fallback(tables, seq, 1)
-    a = [evaluate_run(res, ExperimentConfig(metric="abs"), *reference_run_generators(9, i)).e_rand
+    a = [evaluate_one(res, ExperimentConfig(metric="abs"), *reference_run_generators(9, i)).e_rand
          for i in range(20)]
-    b = [evaluate_run(res, ExperimentConfig(metric="abs"), *reference_run_generators(9, i)).e_rand
+    b = [evaluate_one(res, ExperimentConfig(metric="abs"), *reference_run_generators(9, i)).e_rand
          for i in range(20)]
     assert a == b
     assert len(set(a)) > 1
@@ -394,7 +410,7 @@ def test_evaluate_constant_sequence():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 3)
     res = resolve_fallback(tables, seq, 3)
-    result = evaluate_run(res, ExperimentConfig(metric="abs"), *reference_run_generators(0, 1, 3))
+    result = evaluate_one(res, ExperimentConfig(metric="abs"), *reference_run_generators(0, 1, 3))
     assert result.e == 0.0  # the only rows are certain about 0
     # uniform baseline against a constant 0: E|u| = (2+1+0+1+2)/5 = 1.2
     assert result.e_rand == pytest.approx(1.2, abs=0.1)
@@ -408,7 +424,7 @@ def test_evaluate_alternating_sequence():
     tables = build_conditional_tables(train, 3)
     for k in (1, 2, 3):
         res = resolve_fallback(tables, seq, k)
-        result = evaluate_run(res, ExperimentConfig(metric="abs"), *reference_run_generators(3, 1, k))
+        result = evaluate_one(res, ExperimentConfig(metric="abs"), *reference_run_generators(3, 1, k))
         assert result.e == 0.0
 
 
@@ -418,7 +434,7 @@ def test_evaluate_signed_metric():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 1)
     res = resolve_fallback(tables, seq, 1)
-    result = evaluate_run(res, ExperimentConfig(metric="signed"), *reference_run_generators(4, 1, 1))
+    result = evaluate_one(res, ExperimentConfig(metric="signed"), *reference_run_generators(4, 1, 1))
     assert result.e == 0.0
     assert abs(result.e_rand) < 0.3  # uniform draws vs 0: signed mean near zero
 
@@ -429,7 +445,7 @@ def test_evaluate_marginal_baseline_constant():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 1)
     res = resolve_fallback(tables, seq, 1)
-    result = evaluate_run(res, ExperimentConfig(metric="abs", baseline="marginal"), *reference_run_generators(4, 1, 1))
+    result = evaluate_one(res, ExperimentConfig(metric="abs", baseline="marginal"), *reference_run_generators(4, 1, 1))
     assert result.e_rand == 0.0  # the marginal has all its mass on 0
 
 
@@ -441,8 +457,8 @@ def test_evaluate_argmax_mode_deterministic():
     train = dataclasses.replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, 2)
     res = resolve_fallback(tables, seq, 2)
-    a = evaluate_run(res, ExperimentConfig(metric="abs", mode="argmax"), *reference_run_generators(1, 1, 2))
-    b = evaluate_run(res, ExperimentConfig(metric="abs", mode="argmax"), *reference_run_generators(999, 7, 2))
+    a = evaluate_one(res, ExperimentConfig(metric="abs", mode="argmax"), *reference_run_generators(1, 1, 2))
+    b = evaluate_one(res, ExperimentConfig(metric="abs", mode="argmax"), *reference_run_generators(999, 7, 2))
     assert a.e == b.e  # model side ignores the stream entirely under argmax
 
 
@@ -516,7 +532,7 @@ def assert_same_resolution(got, want):
     assert got.orders.dtype == np.int8 and got.row_ids.dtype == got.tables.parents.dtype == np.int32
     np.testing.assert_array_equal(got.orders, want.orders)
     np.testing.assert_array_equal(got.row_ids, want.row_ids)
-    np.testing.assert_array_equal(np.hstack(got.cum_heads), table_cum(want.tables, want.row_ids)[:-1])
+    np.testing.assert_array_equal(heads_of(got), table_cum(want.tables, want.row_ids)[:-1])
     np.testing.assert_array_equal(got.above, want.above)
     assert got.above.dtype == bool and not got.above.flags.writeable
 
@@ -581,16 +597,18 @@ def test_truncate_leaves_what_was_read_unchanged():
     symbols = [int(ALPHABET5[i]) for i in np.minimum(rng.geometric(0.45, 3_000) - 1, 4)]
     seq, tables = split_tables(symbols, ALPHABET5, 1_500, 4)
     full = resolve_fallback(tables, seq, 4)
-    columns, orders = full.cum_heads, full.orders
-    columns_before, orders_before = [c.copy() for c in columns], orders.copy()
+    row_ids, orders = full.row_ids, full.orders
+    row_ids_before, orders_before = row_ids.copy(), orders.copy()
     stepped = full
     for k in (3, 2, 1):
         stepped = stepped.truncate(k)
         assert_same_resolution(stepped, resolve_fallback(tables, seq, k))
+        evaluate_one(stepped, ExperimentConfig(), *reference_run_generators(8, k))
         # each order gathers its own
-        assert not any(np.shares_memory(got, read) for got in stepped.cum_heads for read in columns)
-    assert full.cum_heads is columns and full.orders is orders
-    np.testing.assert_array_equal(columns, columns_before)
+        gathered = (stepped.row_ids, stepped.orders)
+        assert not any(np.shares_memory(got, read) for got in gathered for read in (row_ids, orders))
+    assert full.row_ids is row_ids and full.orders is orders
+    np.testing.assert_array_equal(row_ids, row_ids_before)
     np.testing.assert_array_equal(orders, orders_before)
 
 
@@ -647,13 +665,13 @@ def test_evaluate_run_crosses_a_head_equal_to_u():
     row_ids, actual = [0, 0, 1, 1, 0], np.array([2, 0, 1, 0, 1])
     res = _resolution_over(counts, row_ids)
     res = dataclasses.replace(res, above=actual > np.arange(2)[:, None])
-    heads = np.hstack(res.cum_heads)
+    heads = heads_of(res)
     u = [0.0, heads[0, 1], heads[0, 2], heads[1, 3], heads[1, 4]]
     picks = [sample_index(sequential_cum(counts[r].tolist()), x) for r, x in zip(row_ids, u)]
     guesses = [sample_index(sequential_cum(counts[0].tolist()), x) for x in u]
     assert (picks, guesses) == ([0, 1, 1, 2, 2], [0, 1, 0, 2, 2])
     for metric in predict_mod.METRICS:
-        got = evaluate_run(res, ExperimentConfig(metric=metric, baseline="marginal"), _FixedDraws(u), _FixedDraws(u))
+        got = evaluate_one(res, ExperimentConfig(metric=metric, baseline="marginal"), _FixedDraws(u), _FixedDraws(u))
         want = [picks - actual, guesses - actual]
         if metric == "abs":
             want = [np.abs(errors) for errors in want]
@@ -672,7 +690,7 @@ def test_evaluate_run_counts_a_word_at_a_cut_as_crossing_it(monkeypatch):
     assert guesses.tolist() == [0, 0, 1, 1, 2, 2]
     monkeypatch.setattr(predict_mod, "_accepted_words", lambda bit_generator, a, n: words)
     for metric in predict_mod.METRICS:
-        got = evaluate_run(res, ExperimentConfig(metric=metric, mode="argmax"), *reference_run_generators(4))
+        got = evaluate_one(res, ExperimentConfig(metric=metric, mode="argmax"), *reference_run_generators(4))
         errors = guesses - actual
         assert got.e_rand == (np.abs(errors) if metric == "abs" else errors).sum() / 6
 
@@ -753,7 +771,7 @@ def test_pick_exceeds_j_exactly_when_head_j_is_at_most_u(rows, data):
     counts = np.array(rows, dtype=np.int64)
     row_ids = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=30))
     res = _resolution_over(counts, row_ids)
-    heads = np.hstack(res.cum_heads)
+    heads = heads_of(res)
     u = np.array([
         data.draw(st.one_of(
             st.sampled_from([0.0, *heads[:, i].tolist()]),
@@ -776,31 +794,15 @@ def test_cum_columns_gather_copies_no_table():
     tables = build_conditional_tables(dataclasses.replace(seq, indices=seq.indices[:200_000]), 8)
     res = resolve_fallback(tables, seq, 8)
     assert tables.counts.dtype == np.int32 and tables.counts.nbytes > 4_000_000
+    gens = [reference_run_generators(11, k) for k in (8, 7)]
     tracemalloc.start()
     try:
-        res.cum_heads
-        res.truncate(7).cum_heads  # the climb gathers parents only, then the first read its own heads
+        evaluate_run(res, ExperimentConfig(), gens[:1])
+        evaluate_run(res.truncate(7), ExperimentConfig(), gens[1:])  # the climb gathers parents only
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < tables.counts.nbytes / 25  # a float64 table's bytes / 50
-
-
-def test_cum_heads_hold_one_block_per_slice(monkeypatch):
-    # one allocation per slice, (|alphabet| - 1, its positions), none a view into a larger block
-    rng = np.random.default_rng(12)
-    symbols = [int(ALPHABET5[i]) for i in rng.integers(0, 5, 2_000)]
-    seq, tables = split_tables(symbols, ALPHABET5, 1_000, 3)
-    monkeypatch.setattr(predict_mod, "_SLICE", 300)
-    res = resolve_fallback(tables, seq, 3)
-    blocks = res.cum_heads
-    assert isinstance(blocks, tuple) and len(blocks) == 4  # 1,000 positions in slices of 300
-    cum = np.array([sequential_cum(tables.counts[r].tolist()) for r in res.row_ids])
-    for i, block in enumerate(blocks):
-        part = slice(300 * i, 300 * (i + 1))
-        assert block.shape == (len(ALPHABET5) - 1, len(res.row_ids[part]))
-        assert block.base is None and block.flags.c_contiguous
-        np.testing.assert_array_equal(block, cum[part, :-1].T)
 
 
 def _bits(values):
@@ -825,7 +827,7 @@ def test_cum_columns_are_the_sequential_cum_of_each_positions_counts(data):
         for k in range(k_max, 0, -1):
             res = full.truncate(k)
             want = [sequential_cum(tables.counts[r].tolist())[:-1] for r in res.row_ids.tolist()]
-            heads = np.hstack(res.cum_heads)
+            heads = heads_of(res)
             np.testing.assert_array_equal(_bits(heads).T, _bits(want))
             # positions the marginal answers (row id 0) get the marginal baseline's very heads
             at_marginal = heads[:, res.row_ids == 0]
@@ -845,7 +847,7 @@ def test_cum_columns_of_hand_built_int64_counts(rows, data):
     row_ids = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=40))
     res = _resolution_over(counts, row_ids)
     want = [sequential_cum(rows[r])[:-1] for r in row_ids]
-    np.testing.assert_array_equal(_bits(np.hstack(res.cum_heads)).T, _bits(want))
+    np.testing.assert_array_equal(_bits(heads_of(res)).T, _bits(want))
     for row in rows:
         np.testing.assert_array_equal(
             _bits(predict_mod._heads(np.array(row, dtype=np.int64)[:, None])[:, 0]), _bits(sequential_cum(row)[:-1])
@@ -866,11 +868,13 @@ def test_cum_columns_of_hand_built_int64_counts(rows, data):
 @example([(0, [3, 3, 1])])
 @example([(2**49 - 64, [1, 0, 1, 0]), (2**49 - 64, [2, 2, 2, 2])])
 def test_argmax_picks_from_counts_match_argmax_of_probs(rows):
-    # dividing a row by its total keeps its order and its ties, so argmax picks the same first index
+    # dividing a row by its total keeps its order and its ties, so argmax picks the same first index:
+    # over alphabet range(a) against actual index 0, a one-position run's signed error is its pick
     counts = np.array([[base + d for d in deltas] for base, deltas in rows], dtype=np.int64)
     probs = counts / counts.sum(axis=1, keepdims=True)
-    res = _resolution_over(counts, np.arange(len(counts)))
-    np.testing.assert_array_equal(res.argmax_picks, np.argmax(probs, axis=1))
+    config = ExperimentConfig(metric="signed", baseline="marginal", mode="argmax")
+    picks = [evaluate_one(_resolution_over(counts, [r]), config, None, _FixedDraws([0.0])).e for r in range(len(rows))]
+    np.testing.assert_array_equal(picks, np.argmax(probs, axis=1))
 
 
 @given(st.data())
@@ -889,18 +893,20 @@ def test_evaluate_run_matches_scalar_scorer(data):
     seq, tables = split_tables(symbols, alphabet, n, k_max)
     full = resolve_fallback(tables, seq, k_max)
     # the resolution at k itself, then every order derived from the one at k_max,
-    # each scored for two runs so the second reuses the gathered rows
+    # each scored for two runs in one call, so the second reuses the gathered rows
+    config = ExperimentConfig(metric=metric, baseline=baseline, mode=mode)
     for res in (resolve_fallback(tables, seq, k), *(full.truncate(j) for j in range(1, k_max + 1))):
-        for j in (run, run + 1):
-            config = ExperimentConfig(metric=metric, baseline=baseline, mode=mode)
-            got = evaluate_run(res, config, *reference_run_generators(seed, j, res.order))
-            want = scalar_evaluate_run(
+        got = evaluate_run(res, config, [reference_run_generators(seed, j, res.order) for j in (run, run + 1)])
+        want = [
+            scalar_evaluate_run(
                 symbols, n, res.order, k_max, alphabet, metric,
                 *reference_run_generators(seed, j, res.order),
                 baseline=baseline, mode=mode,
             )
-            assert (got.e, got.e_rand) == want
-            assert got.n_predictions == len(symbols) - n
+            for j in (run, run + 1)
+        ]
+        assert list(zip(got.e.tolist(), got.e_rand.tolist())) == want
+        assert got.n_predictions == 2 * (len(symbols) - n)
 
 
 @pytest.mark.parametrize("slice_size", [1, 7, 89, 90, 91])  # 90 test positions: one slice each, to one more
@@ -917,7 +923,7 @@ def test_evaluate_run_slices_match_per_position_scorer(slice_size, monkeypatch):
             for baseline in predict_mod.BASELINES:
                 for mode in predict_mod.MODES:
                     gens = reference_run_generators(8, res.order)
-                    got = evaluate_run(res, ExperimentConfig(metric=metric, baseline=baseline, mode=mode), *gens)
+                    got = evaluate_one(res, ExperimentConfig(metric=metric, baseline=baseline, mode=mode), *gens)
                     want = scalar_evaluate_run(
                         symbols, n, res.order, k_max, ALPHABET5, metric,
                         *reference_run_generators(8, res.order),
@@ -943,7 +949,7 @@ def test_evaluate_run_equals_per_position_mean(metric, baseline, mode, long_spli
     seq, tables, n = long_split
     res = resolve_fallback(tables, seq, 4)
     config = ExperimentConfig(metric=metric, baseline=baseline, mode=mode)
-    got = evaluate_run(res, config, *reference_run_generators(23, 1, 4))
+    got = evaluate_one(res, config, *reference_run_generators(23, 1, 4))
 
     alpha = np.asarray(tables.alphabet, dtype=np.int64)
     a = len(alpha)
@@ -967,24 +973,23 @@ def test_evaluate_run_equals_per_position_mean(metric, baseline, mode, long_spli
 
 @pytest.mark.parametrize("baseline", predict_mod.BASELINES)
 def test_evaluate_run_memory_is_bounded_by_slices(baseline, long_split, monkeypatch):
-    # 210,000 test positions in slices of 4096: the gather's intp row ids and a run's draws and
-    # crossings are held a slice at a time, where one 8-byte array over all positions is 1.7 MB
+    # 210,000 test positions in slices of 4096: the whole call, each slice's gather included, holds one
+    # slice at a time, at most its counts (20 B a position), heads (32 B), row totals (4 B) and the
+    # divisions' float buffers (16 B); the heads of every position would be 6.7 MB
     seq, tables, n = long_split
     monkeypatch.setattr(predict_mod, "_SLICE", 4096)
     res = resolve_fallback(tables, seq, 4)
-    bound = 40 * predict_mod._SLICE
-    assert 8 * res.n_test > 10 * bound
+    bound = 96 * predict_mod._SLICE
+    assert 32 * res.n_test > 10 * bound
+    pairs = [reference_run_generators(9, j, 4) for j in range(3)]
     tracemalloc.start()
     try:
-        blocks = res.cum_heads
-        gather_peak = tracemalloc.get_traced_memory()[1] - sum(b.nbytes for b in blocks)
-        tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        evaluate_run(res, ExperimentConfig(metric="abs", baseline=baseline), *reference_run_generators(9, 1, 4))
-        run_peak = tracemalloc.get_traced_memory()[1] - start
+        evaluate_run(res, ExperimentConfig(metric="abs", baseline=baseline), pairs)
+        peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert gather_peak < bound and run_peak < bound, (gather_peak, run_peak)
+    assert peak < bound, peak
 
 
 @pytest.mark.parametrize("size", [16, 17])
@@ -1002,7 +1007,7 @@ def test_evaluate_run_wide_alphabet(size):
             for mode in predict_mod.MODES:
                 tags = (5, metric, baseline, mode)
                 config = ExperimentConfig(metric=metric, baseline=baseline, mode=mode)
-                got = evaluate_run(res, config, *reference_run_generators(*tags))
+                got = evaluate_one(res, config, *reference_run_generators(*tags))
                 want = scalar_evaluate_run(
                     symbols, n, 2, 2, alphabet, metric,
                     *reference_run_generators(*tags),
@@ -1028,7 +1033,7 @@ def test_evaluate_run_over_uneven_alphabets_matches_scalar_scorer(alphabet, monk
                 for mode in predict_mod.MODES:
                     tags = (31, res.order, metric, baseline, mode)
                     config = ExperimentConfig(metric=metric, baseline=baseline, mode=mode)
-                    got = evaluate_run(res, config, *reference_run_generators(*tags))
+                    got = evaluate_one(res, config, *reference_run_generators(*tags))
                     want = scalar_evaluate_run(
                         symbols, n, res.order, k_max, alphabet, metric,
                         *reference_run_generators(*tags),
@@ -1036,6 +1041,56 @@ def test_evaluate_run_over_uneven_alphabets_matches_scalar_scorer(alphabet, monk
                     )
                     assert (got.e, got.e_rand) == want
                     assert type(got.e) is type(got.e_rand) is float  # no numpy scalar
+
+
+class _Watched:
+    """Stands in for a generator and calls ``on_use`` whenever scoring reads it."""
+
+    def __init__(self, gen, on_use):
+        self.gen, self.on_use = gen, on_use
+
+    def __getattr__(self, name):
+        self.on_use()
+        return getattr(self.gen, name)
+
+
+@pytest.mark.parametrize("alphabet", [ALPHABET5, (-40, 7, 1234, 1300)])
+def test_evaluate_run_scores_runs_together_as_each_alone(alphabet, monkeypatch):
+    # 7 runs in batches of 3 over 100 test positions in slices of 33, so each run's uniform baseline
+    # carries a half across slices: one call over every run gives each run's one-pair call and the
+    # scalar scorer, and draws no more than one batch of pairs ahead of the runs it scores
+    rng = np.random.default_rng(len(alphabet))
+    symbols = [alphabet[i] for i in np.minimum(rng.geometric(0.4, 260) - 1, len(alphabet) - 1)]
+    n, k_max, n_runs = 160, 3, 7
+    monkeypatch.setattr(predict_mod, "_SLICE", 33)
+    monkeypatch.setattr(predict_mod, "_SEED_CHUNK", 3)
+    seq, tables = split_tables(symbols, alphabet, n, k_max)
+    res = resolve_fallback(tables, seq, k_max).truncate(2)
+    assert len(predict_mod._slices(res.n_test)) == 4
+    for metric, baseline, mode in itertools.product(predict_mod.METRICS, predict_mod.BASELINES, predict_mod.MODES):
+        config = ExperimentConfig(metric=metric, baseline=baseline, mode=mode)
+        tags = [(43, j, metric, baseline, mode) for j in range(n_runs)]
+        drawn, first_use = 0, {}
+
+        def pairs():
+            nonlocal drawn
+            for j in range(n_runs):
+                model_gen, baseline_gen = reference_run_generators(*tags[j])
+                drawn += 1
+                yield model_gen, _Watched(baseline_gen, lambda j=j: first_use.setdefault(j, drawn))
+
+        together = evaluate_run(res, config, pairs())
+        alone = [evaluate_one(res, config, *reference_run_generators(*tag)) for tag in tags]
+        want = [
+            scalar_evaluate_run(
+                symbols, n, 2, k_max, alphabet, metric, *reference_run_generators(*tag), baseline=baseline, mode=mode
+            )
+            for tag in tags
+        ]
+        assert list(zip(together.e.tolist(), together.e_rand.tolist())) == [(r.e, r.e_rand) for r in alone] == want
+        assert together.n_predictions == n_runs * res.n_test
+        # pairs drawn when each run is first scored, beyond the runs before it
+        assert [first_use[j] - j for j in range(n_runs)] == [3, 2, 1, 3, 2, 1, 1]
 
 
 def test_fallback_orders_replay_against_tables():
@@ -1093,24 +1148,20 @@ def test_run_experiment_frees_returns_after_coding(monkeypatch):
     assert alive == [[False, False]]
 
 
-def test_run_experiment_frees_each_order_columns_before_the_next_climb(monkeypatch):
-    # only one order's gathered columns are alive at a time, so the climb to the next order does not add to them
-    columns, alive = [], []
-    evaluate, truncate = predict_mod.evaluate_run, predict_mod.FallbackResolution.truncate
+def test_run_experiment_scores_each_order_in_one_call(monkeypatch):
+    # one evaluate_run per order, from k_max down, handed that order's runs and no more
+    calls = []
+    evaluate = predict_mod.evaluate_run
 
-    def spy_evaluate(resolution, *args, **kwargs):
-        columns.append(weakref.ref(resolution.cum_heads[0]))
-        return evaluate(resolution, *args, **kwargs)
+    def spy(resolution, config, pairs):
+        pairs = list(pairs)
+        calls.append((resolution.order, len(pairs)))
+        return evaluate(resolution, config, pairs)
 
-    def spy_truncate(self, k):
-        gc.collect()
-        alive.append(any(ref() is not None for ref in columns))
-        return truncate(self, k)
-
-    monkeypatch.setattr(predict_mod, "evaluate_run", spy_evaluate)
-    monkeypatch.setattr(predict_mod.FallbackResolution, "truncate", spy_truncate)
-    run_experiment(ExperimentConfig(runs=2, k_max=4), small_returns())
-    assert alive == [False] * 4
+    monkeypatch.setattr(predict_mod, "evaluate_run", spy)
+    report = run_experiment(ExperimentConfig(runs=3, k_min=2, k_max=4), small_returns())
+    assert calls == [(4, 3), (3, 3), (2, 3)]
+    assert [len(report.per_run[k].e) for k in report.k_values] == [3, 3, 3]
 
 
 def test_run_experiment_deterministic():
@@ -1132,7 +1183,7 @@ def test_run_experiment_shapes_and_histogram():
         hist = report.fallback_histogram[k]
         assert sum(hist.values()) == n_test
         assert all(0 <= order <= k for order in hist)
-        assert len(report.per_run[k]) == 4
+        assert len(report.per_run[k].e) == len(report.per_run[k].e_rand) == 4
 
 
 def test_fallback_histogram_counts_each_order():
@@ -1150,8 +1201,8 @@ def test_report_means_match_per_run():
     cfg = ExperimentConfig(runs=5, k_min=1, k_max=3, master_seed=11)
     report = run_experiment(cfg, small_returns())
     for i, k in enumerate(report.k_values):
-        es = [r.e for r in report.per_run[k]]
-        rs = [r.e_rand for r in report.per_run[k]]
+        es = report.per_run[k].e.tolist()
+        rs = report.per_run[k].e_rand.tolist()
         assert report.e_mean[i] == pytest.approx(float(np.mean(es)), abs=1e-12)
         assert report.rand_mean[i] == pytest.approx(float(np.mean(rs)), abs=1e-12)
         assert min(es) <= report.e_mean[i] <= max(es)
@@ -1169,14 +1220,16 @@ def test_run_experiment_runs_match_reference_streams(metric, baseline, mode):
     full = resolve_fallback(report.tables, report.sequence, cfg.k_max)
     for k in report.k_values:
         res = full.truncate(k)
-        want = tuple(
-            evaluate_run(
+        want = [
+            evaluate_one(
                 res, ExperimentConfig(metric=metric, baseline=baseline, mode=mode),
                 *reference_run_generators(cfg.master_seed, "demo", j, k),
             )
             for j in range(1, cfg.runs + 1)
-        )
-        assert report.per_run[k] == want
+        ]
+        got = report.per_run[k]
+        assert list(zip(got.e.tolist(), got.e_rand.tolist())) == [(run.e, run.e_rand) for run in want]
+        assert got.n_predictions == sum(run.n_predictions for run in want)
 
 
 def test_run_experiment_instrument_decouples_streams():
@@ -1257,8 +1310,8 @@ def test_order2_model_beats_order1_on_synthetic_chain():
     tables = build_conditional_tables(train, 2)
 
     def mean_e(res):
-        runs = (reference_run_generators(99, "chain", j, res.order) for j in range(10))
-        return np.mean([evaluate_run(res, ExperimentConfig(metric="abs"), *gens).e for gens in runs])
+        pairs = (reference_run_generators(99, "chain", j, res.order) for j in range(10))
+        return evaluate_run(res, ExperimentConfig(metric="abs"), pairs).e.mean()
 
     e1, e2 = mean_e(resolve_fallback(tables, seq, 1)), mean_e(resolve_fallback(tables, seq, 2))
     assert e2 < e1 - 0.3  # order-1 conditionals of this chain are exactly uniform

@@ -39,7 +39,7 @@ def test_readme_experiment_by_hand_runs(capsys):
     per_run = run_experiment(ExperimentConfig(runs=50, k_max=8, master_seed=42), returns).per_run
     # every printed score, read back exactly from its repr, is the experiment's own
     assert [(float(e), float(e_rand)) for _, _, e, e_rand in rows] == [
-        (run.e, run.e_rand) for k in range(1, 9) for run in per_run[k]
+        score for k in range(1, 9) for score in zip(per_run[k].e.tolist(), per_run[k].e_rand.tolist())
     ]
 
 

@@ -62,7 +62,7 @@ def test_tracer_wraps_and_counts_predict(tmp_path, capsys):
     n_test = 200  # 401 prices, 400 returns, split in halves
     assert metrics["predict.resolve_fallback.calls"] == 1
     assert metrics["predict.positions_resolved"] == n_test
-    assert metrics["predict.evaluate_run.calls"] == 3 * 4
+    assert metrics["predict.evaluate_run.calls"] == 4  # one call scores all 3 runs of an order
     assert metrics["predict.predictions"] == 3 * 4 * n_test
     assert abs(self_sum - wall_s) < 1e-6
 
