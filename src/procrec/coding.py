@@ -119,10 +119,13 @@ def make_scheme(name: str, stats: SeriesStats) -> CodingScheme:
 def encode_series(
     returns: ReturnSeries, stats: SeriesStats, scheme: CodingScheme
 ) -> SymbolSequence:
-    """Band index of every centered return r - mean, over the scheme's symbols."""
+    """Band index of every centered return r - mean, over the scheme's symbols, centered ``_SLICE`` at a time:
+    no float copy of the series is made."""
     if stats.std <= 0:
         raise DegenerateStd("cannot encode with zero standard deviation")
-    return SymbolSequence(indices=scheme.band_indices(returns.values - stats.mean), alphabet=scheme.symbols)
+    values = returns.values  # no returns are one empty slice
+    parts = [scheme.band_indices(values[s : s + _SLICE] - stats.mean) for s in range(0, max(len(values), 1), _SLICE)]
+    return SymbolSequence(indices=np.concatenate(parts), alphabet=scheme.symbols)
 
 
 def coding_record(scheme: CodingScheme, stats: SeriesStats) -> dict:

@@ -87,7 +87,7 @@ class PriceSeries:
             raise ValueError(f"{self.instrument}: timestamps and prices must be 1-D, of equal length")
         if len(ts) < 2:
             raise SeriesTooShort(f"{self.instrument}: need at least 2 price points, got {len(ts)}")
-        if not np.all((prices > 0) & (prices < np.inf)):
+        if not (prices.min() > 0 and prices.max() < np.inf):  # NaN fails both; no bool array of the prices
             raise ValueError(f"{self.instrument}: prices must be positive and finite")
         steps = ts[1:] <= ts[:-1]
         if steps.any():
@@ -473,14 +473,12 @@ def load_price_csv(
     if not table.width:
         table.set_header(None)
 
-    ts = np.frombuffer(table.stamps, dtype=np.int64)
+    ts, values = np.frombuffer(table.stamps, dtype=np.int64), np.frombuffer(table.prices, dtype=np.float64)
     if (ts[1:] > ts[:-1]).all():  # the usual case: in order, no duplicates
-        # copies, so the series does not pin the loader's over-allocated buffers: the stamps, then
-        # the prices, each buffer freed before the next copy, so the peak holds one of them
-        ts, table.stamps = ts.copy(), None
-        values, table.prices = np.frombuffer(table.prices, dtype=np.float64).copy(), None
+        # views, not copies: a buffer grows by at most 1/16 beyond its rows, and the view pins that
+        # slack only while the series lives, where a copy held a third column at the load's peak
         return PriceSeries(instrument=name, timestamps=ts, prices=values)
-    values, line_nos = np.frombuffer(table.prices, dtype=np.float64), table.line_numbers()
+    line_nos = table.line_numbers()
     order = np.lexsort((line_nos, ts))
     ts, values, line_nos = ts[order], values[order], line_nos[order]
     dup = np.flatnonzero(ts[1:] == ts[:-1]) + 1
@@ -496,10 +494,12 @@ def load_price_csv(
 def compute_log_returns(prices: PriceSeries) -> ReturnSeries:
     """Natural-log price ratios: values[i] = ln(price[i+1]) - ln(price[i]).
 
-    Releases the prices once it has their logs: a temporary argument is the callee's from CPython 3.11.
+    Releases the series, and so its timestamps, before taking the logs, and the prices once it has
+    them: a temporary argument is the callee's from CPython 3.11.
     """
-    instrument, values = prices.instrument, np.log(prices.prices)
+    instrument, values = prices.instrument, prices.prices
     del prices
+    values = np.log(values)  # the prices go once their logs are taken
     values = np.diff(values)  # the logs go once differenced
     return ReturnSeries(instrument=instrument, values=values)
 

@@ -61,8 +61,10 @@ class ConditionalTable:
 
     ``codes`` holds the contexts as sorted base-|alphabet| integers of symbol
     indices, the most recent symbol as the most significant digit, so code
-    order is the lexicographic order of the context tuples. The distribution
-    of ``codes[i]`` is row ``rows[i]`` of the table set's stacked arrays.
+    order is the lexicographic order of the context tuples: int32 while
+    |alphabet| ** (k_max + 1) < 2**31, int64 beyond (see ``_context_codes``).
+    The distribution of ``codes[i]`` is row ``rows[i]`` of the table set's
+    stacked arrays.
     """
 
     codes: np.ndarray
@@ -107,12 +109,18 @@ class ConditionalTableSet:
 
 
 def check_order(alphabet_size: int, k_max: int) -> None:
-    """Raise ValueError unless orders 1 .. ``k_max`` pack into int64 codes over ``alphabet_size`` symbols."""
+    """Raise ValueError unless orders 1 .. ``k_max`` pack into integer codes over ``alphabet_size`` symbols:
+    a (k_max + 1)-block, a context with its next symbol, takes int64 codes up to 2**62."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    # blocks are packed into int64 codes; fails loudly instead of wrapping
+    # fails loudly instead of wrapping
     if alphabet_size ** (k_max + 1) > 2**62:
         raise ValueError(f"order {k_max} too large to pack over {alphabet_size} symbols")
+
+
+def _code_dtype(a: int, k_max: int) -> type:
+    """int32 while every (k_max + 1)-block over ``a`` symbols, a context with its next symbol, fits in it."""
+    return np.int32 if a ** (k_max + 1) < 2**31 else np.int64
 
 
 def _context_codes(idx: np.ndarray, a: int, k_max: int) -> Iterator[np.ndarray]:
@@ -121,12 +129,16 @@ def _context_codes(idx: np.ndarray, a: int, k_max: int) -> Iterator[np.ndarray]:
     The k-th array holds, for t = k .. len(idx), the code of the context
     (idx[t-1], ..., idx[t-k]) in base ``a``, the most recent symbol as the
     most significant digit. Its entries are also the codes of every k-block.
+    They are of ``_code_dtype(a, k_max)``: int32 while a ** (k_max + 1) < 2**31,
+    as for five symbols up to order 12, so a code takes 4 bytes.
     """
     n = len(idx)
-    codes = np.zeros(n + 1, dtype=np.int64)  # order 0, t = 0 .. n
+    codes = np.zeros(n + 1, dtype=_code_dtype(a, k_max))  # order 0, t = 0 .. n
     for k in range(1, k_max + 1):
-        # append symbol t-k as the least significant digit
-        codes = codes[1:] * a + idx[: n - k + 1]
+        # append symbol t-k as the least significant digit, added into the product: the codes keep
+        # their dtype whatever the indices' is, and each order allocates one array, not two
+        codes = codes[1:] * a
+        codes += idx[: n - k + 1]
         yield codes
 
 
@@ -156,15 +168,26 @@ def _order_rows(ctx: np.ndarray, nxt: np.ndarray, a: int, dtype: type) -> tuple[
     """The sorted context codes seen at one order and their count rows, ``(n_rows, a)`` of ``dtype``.
 
     ``ctx`` holds each position's context code and ``nxt`` its next symbol's index. The
-    order's temporaries are this call's locals, so they are freed when it returns.
+    order's temporaries are this call's locals, each deleted once read, so they are freed
+    by the time it returns.
     """
-    # each context with its next symbol as the least significant digit
-    uniq, counts = np.unique(ctx * a + nxt, return_counts=True)
+    # each context with its next symbol as the least significant digit, in the codes' dtype
+    keys = ctx * a
+    keys += nxt
+    uniq, counts = np.unique(keys, return_counts=True)
+    del keys
     ctx_codes, next_idx = np.divmod(uniq, a)
-    first = np.ones(len(uniq), dtype=bool)
+    del uniq
+    first = np.ones(len(ctx_codes), dtype=bool)
     first[1:] = ctx_codes[1:] != ctx_codes[:-1]
+    # each pair's flat index into the block, its context's row times a plus its next symbol, in one array
+    cells = np.cumsum(first, dtype=np.intp)
+    cells -= 1
+    cells *= a
+    cells += next_idx
+    del next_idx
     block = np.zeros((int(first.sum()), a), dtype=dtype)
-    block[np.cumsum(first) - 1, next_idx] = counts
+    block.reshape(-1)[cells] = counts
     return ctx_codes[first], block
 
 
@@ -174,7 +197,8 @@ def build_conditional_tables(train: SymbolSequence, k_max: int) -> ConditionalTa
     For order k, every position t with k preceding symbols contributes one
     count to row context=(train[t-1],...,train[t-k]), column train[t]. Row
     totals therefore sum to n_train - k. The marginal is the plain symbol
-    frequency over all of train. Counts are int32 while n_train < 2**31.
+    frequency over all of train. Counts are int32 while n_train < 2**31, and
+    context codes while |alphabet| ** (k_max + 1) < 2**31.
     """
     alpha = tuple(train.alphabet)
     n, a = len(train), len(alpha)

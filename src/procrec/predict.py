@@ -205,17 +205,23 @@ class FallbackResolution:
 
     @cached_property
     def orders(self) -> np.ndarray:
-        """(n_test,) int8 fallback order of every position, min(L_t, order): the order whose rows hold its row id."""
-        starts = [self.tables.tables[j].rows.start for j in range(1, self.tables.k_max + 1)]
-        return np.searchsorted(starts, self.row_ids, side="right").astype(np.int8)
+        """(n_test,) int8 fallback order of every position, min(L_t, order): the order whose rows hold its row id,
+        counted one order at a time, as ``np.searchsorted`` would return 8 bytes a position."""
+        orders = np.zeros(self.n_test, dtype=np.int8)
+        for j in range(1, self.tables.k_max + 1):
+            orders += self.row_ids >= self.tables.tables[j].rows.start
+        return orders
 
     def truncate(self, k: int) -> "FallbackResolution":
         """The resolution at order k <= order, climbing one order per step; shares nothing it gathers."""
         if not 1 <= k <= self.order:
             raise ValueError(f"order {k} outside resolved range 1..{self.order}")
-        row_ids, tables = self.row_ids, self.tables
-        for j in range(self.order, k, -1):  # rows of order j or above, stacked from order j's start, climb
-            row_ids = np.where(row_ids >= tables.tables[j].rows.start, tables.parents[row_ids], row_ids)
+        row_ids, tables = np.empty_like(self.row_ids), self.tables
+        for part in _slices(len(row_ids)):  # a slice at a time, so the climb's temporaries are a slice's
+            ids = self.row_ids[part]
+            for j in range(self.order, k, -1):  # rows of order j or above, stacked from order j's start, climb
+                ids = np.where(ids >= tables.tables[j].rows.start, tables.parents[ids], ids)
+            row_ids[part] = ids
         return replace(self, order=k, row_ids=row_ids)
 
 
@@ -241,20 +247,27 @@ def resolve_fallback(tables: ConditionalTableSet, seq: SymbolSequence, k: int) -
         raise ValueError(f"sequence alphabet {seq.alphabet} is not the tables' {tables.alphabet}")
 
     a, n_rows, parents = len(tables.alphabet), len(tables.counts), tables.parents
-    # child[r * a + s]: the row of r's context extended by the older symbol s. Row n_rows and
-    # every missing child are n_rows, "no such context", so a walk that misses stays missed
-    child = np.full((n_rows + 1) * a, n_rows, dtype=np.int32)  # flat: 1-D gathers beat 2-D ones
-    for table in tables.tables.values():
+    # child[r * a + s]: the row of r's context extended by the older symbol s, for the rows r of
+    # orders 0 .. k-1, the only ones a walk of k steps extends. Every missing child is n_rows, "no
+    # such context", and so is the last entry, to which the walk clips the index of any row beyond:
+    # a walk that misses stays missed
+    extended = tables.tables[k].rows.start
+    child = np.full(extended * a + 1, n_rows, dtype=np.int32)  # flat: 1-D gathers beat 2-D ones
+    for j in range(1, k + 1):
+        table = tables.tables[j]
         rows = np.arange(table.rows.start, table.rows.stop, dtype=np.int32)
         child[parents[rows] * a + table.codes % a] = rows
 
     idx = seq.indices
-    cur = np.zeros(n_test, dtype=np.int32)
     row_ids = np.zeros(n_test, dtype=np.int32)
-    for j in range(1, k + 1):
-        # symbol t-j of t = n .. total-1 extends each position's order-(j-1) context
-        cur = child[cur * a + idx[n - j : total - j]]
-        np.copyto(row_ids, cur, where=cur != n_rows)
+    for part in _slices(n_test):  # one slice of positions at a time, so the walk's temporaries are a slice's
+        ids = row_ids[part]
+        cur = np.zeros(len(ids), dtype=np.int32)
+        for j in range(1, k + 1):
+            # symbol t-j of the slice's positions t extends each position's order-(j-1) context
+            cur = child.take(cur * a + idx[n + part.start - j : n + part.start + len(ids) - j], mode="clip")
+            np.copyto(ids, cur, where=cur != n_rows)
+    del child  # freed before the crossings are made
     above = idx[n:] > np.arange(a - 1)[:, None]
     above.flags.writeable = False  # truncate carries it on, and every run reads it
     return FallbackResolution(tables=tables, order=k, row_ids=row_ids, above=above)
@@ -479,7 +492,7 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
     per_run: dict[int, OrderErrors] = {}
     fallback_histogram: dict[int, dict[int, int]] = {}
     # positions answered at each order 0 .. k_max; order k answers those at k or above at k
-    longest = np.bincount(climb.orders, minlength=config.k_max + 1).tolist()
+    longest = [int(np.count_nonzero(climb.orders == j)) for j in range(config.k_max + 1)]  # bincount copies to intp
     for k in reversed(k_values):  # one order at a time, one climb below the last
         climb = climb.truncate(k)
         fallback_histogram[k] = {**dict(enumerate(longest[:k])), k: sum(longest[k:])}

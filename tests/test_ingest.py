@@ -371,10 +371,12 @@ def test_loader_random_bytes_outcomes_tiny_blocks(header, text, body, lenient, b
         _check_against_reference(Path(tmp) / "b.csv", header + text.encode() + body, lenient, block_bytes)
 
 
-def test_load_in_order_holds_one_buffer_beyond_the_series(tmp_path):
-    # the loader keeps stamps and prices, no line per row, and copies them out one at a time, each
-    # buffer freed before the next copy: the series and one buffer, where three buffers and two
-    # copies came to 5.5 buffers
+def test_load_in_order_returns_views_of_its_buffers(tmp_path, monkeypatch):
+    # the loader keeps stamps and prices, no line per row, and returns views of its two buffers: the
+    # heap holds them, up to 1/16 slack each, and one bool per row for an order check, where a copy
+    # of either buffer would add a whole one. Blocks of 4 KiB, so that one block's temporaries do not
+    # count
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 12)
     n = 200_000
     stamps = 1_600_000_000 + 3600 * np.arange(n)
     path = tmp_path / "long.csv"
@@ -387,7 +389,8 @@ def test_load_in_order_holds_one_buffer_beyond_the_series(tmp_path):
         tracemalloc.stop()
     buffer = 8 * n
     assert series.timestamps.nbytes + series.prices.nbytes == 2 * buffer
-    assert peak < 3.5 * buffer, f"peak {peak / buffer:.2f} buffers of {buffer / 1e6:.1f} MB"
+    assert not series.timestamps.flags.owndata and not series.prices.flags.owndata
+    assert peak < 2.3 * buffer, f"peak {peak / buffer:.2f} buffers of {buffer / 1e6:.1f} MB"
 
 
 def test_load_undecodable_bytes_and_oversized_field(tmp_path):
@@ -639,7 +642,8 @@ def test_returns_length():
     reason="CPython 3.10 keeps a temporary argument in the caller's frame until the call returns",
 )
 def test_compute_log_returns_frees_prices_before_the_difference(monkeypatch):
-    # the caller holds no name for the prices, so once their logs are taken nothing keeps them
+    # the caller holds no name for the series: its timestamps are gone before the logs are taken,
+    # and its prices once they are
     refs, alive = [], []
 
     def fresh_prices():
@@ -647,16 +651,19 @@ def test_compute_log_returns_frees_prices_before_the_difference(monkeypatch):
         refs.extend((weakref.ref(prices), weakref.ref(prices.prices), weakref.ref(prices.timestamps)))
         return prices
 
-    diff = np.diff
+    def spy(fn):
+        def call(*args, **kwargs):
+            gc.collect()
+            alive.append([ref() is not None for ref in refs])
+            return fn(*args, **kwargs)
 
-    def spy(*args, **kwargs):
-        gc.collect()
-        alive.append([ref() is not None for ref in refs])
-        return diff(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np, "diff", spy)
+    monkeypatch.setattr(np, "log", spy(np.log))
+    monkeypatch.setattr(np, "diff", spy(np.diff))
     returns = compute_log_returns(fresh_prices())
-    assert alive == [[False, False, False]]
+    # series, prices, timestamps: at np.log only the prices, its argument, are alive; at np.diff none
+    assert alive == [[False, True, False], [False, False, False]]
     assert len(returns) == 999
 
 

@@ -241,6 +241,49 @@ def test_counts_are_int32_while_row_totals_fit():
     assert tables.counts.dtype == np.int32
 
 
+@pytest.mark.parametrize(
+    "alphabet, k_max, dtype",
+    [
+        (ALPHABET5, 12, np.int32),  # 5**13 < 2**31
+        (ALPHABET5, 13, np.int64),  # 5**14 > 2**31
+        (tuple(range(300)), 2, np.int32),  # int64 indices, past 256 symbols, added into int32 codes
+    ],
+)
+def test_codes_are_int32_while_blocks_fit(alphabet, k_max, dtype, monkeypatch):
+    # a (k_max + 1)-block, a context and its next symbol, sets the width: 2**31 itself takes int64
+    assert markov._code_dtype(2, 29) is np.int32 and markov._code_dtype(2, 30) is np.int64
+    rng = np.random.default_rng(k_max)
+    symbols = random_symbols(rng, 400, alphabet)
+    seq = mk_seq(symbols, alphabet)
+    seen, context_codes = [], markov._context_codes
+
+    def spy(*args):
+        for codes in context_codes(*args):
+            seen.append(codes.dtype)
+            yield codes
+
+    monkeypatch.setattr(markov, "_context_codes", spy)
+    tables, census = build_conditional_tables(seq, k_max), census_blocks(seq, k_max)
+    assert seen == [np.dtype(dtype)] * (2 * k_max)
+    assert {table.codes.dtype for table in tables.tables.values()} == {np.dtype(dtype)}
+    # the same tables and census from int64 codes, and from the oracles
+    monkeypatch.setattr(markov, "_code_dtype", lambda a, k_max: np.int64)
+    wide = build_conditional_tables(seq, k_max)
+    for k, table in tables.tables.items():
+        assert table.codes.tolist() == wide.tables[k].codes.tolist()
+        assert table.rows == wide.tables[k].rows
+    np.testing.assert_array_equal(tables.counts, wide.counts)
+    np.testing.assert_array_equal(tables.parents, wide.parents)
+    assert census == census_blocks(seq, k_max)
+    expected, marginal = brute_force_tables(symbols, k_max, alphabet)
+    for k in range(1, k_max + 1):
+        got = {ctx: counts.tolist() for ctx, (counts, _) in context_rows(tables, k).items()}
+        assert got == {ctx: counts for ctx, (counts, _) in expected[k].items()}
+    assert tables.counts[0].tolist() == marginal
+    for c in census:
+        assert c.distinct_count == brute_force_distinct_blocks(symbols, c.order)
+
+
 def test_build_frees_each_order_before_stacking(monkeypatch):
     # many contexts: the stacking holds each order's count block, the stacked counts and the codes,
     # so any order's temporaries still alive after the loop would add to it

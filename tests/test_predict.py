@@ -19,7 +19,9 @@ from procrec import (
     SplitTooSmall,
     SymbolSequence,
     build_conditional_tables,
+    compute_log_returns,
     evaluate_run,
+    load_price_csv,
     resolve_fallback,
     run_experiment,
 )
@@ -990,6 +992,58 @@ def test_evaluate_run_memory_is_bounded_by_slices(baseline, long_split, monkeypa
     finally:
         tracemalloc.stop()
     assert peak < bound, peak
+
+
+def test_no_predict_stage_peaks_above_scoring(tmp_path, monkeypatch):
+    # stress scale in small: 200,000 epoch-stamped prices, with slices of 16,384 test positions, about
+    # the share of the test half that 65,536 are at 1M returns. Each stage's figure is the heap in use
+    # at its peak, and "between stages" the highest outside them, as at the fallback histogram.
+    # Scoring holds the tables, the resolution and one slice's gathers; the loader's views, the series
+    # dropped before the logs, int32 codes and walks and climbs a slice at a time keep every other
+    # stage within 1 MiB of it, where int64 codes and a walk over the whole test half took the build
+    # and the resolution 2.2 and 2.6 MiB above it
+    n = 200_000
+    rng = np.random.default_rng(43)  # also loads numpy.random before tracing: module code is no stage's data
+    prices = (100 * np.exp(np.cumsum(0.003 * rng.standard_t(4, n)))).tolist()
+    stamps = (1_600_000_000 + 3600 * np.arange(n)).tolist()
+    path = tmp_path / "long.csv"
+    path.write_text("timestamp,price\n" + "".join(map("{},{!r}\n".format, stamps, prices)))
+    del prices, stamps
+    monkeypatch.setattr(predict_mod, "_SLICE", 1 << 14)
+    peaks = {}
+
+    def stage(name, fn):
+        def traced(*args, **kwargs):
+            peaks["between stages"] = max(peaks.get("between stages", 0), tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            out = fn(*args, **kwargs)
+            peaks[name] = max(peaks.get(name, 0), tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return out
+
+        return traced
+
+    for name in ("encode_series", "build_conditional_tables", "resolve_fallback", "evaluate_run"):
+        monkeypatch.setattr(predict_mod, name, stage(name, getattr(predict_mod, name)))
+    truncate = predict_mod.FallbackResolution.truncate
+    monkeypatch.setattr(predict_mod.FallbackResolution, "truncate", stage("truncate", truncate))
+    tracemalloc.start()
+    try:
+        held = [load_price_csv(path)]
+        peaks["load_price_csv"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = [compute_log_returns(held.pop())]  # from CPython 3.11 the callee alone holds the series
+        peaks["compute_log_returns"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        run_experiment(ExperimentConfig(runs=5, master_seed=1), held.pop())
+        peaks["between stages"] = max(peaks["between stages"], tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    if sys.version_info < (3, 11):  # the caller's frame keeps the series through the logs
+        del peaks["compute_log_returns"]
+    scoring = peaks.pop("evaluate_run")
+    over = {name: round((peak - scoring) / 2**20, 2) for name, peak in peaks.items() if peak > scoring}
+    assert max(over.values(), default=0) < 1, f"MiB above scoring's {scoring / 2**20:.2f} MiB: {over}"
 
 
 @pytest.mark.parametrize("size", [16, 17])
