@@ -168,18 +168,20 @@ def _pair_lines(values) -> str:
 
 def _returns_one(args: argparse.Namespace, schema: ColumnSchema, label: str, path: Path) -> None:
     prices = _load(args, schema, label, path)
+    stamps = prices.timestamps  # a view of the stamp buffer alone: the series and its prices go after the logs
     returns = compute_log_returns(prices)
+    del prices
     stats = compute_stats(returns)
     out = args.out
     _make_out_dir(out)
     # each file is written a slice of rows at a time, so its text is never held whole
-    stamps, values = prices.timestamps[1:], returns.values
+    values = returns.values
     lines = (
-        "".join(map("{},{}\n".format, utc_isoformat(stamps[part]), map(repr, values[part].tolist())))
+        "".join(map("{},{}\n".format, utc_isoformat(stamps[1:][part]), map(repr, values[part].tolist())))
         for part in _slices(len(values))
     )
     write_text_atomic(out / f"{label}_returns.csv", itertools.chain(["timestamp,log_return\n"], lines))
-    first, last = utc_isoformat(prices.timestamps[[0, -1]])
+    first, last = utc_isoformat(stamps[[0, -1]])
     write_text_atomic(
         out / f"{label}_stats.json",
         json.dumps(
@@ -198,7 +200,7 @@ def _returns_one(args: argparse.Namespace, schema: ColumnSchema, label: str, pat
     # a slice's last pair reads the first return of the next slice
     pairs = (_pair_lines(values[part.start : part.stop + 1]) for part in _slices(len(values) - 1))
     write_text_atomic(out / f"{label}_phase_space.csv", itertools.chain(["r_t,r_t_plus_1\r\n"], pairs))
-    print(f"{label}: {len(prices)} prices -> {len(returns)} returns (mean {stats.mean:.6g}, std {stats.std:.6g})")
+    print(f"{label}: {len(stamps)} prices -> {len(returns)} returns (mean {stats.mean:.6g}, std {stats.std:.6g})")
 
 
 def _census_one(args: argparse.Namespace, schema: ColumnSchema, label: str, path: Path) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .coding import SymbolSequence
 from .errors import SequenceTooShort
-from .ingest import write_text_atomic
+from .ingest import _WRITE_SLICE, write_text_atomic
 
 __all__ = [
     "BlockCensus",
@@ -232,7 +232,10 @@ def build_conditional_tables(train: SymbolSequence, k_max: int) -> ConditionalTa
     )
 
 
-_BLOCK = 1024  # rows of the tables file joined into one string at a time
+def _block_rows(longest_row: int) -> int:
+    """Rows of the tables file joined into one string at a time: as many as fit one write slice at
+    ``longest_row`` characters a row, so ``write_text_atomic`` hands each block to the file uncopied."""
+    return max(1, _WRITE_SLICE // longest_row)
 
 
 def _distribution_template(a: int, indent: int) -> str:
@@ -269,8 +272,9 @@ def dump_tables_json(tables: ConditionalTableSet, path: str | Path) -> None:
     A row's body depends only on its counts (probs are counts / total), so
     each distinct counts row is formatted once and shared by every row that
     has it. A row's key is its parent's key plus its oldest symbol. Rows are
-    joined and written ``_BLOCK`` at a time: no text of an order or of the
-    file is held whole.
+    joined ``_block_rows`` at a time, so that a block's text fits one write
+    slice: beyond the bodies, each row's body index and one order's keys, no
+    text of an order or of the file is held.
     """
     a = len(tables.alphabet)
     # group equal counts rows: sort them, then mark each row that differs from the one before
@@ -278,31 +282,37 @@ def dump_tables_json(tables: ConditionalTableSet, path: str | Path) -> None:
     ranked = tables.counts[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    del ranked
     group = np.empty(len(order), dtype=np.intp)
     group[order] = np.cumsum(new) - 1
-    first = order[new]
+    distinct = tables.counts[order[new]]
+    del order, new
     body = '": {\n' + _distribution_template(a, 10) + "\n        }"
-    distinct = tables.counts[first]
     # row 0's body goes unused: the marginal has its own indent
     bodies = np.array([body % (*c, *p) for c, p in zip(distinct.tolist(), _normalized(distinct).tolist())], object)
+    del distinct
 
     names = np.array([str(s) for s in tables.alphabet], dtype=object)
+    tails = "," + names  # what a key gains over its parent's key: its oldest symbol
     marginal = (*tables.counts[0].tolist(), *_normalized(tables.counts[0]).tolist())
+    sep = ',\n        "'
+    longest_key = tables.k_max * max(map(len, tails.tolist())) - 1
+    block = _block_rows(len(sep) + longest_key + max(map(len, bodies.tolist())))
 
     def pieces() -> Iterator[str]:
         yield '{\n  "alphabet": [\n    %s\n  ],\n' % ",\n    ".join(names.tolist())
         yield '  "k_max": %d,\n  "n_train": %d,\n' % (tables.k_max, tables.n_train)
         yield '  "marginal": {\n%s\n  },\n  "tables": [\n' % (_distribution_template(a, 4) % marginal)
-        triples = np.empty((_BLOCK, 3), dtype=object)  # (separator, key, body) of each row of a block
-        triples[:, 0] = ',\n        "'
+        triples = np.empty((block, 3), dtype=object)  # (separator, key, body) of each row of a block
+        triples[:, 0] = sep
         for k, table in sorted(tables.tables.items()):
-            rows, oldest = slice(table.rows.start, table.rows.stop), names[table.codes % a]
+            rows, oldest = slice(table.rows.start, table.rows.stop), table.codes % a
             # the keys of order k - 1 are dropped once they have given order k its parent keys
-            keys = oldest if k == 1 else keys[tables.parents[rows] - tables.tables[k - 1].rows.start] + "," + oldest
+            keys = names[oldest] if k == 1 else keys[tables.parents[rows] - tables.tables[k - 1].rows.start] + tails[oldest]
             yield '%s    {\n      "k": %d,\n      "rows": {\n        "' % ("" if k == 1 else ",\n", k)
-            for start in range(0, len(keys), _BLOCK):
-                block, part = slice(start, start + _BLOCK), triples[: len(keys) - start]
-                part[:, 1], part[:, 2] = keys[block], bodies[group[rows][block]]
+            for start in range(0, len(keys), block):
+                span, part = slice(start, start + block), triples[: len(keys) - start]
+                part[:, 1], part[:, 2] = keys[span], bodies[group[rows][span]]
                 yield "".join(part.ravel()[start == 0 :].tolist())  # the order's first key follows its opening
             yield "\n      }\n    }"
         yield "\n  ]\n}\n"

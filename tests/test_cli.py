@@ -234,6 +234,28 @@ def test_prices_are_gone_before_the_next_stage(tmp_path, small_csv, monkeypatch,
     assert checked == [True]
 
 
+def test_returns_lets_the_prices_go_before_the_first_file(tmp_path, small_csv, monkeypatch):
+    # after the logs the writers read only the stamps, a view that holds neither the series nor its prices
+    import procrec.cli as cli
+
+    loaded, alive = [], []
+    load, write = cli.load_price_csv, cli.write_text_atomic
+
+    def load_and_watch(*args, **kwargs):
+        series = load(*args, **kwargs)
+        loaded.extend((weakref.ref(series), weakref.ref(series.prices)))
+        return series
+
+    def write_and_check(path, text):
+        alive.append([ref() is not None for ref in loaded])
+        write(path, text)
+
+    monkeypatch.setattr(cli, "load_price_csv", load_and_watch)
+    monkeypatch.setattr(cli, "write_text_atomic", write_and_check)
+    assert main(["returns", "--input", str(small_csv), "--out", str(tmp_path / "out")]) == 0
+    assert alive == [[False, False]] * 3
+
+
 def test_census_kmax_too_large(tmp_path, small_csv, capsys):
     # 0 is below order 1, 40 too large to pack, 1000 longer than the series
     for kmax in ("0", "40", "1000"):
