@@ -2,22 +2,24 @@
 
 Context convention: a context block is ordered most-recent-first, so the
 context of position t at order k is (seq[t-1], seq[t-2], ..., seq[t-k]).
-Tables store a context as an integer code whose most significant digit is the
+The build codes a context as an integer whose most significant digit is the
 most recent symbol: dropping the oldest symbol drops the least significant
 digit, so a row's parent, its context less the oldest symbol, has code // |alphabet|.
 
 A table set stacks the distributions of all its contexts, and a row id is the
 one name of a context's row: each order's ``rows`` range, the set's
-``parents`` and a resolution's ``row_ids`` all hold row ids. A table is held
-once, as counts, one row per row id and each symbol's column contiguous: the
-layout in which scoring gathers them and derives its cumulative distributions.
+``parents`` and a resolution's ``row_ids`` all hold row ids. The seen contexts
+are prefix-closed, so they form a tree, and the set holds it as each row's
+parent and oldest symbol: a context is its parent's context plus its oldest
+symbol, and no context code outlives the build. A table is held once, as
+counts, one row per row id and each symbol's column contiguous: the layout in
+which scoring gathers them and derives its cumulative distributions.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -59,15 +61,14 @@ class ConditionalTable:
 
     The order k is the table's key in ``ConditionalTableSet.tables``.
 
-    ``codes`` holds the contexts as sorted base-|alphabet| integers of symbol
-    indices, the most recent symbol as the most significant digit, so code
-    order is the lexicographic order of the context tuples: int32 while
-    |alphabet| ** (k_max + 1) < 2**31, int64 beyond (see ``_context_codes``).
-    The distribution of ``codes[i]`` is row ``rows[i]`` of the table set's
-    stacked arrays.
+    Row ``rows[i]`` of the table set's stacked arrays is the distribution of
+    the context whose parent row is ``parents[rows[i]]`` and whose oldest
+    symbol has index ``oldest[i]``, in the training sequence's index dtype.
+    Rows follow the lexicographic order of the context tuples, most recent
+    symbol first.
     """
 
-    codes: np.ndarray
+    oldest: np.ndarray
     rows: range
 
 
@@ -79,10 +80,11 @@ class ConditionalTableSet:
     while ``n_train < 2**31`` and int64 beyond: row 0 is
     the marginal, then each order's rows in turn, so one row id addresses any
     distribution. It is held column-major, so ``counts.T`` is C-contiguous and
-    each symbol's counts over all rows are one run of memory. An order's table
-    holds its context codes and ``rows``, the range of their row ids: the
-    counts of context ``codes[i]`` are ``counts[table.rows[i]]``. Sampling,
-    argmax and the writer all read ``counts``.
+    each symbol's counts over all rows are one run of memory. ``parents``,
+    int32, holds per stacked row the row of its context less the oldest
+    symbol; row 0, the marginal, is the parent of every order-1 row and of
+    itself. An order's table holds its rows' oldest symbols and ``rows``, the
+    range of their row ids. Sampling, argmax and the writer all read ``counts``.
     """
 
     alphabet: tuple[int, ...]
@@ -90,22 +92,7 @@ class ConditionalTableSet:
     tables: Mapping[int, ConditionalTable]
     n_train: int
     counts: np.ndarray
-
-    @cached_property
-    def parents(self) -> np.ndarray:
-        """int32, per stacked row the row of its context less the oldest symbol.
-
-        Row 0, the marginal, is the parent of every order-1 row and of itself.
-        """
-        a = len(self.alphabet)
-        parents = np.zeros(len(self.counts), dtype=np.int32)
-        for j in range(2, self.k_max + 1):
-            # seen contexts are prefix-closed, so every parent code is in the table below
-            table, up = self.tables[j], self.tables[j - 1]
-            parents[table.rows.start : table.rows.stop] = up.rows.start + np.searchsorted(
-                up.codes, table.codes // a
-            )
-        return parents
+    parents: np.ndarray
 
 
 def check_order(alphabet_size: int, k_max: int) -> None:
@@ -213,23 +200,22 @@ def build_conditional_tables(train: SymbolSequence, k_max: int) -> ConditionalTa
     # the contexts of t = k .. n-1 use only train[:-1]; coding them over all of train
     # gives arrays one longer, which raised peak RSS by 4 MB at 1M returns (glibc, x86-64)
     contexts = _context_codes(idx[:-1], a, k_max)
-    per_order = [_order_rows(ctx, idx[k:], a, dtype) for k, ctx in enumerate(contexts, start=1)]
+    codes, blocks = zip(*(_order_rows(ctx, idx[k:], a, dtype) for k, ctx in enumerate(contexts, start=1)))
     # row 0 of the stacked arrays is the marginal, then each order's rows. Stacked into a
     # column-major array, so each symbol's column is contiguous and scoring's take reads it in place
-    blocks = [np.bincount(idx, minlength=a).astype(dtype)[None, :], *(b for _, b in per_order)]
+    blocks = [np.bincount(idx, minlength=a).astype(dtype)[None, :], *blocks]
     all_counts = np.concatenate(blocks, out=np.empty((sum(map(len, blocks)), a), dtype, order="F"))
+    del blocks  # the tree is made once the blocks are freed, so its temporaries do not add to the stacking
+    parents = np.zeros(len(all_counts), dtype=np.int32)
     tables: dict[int, ConditionalTable] = {}
     start = 1
-    for k, (codes, _) in enumerate(per_order, start=1):
-        tables[k] = ConditionalTable(codes=codes, rows=range(start, start + len(codes)))
-        start += len(codes)
-    return ConditionalTableSet(
-        alphabet=alpha,
-        k_max=k_max,
-        tables=tables,
-        n_train=n,
-        counts=all_counts,
-    )
+    for k, order_codes in enumerate(codes, start=1):
+        rows = range(start, start + len(order_codes))
+        if k > 1:  # seen contexts are prefix-closed, so every parent code is in the table below
+            parents[start : rows.stop] = tables[k - 1].rows.start + np.searchsorted(codes[k - 2], order_codes // a)
+        tables[k] = ConditionalTable(oldest=(order_codes % a).astype(idx.dtype), rows=rows)
+        start = rows.stop
+    return ConditionalTableSet(alphabet=alpha, k_max=k_max, tables=tables, n_train=n, counts=all_counts, parents=parents)
 
 
 def _block_rows(longest_row: int) -> int:
@@ -306,7 +292,7 @@ def dump_tables_json(tables: ConditionalTableSet, path: str | Path) -> None:
         triples = np.empty((block, 3), dtype=object)  # (separator, key, body) of each row of a block
         triples[:, 0] = sep
         for k, table in sorted(tables.tables.items()):
-            rows, oldest = slice(table.rows.start, table.rows.stop), table.codes % a
+            rows, oldest = slice(table.rows.start, table.rows.stop), table.oldest
             # the keys of order k - 1 are dropped once they have given order k its parent keys
             keys = names[oldest] if k == 1 else keys[tables.parents[rows] - tables.tables[k - 1].rows.start] + tails[oldest]
             yield '%s    {\n      "k": %d,\n      "rows": {\n        "' % ("" if k == 1 else ",\n", k)

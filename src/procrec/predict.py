@@ -256,7 +256,7 @@ def resolve_fallback(tables: ConditionalTableSet, seq: SymbolSequence, k: int) -
     for j in range(1, k + 1):
         table = tables.tables[j]
         rows = np.arange(table.rows.start, table.rows.stop, dtype=np.int32)
-        child[parents[rows] * a + table.codes % a] = rows
+        child[parents[rows] * a + table.oldest] = rows
 
     idx = seq.indices
     row_ids = np.zeros(n_test, dtype=np.int32)

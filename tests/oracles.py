@@ -262,23 +262,23 @@ def reference_load_price_csv(path, ts_name="timestamp", price_name="price", leni
 
 
 def context_rows(tables, k):
-    """{context tuple: (counts, cum)} of a table set's order-k contexts, in code order.
+    """{context tuple: (counts, cum)} of a table set's order-k contexts, in row order.
 
-    Each code is decoded one base-|alphabet| digit at a time, the most recent
-    symbol the most significant digit, so a context tuple reads most recent
-    first. ``counts`` is the context's row of the set's counts and ``cum`` its
-    ``table_cum``.
+    Each context is read off the set's tree, one order at a time: a row's
+    context is its parent's context plus its oldest symbol, so a context tuple
+    reads most recent first. ``counts`` is the context's row of the set's
+    counts and ``cum`` its ``table_cum``.
     """
-    a = len(tables.alphabet)
-    table = tables.tables[k]
-    rows = {}
-    for code, row, cum in zip(table.codes.tolist(), table.rows, table_cum(tables, table.rows).T):
-        oldest_first = []
-        for _ in range(k):
-            code, digit = divmod(code, a)
-            oldest_first.append(tables.alphabet[digit])
-        rows[tuple(reversed(oldest_first))] = (tables.counts[row], cum)
-    return rows
+    contexts = {0: ()}  # the marginal's empty context, the parent of every order-1 row
+    for j in range(1, k + 1):
+        table = tables.tables[j]
+        parents = tables.parents[table.rows.start : table.rows.stop].tolist()
+        contexts = {
+            row: contexts[parent] + (tables.alphabet[oldest],)
+            for row, parent, oldest in zip(table.rows, parents, table.oldest.tolist())
+        }
+        assert len(set(contexts.values())) == len(table.rows), f"order {j} holds a context twice"
+    return {contexts[row]: (tables.counts[row], cum) for row, cum in zip(table.rows, table_cum(tables, table.rows).T)}
 
 
 def table_cum(tables, rows):

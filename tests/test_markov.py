@@ -204,7 +204,9 @@ def test_counts_hold_one_column_per_symbol():
     n_rows = len(tables.counts)
     assert tables.counts.shape == (n_rows, 5) and tables.counts.T.flags.c_contiguous
     assert not hasattr(tables, "cum")
-    assert [f.name for f in dataclasses.fields(tables)] == ["alphabet", "k_max", "tables", "n_train", "counts"]
+    assert [f.name for f in dataclasses.fields(tables)] == ["alphabet", "k_max", "tables", "n_train", "counts", "parents"]
+    # an order's table is its rows' oldest symbols and row ids: no context code outlives the build
+    assert [f.name for f in dataclasses.fields(tables.tables[1])] == ["oldest", "rows"]
     cum = table_cum(tables, np.arange(n_rows))
     for r in range(n_rows):
         assert cum[:, r].tolist() == sequential_cum(tables.counts[r].tolist())
@@ -221,14 +223,15 @@ def test_row_ids_tile_the_stacked_rows(data):
     start = 1  # row 0 is the marginal
     for k, table in sorted(tables.tables.items()):
         assert table.rows == range(start, start + len(table.rows))
-        assert len(table.rows) == len(table.codes) > 0
+        assert len(table.rows) == len(table.oldest) > 0
         start = table.rows.stop
+        # each parent lies in the order below: row 0, the marginal, for order 1
         below = range(0, 1) if k == 1 else tables.tables[k - 1].rows
         parents = tables.parents[table.rows.start : table.rows.stop]
         assert below.start <= parents.min() and parents.max() < below.stop
-        if k > 1:  # each parent is the context less its oldest symbol
-            up = tables.tables[k - 1]
-            np.testing.assert_array_equal(up.codes[parents - up.rows.start], table.codes // len(alphabet))
+        # rows follow their contexts' lexicographic order, most recent symbol first: by parent, then by oldest
+        tree = list(zip(parents.tolist(), table.oldest.tolist()))
+        assert all(x < y for x, y in zip(tree, tree[1:])) and 0 <= table.oldest.min() <= table.oldest.max() < len(alphabet)
     assert start == len(tables.counts)
     assert tables.parents[0] == 0
 
@@ -266,15 +269,17 @@ def test_codes_are_int32_while_blocks_fit(alphabet, k_max, dtype, monkeypatch):
     monkeypatch.setattr(markov, "_context_codes", spy)
     tables, census = build_conditional_tables(seq, k_max), census_blocks(seq, k_max)
     assert seen == [np.dtype(dtype)] * (2 * k_max)
-    assert {table.codes.dtype for table in tables.tables.values()} == {np.dtype(dtype)}
+    # the oldest symbols are held in the sequence's index dtype: uint8 up to 256 symbols, int64 beyond
+    assert {table.oldest.dtype for table in tables.tables.values()} == {seq.indices.dtype}
+    assert seq.indices.dtype == (np.int64 if len(alphabet) > 256 else np.uint8)
     # the same tables and census from int64 codes, and from the oracles
     monkeypatch.setattr(markov, "_code_dtype", lambda a, k_max: np.int64)
     wide = build_conditional_tables(seq, k_max)
     for k, table in tables.tables.items():
-        assert table.codes.tolist() == wide.tables[k].codes.tolist()
+        np.testing.assert_array_equal(table.oldest, wide.tables[k].oldest, strict=True)
         assert table.rows == wide.tables[k].rows
     np.testing.assert_array_equal(tables.counts, wide.counts)
-    np.testing.assert_array_equal(tables.parents, wide.parents)
+    np.testing.assert_array_equal(tables.parents, wide.parents, strict=True)
     assert census == census_blocks(seq, k_max)
     expected, marginal = brute_force_tables(symbols, k_max, alphabet)
     for k in range(1, k_max + 1):
@@ -307,7 +312,8 @@ def test_build_frees_each_order_before_stacking(monkeypatch):
         tables = build_conditional_tables(seq, 8)
     finally:
         tracemalloc.stop()
-    codes = sum(table.codes.nbytes for table in tables.tables.values())
+    # the codes of every seen context, held through the stacking and freed once they have made the tree
+    codes = (len(tables.counts) - 1) * np.dtype(markov._code_dtype(5, 8)).itemsize
     held = 2 * tables.counts.nbytes + codes
     assert len(stacking) == 2
     assert max(stacking) < 1.03 * held, f"{max(stacking) / 1e6:.1f} MB against {held / 1e6:.1f} MB held by the stacking"

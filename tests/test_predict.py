@@ -631,7 +631,14 @@ def _resolution_over(counts, row_ids):
     Its table set holds the rows of ``counts``, as given, and no order's contexts: sampling
     derives its cum from them, and argmax reads them.
     """
-    tables = ConditionalTableSet(alphabet=tuple(range(counts.shape[1])), k_max=1, tables={}, n_train=0, counts=counts)
+    tables = ConditionalTableSet(
+        alphabet=tuple(range(counts.shape[1])),
+        k_max=1,
+        tables={},
+        n_train=0,
+        counts=counts,
+        parents=np.zeros(len(counts), dtype=np.int32),
+    )
     return predict_mod.FallbackResolution(
         tables=tables,
         order=1,
