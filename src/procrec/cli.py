@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .coding import SCHEME_TABLE, SCHEMES, dump_coding_sidecar, dump_symbols_csv, encode_series, make_scheme
+from .coding import SCHEME_TABLE, SCHEMES, _slices, dump_coding_sidecar, dump_symbols_csv, encode_series, make_scheme
 from .errors import IngestError, SequenceTooShort, SeriesTooShort
 from .ingest import (
     ColumnSchema,
@@ -43,7 +43,6 @@ from .predict import (
     json_label,
     report_to_json_dict,
     run_experiment,
-    _slices,
 )
 
 EXIT_OK = 0

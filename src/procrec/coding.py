@@ -97,7 +97,13 @@ class SymbolSequence:
         return len(self.indices)
 
 
-_SLICE = 1 << 16  # symbols written, and test positions scored in predict, at a time: the paper's 3153 take one slice
+_SLICE = 1 << 16  # symbols coded or written, returns written and test positions resolved or scored at a time
+
+
+def _slices(n: int) -> list[slice]:
+    """Consecutive slices of ``_SLICE`` positions that cover ``range(n)``: the paper's 3,153 test positions take one."""
+    return [slice(start, start + _SLICE) for start in range(0, n, _SLICE)]
+
 
 # name -> (symbols, std divisors of the cut points)
 SCHEME_TABLE = {
@@ -124,7 +130,7 @@ def encode_series(
     if stats.std <= 0:
         raise DegenerateStd("cannot encode with zero standard deviation")
     values = returns.values  # no returns are one empty slice
-    parts = [scheme.band_indices(values[s : s + _SLICE] - stats.mean) for s in range(0, max(len(values), 1), _SLICE)]
+    parts = [scheme.band_indices(values[part] - stats.mean) for part in _slices(max(len(values), 1))]
     return SymbolSequence(indices=np.concatenate(parts), alphabet=scheme.symbols)
 
 
@@ -149,5 +155,5 @@ def dump_symbols_csv(seq: SymbolSequence, path: str | Path) -> None:
     """One symbol per line under a ``symbol`` header, each alphabet symbol's line formatted once and the
     file joined and written ``_SLICE`` symbols at a time."""
     lines = np.array([f"{s}\n" for s in seq.alphabet], dtype=object)
-    parts = ("".join(lines[seq.indices[start : start + _SLICE]].tolist()) for start in range(0, len(seq), _SLICE))
+    parts = ("".join(lines[seq.indices[part]].tolist()) for part in _slices(len(seq)))
     write_text_atomic(path, itertools.chain(["symbol\n"], parts))

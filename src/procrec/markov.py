@@ -84,7 +84,10 @@ class ConditionalTableSet:
     int32, holds per stacked row the row of its context less the oldest
     symbol; row 0, the marginal, is the parent of every order-1 row and of
     itself. An order's table holds its rows' oldest symbols and ``rows``, the
-    range of their row ids. Sampling, argmax and the writer all read ``counts``.
+    range of their row ids. The back-off walk reads the tree downwards: to
+    reach order k, ``FallbackResolution.deepen`` inverts the parents of order
+    k's rows into child links of the rows of order k - 1. Sampling, argmax and
+    the writer all read ``counts``.
     """
 
     alphabet: tuple[int, ...]

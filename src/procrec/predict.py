@@ -9,12 +9,14 @@ every prediction is well defined.
 
 A context seen at order j in training is also seen at every shorter order, so
 each test position t has one longest match L_t and order k answers at
-min(L_t, k). ``resolve_fallback`` links each table row to its children, the
-rows one older symbol longer, and walks the links down from the marginal with
-gathers only, as in a suffix tree. A resolution keeps the row id of order
-min(L_t, k) and the table set itself. The set stacks its rows order by order,
-so a row id names its order; its ``parents`` let ``FallbackResolution.truncate(j)``
-climb to order j, so scoring needs nothing but the resolution.
+min(L_t, k). The seen contexts form a tree, and the answer at order k is the
+answer at order k - 1 taken one older symbol deeper where that context was
+seen: ``FallbackResolution.deepen`` links the rows of one order to their
+children and moves each position one step down the tree, with gathers only.
+``resolve_fallback`` deepens the marginal k times. A resolution keeps the row id
+of order min(L_t, k), the table set and the coded series. The set stacks its
+rows order by order, so a row id names its order, and scoring needs nothing
+but the resolution.
 
 All randomness flows from ``run_generators``: run j at order k of an instrument
 draws from two PCG64 generators, "model" and "baseline", seeded exactly as
@@ -34,11 +36,10 @@ import zlib
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
-from .coding import _SLICE, SCHEMES, CodingScheme, SymbolSequence, coding_record, encode_series, make_scheme
+from .coding import SCHEMES, CodingScheme, SymbolSequence, _slices, coding_record, encode_series, make_scheme
 from .errors import SplitTooSmall
 from .ingest import ReturnSeries, SeriesStats, compute_stats, split_halves
 from .markov import ConditionalTableSet, build_conditional_tables
@@ -191,37 +192,48 @@ class FallbackResolution:
     Which row answers each position depends only on the tables and the symbol
     sequence, never on the random stream, so one resolution serves every run.
     A position's order and counts row are read off its row id; scoring gathers
-    the counts a slice of positions at a time and keeps nothing it gathered.
+    the counts, and the actual symbols from ``seq`` past ``tables.n_train``, a
+    slice of positions at a time and keeps nothing it gathered.
     """
 
     tables: ConditionalTableSet
+    seq: SymbolSequence  # the whole coded series the tables' training half was taken from
     order: int
     row_ids: np.ndarray  # int32, per test position the stacked row id of its row in ``tables``
-    above: np.ndarray  # read-only bool (|alphabet| - 1, n_test): row j says the actual index > j
 
     @property
     def n_test(self) -> int:
         return len(self.row_ids)
 
-    @cached_property
-    def orders(self) -> np.ndarray:
-        """(n_test,) int8 fallback order of every position, min(L_t, order): the order whose rows hold its row id,
-        counted one order at a time, as ``np.searchsorted`` would return 8 bytes a position."""
-        orders = np.zeros(self.n_test, dtype=np.int8)
-        for j in range(1, self.tables.k_max + 1):
-            orders += self.row_ids >= self.tables.tables[j].rows.start
-        return orders
+    def deepen(self) -> FallbackResolution:
+        """The resolution at order + 1; shares no array it makes with this one.
 
-    def truncate(self, k: int) -> "FallbackResolution":
-        """The resolution at order k <= order, climbing one order per step; shares nothing it gathers."""
-        if not 1 <= k <= self.order:
-            raise ValueError(f"order {k} outside resolved range 1..{self.order}")
-        row_ids, tables = np.empty_like(self.row_ids), self.tables
-        for part in _slices(len(row_ids)):  # a slice at a time, so the climb's temporaries are a slice's
+        A position answered at this order moves to the row that adds the next older symbol,
+        where that context was seen in training, and every other position keeps its row.
+        Past the tables' ``k_max`` it raises ValueError.
+        """
+        k, tables = self.order + 1, self.tables
+        if k > tables.k_max:
+            raise ValueError(f"order {k} outside built range 1..{tables.k_max}")
+        a, table = len(tables.alphabet), tables.tables[k]
+        # child[(r - base) * a + s] is the row of r's context extended by the older symbol s, for the rows r
+        # of this order, and 0 where that context was not seen. base is the row before this order's first,
+        # so entries 0 .. a - 1 hold no child, and the index of any row below base clips to entry 0
+        base = tables.tables[self.order].rows.start - 1 if self.order else -1
+        child = np.zeros((table.rows.start - base) * a, dtype=np.int32)
+        links = tables.parents[table.rows.start : table.rows.stop] - base
+        links *= a
+        links += table.oldest
+        child[links] = np.arange(table.rows.start, table.rows.stop, dtype=np.int32)
+        del links
+        n, idx = tables.n_train, self.seq.indices
+        row_ids = np.empty_like(self.row_ids)
+        for part in _slices(self.n_test):  # a slice at a time, so the step's temporaries are a slice's
             ids = self.row_ids[part]
-            for j in range(self.order, k, -1):  # rows of order j or above, stacked from order j's start, climb
-                ids = np.where(ids >= tables.tables[j].rows.start, tables.parents[ids], ids)
-            row_ids[part] = ids
+            # symbol t - k of the slice's positions t extends each order-(k - 1) context. A child's row id
+            # lies past every row of a lower order and a miss reads 0, so the larger of the two answers
+            older = idx[n + part.start - k : n + part.start - k + len(ids)]
+            np.maximum(ids, child.take((ids - base) * a + older, mode="clip"), out=row_ids[part])
         return replace(self, order=k, row_ids=row_ids)
 
 
@@ -232,10 +244,7 @@ def resolve_fallback(tables: ConditionalTableSet, seq: SymbolSequence, k: int) -
     symbols the tables were built on; the rest is the test half. Contexts are
     the k symbols immediately preceding t and may reach back across the split
     boundary into the training half for the first positions. Every position
-    walks from the marginal to the child row that adds the next older symbol,
-    k times or until it misses, and keeps the last row it reached. The child
-    links invert the table set's ``parents``, which ``truncate`` climbs to
-    serve the lower orders.
+    starts at the marginal, order 0, and is deepened k times.
     """
     n, total = tables.n_train, len(seq)
     n_test = total - n
@@ -245,37 +254,10 @@ def resolve_fallback(tables: ConditionalTableSet, seq: SymbolSequence, k: int) -
         raise ValueError(f"order {k} outside built range 1..{tables.k_max}")
     if tuple(seq.alphabet) != tables.alphabet:  # indices of another alphabet would be misread
         raise ValueError(f"sequence alphabet {seq.alphabet} is not the tables' {tables.alphabet}")
-
-    a, n_rows, parents = len(tables.alphabet), len(tables.counts), tables.parents
-    # child[r * a + s]: the row of r's context extended by the older symbol s, for the rows r of
-    # orders 0 .. k-1, the only ones a walk of k steps extends. Every missing child is n_rows, "no
-    # such context", and so is the last entry, to which the walk clips the index of any row beyond:
-    # a walk that misses stays missed
-    extended = tables.tables[k].rows.start
-    child = np.full(extended * a + 1, n_rows, dtype=np.int32)  # flat: 1-D gathers beat 2-D ones
-    for j in range(1, k + 1):
-        table = tables.tables[j]
-        rows = np.arange(table.rows.start, table.rows.stop, dtype=np.int32)
-        child[parents[rows] * a + table.oldest] = rows
-
-    idx = seq.indices
-    row_ids = np.zeros(n_test, dtype=np.int32)
-    for part in _slices(n_test):  # one slice of positions at a time, so the walk's temporaries are a slice's
-        ids = row_ids[part]
-        cur = np.zeros(len(ids), dtype=np.int32)
-        for j in range(1, k + 1):
-            # symbol t-j of the slice's positions t extends each position's order-(j-1) context
-            cur = child.take(cur * a + idx[n + part.start - j : n + part.start + len(ids) - j], mode="clip")
-            np.copyto(ids, cur, where=cur != n_rows)
-    del child  # freed before the crossings are made
-    above = idx[n:] > np.arange(a - 1)[:, None]
-    above.flags.writeable = False  # truncate carries it on, and every run reads it
-    return FallbackResolution(tables=tables, order=k, row_ids=row_ids, above=above)
-
-
-def _slices(n: int) -> list[slice]:
-    """Consecutive slices of ``_SLICE`` positions that cover ``range(n)``."""
-    return [slice(start, start + _SLICE) for start in range(0, n, _SLICE)]
+    resolution = FallbackResolution(tables=tables, seq=seq, order=0, row_ids=np.zeros(n_test, dtype=np.int32))
+    for _ in range(k):
+        resolution = resolution.deepen()
+    return resolution
 
 
 def _heads(counts: np.ndarray) -> np.ndarray:
@@ -368,6 +350,8 @@ def evaluate_run(
     """
     alphabet, n_test, row_ids = resolution.tables.alphabet, resolution.n_test, resolution.row_ids
     steps, cuts, runs = _gap_runs(alphabet)
+    actual = resolution.seq.indices[resolution.tables.n_train :]
+    actual_steps = steps.astype(actual.dtype)  # uint8 indices against uint8 steps: no intp copy of a slice
     by_symbol = resolution.tables.counts.T  # C-contiguous: each symbol's counts are one run, read in place
     marginal_heads = _heads(resolution.tables.counts[:1].T)
     # The inverse-CDF pick, the first index whose cum exceeds u, exceeds j when head j <= u, as the
@@ -382,7 +366,7 @@ def evaluate_run(
         e_sums += [0] * len(batch)
         rand_sums += [0] * len(batch)
         for part in _slices(n_test):
-            above = resolution.above[:, part]
+            above = actual[part] > actual_steps  # row j says the actual index > j
             size = above.shape[1]
             counts = by_symbol.take(row_ids[part], axis=1)
             if config.mode == "argmax":  # one error for every run: the first index on ties, which the heads keep
@@ -400,7 +384,7 @@ def evaluate_run(
                 else:  # the stream continues across slices with the odd half a slice leaves
                     picked = _accepted_words(baseline_gen.bit_generator, len(alphabet), size) >= cuts
                 rand_sums[i] += _error_sum(picked, above, runs, config.metric)
-            heads = picked = None  # freed before the next slice is gathered
+            heads = picked = above = None  # freed before the next slice is gathered
     return OrderErrors(
         e=np.array(e_sums, dtype=np.float64) / n_test,
         e_rand=np.array(rand_sums, dtype=np.float64) / n_test,
@@ -484,20 +468,19 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
     tables = build_conditional_tables(train, config.k_max)
 
     k_values = tuple(range(config.k_min, config.k_max + 1))
-    keys = ((j, k) for k in reversed(k_values) for j in range(1, config.runs + 1))
+    keys = ((j, k) for k in k_values for j in range(1, config.runs + 1))
     gens = run_generators(config.master_seed, instrument, keys)
     pairs = zip(gens, gens)  # the model and baseline generators of every run, in the order they are scored
-    climb = resolve_fallback(tables, seq, config.k_max)
 
     per_run: dict[int, OrderErrors] = {}
-    fallback_histogram: dict[int, dict[int, int]] = {}
-    # positions answered at each order 0 .. k_max; order k answers those at k or above at k
-    longest = [int(np.count_nonzero(climb.orders == j)) for j in range(config.k_max + 1)]  # bincount copies to intp
-    for k in reversed(k_values):  # one order at a time, one climb below the last
-        climb = climb.truncate(k)
-        fallback_histogram[k] = {**dict(enumerate(longest[:k])), k: sum(longest[k:])}
-        per_run[k] = evaluate_run(climb, config, itertools.islice(pairs, config.runs))
-    per_run, fallback_histogram = dict(sorted(per_run.items())), dict(sorted(fallback_histogram.items()))
+    for k in k_values:  # one order at a time, each one step deeper than the last
+        resolution = resolve_fallback(tables, seq, k) if k == config.k_min else resolution.deepen()
+        per_run[k] = evaluate_run(resolution, config, itertools.islice(pairs, config.runs))
+    # positions whose longest match reaches each order 0 .. k_max, the k_max row ids at or past the order's
+    # first row; order k answers those at k or above at k
+    starts = [0, *(tables.tables[j].rows.start for j in range(1, config.k_max + 1))]
+    reached = [int(np.count_nonzero(resolution.row_ids >= start)) for start in starts]
+    fallback_histogram = {k: {**{j: reached[j] - reached[j + 1] for j in range(k)}, k: reached[k]} for k in k_values}
     e_mean, e_std, r_mean, r_std = [], [], [], []
     for errors in per_run.values():
         e_mean.append(float(errors.e.mean()))

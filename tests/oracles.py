@@ -2,9 +2,10 @@
 
 Everything here is deliberately written the slow, obvious way (sliding-window
 enumeration, exact rational arithmetic, literal predicate chains, power
-iteration) and shares no code with the package. Two accessors, ``context_rows``
-and ``table_cum``, read a table set the package built, so that tests can hold
-its rows against these oracles.
+iteration) and shares no code with the package. Three accessors,
+``context_rows``, ``table_cum`` and ``orders_of``, read a table set or a
+resolution the package built, so that tests can hold them against these
+oracles.
 """
 
 from __future__ import annotations
@@ -295,6 +296,13 @@ def table_cum(tables, rows):
     heads = _heads(counts.T)
     cum = np.vstack([heads, heads[-1] + counts[:, -1] / counts.sum(axis=1)])
     return cum if np.ndim(rows) else cum[:, 0]
+
+
+def orders_of(resolution):
+    """The order that answers each position of a resolution: how many orders' first row ids its row id reaches."""
+    tables = resolution.tables
+    starts = [tables.tables[j].rows.start for j in range(1, tables.k_max + 1)]
+    return np.searchsorted(starts, resolution.row_ids, side="right")
 
 
 def reference_tables_json(tables):

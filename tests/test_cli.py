@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import procrec.cli as cli
+import procrec.coding as coding_mod
 import procrec.predict as predict_mod
 from procrec.cli import main
 from procrec.predict import json_label
@@ -112,7 +113,7 @@ def _odd_stamps(n: int) -> list[str]:
 def test_returns_slices_match_the_row_oracle(tmp_path, monkeypatch, n_returns):
     # slices of 4 rows: return counts at a multiple of the slice, one below and one above, so
     # the phase space's pairs cross each slice boundary
-    monkeypatch.setattr(predict_mod, "_SLICE", 4)
+    monkeypatch.setattr(coding_mod, "_SLICE", 4)
     prices = synth.crypto_like_prices(n_returns + 1, seed=n_returns)
     src = tmp_path / "odd.csv"
     rows = [f"{stamp},{float(p)!r}" for stamp, p in zip(_odd_stamps(len(prices)), prices)]
@@ -129,13 +130,13 @@ def test_returns_memory_is_bounded_by_slices(tmp_path, monkeypatch):
     # 200,000 returns in slices of 4096: each file is formatted and written a slice at a time, so
     # what the writes allocate above the loaded series is bounded by the slice, not by the text of
     # a whole file
-    monkeypatch.setattr(predict_mod, "_SLICE", 4096)
+    monkeypatch.setattr(coding_mod, "_SLICE", 4096)
     n = 200_000
     prices = synth.crypto_like_prices(n + 1, seed=3)
     src = tmp_path / "big.csv"
     rows = map("{},{!r}".format, range(1_600_000_000, 1_600_000_000 + 3600 * (n + 1), 3600), prices.tolist())
     src.write_text("\n".join(["timestamp,price", *rows]) + "\n", encoding="utf-8")
-    bound = 400 * predict_mod._SLICE
+    bound = 400 * coding_mod._SLICE
     make_out_dir = cli._make_out_dir
 
     def trace_from_here(out):  # the series is loaded and its stats taken; the writes follow

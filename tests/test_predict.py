@@ -13,6 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import procrec.coding as coding_mod
 import procrec.predict as predict_mod
 from procrec import (
     ConditionalTableSet,
@@ -36,6 +37,7 @@ from oracles import (
     ALPHABET5,
     brute_force_back_off,
     context_rows,
+    orders_of,
     reference_generator,
     reference_run_generators,
     reference_seed_sequence,
@@ -57,8 +59,17 @@ def split_tables(symbols, alphabet, n, k_max):
 def heads_of(res):
     """Every position's heads as scoring derives them: ``_heads`` of its gathered counts, a slice at a time."""
     by_symbol = res.tables.counts.T
-    parts = predict_mod._slices(res.n_test)
+    parts = coding_mod._slices(res.n_test)
     return np.hstack([predict_mod._heads(by_symbol.take(res.row_ids[part], axis=1)) for part in parts])
+
+
+def deepen_chain(tables, seq):
+    """The resolutions at orders 1 .. k_max of ``tables``, each deepened from the one before."""
+    res = resolve_fallback(tables, seq, 1)
+    yield res
+    for _ in range(1, tables.k_max):
+        res = res.deepen()
+        yield res
 
 
 def model_picks(res, gen):
@@ -338,7 +349,7 @@ def test_predict_next_deterministic_row():
     # in 1, 0, 1, 1, 0, 1, ... every order-2 context has one successor
     seq, tables = split_tables([1, 0, 1] * 40, ALPHABET3, 60, 2)
     res = resolve_fallback(tables, seq, 2)
-    assert res.orders.tolist() == [2] * 60
+    assert orders_of(res).tolist() == [2] * 60
     for seed in (0, 1, 99):
         # every draw is the realized symbol
         assert evaluate_one(res, ExperimentConfig(metric="abs"), *reference_run_generators(seed)).e == 0.0
@@ -351,7 +362,7 @@ def test_predict_next_falls_back_one_order():
     seq, tables = split_tables(train + [1, 1, 0], ALPHABET3, len(train), 2)
     res = resolve_fallback(tables, seq, 2)
     assert seq.symbols[-3:-1].tolist() == [1, 1]  # the last position's context
-    assert res.orders[-1] == 1
+    assert orders_of(res)[-1] == 1
     gen = reference_generator(5, "model")
     predicted = model_picks(res, gen)
     assert ALPHABET3[predicted[-1]] == 0  # every 1 in train is followed by 0
@@ -361,7 +372,7 @@ def test_predict_next_marginal_fallback():
     train = [-1, 0, 1, -1, 0, 1]  # symbol 2 absent from train
     seq, tables = split_tables(train + [2, 2, 0], ALPHABET5, len(train), 2)
     res = resolve_fallback(tables, seq, 2)
-    assert res.orders.tolist()[-2:] == [0, 0]  # contexts (2, 1) and (2, 2)
+    assert orders_of(res).tolist()[-2:] == [0, 0]  # contexts (2, 1) and (2, 2)
     assert res.row_ids[-1] == 0  # the marginal
 
 
@@ -486,8 +497,9 @@ def test_contexts_span_the_split_boundary():
     # symbols back into the training half, where only (0, 1) was seen
     assert res.n_test == 2
     expected = brute_force_back_off(symbols, 4, 3, 3, ALPHABET3)
-    assert res.orders.tolist() == [order for order, _ in expected]
-    assert res.orders[0] == 2
+    orders = orders_of(res).tolist()
+    assert orders == [order for order, _ in expected]
+    assert orders[0] == 2
     np.testing.assert_array_equal(table_cum(tables, res.row_ids[0]), context_rows(tables, 2)[(0, 1)][1])
 
 
@@ -500,72 +512,45 @@ def test_vectorized_path_matches_sequential_predict_next():
     res = resolve_fallback(tables, seq, 3)
     predicted = model_picks(res, reference_generator(5, 1, 3, "model"))
     gen = reference_generator(5, 1, 3, "model")
-    expected = brute_force_back_off(symbols, 200, 3, 3, ALPHABET5)
+    expected, orders = brute_force_back_off(symbols, 200, 3, 3, ALPHABET5), orders_of(res)
     for i, (order, counts) in enumerate(expected):
         assert sample_index(sequential_cum(counts), float(gen.random())) == predicted[i]
-        assert order == res.orders[i]
+        assert order == orders[i]
     assert len(expected) == len(predicted) == res.n_test == 200
+
+
+def assert_matches_back_off(res, symbols, n, alphabet):
+    """The resolution's orders and rows are the scalar back-off's at its order, position by position."""
+    tables = res.tables
+    expected = brute_force_back_off(symbols, n, res.order, tables.k_max, alphabet)
+    assert res.row_ids.dtype == np.int32 and res.row_ids.shape == (len(symbols) - n,)
+    assert orders_of(res).tolist() == [order for order, _ in expected]
+    cum = table_cum(tables, res.row_ids)
+    for i, (_, counts) in enumerate(expected):
+        assert cum[:, i].tolist() == sequential_cum(counts)
+        assert tables.counts[res.row_ids[i]].tolist() == list(counts)
 
 
 @given(st.data())
 @settings(deadline=None, max_examples=80)
 def test_resolve_fallback_matches_scalar_back_off(data):
-    alphabet = data.draw(st.sampled_from((ALPHABET3, ALPHABET5)))
-    symbols = draw_symbols(data, alphabet, 6)
-    k = data.draw(st.integers(1, min(deepest(alphabet), len(symbols) - 2)))
-    n = data.draw(st.integers(k + 1, len(symbols) - 1))
-    k_max = data.draw(st.integers(k, min(deepest(alphabet), n - 1)))
-    seq, tables = split_tables(symbols, alphabet, n, k_max)
-    res = resolve_fallback(tables, seq, k)
-    assert res.row_ids.shape == res.orders.shape == (len(symbols) - n,)
-    expected = brute_force_back_off(symbols, n, k, k_max, alphabet)
-    assert res.orders.tolist() == [order for order, _ in expected]
-    cum = table_cum(tables, res.row_ids)
-    for i, (_, counts) in enumerate(expected):
-        assert cum[:, i].tolist() == sequential_cum(counts)
-        assert tables.counts[res.row_ids[i]].tolist() == list(counts)
-    # seen contexts are prefix-closed, so the order at k is the longest match capped at k
-    longest = resolve_fallback(tables, seq, k_max).orders
-    np.testing.assert_array_equal(res.orders, np.minimum(longest, k))
-
-
-def assert_same_resolution(got, want):
-    assert got.tables is want.tables and got.order == want.order
-    assert got.orders.dtype == np.int8 and got.row_ids.dtype == got.tables.parents.dtype == np.int32
-    np.testing.assert_array_equal(got.orders, want.orders)
-    np.testing.assert_array_equal(got.row_ids, want.row_ids)
-    np.testing.assert_array_equal(heads_of(got), table_cum(want.tables, want.row_ids)[:-1])
-    np.testing.assert_array_equal(got.above, want.above)
-    assert got.above.dtype == bool and not got.above.flags.writeable
-
-
-@given(st.data())
-@settings(deadline=None, max_examples=100)
-def test_truncate_matches_direct_resolution(data):
+    # every order of one deepen chain, and the resolution at a drawn order k, against the scalar back-off
     alphabet = data.draw(st.sampled_from((ALPHABET3, ALPHABET5)))
     symbols = draw_symbols(data, alphabet, 3)
     n = data.draw(st.integers(2, len(symbols) - 1))
     k_max = data.draw(st.integers(1, min(deepest(alphabet), n - 1)))
     seq, tables = split_tables(symbols, alphabet, n, k_max)
-    full = resolve_fallback(tables, seq, k_max)
-    assert full.row_ids.shape == (len(symbols) - n,)
-    assert full.tables is tables
-    stepped = full
-    for k in range(k_max, 0, -1):
-        # many climbs at once, one climb from the order above, and a direct walk agree
-        stepped = stepped.truncate(k)
-        direct = resolve_fallback(tables, seq, k)
-        assert_same_resolution(full.truncate(k), direct)
-        assert_same_resolution(stepped, direct)
-        expected = brute_force_back_off(symbols, n, k, k_max, alphabet)
-        assert stepped.orders.tolist() == [order for order, _ in expected]
-        cum = table_cum(tables, stepped.row_ids)
-        for i, (_, counts) in enumerate(expected):
-            assert cum[:, i].tolist() == sequential_cum(counts)
-    with pytest.raises(ValueError):
-        full.truncate(k_max + 1)
-    with pytest.raises(ValueError):
-        full.truncate(0)
+    chain = list(deepen_chain(tables, seq))
+    assert [res.order for res in chain] == list(range(1, k_max + 1))
+    for res in chain:
+        assert res.tables is tables and res.seq is seq
+        assert_matches_back_off(res, symbols, n, alphabet)
+    k = data.draw(st.integers(1, k_max))
+    np.testing.assert_array_equal(resolve_fallback(tables, seq, k).row_ids, chain[k - 1].row_ids)
+    # seen contexts are prefix-closed, so the order at k is the longest match capped at k
+    longest = orders_of(chain[-1])
+    for res in chain:
+        np.testing.assert_array_equal(orders_of(res), np.minimum(longest, res.order))
 
 
 @pytest.mark.parametrize("k_max", [9, 10, 11, 12])
@@ -579,39 +564,38 @@ def test_back_off_three_symbols_deep_orders(k_max):
         symbols[i] = int(ALPHABET3[rng.integers(0, 3)])
     n = 400
     seq, tables = split_tables(symbols, ALPHABET3, n, k_max)
-    full = resolve_fallback(tables, seq, k_max)
-    assert set(full.orders.tolist()) >= {k_max, k_max - 1}
-    stepped = full
-    for k in range(k_max, 0, -1):
-        stepped = stepped.truncate(k)
-        direct = resolve_fallback(tables, seq, k)
-        assert_same_resolution(stepped, direct)
-        assert_same_resolution(full.truncate(k), direct)
-        expected = brute_force_back_off(symbols, n, k, k_max, ALPHABET3)
-        assert direct.orders.tolist() == [order for order, _ in expected]
-        cum = table_cum(tables, direct.row_ids)
-        for i, (_, counts) in enumerate(expected):
-            assert cum[:, i].tolist() == sequential_cum(counts)
+    chain = list(deepen_chain(tables, seq))
+    assert set(orders_of(chain[-1]).tolist()) >= {k_max, k_max - 1}
+    for res in chain:
+        assert_matches_back_off(res, symbols, n, ALPHABET3)
 
 
-def test_truncate_leaves_what_was_read_unchanged():
+def test_deepen_past_k_max_raises():
+    seq, tables = split_tables([1, 0, 1, 1, 0, -1, 0, 1, 1, 0], ALPHABET3, 6, 3)
+    deepest_res = resolve_fallback(tables, seq, 3)
+    with pytest.raises(ValueError, match="order 4"):
+        deepest_res.deepen()
+    with pytest.raises(ValueError, match="order 4"):
+        resolve_fallback(tables, seq, 4)
+
+
+def test_deepen_leaves_its_source_unchanged():
     rng = np.random.default_rng(8)
     symbols = [int(ALPHABET5[i]) for i in np.minimum(rng.geometric(0.45, 3_000) - 1, 4)]
     seq, tables = split_tables(symbols, ALPHABET5, 1_500, 4)
-    full = resolve_fallback(tables, seq, 4)
-    row_ids, orders = full.row_ids, full.orders
-    row_ids_before, orders_before = row_ids.copy(), orders.copy()
-    stepped = full
-    for k in (3, 2, 1):
-        stepped = stepped.truncate(k)
-        assert_same_resolution(stepped, resolve_fallback(tables, seq, k))
-        evaluate_one(stepped, ExperimentConfig(), *reference_run_generators(8, k))
-        # each order gathers its own
-        gathered = (stepped.row_ids, stepped.orders)
-        assert not any(np.shares_memory(got, read) for got in gathered for read in (row_ids, orders))
-    assert full.row_ids is row_ids and full.orders is orders
-    np.testing.assert_array_equal(row_ids, row_ids_before)
-    np.testing.assert_array_equal(orders, orders_before)
+    indices_before = seq.indices.copy()
+    source = resolve_fallback(tables, seq, 1)
+    for k in (2, 3, 4):
+        row_ids, before = source.row_ids, source.row_ids.copy()
+        deeper = source.deepen()
+        assert deeper.order == k and source.order == k - 1
+        assert deeper.tables is tables and deeper.seq is seq
+        assert not np.shares_memory(deeper.row_ids, row_ids)
+        evaluate_one(source, ExperimentConfig(), *reference_run_generators(8, k))
+        assert source.row_ids is row_ids
+        np.testing.assert_array_equal(row_ids, before)
+        source = deeper
+    np.testing.assert_array_equal(seq.indices, indices_before)
 
 
 class _FixedDraws:
@@ -625,11 +609,12 @@ class _FixedDraws:
         return self.u
 
 
-def _resolution_over(counts, row_ids):
+def _resolution_over(counts, row_ids, actual=None):
     """An order-1 resolution whose positions read the hand-made stacked rows ``row_ids``.
 
     Its table set holds the rows of ``counts``, as given, and no order's contexts: sampling
-    derives its cum from them, and argmax reads them.
+    derives its cum from them, and argmax reads them. Its series has no training half, and its
+    test half is the ``actual`` alphabet indices, all 0 by default.
     """
     tables = ConditionalTableSet(
         alphabet=tuple(range(counts.shape[1])),
@@ -639,11 +624,12 @@ def _resolution_over(counts, row_ids):
         counts=counts,
         parents=np.zeros(len(counts), dtype=np.int32),
     )
+    actual = np.zeros(len(row_ids), dtype=np.uint8) if actual is None else actual
     return predict_mod.FallbackResolution(
         tables=tables,
+        seq=SymbolSequence(actual, tables.alphabet),
         order=1,
         row_ids=np.asarray(row_ids, dtype=np.int32),
-        above=np.zeros((counts.shape[1] - 1, len(row_ids)), dtype=bool),
     )
 
 
@@ -672,8 +658,7 @@ def test_evaluate_run_crosses_a_head_equal_to_u():
     # u equal to a head crosses it, in the model's draw and in the marginal's, zero counts included
     counts = np.array([[1, 1, 2], [0, 3, 1]])  # stacked row 0 doubles as the training marginal
     row_ids, actual = [0, 0, 1, 1, 0], np.array([2, 0, 1, 0, 1])
-    res = _resolution_over(counts, row_ids)
-    res = dataclasses.replace(res, above=actual > np.arange(2)[:, None])
+    res = _resolution_over(counts, row_ids, actual)
     heads = heads_of(res)
     u = [0.0, heads[0, 1], heads[0, 2], heads[1, 3], heads[1, 4]]
     picks = [sample_index(sequential_cum(counts[r].tolist()), x) for r, x in zip(row_ids, u)]
@@ -690,9 +675,8 @@ def test_evaluate_run_crosses_a_head_equal_to_u():
 def test_evaluate_run_counts_a_word_at_a_cut_as_crossing_it(monkeypatch):
     # a uniform baseline word equal to cut j draws above j, and one below it does not
     counts = np.array([[1, 1, 2]])
-    res = _resolution_over(counts, [0] * 6)
     actual = np.array([2, 0, 1, 0, 1, 2])
-    res = dataclasses.replace(res, above=actual > np.arange(2)[:, None])
+    res = _resolution_over(counts, [0] * 6, actual)
     (cut_1,), (cut_2,) = predict_mod._gap_runs(res.tables.alphabet)[1].tolist()
     words = np.array([0, cut_1 - 1, cut_1, cut_2 - 1, cut_2, 2**32 - 1], dtype=np.uint32)
     guesses = word_picks(words, 3)
@@ -801,13 +785,14 @@ def test_cum_columns_gather_copies_no_table():
     rng = np.random.default_rng(11)
     seq = SymbolSequence(rng.integers(0, 5, 201_000), ALPHABET5)
     tables = build_conditional_tables(dataclasses.replace(seq, indices=seq.indices[:200_000]), 8)
-    res = resolve_fallback(tables, seq, 8)
+    res = resolve_fallback(tables, seq, 7)
+    deeper = res.deepen()
     assert tables.counts.dtype == np.int32 and tables.counts.nbytes > 4_000_000
-    gens = [reference_run_generators(11, k) for k in (8, 7)]
+    gens = [reference_run_generators(11, k) for k in (7, 8)]
     tracemalloc.start()
     try:
         evaluate_run(res, ExperimentConfig(), gens[:1])
-        evaluate_run(res.truncate(7), ExperimentConfig(), gens[1:])  # the climb gathers parents only
+        evaluate_run(deeper, ExperimentConfig(), gens[1:])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -829,12 +814,10 @@ def test_cum_columns_are_the_sequential_cum_of_each_positions_counts(data):
     k_max = data.draw(st.integers(1, min(deepest(alphabet), n - 1)))
     seq, tables = split_tables(symbols, alphabet, n, k_max)
     assert tables.counts.T.flags.c_contiguous
-    full = resolve_fallback(tables, seq, k_max)
     marginal = predict_mod._heads(tables.counts[:1].T)  # what the marginal baseline draws by
     np.testing.assert_array_equal(_bits(marginal[:, 0]), _bits(sequential_cum(tables.counts[0].tolist())[:-1]))
-    with mock.patch.object(predict_mod, "_SLICE", data.draw(st.sampled_from((1, 7, predict_mod._SLICE)))):
-        for k in range(k_max, 0, -1):
-            res = full.truncate(k)
+    with mock.patch.object(coding_mod, "_SLICE", data.draw(st.sampled_from((1, 7, coding_mod._SLICE)))):
+        for res in deepen_chain(tables, seq):
             want = [sequential_cum(tables.counts[r].tolist())[:-1] for r in res.row_ids.tolist()]
             heads = heads_of(res)
             np.testing.assert_array_equal(_bits(heads).T, _bits(want))
@@ -900,11 +883,10 @@ def test_evaluate_run_matches_scalar_scorer(data):
     run = data.draw(st.integers(1, 50))
     seed = data.draw(st.integers(0, 2**64 - 1))
     seq, tables = split_tables(symbols, alphabet, n, k_max)
-    full = resolve_fallback(tables, seq, k_max)
-    # the resolution at k itself, then every order derived from the one at k_max,
+    # the resolution at k itself, then every order of one deepen chain,
     # each scored for two runs in one call, so the second reuses the gathered rows
     config = ExperimentConfig(metric=metric, baseline=baseline, mode=mode)
-    for res in (resolve_fallback(tables, seq, k), *(full.truncate(j) for j in range(1, k_max + 1))):
+    for res in (resolve_fallback(tables, seq, k), *deepen_chain(tables, seq)):
         got = evaluate_run(res, config, [reference_run_generators(seed, j, res.order) for j in (run, run + 1)])
         want = [
             scalar_evaluate_run(
@@ -924,10 +906,10 @@ def test_evaluate_run_slices_match_per_position_scorer(slice_size, monkeypatch):
     rng = np.random.default_rng(41)
     symbols = [int(ALPHABET5[i]) for i in np.minimum(rng.geometric(0.45, 150) - 1, 4)]
     n, k_max = 60, 3
-    monkeypatch.setattr(predict_mod, "_SLICE", slice_size)
+    monkeypatch.setattr(coding_mod, "_SLICE", slice_size)
     seq, tables = split_tables(symbols, ALPHABET5, n, k_max)
-    full = resolve_fallback(tables, seq, k_max)  # its columns are gathered in slices too
-    for res in (full, full.truncate(2)):
+    below = resolve_fallback(tables, seq, 2)  # deepened in slices too
+    for res in (below, below.deepen()):
         for metric in predict_mod.METRICS:
             for baseline in predict_mod.BASELINES:
                 for mode in predict_mod.MODES:
@@ -983,12 +965,12 @@ def test_evaluate_run_equals_per_position_mean(metric, baseline, mode, long_spli
 @pytest.mark.parametrize("baseline", predict_mod.BASELINES)
 def test_evaluate_run_memory_is_bounded_by_slices(baseline, long_split, monkeypatch):
     # 210,000 test positions in slices of 4096: the whole call, each slice's gather included, holds one
-    # slice at a time, at most its counts (20 B a position), heads (32 B), row totals (4 B) and the
-    # divisions' float buffers (16 B); the heads of every position would be 6.7 MB
+    # slice at a time, at most its counts (20 B a position), heads (32 B), crossings (4 B), row totals
+    # (4 B) and the divisions' float buffers (16 B); the heads of every position would be 6.7 MB
     seq, tables, n = long_split
-    monkeypatch.setattr(predict_mod, "_SLICE", 4096)
+    monkeypatch.setattr(coding_mod, "_SLICE", 4096)
     res = resolve_fallback(tables, seq, 4)
-    bound = 96 * predict_mod._SLICE
+    bound = 96 * coding_mod._SLICE
     assert 32 * res.n_test > 10 * bound
     pairs = [reference_run_generators(9, j, 4) for j in range(3)]
     tracemalloc.start()
@@ -1006,9 +988,9 @@ def test_no_predict_stage_peaks_above_scoring(tmp_path, monkeypatch):
     # the share of the test half that 65,536 are at 1M returns. Each stage's figure is the heap in use
     # at its peak, and "between stages" the highest outside them, as at the fallback histogram.
     # Scoring holds the tables, the resolution and one slice's gathers; the loader's views, the series
-    # dropped before the logs, int32 codes and walks and climbs a slice at a time keep every other
-    # stage within 1 MiB of it, where int64 codes and a walk over the whole test half took the build
-    # and the resolution 2.2 and 2.6 MiB above it
+    # dropped before the logs, int32 codes, and child links of one order with each step deeper taken a
+    # slice at a time keep every other stage within 1 MiB of it, where int64 codes and a walk over the
+    # whole test half took the build and the resolution 2.2 and 2.6 MiB above it
     n = 200_000
     rng = np.random.default_rng(43)  # also loads numpy.random before tracing: module code is no stage's data
     prices = (100 * np.exp(np.cumsum(0.003 * rng.standard_t(4, n)))).tolist()
@@ -1016,7 +998,7 @@ def test_no_predict_stage_peaks_above_scoring(tmp_path, monkeypatch):
     path = tmp_path / "long.csv"
     path.write_text("timestamp,price\n" + "".join(map("{},{!r}\n".format, stamps, prices)))
     del prices, stamps
-    monkeypatch.setattr(predict_mod, "_SLICE", 1 << 14)
+    monkeypatch.setattr(coding_mod, "_SLICE", 1 << 14)
     peaks = {}
 
     def stage(name, fn):
@@ -1032,8 +1014,8 @@ def test_no_predict_stage_peaks_above_scoring(tmp_path, monkeypatch):
 
     for name in ("encode_series", "build_conditional_tables", "resolve_fallback", "evaluate_run"):
         monkeypatch.setattr(predict_mod, name, stage(name, getattr(predict_mod, name)))
-    truncate = predict_mod.FallbackResolution.truncate
-    monkeypatch.setattr(predict_mod.FallbackResolution, "truncate", stage("truncate", truncate))
+    deepen = predict_mod.FallbackResolution.deepen
+    monkeypatch.setattr(predict_mod.FallbackResolution, "deepen", stage("deepen", deepen))
     tracemalloc.start()
     try:
         held = [load_price_csv(path)]
@@ -1084,11 +1066,9 @@ def test_evaluate_run_over_uneven_alphabets_matches_scalar_scorer(alphabet, monk
     rng = np.random.default_rng(len(alphabet))
     symbols = [alphabet[i] for i in np.minimum(rng.geometric(0.4, 260) - 1, len(alphabet) - 1)]
     n, k_max = 160, 3
-    monkeypatch.setattr(predict_mod, "_SLICE", 7)
+    monkeypatch.setattr(coding_mod, "_SLICE", 7)
     seq, tables = split_tables(symbols, alphabet, n, k_max)
-    full = resolve_fallback(tables, seq, k_max)
-    assert full.above.shape == (len(alphabet) - 1, len(symbols) - n)
-    for res in (full, full.truncate(1)):
+    for res in deepen_chain(tables, seq):
         for metric in predict_mod.METRICS:
             for baseline in predict_mod.BASELINES:
                 for mode in predict_mod.MODES:
@@ -1123,11 +1103,11 @@ def test_evaluate_run_scores_runs_together_as_each_alone(alphabet, monkeypatch):
     rng = np.random.default_rng(len(alphabet))
     symbols = [alphabet[i] for i in np.minimum(rng.geometric(0.4, 260) - 1, len(alphabet) - 1)]
     n, k_max, n_runs = 160, 3, 7
-    monkeypatch.setattr(predict_mod, "_SLICE", 33)
+    monkeypatch.setattr(coding_mod, "_SLICE", 33)
     monkeypatch.setattr(predict_mod, "_SEED_CHUNK", 3)
     seq, tables = split_tables(symbols, alphabet, n, k_max)
-    res = resolve_fallback(tables, seq, k_max).truncate(2)
-    assert len(predict_mod._slices(res.n_test)) == 4
+    res = resolve_fallback(tables, seq, 2)
+    assert len(coding_mod._slices(res.n_test)) == 4
     for metric, baseline, mode in itertools.product(predict_mod.METRICS, predict_mod.BASELINES, predict_mod.MODES):
         config = ExperimentConfig(metric=metric, baseline=baseline, mode=mode)
         tags = [(43, j, metric, baseline, mode) for j in range(n_runs)]
@@ -1163,7 +1143,7 @@ def test_fallback_orders_replay_against_tables():
     tables = build_conditional_tables(train, 5)
     res = resolve_fallback(tables, seq, 5)
     rows = {j: context_rows(tables, j) for j in range(1, 6)}
-    answered = table_cum(tables, res.row_ids)
+    answered, orders = table_cum(tables, res.row_ids), orders_of(res)
     for i, t in enumerate(range(n, len(symbols))):
         context = tuple(reversed(symbols[t - 5 : t]))
         largest, cum = 0, table_cum(tables, 0)
@@ -1171,7 +1151,7 @@ def test_fallback_orders_replay_against_tables():
             if context[:j] in rows[j]:
                 largest, (_, cum) = j, rows[j][context[:j]]
                 break
-        assert res.orders[i] == largest
+        assert orders[i] == largest
         np.testing.assert_array_equal(answered[:, i], cum)
 
 
@@ -1210,7 +1190,7 @@ def test_run_experiment_frees_returns_after_coding(monkeypatch):
 
 
 def test_run_experiment_scores_each_order_in_one_call(monkeypatch):
-    # one evaluate_run per order, from k_max down, handed that order's runs and no more
+    # one evaluate_run per order, from k_min up, handed that order's runs and no more
     calls = []
     evaluate = predict_mod.evaluate_run
 
@@ -1221,8 +1201,25 @@ def test_run_experiment_scores_each_order_in_one_call(monkeypatch):
 
     monkeypatch.setattr(predict_mod, "evaluate_run", spy)
     report = run_experiment(ExperimentConfig(runs=3, k_min=2, k_max=4), small_returns())
-    assert calls == [(4, 3), (3, 3), (2, 3)]
+    assert calls == [(2, 3), (3, 3), (4, 3)]
     assert [len(report.per_run[k].e) for k in report.k_values] == [3, 3, 3]
+
+
+@pytest.mark.parametrize("mode", predict_mod.MODES)
+@pytest.mark.parametrize("baseline", predict_mod.BASELINES)
+@pytest.mark.parametrize("metric", predict_mod.METRICS)
+def test_run_experiment_orders_do_not_depend_on_k_min(metric, baseline, mode):
+    # an order's runs and fallback counts are the same whichever order the walk starts from
+    configs = [
+        ExperimentConfig(runs=3, k_min=k_min, k_max=5, master_seed=13, metric=metric, baseline=baseline, mode=mode)
+        for k_min in (1, 3)
+    ]
+    low, high = (run_experiment(cfg, small_returns()) for cfg in configs)
+    assert high.k_values == (3, 4, 5)
+    for k in high.k_values:
+        assert low.per_run[k].e.tolist() == high.per_run[k].e.tolist()
+        assert low.per_run[k].e_rand.tolist() == high.per_run[k].e_rand.tolist()
+        assert low.fallback_histogram[k] == high.fallback_histogram[k]
 
 
 def test_run_experiment_deterministic():
@@ -1248,12 +1245,12 @@ def test_run_experiment_shapes_and_histogram():
 
 
 def test_fallback_histogram_counts_each_order():
-    # folded from the k_max counts: equal to counting each truncated resolution's orders
+    # folded from the k_max counts: equal to counting the orders of each order's resolution
     cfg = ExperimentConfig(runs=1, k_min=2, k_max=7, master_seed=7)
     report = run_experiment(cfg, small_returns())
-    full = resolve_fallback(report.tables, report.sequence, cfg.k_max)
+    assert list(report.fallback_histogram) == list(report.k_values)
     for k in report.k_values:
-        counts = np.bincount(full.truncate(k).orders, minlength=k + 1)
+        counts = np.bincount(orders_of(resolve_fallback(report.tables, report.sequence, k)), minlength=k + 1)
         assert report.fallback_histogram[k] == {j: int(counts[j]) for j in range(k + 1)}
         assert list(report.fallback_histogram[k]) == list(range(k + 1))
 
@@ -1278,9 +1275,8 @@ def test_run_experiment_runs_match_reference_streams(metric, baseline, mode):
         runs=3, k_min=2, k_max=5, master_seed=2**63 + 5, metric=metric, baseline=baseline, mode=mode
     )
     report = run_experiment(cfg, small_returns())
-    full = resolve_fallback(report.tables, report.sequence, cfg.k_max)
     for k in report.k_values:
-        res = full.truncate(k)
+        res = resolve_fallback(report.tables, report.sequence, k)
         want = [
             evaluate_one(
                 res, ExperimentConfig(metric=metric, baseline=baseline, mode=mode),
