@@ -222,9 +222,9 @@ def _predict_one(config: ExperimentConfig, args: argparse.Namespace, schema: Col
     report = run_experiment(config, compute_log_returns(_load(args, schema, label, path)))  # no name keeps the prices
     out = args.out
     _make_out_dir(out)  # only now, so a predict that fails on every input leaves no --out behind
-    write_text_atomic(out / f"{label}_report.json", json.dumps(report_to_json_dict(report), indent=2) + "\n")
-    plot_lines = ["k,e_k,eRand_k"]
-    plot_lines += [f"{k},{e!r},{er!r}" for k, e, er in zip(report.k_values, report.e_mean, report.rand_mean)]
+    doc = report_to_json_dict(report)
+    write_text_atomic(out / f"{label}_report.json", json.dumps(doc, indent=2) + "\n")
+    plot_lines = ["k,e_k,eRand_k", *(f"{r['k']},{r['e_mean']!r},{r['e_rand_mean']!r}" for r in doc["results"])]
     write_text_atomic(out / f"{label}_plot.csv", "\n".join(plot_lines) + "\n")
 
     if args.dump_symbols:
@@ -232,16 +232,12 @@ def _predict_one(config: ExperimentConfig, args: argparse.Namespace, schema: Col
         dump_coding_sidecar(report.coding, report.stats, out / f"{label}_coding.json")
     if args.dump_tables:
         dump_tables_json(report.tables, out / f"{label}_tables.json")
-    _print_report(report)
-
-
-def _print_report(report) -> None:
-    print(f"instrument={report.instrument} scheme={report.config.scheme} runs={report.config.runs} "
-          f"seed={report.config.master_seed} metric={report.config.metric}")
+    print(f"instrument={label} scheme={config.scheme} runs={config.runs} "
+          f"seed={config.master_seed} metric={config.metric}")
     print("  k    e_k               eRand_k")
-    for i, k in enumerate(report.k_values):
-        print(f"  {k:<4d} {report.e_mean[i]:.4f} +/- {report.e_std[i]:.4f}  "
-              f"{report.rand_mean[i]:.4f} +/- {report.rand_std[i]:.4f}")
+    for r in doc["results"]:
+        print(f"  {r['k']:<4d} {r['e_mean']:.4f} +/- {r['e_std']:.4f}  "
+              f"{r['e_rand_mean']:.4f} +/- {r['e_rand_std']:.4f}")
 
 
 def _check_options(args: argparse.Namespace) -> Callable[[str, Path], None]:

@@ -36,7 +36,7 @@ class MalformedRow(IngestError):
 
 
 class NonPositivePrice(IngestError):
-    """Row has a price that is zero or negative."""
+    """Row has a price that is not a positive finite number: zero, negative, infinite or NaN."""
 
 
 class DuplicateTimestamp(IngestError):

@@ -328,9 +328,9 @@ class _PriceRows:
             raise MalformedRow(line, f"unparseable row {row!r}") from None
         if not 0 < price < math.inf:
             if self.lenient:
-                logger.warning("%s line %d skipped: non-positive price %r", self.path, line, price)
+                logger.warning("%s line %d skipped: price %r is not a positive finite number", self.path, line, price)
                 return
-            raise NonPositivePrice(line, f"price {price!r} is not positive")
+            raise NonPositivePrice(line, f"price {price!r} is not a positive finite number")
         row = len(self.stamps)
         if not self.line_offsets or line - row != self.line_offsets[-1]:
             self.line_starts.append(row)

@@ -426,22 +426,19 @@ class ExperimentConfig:
 
 @dataclass(eq=False)
 class ExperimentReport:
-    """Across-run averages of e_k and eRand_k plus the audit trail.
+    """Every run's e_k and eRand_k, per order k in ascending order, plus the audit trail.
 
-    ``sequence`` and ``tables`` are the coded series and the training-half
-    tables the run used, kept for the symbol and table dumps; the series is
-    split after the tables' ``n_train`` symbols.
+    ``per_run`` holds the errors themselves; ``report_to_json_dict`` takes
+    their means and standard deviations over runs. ``sequence`` and
+    ``tables`` are the coded series and the training-half tables the run
+    used, kept for the symbol and table dumps; the series is split after the
+    tables' ``n_train`` symbols.
     """
 
     instrument: str
     config: ExperimentConfig
     coding: CodingScheme
-    k_values: tuple[int, ...]
     stats: SeriesStats
-    e_mean: tuple[float, ...]
-    e_std: tuple[float, ...]
-    rand_mean: tuple[float, ...]
-    rand_std: tuple[float, ...]
     fallback_histogram: dict[int, dict[int, int]]
     per_run: dict[int, OrderErrors]
     sequence: SymbolSequence
@@ -467,37 +464,26 @@ def run_experiment(config: ExperimentConfig, returns: ReturnSeries) -> Experimen
     train = replace(seq, indices=seq.indices[:n])
     tables = build_conditional_tables(train, config.k_max)
 
-    k_values = tuple(range(config.k_min, config.k_max + 1))
-    keys = ((j, k) for k in k_values for j in range(1, config.runs + 1))
+    orders = range(config.k_min, config.k_max + 1)
+    keys = ((j, k) for k in orders for j in range(1, config.runs + 1))
     gens = run_generators(config.master_seed, instrument, keys)
     pairs = zip(gens, gens)  # the model and baseline generators of every run, in the order they are scored
 
     per_run: dict[int, OrderErrors] = {}
-    for k in k_values:  # one order at a time, each one step deeper than the last
+    for k in orders:  # one order at a time, each one step deeper than the last
         resolution = resolve_fallback(tables, seq, k) if k == config.k_min else resolution.deepen()
         per_run[k] = evaluate_run(resolution, config, itertools.islice(pairs, config.runs))
     # positions whose longest match reaches each order 0 .. k_max, the k_max row ids at or past the order's
     # first row; order k answers those at k or above at k
     starts = [0, *(tables.tables[j].rows.start for j in range(1, config.k_max + 1))]
     reached = [int(np.count_nonzero(resolution.row_ids >= start)) for start in starts]
-    fallback_histogram = {k: {**{j: reached[j] - reached[j + 1] for j in range(k)}, k: reached[k]} for k in k_values}
-    e_mean, e_std, r_mean, r_std = [], [], [], []
-    for errors in per_run.values():
-        e_mean.append(float(errors.e.mean()))
-        e_std.append(float(errors.e.std()))
-        r_mean.append(float(errors.e_rand.mean()))
-        r_std.append(float(errors.e_rand.std()))
+    fallback_histogram = {k: {**{j: reached[j] - reached[j + 1] for j in range(k)}, k: reached[k]} for k in orders}
 
     return ExperimentReport(
         instrument=instrument,
         config=config,
         coding=scheme,
-        k_values=k_values,
         stats=stats,
-        e_mean=tuple(e_mean),
-        e_std=tuple(e_std),
-        rand_mean=tuple(r_mean),
-        rand_std=tuple(r_std),
         fallback_histogram=fallback_histogram,
         per_run=per_run,
         sequence=seq,
@@ -511,7 +497,11 @@ def json_label(label: str) -> str:
 
 
 def report_to_json_dict(report: ExperimentReport) -> dict:
-    """Stable wire form of a report; key order is fixed so dumps are byte-stable."""
+    """Stable wire form of a report; key order is fixed so dumps are byte-stable.
+
+    Each ``results`` entry is one order's mean and population standard deviation (ddof 0)
+    over runs of e and e_rand.
+    """
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "instrument": json_label(report.instrument),
@@ -526,12 +516,12 @@ def report_to_json_dict(report: ExperimentReport) -> dict:
         "results": [
             {
                 "k": k,
-                "e_mean": report.e_mean[i],
-                "e_std": report.e_std[i],
-                "e_rand_mean": report.rand_mean[i],
-                "e_rand_std": report.rand_std[i],
+                "e_mean": float(errors.e.mean()),
+                "e_std": float(errors.e.std()),
+                "e_rand_mean": float(errors.e_rand.mean()),
+                "e_rand_std": float(errors.e_rand.std()),
             }
-            for i, k in enumerate(report.k_values)
+            for k, errors in sorted(report.per_run.items())
         ],
         "fallback_histogram": {
             str(k): {str(o): c for o, c in sorted(hist.items())}

@@ -29,6 +29,7 @@ from procrec import (
     evaluate_run,
     load_price_csv,
     make_scheme,
+    report_to_json_dict,
     resolve_fallback,
     run_experiment,
 )
@@ -198,10 +199,11 @@ def test_criterion_5_model_beats_random(market_scale_csv):
     with criterion(5, "empirical probabilities beat random choice"):
         returns = _acceptance_series(market_scale_csv)
         cfg = ExperimentConfig(runs=50, k_min=1, k_max=4, scheme="five", master_seed=20240005)
-        report = run_experiment(cfg, returns)
-        for i, k in enumerate(report.k_values):
-            assert report.e_mean[i] < report.rand_mean[i], (
-                f"k={k}: e={report.e_mean[i]:.4f} not below eRand={report.rand_mean[i]:.4f}"
+        results = report_to_json_dict(run_experiment(cfg, returns))["results"]
+        assert [r["k"] for r in results] == [1, 2, 3, 4]
+        for r in results:
+            assert r["e_mean"] < r["e_rand_mean"], (
+                f"k={r['k']}: e={r['e_mean']:.4f} not below eRand={r['e_rand_mean']:.4f}"
             )
 
         # census saturation sets in around k=4: near-complete block coverage

@@ -304,10 +304,16 @@ def test_predict_single_instrument(tmp_path, small_csv, capsys):
     assert report["schema_version"] == 1
     assert report["master_seed"] == 11
     assert [r["k"] for r in report["results"]] == [1, 2, 3, 4]
+    # the plot rows and the stdout table are the report's numbers: the plot's read back exactly
     plot = (out / "demo_plot.csv").read_text().strip().splitlines()
-    assert plot[0] == "k,e_k,eRand_k"
-    assert len(plot) == 1 + 4
-    assert "instrument=demo" in capsys.readouterr().out
+    assert plot == ["k,e_k,eRand_k", *(f"{r['k']},{r['e_mean']!r},{r['e_rand_mean']!r}" for r in report["results"])]
+    stdout = capsys.readouterr().out.splitlines()
+    assert stdout[:2] == ["instrument=demo scheme=five runs=3 seed=11 metric=abs", "  k    e_k               eRand_k"]
+    assert [line.split() for line in stdout[2:]] == [
+        [str(r["k"]), f"{r['e_mean']:.4f}", "+/-", f"{r['e_std']:.4f}", f"{r['e_rand_mean']:.4f}", "+/-",
+         f"{r['e_rand_std']:.4f}"]
+        for r in report["results"]
+    ]
 
 
 def test_predict_report_matches_golden_schema(tmp_path, small_csv):

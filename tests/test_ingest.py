@@ -144,6 +144,30 @@ def test_load_zero_price_rejected(tmp_path):
     assert exc.value.line_no == 3
 
 
+@pytest.mark.parametrize("quoted", [False, True], ids=["blocks", "csv_reader"])
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "0", "-1"])
+def test_load_non_finite_or_non_positive_price_message(tmp_path, caplog, text, quoted):
+    # the same text from the block pass and from csv.reader, which a quote on line 2 hands the rest to
+    first = f'{hourly(0)},"100"' if quoted else f"{hourly(0)},100"
+    path = write_csv(tmp_path / "p.csv", [first, f"{hourly(1)},{text}", f"{hourly(2)},101", f"{hourly(3)},102"])
+    add_csv = ingest._PriceRows.add_csv
+    routes = []
+
+    def spy(self, fh, offset, line0):
+        routes.append(line0)
+        add_csv(self, fh, offset, line0)
+
+    reason = f"price {float(text)!r} is not a positive finite number"
+    with mock.patch.object(ingest._PriceRows, "add_csv", spy):
+        with pytest.raises(NonPositivePrice) as exc:
+            load_price_csv(path)
+        assert exc.value.line_no == 3 and str(exc.value) == f"line 3: {reason}"
+        with caplog.at_level("WARNING", logger="procrec.ingest"):
+            assert load_price_csv(path, lenient=True).prices.tolist() == [100.0, 101.0, 102.0]
+    assert caplog.messages == [f"{path} line 3 skipped: {reason}"]
+    assert routes == ([0, 0] if quoted else [])
+
+
 def test_load_malformed_row_strict(tmp_path):
     rows = [f"{hourly(0)},100", "not-a-date,101", f"{hourly(2)},102"]
     with pytest.raises(MalformedRow) as exc:

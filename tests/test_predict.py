@@ -1202,7 +1202,7 @@ def test_run_experiment_scores_each_order_in_one_call(monkeypatch):
     monkeypatch.setattr(predict_mod, "evaluate_run", spy)
     report = run_experiment(ExperimentConfig(runs=3, k_min=2, k_max=4), small_returns())
     assert calls == [(2, 3), (3, 3), (4, 3)]
-    assert [len(report.per_run[k].e) for k in report.k_values] == [3, 3, 3]
+    assert {k: len(errors.e) for k, errors in report.per_run.items()} == {2: 3, 3: 3, 4: 3}
 
 
 @pytest.mark.parametrize("mode", predict_mod.MODES)
@@ -1215,8 +1215,8 @@ def test_run_experiment_orders_do_not_depend_on_k_min(metric, baseline, mode):
         for k_min in (1, 3)
     ]
     low, high = (run_experiment(cfg, small_returns()) for cfg in configs)
-    assert high.k_values == (3, 4, 5)
-    for k in high.k_values:
+    assert list(high.per_run) == [3, 4, 5]
+    for k in high.per_run:
         assert low.per_run[k].e.tolist() == high.per_run[k].e.tolist()
         assert low.per_run[k].e_rand.tolist() == high.per_run[k].e_rand.tolist()
         assert low.fallback_histogram[k] == high.fallback_histogram[k]
@@ -1233,11 +1233,11 @@ def test_run_experiment_deterministic():
 def test_run_experiment_shapes_and_histogram():
     cfg = ExperimentConfig(runs=4, k_min=1, k_max=8, master_seed=7)
     report = run_experiment(cfg, small_returns())
-    assert report.k_values == tuple(range(1, 9))
-    assert len(report.e_mean) == 8 and len(report.rand_mean) == 8
+    assert list(report.per_run) == list(range(1, 9))
+    assert [r["k"] for r in report_to_json_dict(report)["results"]] == list(range(1, 9))
     n_test = len(report.sequence) - report.tables.n_train
     assert report.tables.n_train == 400 and n_test == 400
-    for k in report.k_values:
+    for k in report.per_run:
         hist = report.fallback_histogram[k]
         assert sum(hist.values()) == n_test
         assert all(0 <= order <= k for order in hist)
@@ -1248,8 +1248,8 @@ def test_fallback_histogram_counts_each_order():
     # folded from the k_max counts: equal to counting the orders of each order's resolution
     cfg = ExperimentConfig(runs=1, k_min=2, k_max=7, master_seed=7)
     report = run_experiment(cfg, small_returns())
-    assert list(report.fallback_histogram) == list(report.k_values)
-    for k in report.k_values:
+    assert list(report.fallback_histogram) == list(report.per_run)
+    for k in report.per_run:
         counts = np.bincount(orders_of(resolve_fallback(report.tables, report.sequence, k)), minlength=k + 1)
         assert report.fallback_histogram[k] == {j: int(counts[j]) for j in range(k + 1)}
         assert list(report.fallback_histogram[k]) == list(range(k + 1))
@@ -1258,12 +1258,14 @@ def test_fallback_histogram_counts_each_order():
 def test_report_means_match_per_run():
     cfg = ExperimentConfig(runs=5, k_min=1, k_max=3, master_seed=11)
     report = run_experiment(cfg, small_returns())
-    for i, k in enumerate(report.k_values):
-        es = report.per_run[k].e.tolist()
-        rs = report.per_run[k].e_rand.tolist()
-        assert report.e_mean[i] == pytest.approx(float(np.mean(es)), abs=1e-12)
-        assert report.rand_mean[i] == pytest.approx(float(np.mean(rs)), abs=1e-12)
-        assert min(es) <= report.e_mean[i] <= max(es)
+    results = report_to_json_dict(report)["results"]
+    assert [r["k"] for r in results] == [1, 2, 3]
+    for r in results:
+        es = report.per_run[r["k"]].e.tolist()
+        rs = report.per_run[r["k"]].e_rand.tolist()
+        assert r["e_mean"] == float(np.mean(es)) and r["e_std"] == float(np.std(es))
+        assert r["e_rand_mean"] == float(np.mean(rs)) and r["e_rand_std"] == float(np.std(rs))
+        assert min(es) <= r["e_mean"] <= max(es)
 
 
 @pytest.mark.parametrize("mode", predict_mod.MODES)
@@ -1275,7 +1277,8 @@ def test_run_experiment_runs_match_reference_streams(metric, baseline, mode):
         runs=3, k_min=2, k_max=5, master_seed=2**63 + 5, metric=metric, baseline=baseline, mode=mode
     )
     report = run_experiment(cfg, small_returns())
-    for k in report.k_values:
+    assert list(report.per_run) == [2, 3, 4, 5]
+    for k in report.per_run:
         res = resolve_fallback(report.tables, report.sequence, k)
         want = [
             evaluate_one(
@@ -1295,7 +1298,8 @@ def test_run_experiment_instrument_decouples_streams():
     r2 = dataclasses.replace(r1, instrument="other")
     a = run_experiment(cfg, r1)
     b = run_experiment(cfg, r2)
-    assert a.e_mean != b.e_mean  # different substreams per instrument
+    for k in (1, 2):  # different substreams per instrument
+        assert a.per_run[k].e.tolist() != b.per_run[k].e.tolist()
 
 
 def test_run_experiment_stats_on_train():
